@@ -26,6 +26,11 @@ Knobs (environment variables):
     Tile count of the Table I scalability run (default 20, as in the paper).
 ``REPRO_KERNEL_BENCH_TRIALS``
     Batch width of the kernel throughput benchmark (default 2,048).
+``REPRO_BENCH_ARCHIVE``
+    Set to ``1`` to write results under ``benchmarks/results/`` (figure
+    CSV + text reports, appended ``kernel_rates.json`` records).  Off by
+    default, so a plain test run leaves the committed results untouched;
+    the CI benchmark jobs turn it on.
 """
 
 from __future__ import annotations
@@ -55,8 +60,24 @@ RATES_PATH = RESULTS_DIR / "kernel_rates.json"
 BENCH_SEED = 20160814
 
 
+def archive_enabled() -> bool:
+    """Whether this run writes ``benchmarks/results/`` (``REPRO_BENCH_ARCHIVE=1``)."""
+    return os.environ.get("REPRO_BENCH_ARCHIVE") == "1"
+
+
+def write_report(name: str, rows, text: str) -> None:
+    """Archive one experiment as ``<name>.csv`` + ``<name>.txt``, if enabled."""
+    if not archive_enabled():
+        return
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    write_csv(rows, RESULTS_DIR / f"{name}.csv")
+    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+
+
 def archive_rates(entries) -> None:
-    """Append one record of benchmark entries to ``kernel_rates.json``."""
+    """Append one record of benchmark entries to ``kernel_rates.json``, if enabled."""
+    if not archive_enabled():
+        return
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     history = []
     if RATES_PATH.exists():
@@ -122,7 +143,7 @@ def figure_config(name: str) -> FigureConfig:
 
 
 def run_and_report(name: str) -> FigureResult:
-    """Run one figure's experiment, print and archive its report."""
+    """Run one figure's experiment, print its report and archive it if enabled."""
     config = figure_config(name)
     result = run_error_vs_size(config, seed=BENCH_SEED)
     report = figure_table(result)
@@ -131,9 +152,7 @@ def run_and_report(name: str) -> FigureResult:
     print(report)
     print()
     print(plot)
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    write_csv(result.to_rows(), RESULTS_DIR / f"{name}.csv")
-    (RESULTS_DIR / f"{name}.txt").write_text(report + "\n\n" + plot + "\n", encoding="utf-8")
+    write_report(name, result.to_rows(), report + "\n\n" + plot)
     return result
 
 

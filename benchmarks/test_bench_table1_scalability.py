@@ -23,12 +23,12 @@ import pytest
 
 from repro.estimators.registry import get_estimator
 from repro.experiments.config import ScalabilityConfig
-from repro.experiments.reporting import scalability_table, write_csv
+from repro.experiments.reporting import scalability_table
 from repro.experiments.scalability import run_scalability
 from repro.failures.models import ExponentialErrorModel
 from repro.workflows.lu import lu_dag
 
-from _common import BENCH_SEED, RESULTS_DIR
+from _common import BENCH_SEED, write_report
 
 
 def _table1_config() -> ScalabilityConfig:
@@ -47,9 +47,7 @@ def test_table1_regenerate(benchmark):
     report = scalability_table(result)
     print()
     print(report)
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    write_csv(result.to_rows(), RESULTS_DIR / "table1.csv")
-    (RESULTS_DIR / "table1.txt").write_text(report + "\n", encoding="utf-8")
+    write_report("table1", result.to_rows(), report)
 
     errors = {r.estimator: r.relative_error for r in result.rows}
     times = {r.estimator: r.wall_time for r in result.rows}

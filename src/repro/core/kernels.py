@@ -30,17 +30,17 @@ a task-major ``(tasks, trials)`` buffer:
   rounding of single precision.
 
 Compiled schedules are cached on the index (one per direction); kernels
-returned by :func:`wavefront_kernel` are additionally cached per dtype so
-that repeated API calls (``upward_lengths``, ``batched_makespans``, ...)
-reuse one buffer.  Pipelines with their own lifetime — notably
-:class:`repro.sim.MonteCarloEngine` — construct a private
+returned by :func:`wavefront_kernel` are additionally cached per dtype and
+per thread so that repeated API calls (``upward_lengths``,
+``batched_makespans``, ...) reuse one buffer.  Pipelines with their own
+lifetime — notably :class:`repro.sim.MonteCarloEngine` — construct a private
 :class:`WavefrontKernel` instead and keep their buffers for the whole run.
 
 A :class:`WavefrontKernel` mutates its buffer in place and is therefore
 **not reentrant**: concurrent evaluations on the same graph must use one
 private kernel per thread (the compiled schedule is immutable and safely
-shared).  The module-level path APIs built on the shared cached kernel
-inherit this single-threaded contract.
+shared).  :func:`wavefront_kernel` does exactly that, so the module-level
+path APIs built on it are safe to call from several threads at once.
 
 Moment-propagation kernels
 --------------------------
@@ -84,6 +84,7 @@ contract.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
@@ -794,26 +795,27 @@ def wavefront_kernel(
     dtype: Union[str, np.dtype, type, None] = np.float64,
     kernel_backend: Optional[str] = None,
 ) -> WavefrontKernel:
-    """Return the shared, cached kernel of a graph for one direction/dtype.
+    """Return the calling thread's cached kernel of a graph for one direction/dtype.
 
-    The kernel (schedule *and* buffer) is cached on the graph's index, so
-    repeated calls from the path APIs amortise both the compilation and the
-    buffer allocation.  Components that want an independently-lifetimed
-    buffer (e.g. a Monte Carlo engine) should instantiate
-    :class:`WavefrontKernel` directly — the compiled schedule is still
-    shared through the index cache.
+    The kernel is cached on the graph's index, so repeated calls from the
+    path APIs amortise both the compilation and the buffer allocation.  A
+    kernel's buffers are mutated in place, so the cache holds one kernel
+    *per thread* (a ``threading.local``): concurrent estimates on one graph
+    share the compiled schedule but never a buffer.  Components that want
+    an independently-lifetimed buffer (e.g. a Monte Carlo engine) should
+    instantiate :class:`WavefrontKernel` directly.
     """
     index = _as_index(graph)
     resolved = normalize_dtype(dtype)
     backend = resolve_kernel_backend(kernel_backend)
-    cache = _index_cache(index)
     key = ("kernel", direction, resolved.name, backend)
-    kernel = cache.get(key)
+    per_thread = _index_cache(index).setdefault(key, threading.local())
+    kernel = getattr(per_thread, "kernel", None)
     if kernel is None:
         kernel = WavefrontKernel(
             index, direction=direction, dtype=resolved, kernel_backend=backend
         )
-        cache[key] = kernel
+        per_thread.kernel = kernel
     return kernel
 
 

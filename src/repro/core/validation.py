@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Set, Union
 
+import numpy as np
+
 from ..exceptions import CycleError, GraphError
 from .graph import GraphIndex, TaskGraph
 from .task import TaskId
@@ -163,16 +165,33 @@ def validate_graph(graph: Union[TaskGraph, GraphIndex], *, allow_empty: bool = F
 def ensure_valid(graph: TaskGraph) -> TaskGraph:
     """Validate a graph and return it, raising on any structural error.
 
+    One pass over structure the estimators need anyway: the cached
+    :meth:`TaskGraph.index` (whose topological sort fails on a cycle) and a
+    vectorised check of its weight vector.  On a DAG every task is
+    reachable from a source, so no reachability pass is needed;
+    :func:`validate_graph` keeps the full report with warnings.
+
     Raises
     ------
     CycleError
-        If the graph has a cycle.
+        If the graph has a cycle (carrying one actual cycle).
     GraphError
         For any other structural error.
     """
-    cycle = find_cycle(graph)
-    if cycle:
-        raise CycleError(cycle=cycle)
-    report = validate_graph(graph)
-    report.raise_if_invalid()
+    if graph.num_tasks == 0:
+        raise GraphError("graph has no tasks")
+    try:
+        index = graph.index()
+    except CycleError:
+        # The topological sort only knows which tasks it could not order;
+        # report a real cycle instead.
+        raise CycleError(cycle=find_cycle(graph)) from None
+    negative = np.flatnonzero(index.weights < 0)
+    if negative.size:
+        raise GraphError(
+            "; ".join(
+                f"task {index.task_ids[i]!r} has negative weight {index.weights[i]}"
+                for i in negative
+            )
+        )
     return graph

@@ -34,10 +34,26 @@ exactly, so a round equals resolving its joins one at a time in
 selection order (the round schedule *is* the approximation contract).
 Only equal-level joins share a round because a deeper join's resolution
 can dissolve shallower ones through the reductions it unlocks; resolving
-from the sink upwards keeps the cascade of induced joins small (a few
-hundred duplications on the paper's largest DAGs, now resolved in ~3x
-fewer rounds).  A configurable cap on the number of duplications guards
-against pathological blow-up on adversarial graphs.
+from the sink upwards keeps the cascade of induced joins small relative
+to the graph (276 duplications in 91 rounds on cholesky k=10, 4,301 on
+cholesky k=24 with its 2,600 tasks).  A configurable cap on the number of
+duplications guards against pathological blow-up on adversarial graphs.
+
+Incremental candidate sets
+--------------------------
+
+Neither kind of round scans the network.  The reduction network files
+every vertex in two candidate sets and re-files both endpoints whenever an
+arc is written or removed (``set_arc``/``remove_arc``, which every
+mutation — including a round's re-attached fused arcs — goes through):
+
+* ``_joins_by_level`` buckets the joins (in-degree >= 2) by topological
+  level, so a duplication round reads the deepest bucket;
+* ``series`` holds the series vertices (in-degree 1 and out-degree 1,
+  terminals excluded), so a reduction round sorts only the candidates.
+  Scanning every vertex in ascending order and skipping non-series ones
+  visits exactly the sorted candidates, so the round schedule is the
+  historical one.
 
 Batched reduction rounds
 ------------------------
@@ -53,15 +69,20 @@ maxima — turning thousands of tiny per-arc NumPy calls into a handful of
 ``(rows, width)`` array operations.  The batched operations mirror the
 scalar :class:`~repro.rv.discrete.DiscreteRV` arithmetic step by step, and
 the *same* round schedule evaluated with scalar operations is retained as
-:func:`sequential_dodin_estimate`, the oracle of the differential tests
-(agreement <= 1e-9).
+:func:`sequential_dodin_estimate`, the oracle of the differential tests.
+The two paths differ only by ulp-level rounding (NumPy's pairwise row
+sums), but a rounding difference can move an atom across an equal-mass
+pruning boundary, and later rounds amplify it.  Measured relative gaps at
+pfail 1e-3 / 1e-2: <= 1.3e-13 on cholesky, LU and QR up to k=10 (the
+differential tests use k <= 6 and a 1e-9 tolerance); 1.4e-9 / 5.8e-14 on
+QR k=16; 1.3e-12 / 1.5e-4 on LU k=16; 1.2e-4 / 9.6e-4 on cholesky k=24.
 
 With ``workers > 1`` (or ``REPRO_EST_WORKERS``) a round's row-batched
 operations are additionally split into row-chunk partitions executed on
 the shared :class:`~repro.exec.ParallelService`: each chunk's rows are
 computed independently (the batched operations are row-wise; padding
 differences only append exact zeros), so the chunking is a throughput
-knob inside the same ``<= 1e-9`` differential contract.
+knob inside the same differential envelope.
 """
 
 from __future__ import annotations
@@ -106,11 +127,17 @@ class _ReductionNetwork:
         self._next_vertex = 0
         self.parallel_reductions = 0
         self.series_reductions = 0
+        #: The source and sink, which are never series vertices.
+        self.terminals: Tuple[int, ...] = ()
         #: Join candidates (in-degree >= 2) bucketed by topological level,
-        #: maintained incrementally by ``add_arc``/``remove_arc`` — the
+        #: maintained incrementally by ``set_arc``/``remove_arc`` — the
         #: duplication rounds query the deepest bucket instead of scanning
         #: every vertex per round.
         self._joins_by_level: Dict[int, set] = {}
+        #: Series candidates (in-degree 1 and out-degree 1, terminals
+        #: excluded), maintained by the same arc mutations — the reduction
+        #: rounds sort this set instead of scanning every vertex.
+        self.series: set = set()
 
     # -- construction ----------------------------------------------------
     def new_vertex(self, rank: int, level: int = 0) -> int:
@@ -122,20 +149,50 @@ class _ReductionNetwork:
         self.level[v] = level
         return v
 
+    def delete_vertex(self, v: int) -> None:
+        """Drop a vertex whose arcs have all been removed.
+
+        Removing its last arcs already took it out of both candidate sets.
+        """
+        del self.succ[v]
+        del self.pred[v]
+        del self.rank[v]
+        del self.level[v]
+
     def add_arc(self, tail: int, head: int, law: DiscreteRV) -> None:
         existing = self.succ[tail].get(head)
         if existing is not None:
             law = existing.maximum(law, max_support=self.max_support)
             self.parallel_reductions += 1
+        self.set_arc(tail, head, law)
+
+    def set_arc(self, tail: int, head: int, law: DiscreteRV) -> None:
+        """Write the arc ``tail -> head``, replacing any existing law."""
         self.succ[tail][head] = law
         self.pred[head][tail] = law
-        self._update_join(head)
+        self._update_candidates(tail, head)
 
     def remove_arc(self, tail: int, head: int) -> DiscreteRV:
         law = self.succ[tail].pop(head)
         self.pred[head].pop(tail)
-        self._update_join(head)
+        self._update_candidates(tail, head)
         return law
+
+    def _update_candidates(self, tail: int, head: int) -> None:
+        """Re-file both endpoints of a mutated arc in the candidate sets."""
+        self._update_join(head)
+        self._update_series(tail)
+        self._update_series(head)
+
+    def _update_series(self, v: int) -> None:
+        if (
+            len(self.pred[v]) == 1
+            and len(self.succ[v]) == 1
+            and v not in self.terminals
+        ):
+            self.series.add(v)
+        else:
+            self.series.discard(v)
 
     def _update_join(self, head: int) -> None:
         """Keep ``head``'s join-bucket membership in sync with its in-degree."""
@@ -171,32 +228,8 @@ class _ReductionNetwork:
         ]
 
     # -- queries -----------------------------------------------------------
-    def in_degree(self, v: int) -> int:
-        return len(self.pred[v])
-
     def out_degree(self, v: int) -> int:
         return len(self.succ[v])
-
-    def is_series_vertex(self, v: int, source: int, sink: int) -> bool:
-        return v not in (source, sink) and self.in_degree(v) == 1 and self.out_degree(v) == 1
-
-    def intermediate_vertices(self):
-        return self.succ.keys()
-
-    def reduce_series(self, v: int) -> Tuple[int, int]:
-        """Fuse the two arcs incident to a series vertex; return (tail, head)."""
-        (tail, first_law), = self.pred[v].items()
-        (head, second_law), = self.succ[v].items()
-        self.remove_arc(tail, v)
-        self.remove_arc(v, head)
-        del self.succ[v]
-        del self.pred[v]
-        del self.rank[v]
-        del self.level[v]
-        fused = first_law.add(second_law, max_support=self.max_support)
-        self.series_reductions += 1
-        self.add_arc(tail, head, fused)
-        return tail, head
 
 
 class DodinEstimator(MakespanEstimator):
@@ -299,18 +332,25 @@ class DodinEstimator(MakespanEstimator):
         sink = network.new_vertex(
             len(index.task_ids) + 1, int(level_of_task.max(initial=0)) + 1
         )
+        network.terminals = (source, sink)
         vertex_in: Dict[int, int] = {}
         vertex_out: Dict[int, int] = {}
         zero = DiscreteRV.constant(0.0)
 
-        for i, tid in enumerate(index.task_ids):
-            r = int(rank_of_task[i])
-            lv = int(level_of_task[i])
+        # Task laws depend on the weight alone and DiscreteRV is immutable,
+        # so each distinct weight builds its law once (the paper's DAGs
+        # have a handful of kernel weights across thousands of tasks).
+        laws: Dict[float, DiscreteRV] = {}
+        for i, (r, lv, weight) in enumerate(
+            zip(rank_of_task.tolist(), level_of_task.tolist(), index.weights.tolist())
+        ):
             vertex_in[i] = network.new_vertex(r, lv)
             vertex_out[i] = network.new_vertex(r, lv)
-            law = TwoStateDistribution.from_model(
-                float(index.weights[i]), model, reexecution_factor=self.reexecution_factor
-            ).to_discrete()
+            law = laws.get(weight)
+            if law is None:
+                law = laws[weight] = TwoStateDistribution.from_model(
+                    weight, model, reexecution_factor=self.reexecution_factor
+                ).to_discrete()
             network.add_arc(vertex_in[i], vertex_out[i], law)
 
         index_of = index.index_of
@@ -358,9 +398,7 @@ class DodinEstimator(MakespanEstimator):
         return out
 
     @staticmethod
-    def _select_series_round(
-        network: _ReductionNetwork, source: int, sink: int
-    ) -> List[int]:
+    def _select_series_round(network: _ReductionNetwork) -> List[int]:
         """A maximal set of pairwise non-adjacent series vertices.
 
         Candidates are scanned in ascending vertex order; a vertex is
@@ -370,11 +408,7 @@ class DodinEstimator(MakespanEstimator):
         """
         selected: List[int] = []
         chosen = set()
-        for v in sorted(network.intermediate_vertices()):
-            if v in (source, sink):
-                continue
-            if not network.is_series_vertex(v, source, sink):
-                continue
+        for v in sorted(network.series):
             (tail,) = network.pred[v]
             (head,) = network.succ[v]
             if tail in chosen or head in chosen:
@@ -418,14 +452,10 @@ class DodinEstimator(MakespanEstimator):
             ]
 
         # Detach the reduced vertices (disjoint arcs: order is irrelevant).
-        for v in selected:
-            (tail, head) = (next(iter(network.pred[v])), next(iter(network.succ[v])))
+        for v, (tail, head) in zip(selected, endpoints):
             network.remove_arc(tail, v)
             network.remove_arc(v, head)
-            del network.succ[v]
-            del network.pred[v]
-            del network.rank[v]
-            del network.level[v]
+            network.delete_vertex(v)
             network.series_reductions += 1
 
         # Re-attach the fused arcs.  Fused laws landing on an occupied
@@ -461,9 +491,7 @@ class DodinEstimator(MakespanEstimator):
                 network.parallel_reductions += 1
 
         for (tail, head), chain in chains.items():
-            network.succ[tail][head] = chain[0]
-            network.pred[head][tail] = chain[0]
-            network._update_join(head)
+            network.set_arc(tail, head, chain[0])
 
     @staticmethod
     def _select_join_round(
@@ -510,6 +538,29 @@ class DodinEstimator(MakespanEstimator):
             touched.add(tail)
         return selected
 
+    def _duplicate_join_round(self, network: _ReductionNetwork) -> int:
+        """Duplicate one round of independent joins; return how many.
+
+        The joins come from the incrementally maintained level buckets
+        (the deepest one), not from an O(|V|) candidate scan.
+        """
+        terminals = network.terminals
+        deepest = network.deepest_join_level(exclude=terminals)
+        if deepest is None:
+            raise EstimationError(
+                "Dodin reduction is stuck without a join vertex; "
+                "the input graph is malformed"
+            )
+        joins = network.joins_at_level(deepest, exclude=terminals)
+        selected = self._select_join_round(network, joins)
+        for v, tail in selected:
+            moved_law = network.remove_arc(tail, v)
+            copy = network.new_vertex(network.rank[v], network.level[v])
+            network.add_arc(tail, copy, moved_law)
+            for head, law in list(network.succ[v].items()):
+                network.add_arc(copy, head, law)
+        return len(selected)
+
     def _estimate(self, graph: TaskGraph, model: ErrorModel) -> EstimateResult:
         network, source, sink = self._build_network(graph, model)
         cap = self.max_duplications
@@ -526,7 +577,7 @@ class DodinEstimator(MakespanEstimator):
                 # groups (the induced parallel merges happen at the end of
                 # each round).
                 while True:
-                    selected = self._select_series_round(network, source, sink)
+                    selected = self._select_series_round(network)
                     if not selected:
                         break
                     self._reduce_series_round(network, selected, service)
@@ -539,29 +590,14 @@ class DodinEstimator(MakespanEstimator):
                     break
 
                 # No series vertex available: duplicate one round of
-                # independent (non-adjacent) joins, deepest first — pulled
-                # from the incrementally maintained level buckets instead of
-                # an O(|V|) candidate scan per round.
-                deepest = network.deepest_join_level(exclude=(source, sink))
-                if deepest is None:
+                # independent (non-adjacent) joins, deepest first.
+                duplications += self._duplicate_join_round(network)
+                if duplications > cap:
                     raise EstimationError(
-                        "Dodin reduction is stuck without a join vertex; "
-                        "the input graph is malformed"
+                        f"Dodin node duplication exceeded the safety cap "
+                        f"({cap}); increase max_duplications or use "
+                        "another estimator"
                     )
-                joins = network.joins_at_level(deepest, exclude=(source, sink))
-                for v, tail in self._select_join_round(network, joins):
-                    moved_law = network.remove_arc(tail, v)
-                    copy = network.new_vertex(network.rank[v], network.level[v])
-                    network.add_arc(tail, copy, moved_law)
-                    for head, law in list(network.succ[v].items()):
-                        network.add_arc(copy, head, law)
-                    duplications += 1
-                    if duplications > cap:
-                        raise EstimationError(
-                            f"Dodin node duplication exceeded the safety cap "
-                            f"({cap}); increase max_duplications or use "
-                            "another estimator"
-                        )
                 join_rounds += 1
         finally:
             self._release_service(service)
@@ -603,8 +639,10 @@ def sequential_dodin_estimate(
     Runs the *same* round schedule (independent arc groups, selection-order
     parallel merges, deepest-first independent-join duplication rounds)
     with one scalar :class:`~repro.rv.discrete.DiscreteRV` operation per
-    arc — the oracle of the differential tests: the batched estimator must
-    agree with this value to <= 1e-9 relative error at any worker count.
+    arc — the oracle of the differential tests: at the tested sizes the
+    batched estimator agrees with this value to <= 1e-9 relative error at
+    any worker count (the module docstring gives the measured gap on
+    larger DAGs).
     """
     return (
         DodinEstimator(

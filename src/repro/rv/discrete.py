@@ -87,6 +87,27 @@ class DiscreteRV:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
+    def _from_canonical(
+        cls, values: np.ndarray, probabilities: np.ndarray
+    ) -> "DiscreteRV":
+        """Trusted constructor for atoms already in canonical form.
+
+        ``values`` must be float64, strictly ascending with gaps above the
+        merge tolerance, and ``probabilities`` positive with a sum within
+        rounding of one — the state ``__init__`` leaves behind, and the
+        invariant of every :class:`~repro.rv.discrete_batch.DiscreteBatch`
+        row.  On such input the sort, the tolerance merge and the zero-atom
+        drop of ``__init__`` are identities, so only its one bit-changing
+        step is kept: dividing by the total mass.
+        """
+        rv = cls.__new__(cls)
+        rv.values = np.array(values, dtype=np.float64)
+        rv.probabilities = probabilities / probabilities.sum()
+        rv.values.setflags(write=False)
+        rv.probabilities.setflags(write=False)
+        return rv
+
+    @classmethod
     def constant(cls, value: float) -> "DiscreteRV":
         """The degenerate variable always equal to ``value``."""
         return cls([value], [1.0])

@@ -135,9 +135,16 @@ class DiscreteBatch:
     # Row access
     # ------------------------------------------------------------------
     def row(self, i: int) -> DiscreteRV:
-        """Extract one row as a scalar :class:`DiscreteRV`."""
+        """Extract one row as a scalar :class:`DiscreteRV`.
+
+        Rows are already sorted, merged and free of zero atoms (the batch
+        invariant), so the row skips the full ``DiscreteRV`` normalisation;
+        the result is bit-identical to ``DiscreteRV(values, probs)``.
+        """
         size = int(self.sizes[i])
-        return DiscreteRV(self.values[i, :size], self.probs[i, :size])
+        return DiscreteRV._from_canonical(
+            self.values[i, :size], self.probs[i, :size]
+        )
 
     def take(self, rows: np.ndarray) -> "DiscreteBatch":
         """Gather a sub-batch of rows, trimmed to their maximal width."""

@@ -36,23 +36,38 @@ from typing import List, Optional
 
 from . import estimate_expected_makespan
 from .core.serialize import save_dot, save_json
-from .estimators.registry import available_estimators
-from .experiments.config import (
-    KERNEL_ESTIMATORS,
-    PAPER_FIGURES,
-    PARALLEL_ESTIMATORS,
-    SHM_ESTIMATORS,
-)
+from .estimators.registry import available_estimators, canonical_name
+from .experiments.config import DRIVER_KNOBS, PAPER_FIGURES, TABLE1, ScalabilityConfig
 from .experiments.error_vs_size import run_figure
 from .experiments.reporting import figure_ascii_plot, figure_table, scalability_table
 from .experiments.runner import run_everything
 from .experiments.scalability import run_scalability
-from .experiments.config import ScalabilityConfig, TABLE1
 from .failures.models import ExponentialErrorModel
+from .options import ESTIMATOR_KNOBS, KNOBS
 from .scheduling import Platform, cp_schedule, expected_schedule_makespan
 from .workflows.registry import available_workflows, build_dag
 
 __all__ = ["main", "build_parser"]
+
+
+def _add_knob_flags(parser: argparse.ArgumentParser, knobs) -> None:
+    """One flag per setting row of :mod:`repro.options`; unset flags stay ``None``."""
+    for knob in knobs:
+        kwargs = dict(default=None, help=f"{knob.help}; also via {knob.env}")
+        if knob.type is bool:
+            kwargs["action"] = "store_true"
+        elif knob.choices:
+            kwargs["choices"] = list(knob.choices)
+        else:
+            kwargs["type"] = knob.type
+        parser.add_argument(knob.flag, **kwargs)
+
+
+def _add_trials_and_seed(parser: argparse.ArgumentParser, knobs) -> None:
+    """The flags of ``knobs`` (``--trials`` first), ``--seed`` after ``--trials``."""
+    _add_knob_flags(parser, knobs[:1])
+    parser.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
+    _add_knob_flags(parser, knobs[1:])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,63 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="failure probability of a task of average weight (default 1e-3)")
     est.add_argument("--method", action="append", default=None,
                      help=f"estimator name (repeatable); available: {', '.join(available_estimators())}")
-    est.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
-    est.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
-    est.add_argument("--dtype", choices=["float64", "float32"], default=None,
-                     help="Monte Carlo kernel precision (float32 halves memory traffic)")
-    est.add_argument("--workers", type=int, default=None,
-                     help="Monte Carlo parallel evaluation workers (default 1)")
-    est.add_argument("--backend", choices=["serial", "threads", "processes"], default=None,
-                     help="Monte Carlo execution backend (default: serial for 1 "
-                          "worker, threads otherwise; processes sidesteps the GIL)")
-    est.add_argument("--streaming", action="store_true", default=None,
-                     help="streaming statistics: mean/std/CI/quantiles in O(batch) "
-                          "memory, no materialised sample")
-    est.add_argument("--kernel-backend", choices=["numpy", "numba", "cupy"],
-                     default=None,
-                     help="compiled-kernel backend of the hot numerical loops "
-                          "(default numpy, the bit-reference; numba JIT-compiles "
-                          "the fused band gathers and level recurrences, cupy "
-                          "runs the Monte Carlo sweep on a CUDA device; "
-                          "unported/unavailable backends fall back per function; "
-                          "also via REPRO_KERNEL_BACKEND)")
-    est.add_argument("--est-workers", type=int, default=None,
-                     help="parallel workers of the analytical estimators "
-                          "(normal-correlated fold, second-order sweeps, dodin "
-                          "rounds) on the shared execution service (default 1; "
-                          "also via REPRO_EST_WORKERS)")
-    est.add_argument("--corr-backend", choices=["dense", "banded", "lowrank"],
-                     default=None,
-                     help="correlation storage of the normal-correlated "
-                          "estimator (default dense; banded stores Θ(|V|·band) "
-                          "and is bit-equal to dense at the auto bandwidth)")
-    est.add_argument("--corr-bandwidth", type=int, default=None,
-                     help="level bandwidth of the banded/lowrank correlation "
-                          "stores (default: auto = the exact bandwidth)")
-    est.add_argument("--corr-rank", type=int, default=None,
-                     help="Nyström rank of the lowrank correlation store "
-                          "(default 32)")
-    est.add_argument("--exec-retries", type=int, default=None,
-                     help="re-dispatches allowed per work partition of the "
-                          "execution service (default 0 = fail fast; retries "
-                          "replay the partition's RNG stream so results stay "
-                          "bit-identical; also via REPRO_EXEC_RETRIES)")
-    est.add_argument("--exec-timeout", type=float, default=None,
-                     help="per-partition soft deadline in seconds (advisory "
-                          "in-process, enforced by worker preemption on the "
-                          "processes backend; also via REPRO_EXEC_TIMEOUT)")
-    est.add_argument("--exec-on-failure", choices=["raise", "degrade"], default=None,
-                     help="unusable-backend policy: raise a structured "
-                          "ExecutionError (default) or degrade processes->"
-                          "threads->serial (also via REPRO_EXEC_ON_FAILURE)")
-    est.add_argument("--exec-backend", choices=["serial", "threads", "processes"],
-                     default=None,
-                     help="execution backend of the correlated/second-order "
-                          "work partitions (default: serial at one worker, "
-                          "threads otherwise; processes attaches workers "
-                          "zero-copy to the shared-memory kernel plane, "
-                          "bit-identical at any worker count; also via "
-                          "REPRO_EXEC_BACKEND)")
+    _add_trials_and_seed(est, ESTIMATOR_KNOBS)
     est.add_argument("--json", action="store_true", help="print machine-readable JSON")
 
     # experiment ---------------------------------------------------------
@@ -146,65 +105,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig = exp_sub.add_parser("figure", help="one error-vs-size figure")
     fig.add_argument("--figure", required=True, choices=sorted(PAPER_FIGURES))
-    fig.add_argument("--trials", type=int, default=None)
-    fig.add_argument("--seed", type=int, default=None)
-    fig.add_argument("--dtype", choices=["float64", "float32"], default=None,
-                     help="Monte Carlo kernel precision")
-    fig.add_argument("--workers", type=int, default=None,
-                     help="Monte Carlo parallel evaluation workers (default 1)")
-    fig.add_argument("--backend", choices=["serial", "threads", "processes"], default=None,
-                     help="Monte Carlo execution backend")
-    fig.add_argument("--streaming", action="store_true", default=None,
-                     help="Monte Carlo streaming statistics (O(batch) memory)")
-    fig.add_argument("--kernel-backend", choices=["numpy", "numba", "cupy"],
-                     default=None,
-                     help="compiled-kernel backend of the hot numerical loops "
-                          "(also via REPRO_KERNEL_BACKEND)")
-    fig.add_argument("--est-workers", type=int, default=None,
-                     help="parallel workers of the analytical estimators "
-                          "(also via REPRO_EST_WORKERS)")
+    _add_trials_and_seed(fig, DRIVER_KNOBS)
     fig.add_argument("--no-plot", action="store_true")
 
     tab = exp_sub.add_parser("table1", help="the scalability study (Table I)")
     tab.add_argument("--size", type=int, default=None,
                      help="tile count k (paper: 20; smaller values for quick runs)")
-    tab.add_argument("--trials", type=int, default=None)
-    tab.add_argument("--seed", type=int, default=None)
-    tab.add_argument("--dtype", choices=["float64", "float32"], default=None,
-                     help="Monte Carlo kernel precision")
-    tab.add_argument("--workers", type=int, default=None,
-                     help="Monte Carlo parallel evaluation workers (default 1)")
-    tab.add_argument("--backend", choices=["serial", "threads", "processes"], default=None,
-                     help="Monte Carlo execution backend")
-    tab.add_argument("--streaming", action="store_true", default=None,
-                     help="Monte Carlo streaming statistics (O(batch) memory)")
-    tab.add_argument("--kernel-backend", choices=["numpy", "numba", "cupy"],
-                     default=None,
-                     help="compiled-kernel backend of the hot numerical loops "
-                          "(also via REPRO_KERNEL_BACKEND)")
-    tab.add_argument("--est-workers", type=int, default=None,
-                     help="parallel workers of the analytical estimators "
-                          "(also via REPRO_EST_WORKERS)")
+    _add_trials_and_seed(tab, DRIVER_KNOBS)
 
     allp = exp_sub.add_parser("all", help="all figures and Table I")
-    allp.add_argument("--trials", type=int, default=None)
+    _add_knob_flags(allp, DRIVER_KNOBS[:1])
     allp.add_argument("--table1-size", type=int, default=None)
-    allp.add_argument("--seed", type=int, default=None)
-    allp.add_argument("--dtype", choices=["float64", "float32"], default=None,
-                      help="Monte Carlo kernel precision")
-    allp.add_argument("--workers", type=int, default=None,
-                      help="Monte Carlo parallel evaluation workers (default 1)")
-    allp.add_argument("--backend", choices=["serial", "threads", "processes"], default=None,
-                      help="Monte Carlo execution backend")
-    allp.add_argument("--streaming", action="store_true", default=None,
-                      help="Monte Carlo streaming statistics (O(batch) memory)")
-    allp.add_argument("--kernel-backend", choices=["numpy", "numba", "cupy"],
-                      default=None,
-                      help="compiled-kernel backend of the hot numerical loops "
-                           "(also via REPRO_KERNEL_BACKEND)")
-    allp.add_argument("--est-workers", type=int, default=None,
-                      help="parallel workers of the analytical estimators "
-                           "(also via REPRO_EST_WORKERS)")
+    allp.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
+    _add_knob_flags(allp, DRIVER_KNOBS[1:])
     allp.add_argument("--output-dir", default=None, help="directory for CSV archives")
 
     # serve --------------------------------------------------------------
@@ -215,13 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--host", default="127.0.0.1", help="bind address")
     srv.add_argument("--port", type=int, default=8642,
                      help="bind port (0 picks a free port; default 8642)")
-    srv.add_argument("--cache-bytes", type=int, default=None,
-                     help="byte budget of the schedule cache and the shared-"
-                          "memory segment registry (also via "
-                          "REPRO_SERVICE_CACHE_BYTES; default unbounded)")
-    srv.add_argument("--service-workers", type=int, default=None,
-                     help="concurrent estimation threads (also via "
-                          "REPRO_SERVICE_WORKERS; default 4)")
+    _add_knob_flags(srv, [KNOBS["SERVICE_CACHE_BYTES"], KNOBS["SERVICE_WORKERS"]])
 
     # schedule -----------------------------------------------------------
     sch = sub.add_parser("schedule", help="CP-schedule a DAG and simulate it under failures")
@@ -254,40 +161,14 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     methods = args.method or ["first-order", "normal", "dodin"]
     outputs = []
     for method in methods:
-        kwargs = {}
-        if method in ("monte-carlo", "mc", "montecarlo"):
-            if args.trials is not None:
-                kwargs["trials"] = args.trials
-            if args.seed is not None:
-                kwargs["seed"] = args.seed
-            if args.dtype is not None:
-                kwargs["dtype"] = args.dtype
-            if args.workers is not None:
-                kwargs["workers"] = args.workers
-            if args.backend is not None:
-                kwargs["backend"] = args.backend
-            if args.streaming is not None:
-                kwargs["streaming"] = args.streaming
-        if method in ("normal-correlated", "corlca"):
-            if args.corr_backend is not None:
-                kwargs["correlation_backend"] = args.corr_backend
-            if args.corr_bandwidth is not None:
-                kwargs["bandwidth"] = args.corr_bandwidth
-            if args.corr_rank is not None:
-                kwargs["rank"] = args.corr_rank
-        if method in KERNEL_ESTIMATORS and args.kernel_backend is not None:
-            kwargs["kernel_backend"] = args.kernel_backend
-        if method in PARALLEL_ESTIMATORS and args.est_workers is not None:
-            kwargs["workers"] = args.est_workers
-        if method in SHM_ESTIMATORS and args.exec_backend is not None:
-            kwargs["exec_backend"] = args.exec_backend
-        if method in ("monte-carlo", "mc", "montecarlo") or method in PARALLEL_ESTIMATORS:
-            if args.exec_retries is not None:
-                kwargs["exec_retries"] = args.exec_retries
-            if args.exec_timeout is not None:
-                kwargs["exec_timeout"] = args.exec_timeout
-            if args.exec_on_failure is not None:
-                kwargs["exec_on_failure"] = args.exec_on_failure
+        key = canonical_name(method)
+        kwargs = {
+            knob.kwarg: getattr(args, knob.dest)
+            for knob in ESTIMATOR_KNOBS
+            if key in knob.applies_to and getattr(args, knob.dest) is not None
+        }
+        if key == "monte-carlo" and args.seed is not None:
+            kwargs["seed"] = args.seed
         result = estimate_expected_makespan(graph, model, method=method, **kwargs)
         outputs.append(result)
         if not args.json:
@@ -315,19 +196,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     progress = lambda message: print(message, file=sys.stderr)  # noqa: E731
+    knobs = {knob.field: getattr(args, knob.dest) for knob in DRIVER_KNOBS}
     if args.experiment == "figure":
-        result = run_figure(
-            args.figure,
-            mc_trials=args.trials,
-            mc_dtype=args.dtype,
-            mc_workers=args.workers,
-            mc_backend=args.backend,
-            mc_streaming=args.streaming,
-            kernel_backend=args.kernel_backend,
-            est_workers=args.est_workers,
-            seed=args.seed,
-            progress=progress,
-        )
+        result = run_figure(args.figure, seed=args.seed, progress=progress, **knobs)
         print(figure_table(result))
         if not args.no_plot:
             print()
@@ -337,33 +208,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         config = TABLE1 if args.size is None else ScalabilityConfig(
             workflow=TABLE1.workflow, size=args.size, pfail=TABLE1.pfail
         )
-        result = run_scalability(
-            config,
-            mc_trials=args.trials,
-            mc_dtype=args.dtype,
-            mc_workers=args.workers,
-            mc_backend=args.backend,
-            mc_streaming=args.streaming,
-            kernel_backend=args.kernel_backend,
-            est_workers=args.est_workers,
-            seed=args.seed,
-            progress=progress,
-        )
+        result = run_scalability(config, seed=args.seed, progress=progress, **knobs)
         print(scalability_table(result))
         return 0
     # all
     results = run_everything(
-        mc_trials=args.trials,
-        mc_dtype=args.dtype,
-        mc_workers=args.workers,
-        mc_backend=args.backend,
-        mc_streaming=args.streaming,
-        kernel_backend=args.kernel_backend,
-        est_workers=args.est_workers,
         table1_size=args.table1_size,
         seed=args.seed,
         output_dir=args.output_dir,
         progress=progress,
+        **knobs,
     )
     for name in sorted(results["figures"], key=lambda n: int(n.replace("figure", ""))):
         print(figure_table(results["figures"][name]))

@@ -26,13 +26,7 @@ instead, without changing any caller-visible semantics:
     and therefore matches to ulp-level rounding (≤ 1e-9 in the
     differential tests), exactly like the scalar reference it mirrors.
 
-``cupy``
-    Optional device backend.  Only the fused MC level kernel is ported
-    (the one loop whose arithmetic intensity survives host/device
-    transfers); every other operation falls back to NumPy per function.
-    Probed for both an importable ``cupy`` *and* a visible device.
-
-Selection precedence (mirrors the other knobs of the package)::
+Selection precedence (the rule of every setting, see :mod:`repro.options`)::
 
     explicit argument  >  REPRO_KERNEL_BACKEND  >  "numpy"
 
@@ -42,21 +36,21 @@ kill a long batch job mid-run.  Explicit arguments are validated
 strictly (a typo in code is a bug).
 
 Graceful per-function fallback: :func:`get_kernel` returns ``None``
-whenever a backend cannot serve an operation — backend not installed, no
-device, compilation failed — after warning once per ``(backend, op)``
-pair.  Callers treat ``None`` (and any runtime failure of a returned
-kernel) as "use the NumPy reference", so a missing accelerator degrades
-to exactly the behaviour the tier-1 suite tests.
+whenever a backend cannot serve an operation — backend not installed,
+compilation failed, operation not ported — after warning once per
+``(backend, op)`` pair.  Callers treat ``None`` (and any runtime failure
+of a returned kernel) as "use the NumPy reference", so a missing compiler
+degrades to exactly the behaviour the tier-1 suite tests.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from typing import Callable, Dict, Optional, Tuple
 
 from ..exceptions import GraphError
+from ..options import KNOBS, resolve
 
 __all__ = [
     "KERNEL_BACKENDS",
@@ -70,17 +64,13 @@ __all__ = [
 ]
 
 #: The compiled-kernel backends of the hot loops.
-KERNEL_BACKENDS = ("numpy", "numba", "cupy")
+KERNEL_BACKENDS = KNOBS["KERNEL_BACKEND"].choices
 
 #: The always-available reference backend.
 DEFAULT_KERNEL_BACKEND = "numpy"
 
 #: Operations a backend may serve (callers fall back per function).
 KERNEL_OPS = ("band_gather", "propagate", "mc_two_state", "moment_fold")
-
-#: Environment values of ``REPRO_KERNEL_BACKEND`` already warned about
-#: (one warning per unrecognised value per process).
-_WARNED_ENV_VALUES: set = set()
 
 #: ``(backend, op)`` pairs already warned about falling back to NumPy.
 _WARNED_FALLBACKS: set = set()
@@ -100,45 +90,17 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def normalize_kernel_backend(name) -> str:
     """Validate a kernel-backend name (strict: typos in code are bugs)."""
-    value = str(name).strip().lower()
-    if value not in KERNEL_BACKENDS:
-        raise GraphError(
-            f"kernel backend must be one of {KERNEL_BACKENDS}, got {name!r}"
-        )
-    return value
+    return KNOBS["KERNEL_BACKEND"].parse(name, "kernel backend")
 
 
 def env_kernel_backend(default: Optional[str] = None) -> Optional[str]:
-    """The ``REPRO_KERNEL_BACKEND`` override (``None`` if unset).
-
-    Unrecognised values warn once per process and fall back to
-    ``default`` instead of raising: a misspelt environment variable in a
-    batch submission script must not abort a long run at first estimate.
-    """
-    raw = os.environ.get("REPRO_KERNEL_BACKEND")
-    if raw is None:
-        return default
-    text = raw.strip().lower()
-    if text in KERNEL_BACKENDS:
-        return text
-    if raw not in _WARNED_ENV_VALUES:
-        _WARNED_ENV_VALUES.add(raw)
-        warnings.warn(
-            f"unrecognised REPRO_KERNEL_BACKEND value {raw!r}; expected one "
-            f"of {KERNEL_BACKENDS}; falling back to "
-            f"{default or DEFAULT_KERNEL_BACKEND!r}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return default
+    """``REPRO_KERNEL_BACKEND``, else ``default`` (an unrecognised value warns once)."""
+    return resolve("KERNEL_BACKEND", fallback=default)
 
 
 def resolve_kernel_backend(name: Optional[str] = None) -> str:
     """Resolve the backend knob: explicit arg > environment > ``numpy``."""
-    if name is not None:
-        return normalize_kernel_backend(name)
-    env = env_kernel_backend()
-    return DEFAULT_KERNEL_BACKEND if env is None else env
+    return resolve("KERNEL_BACKEND", name, DEFAULT_KERNEL_BACKEND)
 
 
 # ----------------------------------------------------------------------
@@ -154,13 +116,6 @@ def _probe(name: str) -> bool:
         except Exception:
             return False
         return True
-    if name == "cupy":
-        try:
-            import cupy
-
-            return int(cupy.cuda.runtime.getDeviceCount()) > 0
-        except Exception:
-            return False
     return False
 
 
@@ -184,7 +139,7 @@ def _reset_backend_state() -> None:
     _AVAILABLE.clear()
     _OPS.clear()
     _TABLES.clear()
-    _WARNED_ENV_VALUES.clear()
+    KNOBS["KERNEL_BACKEND"].warned.clear()
     _WARNED_FALLBACKS.clear()
 
 
@@ -212,8 +167,6 @@ def _table_for(backend: str) -> Optional[Dict[str, Callable]]:
     try:
         if backend == "numba":
             table = _build_numba_ops()
-        elif backend == "cupy":
-            table = _build_cupy_ops()
     except Exception:
         table = None
     _TABLES[backend] = table
@@ -225,8 +178,8 @@ def get_kernel(op: str, backend: Optional[str] = None) -> Optional[Callable]:
 
     ``backend=None`` resolves through :func:`resolve_kernel_backend`.
     A ``None`` return means the caller should run its NumPy reference:
-    the backend is ``numpy`` itself, is not installed, has no device, or
-    does not implement the operation — each non-``numpy`` miss warns
+    the backend is ``numpy`` itself, is not installed, or does not
+    implement the operation — each non-``numpy`` miss warns
     once per ``(backend, op)`` pair.
     """
     if op not in KERNEL_OPS:
@@ -449,56 +402,3 @@ def _build_numba_ops() -> Dict[str, Callable]:
         "mc_two_state": mc_two_state,
         "moment_fold": moment_fold,
     }
-
-
-# ----------------------------------------------------------------------
-# cupy backend (optional device)
-# ----------------------------------------------------------------------
-
-
-def _build_cupy_ops() -> Dict[str, Callable]:
-    import cupy as cp
-
-    def mc_two_state(
-        buffer,
-        trials,
-        uniform,
-        perm,
-        q,
-        w_perm,
-        extra_perm,
-        group_start,
-        group_stop,
-        group_width,
-        group_ptr,
-        group_preds,
-        scratch,
-    ):
-        # The RNG draw stays on the host (stream bit-identity); the fused
-        # sampling + recurrence runs on the device, and the propagated
-        # buffer is copied back once per batch.
-        d_uniform = cp.asarray(uniform[:trials])
-        d_perm = cp.asarray(perm)
-        d_q = cp.asarray(q)[d_perm][:, None]
-        d_w = cp.asarray(w_perm)[:, None]
-        d_extra = cp.asarray(extra_perm)[:, None]
-        mask = d_uniform.T[d_perm] < d_q
-        # Same two-step rounding as the NumPy reference for float32.
-        d_buf = cp.where(mask, d_extra, 0.0).astype(buffer.dtype)
-        d_buf = (d_buf + d_w).astype(buffer.dtype)
-        d_preds = cp.asarray(group_preds)
-        for g in range(group_start.shape[0]):
-            start = int(group_start[g])
-            stop = int(group_stop[g])
-            width = int(group_width[g])
-            base = int(group_ptr[g])
-            block = d_preds[base : base + (stop - start) * width].reshape(
-                stop - start, width
-            )
-            ready = d_buf[block[:, 0]]
-            for j in range(1, width):
-                cp.maximum(ready, d_buf[block[:, j]], out=ready)
-            d_buf[start:stop] += ready
-        buffer[:, :trials] = cp.asnumpy(d_buf)
-
-    return {"mc_two_state": mc_two_state}

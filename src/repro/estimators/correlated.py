@@ -89,7 +89,6 @@ from ..core.kernels import (
 from ..core.paths import critical_path_length
 from ..exec import (
     ParallelService,
-    env_exec_backend,
     resolve_exec_backend,
     resolve_workers,
 )
@@ -104,17 +103,14 @@ from ..exec.shm import (
 from ..exceptions import EstimationError
 from ..failures.models import ErrorModel
 from ..failures.twostate import TwoStateDistribution, two_state_moment_vectors
+from ..options import resolve
 from ..rv.normal import NormalRV, clark_max_moments, norm_cdf
 from .base import EstimateResult, MakespanEstimator
 from .correlation import (
     DEFAULT_CORRELATION_RANK,
     attach_correlation_store,
-    env_correlation_backend,
-    env_correlation_bandwidth,
-    env_correlation_rank,
     exact_bandwidth,
     make_correlation_store,
-    normalize_correlation_backend,
 )
 
 __all__ = [
@@ -464,21 +460,11 @@ class CorrelatedNormalEstimator(MakespanEstimator):
         if reexecution_factor < 1.0:
             raise EstimationError("re-execution factor must be >= 1")
         self.reexecution_factor = reexecution_factor
-        try:
-            self.kernel_backend = resolve_kernel_backend(kernel_backend)
-        except Exception as exc:
-            raise EstimationError(str(exc)) from None
+        self.kernel_backend = resolve_kernel_backend(kernel_backend)
         explicit_bandwidth = bandwidth is not None
         explicit_rank = rank is not None
-        if correlation_backend is None:
-            correlation_backend = env_correlation_backend() or "dense"
-        self.correlation_backend = normalize_correlation_backend(correlation_backend)
-        if bandwidth is None:
-            bandwidth = env_correlation_bandwidth()
-        if bandwidth is not None:
-            bandwidth = int(bandwidth)
-            if bandwidth < 0:
-                raise EstimationError("correlation bandwidth must be >= 0")
+        self.correlation_backend = resolve("CORR_BACKEND", correlation_backend, "dense")
+        bandwidth = resolve("CORR_BANDWIDTH", bandwidth)
         # An explicitly passed knob the selected backend would silently
         # ignore is an error (environment fills stay lenient so a global
         # REPRO_CORR_* setting cannot poison unrelated runs).
@@ -494,20 +480,14 @@ class CorrelatedNormalEstimator(MakespanEstimator):
                 "rank only applies to the 'lowrank' correlation backend; "
                 "pass correlation_backend='lowrank' alongside it"
             )
-        if rank is None:
-            rank = env_correlation_rank() or DEFAULT_CORRELATION_RANK
-        rank = int(rank)
-        if rank < 1:
-            raise EstimationError("correlation rank must be >= 1")
-        self.rank = rank
+        self.rank = resolve("CORR_RANK", rank, DEFAULT_CORRELATION_RANK)
         if max_matrix_bytes is None:
             max_matrix_bytes = DEFAULT_MAX_MATRIX_BYTES
         if max_matrix_bytes <= 0:
             raise EstimationError("max_matrix_bytes must be positive")
         self.max_matrix_bytes = int(max_matrix_bytes)
         self.workers = resolve_workers(workers)
-        if exec_backend is None:
-            exec_backend = env_exec_backend()
+        exec_backend = resolve("EXEC_BACKEND", exec_backend)
         self.exec_backend = (
             resolve_exec_backend(exec_backend, self.workers)
             if exec_backend is not None

@@ -46,7 +46,6 @@ gathers and scatters stay vectorised.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -54,13 +53,11 @@ import numpy as np
 from ..core.backends import get_kernel, resolve_kernel_backend
 from ..core.kernels import LevelSchedule
 from ..exceptions import EstimationError, GraphError
+from ..options import KNOBS
 
 __all__ = [
     "CORRELATION_BACKENDS",
     "DEFAULT_CORRELATION_RANK",
-    "env_correlation_backend",
-    "env_correlation_bandwidth",
-    "env_correlation_rank",
     "exact_bandwidth",
     "projected_store_bytes",
     "largest_feasible_bandwidth",
@@ -73,7 +70,7 @@ __all__ = [
 ]
 
 #: The correlation-storage backends of the correlated estimator.
-CORRELATION_BACKENDS = ("dense", "banded", "lowrank")
+CORRELATION_BACKENDS = KNOBS["CORR_BACKEND"].choices
 
 #: Default rank of the ``lowrank`` backend's Nyström factor.
 DEFAULT_CORRELATION_RANK = 32
@@ -90,57 +87,7 @@ _NO_MISS = np.empty((0, 0), dtype=bool)
 
 def normalize_correlation_backend(name: str) -> str:
     """Validate a correlation-backend name."""
-    value = str(name).strip().lower()
-    if value not in CORRELATION_BACKENDS:
-        raise EstimationError(
-            f"correlation backend must be one of {CORRELATION_BACKENDS}, "
-            f"got {name!r}"
-        )
-    return value
-
-
-def env_correlation_backend() -> Optional[str]:
-    """The ``REPRO_CORR_BACKEND`` environment override (``None`` if unset)."""
-    env = os.environ.get("REPRO_CORR_BACKEND")
-    if env is None:
-        return None
-    return normalize_correlation_backend(env)
-
-
-def env_correlation_bandwidth() -> Optional[int]:
-    """The ``REPRO_CORR_BANDWIDTH`` override (``None``/``"auto"`` = exact)."""
-    env = os.environ.get("REPRO_CORR_BANDWIDTH")
-    if env is None:
-        return None
-    text = env.strip().lower()
-    if text in ("", "auto"):
-        return None
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise EstimationError(
-            f"REPRO_CORR_BANDWIDTH must be a non-negative integer or 'auto', "
-            f"got {env!r}"
-        ) from exc
-    if value < 0:
-        raise EstimationError("REPRO_CORR_BANDWIDTH must be >= 0")
-    return value
-
-
-def env_correlation_rank() -> Optional[int]:
-    """The ``REPRO_CORR_RANK`` environment override (``None`` if unset)."""
-    env = os.environ.get("REPRO_CORR_RANK")
-    if env is None:
-        return None
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise EstimationError(
-            f"REPRO_CORR_RANK must be a positive integer, got {env!r}"
-        ) from exc
-    if value < 1:
-        raise EstimationError("REPRO_CORR_RANK must be >= 1")
-    return value
+    return KNOBS["CORR_BACKEND"].parse(name, "correlation backend")
 
 
 def exact_bandwidth(schedule: LevelSchedule, sink_rows: np.ndarray) -> int:

@@ -56,7 +56,7 @@ class MonteCarloEstimator(MakespanEstimator):
         ``details["execution"]``.
     kernel_backend:
         Compiled-kernel backend of the fused sampling + level recurrence
-        (``"numpy"``, ``"numba"`` or ``"cupy"``; ``None`` resolves
+        (``"numpy"`` or ``"numba"``; ``None`` resolves
         ``REPRO_KERNEL_BACKEND``).  The numba path is bit-identical to
         the NumPy pipeline; see :mod:`repro.core.backends`.
     batch_size, keep_samples, target_relative_half_width:

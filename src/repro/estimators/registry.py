@@ -25,6 +25,7 @@ from .sweep import DiscreteSweepEstimator
 
 __all__ = [
     "available_estimators",
+    "canonical_name",
     "get_estimator",
     "register_estimator",
     "PAPER_ESTIMATORS",
@@ -52,28 +53,34 @@ def available_estimators() -> List[str]:
     return sorted(_REGISTRY)
 
 
+#: Alternative spellings of the built-in estimators.
+ALIASES = {
+    "first_order": "first-order",
+    "firstorder": "first-order",
+    "fo": "first-order",
+    "sculli": "normal",
+    "mc": "monte-carlo",
+    "montecarlo": "monte-carlo",
+    "monte_carlo": "monte-carlo",
+    "second_order": "second-order",
+    "corlca": "normal-correlated",
+}
+
+
+def canonical_name(name: str) -> str:
+    """The registry name an estimator name or alias stands for."""
+    key = name.strip().lower()
+    return ALIASES.get(key, key)
+
+
 def get_estimator(name: str, **kwargs) -> MakespanEstimator:
     """Instantiate an estimator by registry name.
 
     Keyword arguments are forwarded to the estimator constructor, e.g.
     ``get_estimator("monte-carlo", trials=300_000, seed=42)``.
     """
-    key = name.strip().lower()
-    # A few convenient aliases.
-    aliases = {
-        "first_order": "first-order",
-        "firstorder": "first-order",
-        "fo": "first-order",
-        "sculli": "normal",
-        "mc": "monte-carlo",
-        "montecarlo": "monte-carlo",
-        "monte_carlo": "monte-carlo",
-        "second_order": "second-order",
-        "corlca": "normal-correlated",
-    }
-    key = aliases.get(key, key)
     try:
-        factory = _REGISTRY[key]
+        factory = _REGISTRY[canonical_name(name)]
     except KeyError:
         raise EstimationError(
             f"unknown estimator {name!r}; available: {', '.join(available_estimators())}"

@@ -60,7 +60,6 @@ from ..core.paths import compute_path_metrics
 from ..exceptions import EstimationError
 from ..exec import (
     ParallelService,
-    env_exec_backend,
     resolve_exec_backend,
     resolve_workers,
 )
@@ -73,6 +72,7 @@ from ..exec.shm import (
     detach_segment,
 )
 from ..failures.models import ErrorModel
+from ..options import resolve
 from .base import EstimateResult, MakespanEstimator
 
 __all__ = ["SecondOrderEstimator", "sequential_pair_up_down"]
@@ -254,8 +254,7 @@ class SecondOrderEstimator(MakespanEstimator):
             raise EstimationError(f"unknown tail handling {tail_handling!r}")
         self.tail_handling = tail_handling
         self.workers = resolve_workers(workers)
-        if exec_backend is None:
-            exec_backend = env_exec_backend()
+        exec_backend = resolve("EXEC_BACKEND", exec_backend)
         self.exec_backend = (
             resolve_exec_backend(exec_backend, self.workers)
             if exec_backend is not None

@@ -21,6 +21,7 @@ __all__ = [
     "ModelError",
     "SchedulingError",
     "ExperimentError",
+    "OptionError",
     "SerializationError",
     "ServiceError",
 ]
@@ -125,3 +126,12 @@ class SerializationError(ReproError):
 
 class ServiceError(ReproError):
     """Raised for malformed estimation-service requests or transport faults."""
+
+
+class OptionError(ExperimentError, EstimationError, GraphError):
+    """Raised when a ``REPRO_*`` setting, or the argument or field standing
+    in for it, has an invalid value (see :mod:`repro.options`).
+
+    It derives from the error class of every layer that takes settings, so
+    each layer's callers keep catching their own error class.
+    """

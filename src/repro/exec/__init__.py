@@ -29,8 +29,6 @@ from .service import (
     ON_FAILURE_POLICIES,
     ExecutionPolicy,
     ParallelService,
-    env_estimator_workers,
-    env_exec_backend,
     partition_stream,
     resolve_exec_backend,
     resolve_workers,
@@ -69,8 +67,6 @@ __all__ = [
     "attach_shared_memory",
     "content_key",
     "detach_segment",
-    "env_estimator_workers",
-    "env_exec_backend",
     "partition_stream",
     "resolve_exec_backend",
     "resolve_workers",

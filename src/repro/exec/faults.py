@@ -55,6 +55,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import EstimationError
+from ..options import resolve
 
 __all__ = [
     "FAULT_KINDS",
@@ -224,10 +225,8 @@ class FaultPlan:
     @classmethod
     def from_env(cls) -> Optional["FaultPlan"]:
         """The ``REPRO_EXEC_FAULTS`` plan, or ``None`` when unset/empty."""
-        text = os.environ.get("REPRO_EXEC_FAULTS")
-        if text is None or not text.strip():
-            return None
-        plan = cls.parse(text)
+        text = resolve("EXEC_FAULTS")
+        plan = cls.parse(text) if text is not None else None
         return plan if plan else None
 
 

@@ -105,7 +105,6 @@ faults through the same dispatch seam the real failures take.
 
 from __future__ import annotations
 
-import os
 import time
 import weakref
 from collections import deque
@@ -122,6 +121,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..exceptions import EstimationError, ExecutionError, ExecutionTimeoutError
+from ..options import KNOBS, resolve
 from .faults import FaultPlan
 from .report import ExecutionReport
 
@@ -134,16 +134,14 @@ __all__ = [
     "partition_stream",
     "resolve_exec_backend",
     "resolve_workers",
-    "env_estimator_workers",
-    "env_exec_backend",
 ]
 
 #: The available execution backends, in documentation order.
-EXEC_BACKENDS = ("serial", "threads", "processes")
+EXEC_BACKENDS = KNOBS["EXEC_BACKEND"].choices
 
 #: Reactions to an unusable backend: wrap-and-raise, or fall back along
 #: the ``processes`` -> ``threads`` -> ``serial`` chain.
-ON_FAILURE_POLICIES = ("raise", "degrade")
+ON_FAILURE_POLICIES = KNOBS["EXEC_ON_FAILURE"].choices
 
 #: Worker-pool rebuilds allowed per run before the backend counts as
 #: unusable (bounding crash loops; each break also charges the in-flight
@@ -197,12 +195,7 @@ def resolve_exec_backend(name: Optional[str], workers: int) -> str:
     """
     if name is None:
         return "serial" if workers == 1 else "threads"
-    resolved = str(name).strip().lower()
-    if resolved not in EXEC_BACKENDS:
-        raise EstimationError(
-            f"unknown execution backend {name!r}; choose one of "
-            f"{', '.join(EXEC_BACKENDS)}"
-        )
+    resolved = KNOBS["EXEC_BACKEND"].parse(name, "execution backend")
     if resolved == "serial" and workers != 1:
         raise EstimationError(
             "the serial backend evaluates on exactly one worker; "
@@ -211,81 +204,14 @@ def resolve_exec_backend(name: Optional[str], workers: int) -> str:
     return resolved
 
 
-def env_exec_backend() -> Optional[str]:
-    """The ``REPRO_EXEC_BACKEND`` environment override (``None`` if unset).
-
-    The value is validated by :func:`resolve_exec_backend` at the point of
-    use, where the worker count is known.
-    """
-    env = os.environ.get("REPRO_EXEC_BACKEND")
-    if env is None or not env.strip():
-        return None
-    return env.strip().lower()
-
-
-def env_estimator_workers() -> Optional[int]:
-    """The ``REPRO_EST_WORKERS`` environment override (``None`` if unset)."""
-    env = os.environ.get("REPRO_EST_WORKERS")
-    if env is None:
-        return None
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise EstimationError(
-            f"REPRO_EST_WORKERS must be a positive integer, got {env!r}"
-        ) from exc
-    if value < 1:
-        raise EstimationError("REPRO_EST_WORKERS must be >= 1")
-    return value
-
-
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Resolve an estimator constructor's worker count.
-
-    An explicit ``workers`` argument wins; ``None`` consults the
-    ``REPRO_EST_WORKERS`` environment variable and falls back to 1 (the
-    sequential reference path) — the same explicit-beats-environment
-    convention as the correlation knobs.  (The experiment-config layer has
-    its own ``estimator_workers`` resolver with the opposite,
-    environment-wins precedence of the ``mc_*`` knobs.)
-    """
-    if workers is None:
-        workers = env_estimator_workers()
-    if workers is None:
-        return 1
-    value = int(workers)
-    if value < 1:
-        raise EstimationError("estimator worker count must be >= 1")
-    return value
+    """An estimator's worker count: ``workers``, then ``REPRO_EST_WORKERS``, then 1."""
+    return resolve("EST_WORKERS", workers, 1)
 
 
 # ----------------------------------------------------------------------
 # Execution policy (retries, deadlines, degradation)
 # ----------------------------------------------------------------------
-
-
-def _env_int(name: str, minimum: int) -> Optional[int]:
-    env = os.environ.get(name)
-    if env is None or not env.strip():
-        return None
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise EstimationError(f"{name} must be an integer, got {env!r}") from exc
-    if value < minimum:
-        raise EstimationError(f"{name} must be >= {minimum}")
-    return value
-
-
-def _env_float(name: str) -> Optional[float]:
-    env = os.environ.get(name)
-    if env is None or not env.strip():
-        return None
-    try:
-        value = float(env)
-    except ValueError as exc:
-        raise EstimationError(f"{name} must be a number, got {env!r}") from exc
-    return value
 
 
 @dataclass(frozen=True)
@@ -345,21 +271,11 @@ class ExecutionPolicy:
     ) -> "ExecutionPolicy":
         """Resolve knobs: explicit argument, then ``REPRO_EXEC_*``, then
         the fail-fast defaults."""
-        if retries is None:
-            retries = _env_int("REPRO_EXEC_RETRIES", 0)
-        if timeout is None:
-            timeout = _env_float("REPRO_EXEC_TIMEOUT")
-        if on_failure is None:
-            on_failure = os.environ.get("REPRO_EXEC_ON_FAILURE")
-            if on_failure is not None:
-                on_failure = on_failure.strip().lower() or None
-        if backoff is None:
-            backoff = _env_float("REPRO_EXEC_BACKOFF")
         return cls(
-            retries=int(retries) if retries is not None else 0,
-            timeout=float(timeout) if timeout is not None else None,
-            on_failure=on_failure if on_failure is not None else "raise",
-            backoff=float(backoff) if backoff is not None else DEFAULT_BACKOFF,
+            retries=resolve("EXEC_RETRIES", retries, 0),
+            timeout=resolve("EXEC_TIMEOUT", timeout),
+            on_failure=resolve("EXEC_ON_FAILURE", on_failure, "raise"),
+            backoff=resolve("EXEC_BACKOFF", backoff, DEFAULT_BACKOFF),
         )
 
     def backoff_delay(self, entropy, index: int, attempt: int) -> float:

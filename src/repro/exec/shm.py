@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import atexit
 import hashlib
-import os
 import threading
-import warnings
 from multiprocessing import resource_tracker, shared_memory
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
+
+from ..options import KNOBS, resolve
 
 __all__ = [
     "AttachedSegment",
@@ -58,9 +58,6 @@ __all__ = [
 #: Byte alignment of every array inside a segment (one cache line).
 _ALIGNMENT = 64
 
-_TRUTHY = {"1", "true", "yes", "on"}
-_FALSY = {"0", "false", "no", "off"}
-
 #: ``(name, dtype string, shape, byte offset)`` per array — picklable, so
 #: worker slot specs can carry it next to the segment name.
 SegmentLayout = Tuple[Tuple[str, str, Tuple[int, ...], int], ...]
@@ -68,7 +65,7 @@ SegmentLayout = Tuple[Tuple[str, str, Tuple[int, ...], int], ...]
 
 #: ``REPRO_EXEC_SHM`` spellings already warned about (warn once per value,
 #: not once per call — the knob is consulted on every registry release).
-_WARNED_SHM_VALUES: set = set()
+_WARNED_SHM_VALUES: set = KNOBS["EXEC_SHM"].warned
 
 
 def shm_enabled(default: bool = True) -> bool:
@@ -77,31 +74,12 @@ def shm_enabled(default: bool = True) -> bool:
     Disabling the knob does not turn shared memory off — the processes
     backend still needs segments to exist while a run is in flight — it
     makes the registry unlink each segment as soon as its last user
-    releases it instead of keeping it warm for the next run.
-
-    An unrecognised value falls back to ``default`` but warns once (per
-    value, per process), matching the loud-on-typo convention of the
-    ``resolve_exec_*`` knobs instead of silently swallowing e.g.
+    releases it instead of keeping it warm for the next run.  An
+    unrecognised value falls back to ``default`` but warns once (per
+    value, per process) instead of silently swallowing e.g.
     ``REPRO_EXEC_SHM=flase``.
     """
-    raw = os.environ.get("REPRO_EXEC_SHM")
-    if raw is None:
-        return default
-    text = raw.strip().lower()
-    if text in _TRUTHY:
-        return True
-    if text in _FALSY:
-        return False
-    if raw not in _WARNED_SHM_VALUES:
-        _WARNED_SHM_VALUES.add(raw)
-        warnings.warn(
-            f"unrecognised REPRO_EXEC_SHM value {raw!r}; expected one of "
-            f"{'/'.join(sorted(_TRUTHY))} or {'/'.join(sorted(_FALSY))} — "
-            f"falling back to the default ({default})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return default
+    return resolve("EXEC_SHM", fallback=default)
 
 
 def content_key(*parts: Union[np.ndarray, str, int, float, bool, None]) -> str:

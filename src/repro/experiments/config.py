@@ -2,19 +2,23 @@
 
 Every figure (4-12) and Table I of the paper is described by a declarative
 configuration object; the drivers in :mod:`repro.experiments.error_vs_size`
-and :mod:`repro.experiments.scalability` execute them.  The number of Monte
-Carlo trials can be overridden globally through the ``REPRO_MC_TRIALS``
-environment variable (the paper uses 300,000 trials, which is accurate but
-slow; the default here is smaller so the whole suite runs in minutes).
+and :mod:`repro.experiments.scalability` execute them.  Both configuration
+classes carry one optional field per estimator setting of
+:mod:`repro.options` (``mc_trials``, ``corr_backend``, ``exec_retries``, ...).
+The matching ``REPRO_*`` environment variable wins over a field, and a
+driver argument wins over both.  The paper uses 300,000 Monte Carlo trials,
+which is accurate but slow; the default here (``REPRO_MC_TRIALS``) is
+smaller so the whole suite runs in minutes.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Tuple
 
+from ..estimators.registry import canonical_name
 from ..exceptions import ExperimentError
+from ..options import ESTIMATOR_KNOBS, KNOBS, Knob, resolve
 
 __all__ = [
     "FigureConfig",
@@ -46,398 +50,71 @@ __all__ = [
     "CORR_BACKENDS",
     "KERNEL_BACKENDS",
     "KERNEL_ESTIMATORS",
+    "DRIVER_KNOBS",
     "kernel_backend",
+    "estimator_options_for",
     "PAPER_MC_TRIALS",
 ]
 
 #: Trial count used by the paper for its ground truth.
 PAPER_MC_TRIALS = 300_000
 
-#: Default trial count used by this package's experiment drivers (chosen so
-#: that one figure's nine Monte Carlo runs finish in a few minutes while the
-#: Monte Carlo noise floor stays well below the differences being measured
-#: at p_fail >= 1e-3).
-DEFAULT_MC_TRIALS = 40_000
+MC_DTYPES = KNOBS["MC_DTYPE"].choices
+MC_BACKENDS = KNOBS["MC_BACKEND"].choices
+CORR_BACKENDS = KNOBS["CORR_BACKEND"].choices
+KERNEL_BACKENDS = KNOBS["KERNEL_BACKEND"].choices
+EXEC_ON_FAILURE = KNOBS["EXEC_ON_FAILURE"].choices
+EXEC_BACKEND_CHOICES = KNOBS["EXEC_BACKEND"].choices
 
+#: Estimators (canonical registry names) taking the compiled-kernel, the
+#: execution-service worker and the execution-backend settings.
+KERNEL_ESTIMATORS = KNOBS["KERNEL_BACKEND"].applies_to
+PARALLEL_ESTIMATORS = KNOBS["EST_WORKERS"].applies_to
+SHM_ESTIMATORS = KNOBS["EXEC_BACKEND"].applies_to
 
-def monte_carlo_trials(default: Optional[int] = None) -> int:
-    """Resolve the Monte Carlo trial count.
-
-    Priority: ``REPRO_MC_TRIALS`` environment variable, then the explicit
-    ``default`` argument, then :data:`DEFAULT_MC_TRIALS`.
-    """
-    env = os.environ.get("REPRO_MC_TRIALS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ExperimentError(f"REPRO_MC_TRIALS must be an integer, got {env!r}") from exc
-        if value <= 0:
-            raise ExperimentError("REPRO_MC_TRIALS must be positive")
-        return value
-    if default is not None:
-        return default
-    return DEFAULT_MC_TRIALS
-
-
-#: Allowed precisions of the Monte Carlo longest-path kernel.
-MC_DTYPES = ("float64", "float32")
-
-
-def monte_carlo_dtype(default: Optional[str] = None) -> str:
-    """Resolve the Monte Carlo kernel precision.
-
-    Priority: ``REPRO_MC_DTYPE`` environment variable, then the explicit
-    ``default`` argument, then ``"float64"`` (bit-identical results).
-    ``"float32"`` halves the memory traffic of the longest-path kernel at a
-    relative rounding error far below Monte Carlo standard error.
-    """
-    env = os.environ.get("REPRO_MC_DTYPE")
-    value = env if env is not None else default
-    if value is None:
-        return "float64"
-    value = value.strip().lower()
-    if value not in MC_DTYPES:
-        raise ExperimentError(
-            f"Monte Carlo dtype must be one of {MC_DTYPES}, got {value!r}"
-        )
-    return value
-
-
-def monte_carlo_workers(default: Optional[int] = None) -> int:
-    """Resolve the Monte Carlo batch-worker count.
-
-    Priority: ``REPRO_MC_WORKERS`` environment variable, then the explicit
-    ``default`` argument, then 1 (the single-threaded, bit-reproducible
-    path).  With ``k > 1`` the engine evaluates batches on ``k`` threads,
-    each with a private wavefront kernel and an independent
-    ``SeedSequence``-spawned RNG stream.
-    """
-    env = os.environ.get("REPRO_MC_WORKERS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ExperimentError(
-                f"REPRO_MC_WORKERS must be an integer, got {env!r}"
-            ) from exc
-    elif default is not None:
-        value = int(default)
-    else:
-        return 1
-    if value <= 0:
-        raise ExperimentError("Monte Carlo worker count must be positive")
-    return value
-
-
-#: The Monte Carlo execution backends (mirrors
-#: :data:`repro.sim.executors.BACKENDS` without importing the sim stack).
-MC_BACKENDS = ("serial", "threads", "processes")
-
-#: Truthy / falsy spellings accepted by boolean environment knobs.
-_TRUTHY = ("1", "true", "yes", "on")
-_FALSY = ("0", "false", "no", "off")
-
-
-def monte_carlo_backend(default: Optional[str] = None) -> Optional[str]:
-    """Resolve the Monte Carlo execution backend.
-
-    Priority: ``REPRO_MC_BACKEND`` environment variable, then the explicit
-    ``default`` argument, then ``None`` (the engine picks ``serial`` for one
-    worker and ``threads`` otherwise).  ``processes`` sidesteps the GIL with
-    a process pool over shared-memory result buffers — the recommended
-    backend at >= 8 workers.
-    """
-    env = os.environ.get("REPRO_MC_BACKEND")
-    value = env if env is not None else default
-    if value is None:
-        return None
-    value = value.strip().lower()
-    if value not in MC_BACKENDS:
-        raise ExperimentError(
-            f"Monte Carlo backend must be one of {MC_BACKENDS}, got {value!r}"
-        )
-    return value
-
-
-def monte_carlo_streaming(default: Optional[bool] = None) -> bool:
-    """Resolve the Monte Carlo streaming-statistics switch.
-
-    Priority: ``REPRO_MC_STREAMING`` environment variable (``1/true/yes/on``
-    vs ``0/false/no/off``), then the explicit ``default`` argument, then
-    ``False``.  Streaming mode serves mean/std/CI/quantiles in O(batch)
-    memory without materialising the sample vector.
-    """
-    env = os.environ.get("REPRO_MC_STREAMING")
-    if env is not None:
-        value = env.strip().lower()
-        if value in _TRUTHY:
-            return True
-        if value in _FALSY:
-            return False
-        raise ExperimentError(
-            f"REPRO_MC_STREAMING must be a boolean flag "
-            f"({'/'.join(_TRUTHY)} or {'/'.join(_FALSY)}), got {env!r}"
-        )
-    if default is None:
-        return False
-    return bool(default)
-
-
-#: Correlation-storage backends of the correlated-normal estimator
-#: (mirrors :data:`repro.estimators.correlation.CORRELATION_BACKENDS`
-#: without importing the estimator stack).
-CORR_BACKENDS = ("dense", "banded", "lowrank")
-
-
-def correlation_backend(default: Optional[str] = None) -> Optional[str]:
-    """Resolve the correlated estimator's correlation-storage backend.
-
-    Priority: ``REPRO_CORR_BACKEND`` environment variable, then the
-    explicit ``default`` argument, then ``None`` (the estimator picks
-    ``dense``).  ``banded`` stores only correlations between tasks within
-    ``bandwidth`` levels of each other (``Θ(|V|·band)`` memory, bit-equal
-    to dense at the default auto bandwidth); ``lowrank`` adds a Nyström
-    factor for the dropped far-apart pairs.
-    """
-    env = os.environ.get("REPRO_CORR_BACKEND")
-    value = env if env is not None else default
-    if value is None:
-        return None
-    value = value.strip().lower()
-    if value not in CORR_BACKENDS:
-        raise ExperimentError(
-            f"correlation backend must be one of {CORR_BACKENDS}, got {value!r}"
-        )
-    return value
-
-
-def correlation_bandwidth(default: Optional[int] = None) -> Optional[int]:
-    """Resolve the banded/lowrank correlation bandwidth (in levels).
-
-    Priority: ``REPRO_CORR_BANDWIDTH`` environment variable (an integer or
-    ``"auto"``), then the explicit ``default`` argument, then ``None`` —
-    which the estimator resolves to the *exact* bandwidth (the smallest
-    band at which the banded sweep is bit-equal to dense).
-    """
-    env = os.environ.get("REPRO_CORR_BANDWIDTH")
-    if env is not None:
-        text = env.strip().lower()
-        if text in ("", "auto"):
-            return None
-        try:
-            value = int(text)
-        except ValueError as exc:
-            raise ExperimentError(
-                f"REPRO_CORR_BANDWIDTH must be a non-negative integer or "
-                f"'auto', got {env!r}"
-            ) from exc
-    elif default is None:
-        return None
-    else:
-        value = int(default)
-    if value < 0:
-        raise ExperimentError("correlation bandwidth must be >= 0")
-    return value
-
-
-#: Compiled-kernel backends of the hot numerical loops (mirrors
-#: :data:`repro.core.backends.KERNEL_BACKENDS` without importing the
-#: numerical stack at module import time).
-KERNEL_BACKENDS = ("numpy", "numba", "cupy")
-
-#: Estimators whose constructors take the ``kernel_backend`` knob
-#: (registry names plus their aliases).
-KERNEL_ESTIMATORS = (
-    "monte-carlo",
-    "mc",
-    "montecarlo",
-    "monte_carlo",
-    "normal",
-    "sculli",
-    "normal-correlated",
-    "corlca",
+#: Settings the experiment drivers also take as arguments (which win over
+#: the environment).
+DRIVER_KNOBS: Tuple[Knob, ...] = tuple(
+    KNOBS[name]
+    for name in ("MC_TRIALS", "MC_DTYPE", "MC_WORKERS", "MC_BACKEND", "MC_STREAMING")
+    + ("KERNEL_BACKEND", "EST_WORKERS")
 )
 
 
-def kernel_backend(default: Optional[str] = None) -> Optional[str]:
-    """Resolve the compiled-kernel backend of the hot numerical loops.
+def _environment_first(name: str):
+    knob = KNOBS[name]
 
-    Priority: ``REPRO_KERNEL_BACKEND`` environment variable, then the
-    explicit ``default`` argument, then ``None`` (the estimators pick
-    ``"numpy"``, the pure-NumPy bit-reference).  An unrecognised
-    *environment* value warns once and falls back (mirroring
-    ``REPRO_SHM_ENABLED``); an unrecognised explicit ``default`` raises
-    :class:`ExperimentError`.
-    """
-    env = os.environ.get("REPRO_KERNEL_BACKEND")
-    if env is not None:
-        # Delegate to the core resolver so the warn-once bookkeeping is
-        # shared with estimators that read the environment directly.
-        from ..core.backends import env_kernel_backend
+    def resolver(default=None):
+        return resolve(name, fallback=default)
 
-        resolved = env_kernel_backend(default=None)
-        if resolved is not None:
-            return resolved
-    if default is None:
-        return None
-    value = default.strip().lower()
-    if value not in KERNEL_BACKENDS:
-        raise ExperimentError(
-            f"kernel backend must be one of {KERNEL_BACKENDS}, got {value!r}"
-        )
-    return value
+    resolver.__doc__ = (
+        f"``{knob.env}``, then ``default``, then ``{knob.default!r}`` "
+        f"({knob.help})."
+    )
+    return resolver
 
 
-#: Estimators whose constructors take the shared-execution-service
-#: ``workers`` knob (registry names plus their aliases).
-PARALLEL_ESTIMATORS = (
-    "normal-correlated",
-    "corlca",
-    "second-order",
-    "second_order",
-    "dodin",
-)
-
-#: Estimators whose work partitions can run on the shared-memory
-#: ``processes`` execution backend (zero-copy segment attachment).
-SHM_ESTIMATORS = (
-    "normal-correlated",
-    "corlca",
-    "second-order",
-    "second_order",
-)
+monte_carlo_trials = _environment_first("MC_TRIALS")
+monte_carlo_dtype = _environment_first("MC_DTYPE")
+monte_carlo_workers = _environment_first("MC_WORKERS")
+monte_carlo_backend = _environment_first("MC_BACKEND")
+monte_carlo_streaming = _environment_first("MC_STREAMING")
+kernel_backend = _environment_first("KERNEL_BACKEND")
+correlation_backend = _environment_first("CORR_BACKEND")
+correlation_bandwidth = _environment_first("CORR_BANDWIDTH")
+correlation_rank = _environment_first("CORR_RANK")
+estimator_workers = _environment_first("EST_WORKERS")
+execution_retries = _environment_first("EXEC_RETRIES")
+execution_timeout = _environment_first("EXEC_TIMEOUT")
+execution_on_failure = _environment_first("EXEC_ON_FAILURE")
+execution_backend = _environment_first("EXEC_BACKEND")
+service_cache_bytes = _environment_first("SERVICE_CACHE_BYTES")
+service_workers = _environment_first("SERVICE_WORKERS")
 
 
-def estimator_workers(default: Optional[int] = None) -> Optional[int]:
-    """Resolve the analytical estimators' parallel worker count.
-
-    Priority: ``REPRO_EST_WORKERS`` environment variable, then the
-    explicit ``default`` argument, then ``None`` (the estimators fall back
-    to 1, the sequential reference path).  With ``k > 1`` the correlated
-    fold, the second-order pair sweeps and Dodin's reduction rounds run
-    their work partitions on ``k`` workers of the shared
-    :class:`~repro.exec.ParallelService`.
-    """
-    env = os.environ.get("REPRO_EST_WORKERS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ExperimentError(
-                f"REPRO_EST_WORKERS must be an integer, got {env!r}"
-            ) from exc
-    elif default is None:
-        return None
-    else:
-        value = int(default)
-    if value < 1:
-        raise ExperimentError("estimator worker count must be >= 1")
-    return value
-
-
-#: Unusable-backend policies of the execution service (mirrors
-#: :data:`repro.exec.ON_FAILURE_POLICIES` without importing the service).
-EXEC_ON_FAILURE = ("raise", "degrade")
-
-
-def execution_retries(default: Optional[int] = None) -> Optional[int]:
-    """Resolve the execution service's per-partition retry budget.
-
-    Priority: ``REPRO_EXEC_RETRIES`` environment variable, then the
-    explicit ``default`` argument, then ``None`` (the service's fail-fast
-    default of 0).  Retries replay the failed partition's RNG stream, so
-    results stay bit-identical under faults.
-    """
-    env = os.environ.get("REPRO_EXEC_RETRIES")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ExperimentError(
-                f"REPRO_EXEC_RETRIES must be an integer, got {env!r}"
-            ) from exc
-    elif default is None:
-        return None
-    else:
-        value = int(default)
-    if value < 0:
-        raise ExperimentError("execution retries must be >= 0")
-    return value
-
-
-def execution_timeout(default: Optional[float] = None) -> Optional[float]:
-    """Resolve the execution service's per-partition soft deadline.
-
-    Priority: ``REPRO_EXEC_TIMEOUT`` environment variable (seconds), then
-    the explicit ``default`` argument, then ``None`` (no deadline).
-    Advisory on in-process backends, enforced by worker preemption on
-    ``processes``.
-    """
-    env = os.environ.get("REPRO_EXEC_TIMEOUT")
-    if env is not None:
-        try:
-            value = float(env)
-        except ValueError as exc:
-            raise ExperimentError(
-                f"REPRO_EXEC_TIMEOUT must be a number, got {env!r}"
-            ) from exc
-    elif default is None:
-        return None
-    else:
-        value = float(default)
-    if value <= 0:
-        raise ExperimentError("execution timeout must be positive")
-    return value
-
-
-def execution_on_failure(default: Optional[str] = None) -> Optional[str]:
-    """Resolve the execution service's unusable-backend policy.
-
-    Priority: ``REPRO_EXEC_ON_FAILURE`` environment variable, then the
-    explicit ``default`` argument, then ``None`` (the service's
-    ``"raise"`` default).  ``"degrade"`` opts into the
-    ``processes`` -> ``threads`` -> ``serial`` fallback chain.
-    """
-    env = os.environ.get("REPRO_EXEC_ON_FAILURE")
-    value = env if env is not None else default
-    if value is None:
-        return None
-    value = value.strip().lower()
-    if value not in EXEC_ON_FAILURE:
-        raise ExperimentError(
-            f"execution on-failure policy must be one of {EXEC_ON_FAILURE}, "
-            f"got {value!r}"
-        )
-    return value
-
-
-#: The execution backends of the shared parallel service.
-EXEC_BACKEND_CHOICES = ("serial", "threads", "processes")
-
-
-def execution_backend(default: Optional[str] = None) -> Optional[str]:
-    """Resolve the analytical estimators' execution backend.
-
-    Priority: ``REPRO_EXEC_BACKEND`` environment variable, then the
-    explicit ``default`` argument, then ``None`` (the conventional
-    mapping — the serial reference path at one worker, the thread pool
-    otherwise).  ``"processes"`` runs the correlated level folds and the
-    second-order pair sweeps in worker processes attached zero-copy to
-    the shared-memory kernel plane; results are bit-identical to the
-    in-process backends at any worker count.
-    """
-    env = os.environ.get("REPRO_EXEC_BACKEND")
-    value = env if env is not None and env.strip() else default
-    if value is None:
-        return None
-    value = value.strip().lower()
-    if value not in EXEC_BACKEND_CHOICES:
-        raise ExperimentError(
-            f"execution backend must be one of {EXEC_BACKEND_CHOICES}, "
-            f"got {value!r}"
-        )
-    return value
+def _set_options(values: Iterable[Tuple[Knob, object]]) -> Dict[str, object]:
+    """Constructor kwargs of the resolved settings that are set."""
+    return {knob.kwarg: value for knob, value in values if value is not None}
 
 
 def execution_options(
@@ -445,100 +122,82 @@ def execution_options(
     timeout: Optional[float] = None,
     on_failure: Optional[str] = None,
 ) -> Dict[str, object]:
-    """Estimator kwargs of the execution knobs (environment wins).
+    """Estimator kwargs of the set execution settings (environment wins).
 
-    Only resolved (non-``None``) knobs appear, so estimators keep their own
-    defaults — and the service's ``REPRO_EXEC_*`` resolution — for the rest.
+    Unset settings are left out, so estimators keep their own defaults —
+    and the service's ``REPRO_EXEC_*`` resolution — for them.
     """
-    options: Dict[str, object] = {}
-    resolved_retries = execution_retries(retries)
-    if resolved_retries is not None:
-        options["exec_retries"] = resolved_retries
-    resolved_timeout = execution_timeout(timeout)
-    if resolved_timeout is not None:
-        options["exec_timeout"] = resolved_timeout
-    resolved_policy = execution_on_failure(on_failure)
-    if resolved_policy is not None:
-        options["exec_on_failure"] = resolved_policy
-    return options
+    names = ("EXEC_RETRIES", "EXEC_TIMEOUT", "EXEC_ON_FAILURE")
+    values = (retries, timeout, on_failure)
+    return _set_options(
+        (KNOBS[name], resolve(name, fallback=value)) for name, value in zip(names, values)
+    )
 
 
-def service_cache_bytes(default: Optional[int] = None) -> Optional[int]:
-    """Resolve the estimation service's schedule-cache byte budget.
+def _setting(name: str) -> property:
+    """Read-only attribute: setting ``name`` after the environment override."""
+    return property(
+        lambda self: self.knob(name),
+        doc=f"{KNOBS[name].help} (``{KNOBS[name].env}`` wins over the field).",
+    )
 
-    Priority: ``REPRO_SERVICE_CACHE_BYTES`` environment variable, then the
-    explicit ``default`` argument, then ``None`` (unbounded — the
-    single-tenant default).  The server applies the budget both to its
-    :class:`~repro.service.cache.ScheduleCache` and to the global segment
-    registry, so warm ``/dev/shm`` segments stay under it too.
+
+@dataclass(frozen=True, kw_only=True)
+class _KnobFields:
+    """One optional field per estimator setting, plus the base seed.
+
+    ``None`` defers to the setting's environment variable and default; a
+    set field is checked against the setting's row.
     """
-    env = os.environ.get("REPRO_SERVICE_CACHE_BYTES")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ExperimentError(
-                f"REPRO_SERVICE_CACHE_BYTES must be an integer, got {env!r}"
-            ) from exc
-    elif default is None:
-        return None
-    else:
-        value = int(default)
-    if value < 0:
-        raise ExperimentError("service cache budget must be >= 0 bytes")
-    return value
 
+    mc_trials: Optional[int] = None
+    mc_dtype: Optional[str] = None
+    mc_workers: Optional[int] = None
+    mc_backend: Optional[str] = None
+    mc_streaming: Optional[bool] = None
+    kernel_backend: Optional[str] = None
+    est_workers: Optional[int] = None
+    corr_backend: Optional[str] = None
+    corr_bandwidth: Optional[int] = None
+    corr_rank: Optional[int] = None
+    exec_retries: Optional[int] = None
+    exec_timeout: Optional[float] = None
+    exec_on_failure: Optional[str] = None
+    exec_backend: Optional[str] = None
+    seed: int = 20160814  # date of the paper's HAL deposit, used as base seed
 
-def service_workers(default: Optional[int] = None) -> Optional[int]:
-    """Resolve the estimation service's concurrent-request thread count.
+    def __post_init__(self) -> None:
+        for knob in ESTIMATOR_KNOBS:
+            value = getattr(self, knob.field)
+            if value is not None:
+                knob.parse(value, knob.field)
 
-    Priority: ``REPRO_SERVICE_WORKERS`` environment variable, then the
-    explicit ``default`` argument, then ``None`` (the server falls back to
-    its own default).  Estimator-level parallelism (``workers`` in a
-    request's method options) multiplies on top of this.
-    """
-    env = os.environ.get("REPRO_SERVICE_WORKERS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ExperimentError(
-                f"REPRO_SERVICE_WORKERS must be an integer, got {env!r}"
-            ) from exc
-    elif default is None:
-        return None
-    else:
-        value = int(default)
-    if value < 1:
-        raise ExperimentError("service worker count must be >= 1")
-    return value
+    def knob(self, name: str, explicit=None):
+        """Setting ``name``: ``explicit``, then ``REPRO_<name>``, then the field."""
+        return resolve(name, explicit, getattr(self, KNOBS[name].field))
 
+    def _options(self, *names: str) -> Dict[str, object]:
+        return _set_options((KNOBS[name], self.knob(name)) for name in names)
 
-def correlation_rank(default: Optional[int] = None) -> Optional[int]:
-    """Resolve the lowrank backend's Nyström rank.
+    trials = _setting("MC_TRIALS")
+    dtype = _setting("MC_DTYPE")
+    workers = _setting("MC_WORKERS")
+    backend = _setting("MC_BACKEND")
+    streaming = _setting("MC_STREAMING")
+    compiled_kernel_backend = _setting("KERNEL_BACKEND")
+    estimator_worker_count = _setting("EST_WORKERS")
 
-    Priority: ``REPRO_CORR_RANK`` environment variable, then the explicit
-    ``default`` argument, then ``None`` (the estimator's default rank).
-    """
-    env = os.environ.get("REPRO_CORR_RANK")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ExperimentError(
-                f"REPRO_CORR_RANK must be a positive integer, got {env!r}"
-            ) from exc
-    elif default is None:
-        return None
-    else:
-        value = int(default)
-    if value < 1:
-        raise ExperimentError("correlation rank must be >= 1")
-    return value
+    def correlated_options(self) -> Dict[str, object]:
+        """Constructor kwargs of the correlated estimator, env applied."""
+        return self._options("CORR_BACKEND", "CORR_BANDWIDTH", "CORR_RANK")
+
+    def exec_options(self) -> Dict[str, object]:
+        """Constructor kwargs of the execution knobs, env applied."""
+        return self._options("EXEC_RETRIES", "EXEC_TIMEOUT", "EXEC_ON_FAILURE")
 
 
 @dataclass(frozen=True)
-class FigureConfig:
+class FigureConfig(_KnobFields):
     """Configuration of one error-vs-graph-size figure (Figures 4-12)."""
 
     figure: str
@@ -546,21 +205,6 @@ class FigureConfig:
     pfail: float
     sizes: Tuple[int, ...] = (4, 6, 8, 10, 12)
     estimators: Tuple[str, ...] = ("dodin", "normal", "first-order")
-    mc_trials: Optional[int] = None
-    mc_dtype: Optional[str] = None
-    mc_workers: Optional[int] = None
-    mc_backend: Optional[str] = None
-    mc_streaming: Optional[bool] = None
-    kernel_backend: Optional[str] = None
-    corr_backend: Optional[str] = None
-    corr_bandwidth: Optional[int] = None
-    corr_rank: Optional[int] = None
-    est_workers: Optional[int] = None
-    exec_retries: Optional[int] = None
-    exec_timeout: Optional[float] = None
-    exec_on_failure: Optional[str] = None
-    exec_backend: Optional[str] = None
-    seed: int = 20160814  # date of the paper's HAL deposit, used as base seed
 
     def __post_init__(self) -> None:
         if not (0.0 < self.pfail < 1.0):
@@ -569,73 +213,7 @@ class FigureConfig:
             raise ExperimentError("at least one graph size is required")
         if not self.estimators:
             raise ExperimentError("at least one estimator is required")
-        if self.mc_dtype is not None and self.mc_dtype not in MC_DTYPES:
-            raise ExperimentError(
-                f"mc_dtype must be one of {MC_DTYPES}, got {self.mc_dtype!r}"
-            )
-        if self.mc_workers is not None and self.mc_workers <= 0:
-            raise ExperimentError("mc_workers must be positive")
-        if self.mc_backend is not None and self.mc_backend not in MC_BACKENDS:
-            raise ExperimentError(
-                f"mc_backend must be one of {MC_BACKENDS}, got {self.mc_backend!r}"
-            )
-        _validate_kernel_backend(self.kernel_backend)
-        _validate_corr_fields(self.corr_backend, self.corr_bandwidth, self.corr_rank)
-        if self.est_workers is not None and self.est_workers < 1:
-            raise ExperimentError("est_workers must be >= 1")
-        _validate_exec_fields(
-            self.exec_retries,
-            self.exec_timeout,
-            self.exec_on_failure,
-            self.exec_backend,
-        )
-
-    @property
-    def trials(self) -> int:
-        """Monte Carlo trials after applying the environment override."""
-        return monte_carlo_trials(self.mc_trials)
-
-    @property
-    def dtype(self) -> str:
-        """Monte Carlo kernel precision after the environment override."""
-        return monte_carlo_dtype(self.mc_dtype)
-
-    @property
-    def workers(self) -> int:
-        """Monte Carlo worker count after the environment override."""
-        return monte_carlo_workers(self.mc_workers)
-
-    @property
-    def backend(self) -> Optional[str]:
-        """Monte Carlo execution backend after the environment override."""
-        return monte_carlo_backend(self.mc_backend)
-
-    @property
-    def streaming(self) -> bool:
-        """Monte Carlo streaming mode after the environment override."""
-        return monte_carlo_streaming(self.mc_streaming)
-
-    @property
-    def compiled_kernel_backend(self) -> Optional[str]:
-        """Compiled-kernel backend after the environment override."""
-        return kernel_backend(self.kernel_backend)
-
-    @property
-    def estimator_worker_count(self) -> Optional[int]:
-        """Analytical-estimator workers after the environment override."""
-        return estimator_workers(self.est_workers)
-
-    def correlated_options(self) -> Dict[str, object]:
-        """Constructor kwargs of the correlated estimator, env applied."""
-        return _correlated_options(
-            self.corr_backend, self.corr_bandwidth, self.corr_rank
-        )
-
-    def exec_options(self) -> Dict[str, object]:
-        """Constructor kwargs of the execution knobs, env applied."""
-        return execution_options(
-            self.exec_retries, self.exec_timeout, self.exec_on_failure
-        )
+        super().__post_init__()
 
     def describe(self) -> str:
         """Human-readable one-line description."""
@@ -646,211 +224,43 @@ class FigureConfig:
 
 
 @dataclass(frozen=True)
-class ScalabilityConfig:
+class ScalabilityConfig(_KnobFields):
     """Configuration of the scalability study (Table I)."""
 
     workflow: str = "lu"
     size: int = 20
     pfail: float = 1e-4
     estimators: Tuple[str, ...] = ("dodin", "normal", "first-order")
-    mc_trials: Optional[int] = None
-    mc_dtype: Optional[str] = None
-    mc_workers: Optional[int] = None
-    mc_backend: Optional[str] = None
-    mc_streaming: Optional[bool] = None
-    kernel_backend: Optional[str] = None
-    corr_backend: Optional[str] = None
-    corr_bandwidth: Optional[int] = None
-    corr_rank: Optional[int] = None
-    est_workers: Optional[int] = None
-    exec_retries: Optional[int] = None
-    exec_timeout: Optional[float] = None
-    exec_on_failure: Optional[str] = None
-    exec_backend: Optional[str] = None
-    seed: int = 20160814
 
     def __post_init__(self) -> None:
         if not (0.0 < self.pfail < 1.0):
             raise ExperimentError(f"pfail must be in (0, 1), got {self.pfail}")
         if self.size < 2:
             raise ExperimentError("graph size must be at least 2")
-        if self.mc_dtype is not None and self.mc_dtype not in MC_DTYPES:
-            raise ExperimentError(
-                f"mc_dtype must be one of {MC_DTYPES}, got {self.mc_dtype!r}"
-            )
-        if self.mc_workers is not None and self.mc_workers <= 0:
-            raise ExperimentError("mc_workers must be positive")
-        if self.mc_backend is not None and self.mc_backend not in MC_BACKENDS:
-            raise ExperimentError(
-                f"mc_backend must be one of {MC_BACKENDS}, got {self.mc_backend!r}"
-            )
-        _validate_kernel_backend(self.kernel_backend)
-        _validate_corr_fields(self.corr_backend, self.corr_bandwidth, self.corr_rank)
-        if self.est_workers is not None and self.est_workers < 1:
-            raise ExperimentError("est_workers must be >= 1")
-        _validate_exec_fields(
-            self.exec_retries,
-            self.exec_timeout,
-            self.exec_on_failure,
-            self.exec_backend,
-        )
-
-    @property
-    def trials(self) -> int:
-        """Monte Carlo trials after applying the environment override."""
-        return monte_carlo_trials(self.mc_trials)
-
-    @property
-    def dtype(self) -> str:
-        """Monte Carlo kernel precision after the environment override."""
-        return monte_carlo_dtype(self.mc_dtype)
-
-    @property
-    def workers(self) -> int:
-        """Monte Carlo worker count after the environment override."""
-        return monte_carlo_workers(self.mc_workers)
-
-    @property
-    def backend(self) -> Optional[str]:
-        """Monte Carlo execution backend after the environment override."""
-        return monte_carlo_backend(self.mc_backend)
-
-    @property
-    def streaming(self) -> bool:
-        """Monte Carlo streaming mode after the environment override."""
-        return monte_carlo_streaming(self.mc_streaming)
-
-    @property
-    def compiled_kernel_backend(self) -> Optional[str]:
-        """Compiled-kernel backend after the environment override."""
-        return kernel_backend(self.kernel_backend)
-
-    @property
-    def estimator_worker_count(self) -> Optional[int]:
-        """Analytical-estimator workers after the environment override."""
-        return estimator_workers(self.est_workers)
-
-    def correlated_options(self) -> Dict[str, object]:
-        """Constructor kwargs of the correlated estimator, env applied."""
-        return _correlated_options(
-            self.corr_backend, self.corr_bandwidth, self.corr_rank
-        )
-
-    def exec_options(self) -> Dict[str, object]:
-        """Constructor kwargs of the execution knobs, env applied."""
-        return execution_options(
-            self.exec_retries, self.exec_timeout, self.exec_on_failure
-        )
-
-
-def _validate_kernel_backend(backend: Optional[str]) -> None:
-    if backend is not None and backend not in KERNEL_BACKENDS:
-        raise ExperimentError(
-            f"kernel_backend must be one of {KERNEL_BACKENDS}, got {backend!r}"
-        )
-
-
-def _validate_exec_fields(
-    retries: Optional[int],
-    timeout: Optional[float],
-    on_failure: Optional[str],
-    backend: Optional[str] = None,
-) -> None:
-    if retries is not None and retries < 0:
-        raise ExperimentError("exec_retries must be >= 0")
-    if timeout is not None and timeout <= 0:
-        raise ExperimentError("exec_timeout must be positive")
-    if on_failure is not None and on_failure not in EXEC_ON_FAILURE:
-        raise ExperimentError(
-            f"exec_on_failure must be one of {EXEC_ON_FAILURE}, got {on_failure!r}"
-        )
-    if backend is not None and backend not in EXEC_BACKEND_CHOICES:
-        raise ExperimentError(
-            f"exec_backend must be one of {EXEC_BACKEND_CHOICES}, got {backend!r}"
-        )
-
-
-def _validate_corr_fields(
-    backend: Optional[str], bandwidth: Optional[int], rank: Optional[int]
-) -> None:
-    if backend is not None and backend not in CORR_BACKENDS:
-        raise ExperimentError(
-            f"corr_backend must be one of {CORR_BACKENDS}, got {backend!r}"
-        )
-    if bandwidth is not None and bandwidth < 0:
-        raise ExperimentError("corr_bandwidth must be >= 0")
-    if rank is not None and rank < 1:
-        raise ExperimentError("corr_rank must be >= 1")
-
-
-def _correlated_options(
-    backend: Optional[str], bandwidth: Optional[int], rank: Optional[int]
-) -> Dict[str, object]:
-    """Estimator kwargs of the correlation knobs (environment wins)."""
-    options: Dict[str, object] = {}
-    resolved_backend = correlation_backend(backend)
-    if resolved_backend is not None:
-        options["correlation_backend"] = resolved_backend
-    resolved_bandwidth = correlation_bandwidth(bandwidth)
-    if resolved_bandwidth is not None:
-        options["bandwidth"] = resolved_bandwidth
-    resolved_rank = correlation_rank(rank)
-    if resolved_rank is not None:
-        options["rank"] = resolved_rank
-    return options
+        super().__post_init__()
 
 
 def estimator_options_for(
-    config,
+    config: _KnobFields,
     name: str,
     overrides: Optional[Dict[str, Dict]] = None,
-    est_workers: Optional[int] = None,
-    kernel_backend_override: Optional[str] = None,
+    **explicit,
 ) -> Dict[str, object]:
     """Constructor kwargs of one estimator of an experiment run.
 
-    The correlated estimator picks up the config's correlation knobs
-    (``corr_backend`` / ``corr_bandwidth`` / ``corr_rank``, environment
-    variables winning), and every parallel-capable estimator
-    (:data:`PARALLEL_ESTIMATORS`) picks up the execution-service worker
-    count (``est_workers`` argument, then ``REPRO_EST_WORKERS``, then the
-    config's ``est_workers`` field) plus the execution-service
-    fault-tolerance knobs (``REPRO_EXEC_*``, then the config's ``exec_*``
-    fields); explicit per-estimator ``overrides`` (the
-    ``estimator_options`` argument of the drivers) win over both.  Every
-    estimator with ported compiled kernels (:data:`KERNEL_ESTIMATORS`)
-    picks up the config's ``kernel_backend`` field (``REPRO_KERNEL_BACKEND``
-    winning).
+    Every setting whose row applies to the estimator (``applies_to`` in
+    :mod:`repro.options`) resolves as driver argument (``explicit``, keyed
+    by config field, e.g. ``est_workers=4``), then ``REPRO_*``, then the
+    config's field, and is passed when set.  Explicit per-estimator
+    ``overrides`` (the ``estimator_options`` argument of the drivers) win
+    over all of it.
     """
-    options: Dict[str, object] = {}
-    key = name.strip().lower()
-    if key in ("normal-correlated", "corlca"):
-        options.update(config.correlated_options())
-    if key in KERNEL_ESTIMATORS:
-        if kernel_backend_override is not None:
-            # An explicit driver/CLI argument wins over the environment.
-            _validate_kernel_backend(kernel_backend_override)
-            resolved_kernel: Optional[str] = kernel_backend_override
-        else:
-            resolved_kernel = kernel_backend(getattr(config, "kernel_backend", None))
-        if resolved_kernel is not None:
-            options["kernel_backend"] = resolved_kernel
-    if key in SHM_ESTIMATORS:
-        backend = execution_backend(getattr(config, "exec_backend", None))
-        if backend is not None:
-            options["exec_backend"] = backend
-    if key in PARALLEL_ESTIMATORS:
-        options.update(config.exec_options())
-        if est_workers is not None:
-            # An explicit driver/CLI argument wins over the environment
-            # (mirroring the mc_* override precedence).
-            workers = int(est_workers)
-            if workers < 1:
-                raise ExperimentError("estimator worker count must be >= 1")
-        else:
-            workers = estimator_workers(getattr(config, "est_workers", None))
-        if workers is not None:
-            options["workers"] = workers
+    key = canonical_name(name)
+    options = _set_options(
+        (knob, config.knob(knob.name, explicit.get(knob.field)))
+        for knob in ESTIMATOR_KNOBS
+        if key in knob.applies_to
+    )
     if overrides:
         options.update(overrides.get(name, {}))
     return options

@@ -114,7 +114,7 @@ def run_everything(
         Monte Carlo streaming-statistics switch (O(batch) memory).
     kernel_backend:
         Compiled-kernel backend of the hot numerical loops (``"numpy"`` /
-        ``"numba"`` / ``"cupy"``).
+        ``"numba"``).
     est_workers:
         Analytical estimators' parallel worker count on the shared
         execution service (correlated fold, second-order sweeps, Dodin

@@ -23,7 +23,6 @@ from ..workflows.registry import build_dag
 from .config import (
     ScalabilityConfig,
     estimator_options_for as _estimator_options,
-    kernel_backend as _kernel_backend_option,
 )
 
 __all__ = ["ScalabilityRow", "ScalabilityResult", "run_scalability", "run_table1"]
@@ -85,16 +84,17 @@ def run_scalability(
     progress: Optional[callable] = None,
 ) -> ScalabilityResult:
     """Run the scalability study described by ``config``."""
-    trials = mc_trials if mc_trials is not None else config.trials
-    dtype = mc_dtype if mc_dtype is not None else config.dtype
-    workers = mc_workers if mc_workers is not None else config.workers
-    backend = mc_backend if mc_backend is not None else config.backend
-    streaming = mc_streaming if mc_streaming is not None else config.streaming
-    kernels = (
-        kernel_backend
-        if kernel_backend is not None
-        else _kernel_backend_option(getattr(config, "kernel_backend", None))
+    explicit = dict(
+        mc_trials=mc_trials,
+        mc_dtype=mc_dtype,
+        mc_workers=mc_workers,
+        mc_backend=mc_backend,
+        mc_streaming=mc_streaming,
+        kernel_backend=kernel_backend,
+        est_workers=est_workers,
     )
+    reference_options = _estimator_options(config, "monte-carlo", **explicit)
+    trials = reference_options["trials"]
     base_seed = seed if seed is not None else config.seed
     options = estimator_options or {}
 
@@ -102,15 +102,7 @@ def run_scalability(
     model = ExponentialErrorModel.for_graph(graph, config.pfail)
 
     reference = get_estimator(
-        "monte-carlo",
-        trials=trials,
-        seed=base_seed,
-        dtype=dtype,
-        workers=workers,
-        backend=backend,
-        streaming=streaming,
-        kernel_backend=kernels,
-        **config.exec_options(),
+        "monte-carlo", seed=base_seed, **reference_options
     ).estimate(graph, model)
     if progress:
         progress(
@@ -130,13 +122,7 @@ def run_scalability(
     for name in config.estimators:
         estimator = get_estimator(
             name,
-            **_estimator_options(
-                config,
-                name,
-                options,
-                est_workers=est_workers,
-                kernel_backend_override=kernel_backend,
-            ),
+            **_estimator_options(config, name, options, **explicit),
         )
         estimate = estimator.estimate(graph, model)
         row = ScalabilityRow(

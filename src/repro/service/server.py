@@ -37,6 +37,7 @@ from typing import Any, Dict, Optional, Set
 
 from ..core.serialize import graph_from_dict
 from ..exceptions import ReproError, ServiceError
+from ..estimators.registry import canonical_name
 from ..exec.shm import REGISTRY, SegmentRegistry
 from ..experiments.config import (
     PARALLEL_ESTIMATORS,
@@ -71,11 +72,11 @@ class EstimationServer:
         benchmarks use to avoid collisions.
     cache_bytes:
         Byte budget of the schedule cache and the segment registry
-        (``None`` consults ``REPRO_SERVICE_CACHE_BYTES``; absent both,
-        the cache is unbounded, matching a trusted single-tenant setup).
+        (``REPRO_SERVICE_CACHE_BYTES`` wins over it; absent both, the
+        cache is unbounded, matching a trusted single-tenant setup).
     workers:
-        Concurrent estimation threads (``None`` consults
-        ``REPRO_SERVICE_WORKERS`` and falls back to 4).  Estimator-level
+        Concurrent estimation threads (``REPRO_SERVICE_WORKERS`` wins over
+        it; absent both, 4).  Estimator-level
         parallelism (``workers=...`` in a method's options) multiplies on
         top of this.
 
@@ -301,7 +302,7 @@ class EstimationServer:
             estimates = []
             for method in request.methods:
                 kwargs = dict(request.options.get(method, {}))
-                if method.strip().lower() in PARALLEL_ESTIMATORS:
+                if canonical_name(method) in PARALLEL_ESTIMATORS:
                     kwargs.setdefault("service_pool", entry.pool)
                 result = estimate_expected_makespan(
                     entry.graph, model, method=method, **kwargs

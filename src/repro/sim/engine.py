@@ -316,11 +316,10 @@ class MonteCarloEngine:
         batch's RNG stream, so results stay bit-identical under faults.
     kernel_backend:
         Compiled-kernel backend of the hot loops: ``"numpy"`` (the
-        reference), ``"numba"`` (fused JIT sampling + recurrence,
-        bit-identical to the reference) or ``"cupy"`` (optional device
-        backend).  ``None`` (default) resolves ``REPRO_KERNEL_BACKEND``
-        and falls back to ``"numpy"``; an unavailable accelerator
-        degrades per function to the NumPy pipeline (see
+        reference) or ``"numba"`` (fused JIT sampling + recurrence,
+        bit-identical to the reference).  ``None`` (default) resolves
+        ``REPRO_KERNEL_BACKEND`` and falls back to ``"numpy"``; an
+        unavailable compiler degrades per function to the NumPy pipeline (see
         :mod:`repro.core.backends`).
     """
 

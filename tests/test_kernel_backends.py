@@ -119,7 +119,7 @@ class TestResolution:
 
     def test_explicit_argument_wins_over_environment(self, clean_state, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
-        assert resolve_kernel_backend("cupy") == "cupy"
+        assert resolve_kernel_backend("numpy") == "numpy"
 
     def test_explicit_bad_name_is_strict(self, clean_state, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
@@ -172,9 +172,9 @@ class TestResolution:
 
     def test_unported_op_warns_and_falls_back(self, clean_state, monkeypatch):
         monkeypatch.setattr(backends, "_probe", lambda name: True)
-        monkeypatch.setattr(backends, "_build_cupy_ops", dict)
+        monkeypatch.setattr(backends, "_build_numba_ops", dict)
         with pytest.warns(RuntimeWarning, match="operation not ported"):
-            assert get_kernel("band_gather", "cupy") is None
+            assert get_kernel("band_gather", "numba") is None
 
     def test_broken_builder_warns_and_falls_back(self, clean_state, monkeypatch):
         monkeypatch.setattr(backends, "_probe", lambda name: True)

@@ -4,7 +4,8 @@
 Reads ``benchmarks/results/kernel_rates.json`` (one record appended per
 benchmark run by ``test_bench_kernel_wavefront.py`` and
 ``test_bench_estimator_wavefront.py``), prints the per-configuration
-speedup trend across runs, and exits non-zero if the *latest* record
+speedup trend across runs, and exits non-zero if the *latest* entry of
+any configuration (grouped by ``_entry_key``, whichever record holds it)
 violates a regression guard:
 
 * longest-path kernel entries (no ``benchmark`` field): float64 >= 1.2x
@@ -157,7 +158,6 @@ def main(argv=None) -> int:
     # Side-by-side backend families: each archive_rates call appends its
     # own record, so every (op, workflow, k) group is taken from the most
     # recent record in which it appears.
-    latest = history[-1]
     families: dict = {}
     for record in reversed(history):
         record_groups: dict = {}
@@ -186,9 +186,15 @@ def main(argv=None) -> int:
                 )
         print()
 
-    # Guards: only the latest record is gated (earlier records are history).
+    # Guards: the latest entry of every configuration is gated (earlier
+    # entries are history).  Each benchmark family archives its own record,
+    # so the last record alone would gate only the family that ran last.
+    latest: dict = {}
+    for record in history:
+        for entry in record.get("entries", []):
+            latest[_entry_key(entry)] = entry
     violations = []
-    for entry in latest.get("entries", []):
+    for entry in latest.values():
         guard = _entry_guard(entry)
         if guard is None:
             continue
@@ -204,7 +210,7 @@ def main(argv=None) -> int:
             print(f"  REGRESSION: {violation}")
         return 1
     print()
-    print("all guards of the latest record hold")
+    print("all guards of the latest entries hold")
     return 0
 
 

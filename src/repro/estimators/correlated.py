@@ -46,7 +46,12 @@ executes them on the shared :class:`~repro.exec.ParallelService`
 (``workers=`` / ``REPRO_EST_WORKERS``): results are **bit-identical** at
 any worker count for the dense and banded stores, and ``workers=1`` runs
 the historical whole-group partitions on the serial backend — bit-identical
-to earlier releases for every store.
+to earlier releases for every store.  Every backend runs the same partition
+function, :func:`_fold_partition`, against a slot holding the schedule,
+the store and the sweep arrays; the backend only decides where those
+arrays live — local arrays in-process, zero-copy segment views (the
+schedule from the registry, the sweep state from a per-estimate segment)
+in ``processes`` workers.
 
 Correlation storage backends
 ----------------------------
@@ -73,7 +78,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -82,9 +87,7 @@ from ..core.graph import TaskGraph
 from ..core.kernels import (
     clark_max_moments_batched,
     norm_cdf_batched,
-    schedule_arrays,
     schedule_for,
-    schedule_from_arrays,
 )
 from ..core.paths import critical_path_length
 from ..exec import (
@@ -94,11 +97,12 @@ from ..exec import (
 )
 from ..exec.shm import (
     REGISTRY,
-    SegmentLayout,
+    SegmentHandle,
     SharedSegment,
+    attach_schedule,
     attach_segment,
-    content_key,
     detach_segment,
+    publish_schedule,
 )
 from ..exceptions import EstimationError
 from ..failures.models import ErrorModel
@@ -275,20 +279,31 @@ def sequential_correlated_estimate(
 DEFAULT_MAX_MATRIX_BYTES = 4 * 1024**3
 
 
+def _store_views(arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """The correlation store's arrays of a state payload, prefix stripped."""
+    return {
+        name[len("store_"):]: view
+        for name, view in arrays.items()
+        if name.startswith("store_")
+    }
+
+
 @dataclass(frozen=True)
 class _CorrelatedFoldSpec:
     """Picklable worker-slot factory of the shared-memory level fold.
 
-    Carries only segment *references* (names plus picklable layouts) and
-    the store's resolved shape knobs; the slot-factory protocol calls the
-    spec once per worker process (pool initializer) — and in the parent on
-    backend degradation — to attach the zero-copy views.
+    Carries only segment handles and the store's resolved shape knobs; the
+    slot-factory protocol calls the spec once per worker process (pool
+    initializer) — and in the parent on backend degradation — to attach
+    the zero-copy views.  The *static* segment holds the flattened level
+    schedule (published through the content-addressed registry: re-runs
+    over the same DAG attach the warm segment, and the schedule is rebuilt
+    from views without recompiling); the *state* segment holds the
+    per-estimate sweep arrays and the correlation store's data arrays.
     """
 
-    static_name: str
-    static_layout: SegmentLayout
-    state_name: str
-    state_layout: SegmentLayout
+    static: SegmentHandle
+    state: SegmentHandle
     backend: str
     bandwidth: int
     rank: int
@@ -298,25 +313,42 @@ class _CorrelatedFoldSpec:
     kernel_backend: str = "numpy"
 
     def __call__(self) -> "_CorrelatedFoldSlot":
-        return _CorrelatedFoldSlot(self)
+        schedule = attach_schedule(self.static)
+        arrays = attach_segment(*self.state).arrays
+        store = attach_correlation_store(
+            schedule,
+            self.backend,
+            bandwidth=self.bandwidth,
+            rank=self.rank,
+            kernel_backend=self.kernel_backend,
+            arrays=_store_views(arrays),
+        )
+        return _CorrelatedFoldSlot(
+            schedule, store, arrays, attached=(self.state[0], self.static[0])
+        )
 
 
 class _CorrelatedFoldSlot:
-    """One worker's zero-copy view of the correlated sweep state.
+    """The level fold's state: schedule, correlation store, sweep arrays.
 
-    The *static* segment holds the flattened level schedule (published
-    through the content-addressed registry: re-runs over the same DAG
-    attach the warm segment, and the schedule is rebuilt from views
-    without recompiling).  The *state* segment holds the per-estimate
-    moments, the correlation store's data arrays and the per-level
-    writeback buffers every partition writes its disjoint slice of.
+    ``arrays`` holds the permuted-space moments (``mean``, ``var``,
+    ``task_mean``, ``task_var``) and the per-level writeback buffers
+    (``level_mean``, ``level_var``, ``rows``, sized for the widest level)
+    every partition writes its disjoint slice of.  In-process backends
+    build the slot from local arrays; ``processes`` workers build it from
+    attached segment views (:class:`_CorrelatedFoldSpec`) — every backend
+    runs the same :func:`_fold_partition`.
     """
 
-    def __init__(self, spec: _CorrelatedFoldSpec) -> None:
-        static = attach_segment(spec.static_name, spec.static_layout)
-        self.schedule = schedule_from_arrays(static.arrays)
-        state = attach_segment(spec.state_name, spec.state_layout)
-        arrays = state.arrays
+    def __init__(
+        self,
+        schedule,
+        store,
+        arrays: Dict[str, np.ndarray],
+        attached: Tuple[str, ...] = (),
+    ) -> None:
+        self.schedule = schedule
+        self.store = store
         self.mean = arrays["mean"]
         self.var = arrays["var"]
         self.task_mean = arrays["task_mean"]
@@ -324,63 +356,127 @@ class _CorrelatedFoldSlot:
         self.level_mean = arrays["level_mean"]
         self.level_var = arrays["level_var"]
         self.rows = arrays["rows"]
-        self.store = attach_correlation_store(
-            self.schedule,
-            spec.backend,
-            bandwidth=spec.bandwidth,
-            rank=spec.rank,
-            kernel_backend=spec.kernel_backend,
-            arrays={
-                name[len("store_"):]: view
-                for name, view in arrays.items()
-                if name.startswith("store_")
-            },
-        )
-        self._names = (spec.state_name, spec.static_name)
+        self._attached = attached
 
     def close(self) -> None:
         # Called for parent-built (degradation) slots only; pool workers
         # keep their cached attachments for the life of the process.
-        for name in self._names:
+        for name in self._attached:
             detach_segment(name)
 
 
-def _fold_shared_partition(item, slot: _CorrelatedFoldSlot, rng):
-    """One ``(group ordinal, row range)`` fold against shared state.
+def _level_buffers(schedule, store) -> Dict[str, np.ndarray]:
+    """The fold's per-level writeback buffers, sized for the widest level."""
+    level_indptr = schedule.level_indptr
+    num_levels = schedule.num_levels
+    sizes = np.diff(level_indptr[: num_levels + 1])
+    max_m = int(sizes.max()) if sizes.size else 0
+    max_width = 0
+    for level in range(1, num_levels):
+        t_hi = int(level_indptr[level + 1])
+        max_width = max(max_width, t_hi - store.window_start(level))
+    return {
+        "level_mean": np.zeros(max_m, dtype=np.float64),
+        "level_var": np.zeros(max_m, dtype=np.float64),
+        "rows": np.zeros((max_m, max_width + store.extra_cols), dtype=np.float64),
+    }
 
-    The module-level, picklable counterpart of the in-process fold
-    closure: all array state is reached through ``slot``, the partition
-    geometry travels in ``item``.  Pass 1 (``replay is None``) returns the
-    partition's recorded operand-correlation sequence (folded back to the
-    parent in partition order); pass 2 replays the shipped sequence and
-    returns ``None``.  Writes land in the partition's disjoint slices of
-    the shared writeback buffers, so retries overwrite idempotently and
-    results are bit-identical to the threads backend at any worker count.
+
+def _fold_partition(item, slot: _CorrelatedFoldSlot, rng) -> Optional[list]:
+    """Batched fold of one ``(group ordinal, row range)`` partition.
+
+    ``item`` is ``(ordinal, lo, hi, w_lo, t_lo, t_hi, extra, replay)``;
+    all array state is reached through ``slot``.  All indices are permuted
+    buffer rows.  Writes the partition's completion ``(mean, variance)``
+    values and correlation rows over the columns ``[w_lo, t_hi)`` (plus
+    the store's extra tracked columns when ``extra``) into its disjoint
+    slices of the slot's level buffers, without mutating the store —
+    partitions of one level therefore commute bit-exactly (every per-row
+    operation is elementwise), can run concurrently, and retries overwrite
+    idempotently.  On pass 1 (``replay is None``) every fold step's
+    operand correlation ``rho12`` is read from the gathered rows at the
+    predecessor's window column, and the recorded sequence is returned
+    (folded back to the parent in partition order); on pass 2 the shipped
+    sequence is replayed and ``None`` returned — the operand correlations
+    live at *predecessor* columns, which a within-level re-fold never
+    changes, so replaying them is what allows pass 2 to fold only the
+    within-level columns.
     """
     ordinal, lo, hi, w_lo, t_lo, t_hi, extra, replay = item
     group = slot.schedule.groups[ordinal]
     store = slot.store
-    m_level = t_hi - t_lo
-    width = (t_hi - w_lo) + (store.extra_cols if extra else 0)
-    record: Optional[list] = [] if replay is None else None
-    CorrelatedNormalEstimator._fold_partition(
-        (group, lo, hi),
-        slot.mean,
-        slot.var,
-        store,
-        w_lo,
-        t_lo,
-        t_hi,
-        slot.task_mean,
-        slot.task_var,
-        slot.level_mean[:m_level],
-        slot.level_var[:m_level],
-        slot.rows[:m_level, :width],
-        extra=extra,
-        rho_record=record,
-        replay=iter(replay) if replay is not None else None,
+    mean, var = slot.mean, slot.var
+    rho_record: Optional[list] = [] if replay is None else None
+    replay = iter(replay) if replay is not None else None
+    preds = group.preds[lo:hi]
+    m = hi - lo
+    sel = np.arange(m)
+    first = preds[:, 0]
+    ready_mean = mean[first].copy()
+    ready_var = var[first].copy()
+    ready_corr = store.gather(first, w_lo, t_hi, extra=extra)
+    for j in range(1, preds.shape[1]):
+        p = preds[:, j]
+        if replay is None:
+            rho12 = np.clip(ready_corr[sel, p - w_lo], -1.0, 1.0)
+            rho_record.append(rho12)
+        else:
+            rho12 = next(replay)
+        new_mean, new_var = clark_max_moments_batched(
+            ready_mean, ready_var, mean[p], var[p], rho12
+        )
+        sigma1 = np.sqrt(np.maximum(ready_var, 0.0))
+        sigma2 = np.sqrt(np.maximum(var[p], 0.0))
+        a = np.sqrt(
+            np.maximum(
+                ready_var + var[p] - 2.0 * rho12 * sigma1 * sigma2, 0.0
+            )
+        )
+        corr_p = store.gather(p, w_lo, t_hi, extra=extra)
+        safe_a = np.where(a > 0.0, a, 1.0)
+        alpha = (ready_mean - mean[p]) / safe_a
+        w1 = norm_cdf_batched(alpha)
+        w2 = norm_cdf_batched(-alpha)
+        safe_v = np.sqrt(np.where(new_var > 0.0, new_var, 1.0))
+        new_corr = (sigma1 * w1)[:, None] * ready_corr
+        new_corr += (sigma2 * w2)[:, None] * corr_p
+        new_corr /= safe_v[:, None]
+        np.clip(new_corr, -1.0, 1.0, out=new_corr)
+        # The degenerate branches are per-row conditions and rare;
+        # patch those rows instead of re-selecting the whole
+        # (m, width) matrix twice.
+        flat = a == 0.0
+        if flat.any():
+            new_corr[flat] = np.where(
+                (ready_mean >= mean[p])[flat, None],
+                ready_corr[flat],
+                corr_p[flat],
+            )
+        dead = new_var <= 0.0
+        if dead.any():
+            new_corr[dead] = 0.0
+        ready_mean, ready_var, ready_corr = new_mean, new_var, new_corr
+
+    offset = group.start - t_lo + lo
+    tv = slot.task_var[group.start + lo : group.start + hi]
+    total_var = ready_var + tv
+    slot.level_mean[offset : offset + m] = (
+        ready_mean + slot.task_mean[group.start + lo : group.start + hi]
     )
-    return record
+    slot.level_var[offset : offset + m] = total_var
+    scale = np.where(
+        total_var > 0.0,
+        np.sqrt(np.maximum(ready_var, 0.0))
+        / np.sqrt(np.where(total_var > 0.0, total_var, 1.0)),
+        0.0,
+    )
+    group_rows = ready_corr * scale[:, None]
+    if replay is None:
+        # Each task is perfectly correlated with itself; its own
+        # column sits inside the window on pass 1.
+        group_rows[sel, (group.start + lo - w_lo) + sel] = 1.0
+    slot.rows[offset : offset + m, : group_rows.shape[1]] = group_rows
+    return rho_record
 
 
 class CorrelatedNormalEstimator(MakespanEstimator):
@@ -527,223 +623,32 @@ class CorrelatedNormalEstimator(MakespanEstimator):
         else:
             service.close()
 
-    @staticmethod
-    def _fold_partition(
-        part,
-        mean: np.ndarray,
-        var: np.ndarray,
-        store,
-        w_lo: int,
-        t_lo: int,
-        t_hi: int,
-        task_mean: np.ndarray,
-        task_var: np.ndarray,
-        level_mean: np.ndarray,
-        level_var: np.ndarray,
-        rows: np.ndarray,
-        *,
-        extra: bool = False,
-        rho_record: Optional[list] = None,
-        replay=None,
-    ) -> None:
-        """Batched fold of one ``(group, lo, hi)`` row partition.
-
-        All indices are permuted buffer rows; ``mean``/``var``/``task_*``
-        are permuted-space vectors.  Writes the partition's completion
-        ``(mean, variance)`` values and correlation rows over the columns
-        ``[w_lo, t_hi)`` (plus the store's extra tracked columns when
-        ``extra``) into its disjoint slices of ``level_mean`` /
-        ``level_var`` / ``rows``, without mutating the store — partitions
-        of one level therefore commute bit-exactly (every per-row
-        operation is elementwise) and can run concurrently.  On pass 1
-        (``replay=None``) every fold step's operand correlation ``rho12``
-        is read from the gathered rows at the predecessor's window column
-        and appended to ``rho_record``; on pass 2 the partition's recorded
-        sequence is replayed — the operand correlations live at
-        *predecessor* columns, which a within-level re-fold never changes,
-        so replaying them is what allows pass 2 to fold only the
-        within-level columns.
-        """
-        group, lo, hi = part
-        preds = group.preds[lo:hi]
-        m = hi - lo
-        sel = np.arange(m)
-        first = preds[:, 0]
-        ready_mean = mean[first].copy()
-        ready_var = var[first].copy()
-        ready_corr = store.gather(first, w_lo, t_hi, extra=extra)
-        for j in range(1, preds.shape[1]):
-            p = preds[:, j]
-            if replay is None:
-                rho12 = np.clip(ready_corr[sel, p - w_lo], -1.0, 1.0)
-                if rho_record is not None:
-                    rho_record.append(rho12)
-            else:
-                rho12 = next(replay)
-            new_mean, new_var = clark_max_moments_batched(
-                ready_mean, ready_var, mean[p], var[p], rho12
-            )
-            sigma1 = np.sqrt(np.maximum(ready_var, 0.0))
-            sigma2 = np.sqrt(np.maximum(var[p], 0.0))
-            a = np.sqrt(
-                np.maximum(
-                    ready_var + var[p] - 2.0 * rho12 * sigma1 * sigma2, 0.0
-                )
-            )
-            corr_p = store.gather(p, w_lo, t_hi, extra=extra)
-            safe_a = np.where(a > 0.0, a, 1.0)
-            alpha = (ready_mean - mean[p]) / safe_a
-            w1 = norm_cdf_batched(alpha)
-            w2 = norm_cdf_batched(-alpha)
-            safe_v = np.sqrt(np.where(new_var > 0.0, new_var, 1.0))
-            new_corr = (sigma1 * w1)[:, None] * ready_corr
-            new_corr += (sigma2 * w2)[:, None] * corr_p
-            new_corr /= safe_v[:, None]
-            np.clip(new_corr, -1.0, 1.0, out=new_corr)
-            # The degenerate branches are per-row conditions and rare;
-            # patch those rows instead of re-selecting the whole
-            # (m, width) matrix twice.
-            flat = a == 0.0
-            if flat.any():
-                new_corr[flat] = np.where(
-                    (ready_mean >= mean[p])[flat, None],
-                    ready_corr[flat],
-                    corr_p[flat],
-                )
-            dead = new_var <= 0.0
-            if dead.any():
-                new_corr[dead] = 0.0
-            ready_mean, ready_var, ready_corr = new_mean, new_var, new_corr
-
-        offset = group.start - t_lo + lo
-        tv = task_var[group.start + lo : group.start + hi]
-        total_var = ready_var + tv
-        level_mean[offset : offset + m] = (
-            ready_mean + task_mean[group.start + lo : group.start + hi]
-        )
-        level_var[offset : offset + m] = total_var
-        scale = np.where(
-            total_var > 0.0,
-            np.sqrt(np.maximum(ready_var, 0.0))
-            / np.sqrt(np.where(total_var > 0.0, total_var, 1.0)),
-            0.0,
-        )
-        group_rows = ready_corr * scale[:, None]
-        if replay is None:
-            # Each task is perfectly correlated with itself; its own
-            # column sits inside the window on pass 1.
-            group_rows[sel, (group.start + lo - w_lo) + sel] = 1.0
-        rows[offset : offset + m] = group_rows
-
-    def _fold_level(
-        self,
-        service: ParallelService,
-        parts,
-        mean: np.ndarray,
-        var: np.ndarray,
-        store,
-        w_lo: int,
-        t_lo: int,
-        t_hi: int,
-        task_mean: np.ndarray,
-        task_var: np.ndarray,
-        *,
-        extra: bool = False,
-        records: Optional[list] = None,
-        replays: Optional[list] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fold one level's partitions on the execution service.
-
-        Each partition fills its disjoint slice of the preallocated level
-        outputs; partition ``i``'s pass-1 operand correlations land in
-        ``records[i]`` and are replayed from ``replays[i]`` on pass 2, so
-        the record/replay protocol is independent of scheduling order.
-        """
-        width = t_hi - w_lo
-        extra_cols = store.extra_cols if extra else 0
-        m_level = t_hi - t_lo
-        level_mean = np.empty(m_level, dtype=np.float64)
-        level_var = np.empty(m_level, dtype=np.float64)
-        rows = np.empty((m_level, width + extra_cols), dtype=np.float64)
-
-        def fold_one(item, slot, rng) -> None:
-            index, part = item
-            record = [] if records is not None else None
-            self._fold_partition(
-                part, mean, var, store, w_lo, t_lo, t_hi, task_mean, task_var,
-                level_mean, level_var, rows,
-                extra=extra,
-                rho_record=record,
-                replay=iter(replays[index]) if replays is not None else None,
-            )
-            if records is not None:
-                records[index] = record
-
-        service.run(fold_one, list(enumerate(parts)))
-        return level_mean, level_var, rows
-
-    def _publish_shared_state(
-        self, index, schedule, store, mean, var, task_mean_p, task_var_p
-    ):
+    def _publish_shared_state(self, index, store, arrays):
         """Move the sweep state into shared memory for the processes fold.
 
         The flattened schedule goes through the content-addressed registry
         (one warm segment per DAG, shared with the Monte Carlo processes
-        backend); the per-estimate moments, the store's data arrays and
-        the per-level writeback buffers are packed into one fresh segment
-        sized for the widest level.  Returns the spec plus the parent's
-        rebound zero-copy views — the parent keeps folding through the
-        *same* physical arrays the workers write.
+        backend); the sweep arrays and the store's data arrays are packed
+        into one fresh segment.  Returns the state segment, the schedule's
+        registry key and the worker spec; the store is rebound to the
+        segment's views, so the parent keeps folding through the *same*
+        physical arrays the workers write.
         """
-        level_indptr = schedule.level_indptr
-        num_levels = schedule.num_levels
-        sizes = np.diff(level_indptr[: num_levels + 1])
-        max_m = int(sizes.max()) if sizes.size else 0
-        max_width = 0
-        for level in range(1, num_levels):
-            t_hi = int(level_indptr[level + 1])
-            max_width = max(max_width, t_hi - store.window_start(level))
-        extra_cols = store.extra_cols
-        payload = {
-            "mean": mean,
-            "var": var,
-            "task_mean": task_mean_p,
-            "task_var": task_var_p,
-            "level_mean": np.zeros(max_m, dtype=np.float64),
-            "level_var": np.zeros(max_m, dtype=np.float64),
-            "rows": np.zeros((max_m, max_width + extra_cols), dtype=np.float64),
-        }
+        payload = dict(arrays)
         for name, array in store.shared_arrays().items():
             payload["store_" + name] = array
         state = SharedSegment.create(payload)
-        arrays = state.arrays
-        store.bind_shared(
-            {
-                name[len("store_"):]: view
-                for name, view in arrays.items()
-                if name.startswith("store_")
-            }
-        )
-        static_key = content_key(
-            "schedule",
-            "up",
-            index.pred_indptr,
-            index.pred_indices,
-            index.succ_indptr,
-            index.succ_indices,
-        )
-        static = REGISTRY.publish(static_key, lambda: schedule_arrays(schedule))
+        store.bind_shared(_store_views(state.arrays))
+        static_key, static = publish_schedule(index, "up")
         spec = _CorrelatedFoldSpec(
-            static_name=static.name,
-            static_layout=static.layout,
-            state_name=state.name,
-            state_layout=state.layout,
+            static=static.handle,
+            state=state.handle,
             backend=store.backend,
             bandwidth=int(getattr(store, "bandwidth", 0)),
             rank=int(getattr(store, "rank", 1)),
             kernel_backend=self.kernel_backend,
         )
-        return state, static_key, spec, arrays
+        return state, static_key, spec
 
     def _estimate(self, graph: TaskGraph, model: ErrorModel) -> EstimateResult:
         index = graph.index()
@@ -782,22 +687,32 @@ class CorrelatedNormalEstimator(MakespanEstimator):
             mean[:stop0] = task_mean_p[:stop0]
             var[:stop0] = task_var_p[:stop0]
 
-        # The per-level fold partitions: whole groups on one worker (the
-        # historical evaluation order), row chunks of the degree groups
-        # when the service spreads a level over several workers.
+        arrays = {
+            "mean": mean,
+            "var": var,
+            "task_mean": task_mean_p,
+            "task_var": task_var_p,
+            **_level_buffers(schedule, store),
+        }
         service = self._acquire_service()
         shared = service.backend == "processes"
-        state = static_key = spec = None
         if shared:
-            state, static_key, spec, views = self._publish_shared_state(
-                index, schedule, store, mean, var, task_mean_p, task_var_p
-            )
-            mean, var = views["mean"], views["var"]
-            task_mean_p, task_var_p = views["task_mean"], views["task_var"]
+            state, static_key, spec = self._publish_shared_state(index, store, arrays)
+            arrays = state.arrays
+            slot_kwargs = {"slot_factory": spec}
+        else:
+            # Partitions write disjoint slices, so every worker shares one slot.
+            slot = _CorrelatedFoldSlot(schedule, store, arrays)
+            slot_kwargs = {"slots": [slot] * service.workers}
+        mean, var = arrays["mean"], arrays["var"]
 
         try:
             for level in range(1, schedule.num_levels):
                 t_lo, t_hi = int(level_indptr[level]), int(level_indptr[level + 1])
+                # The per-level fold partitions: whole groups on one worker
+                # (the historical evaluation order), row chunks of the
+                # degree groups when the service spreads a level over
+                # several workers.
                 if self.workers == 1:
                     parts = tuple(
                         (group, 0, group.stop - group.start)
@@ -807,39 +722,30 @@ class CorrelatedNormalEstimator(MakespanEstimator):
                     parts = schedule.level_partitions(level, _FOLD_PARTITION_ROWS)
                 w_lo = store.window_start(level)
                 m_level = t_hi - t_lo
-                if shared:
-                    base = int(schedule.group_indptr[level])
-                    ordinal = {
-                        id(group): base + i
-                        for i, group in enumerate(schedule.level_groups(level))
-                    }
+                base = int(schedule.group_indptr[level])
+                ordinal = {
+                    id(group): base + i
+                    for i, group in enumerate(schedule.level_groups(level))
+                }
 
                 # Pass 1: fold against the pre-level store; correct for
                 # every entry except the pairs inside this level.  The
                 # operand correlations of each fold step are recorded per
                 # partition for pass 2.
-                if shared:
-                    items = [
+                records = service.run(
+                    _fold_partition,
+                    [
                         (ordinal[id(group)], lo, hi, w_lo, t_lo, t_hi, True, None)
                         for group, lo, hi in parts
-                    ]
-                    records = service.run(
-                        _fold_shared_partition, items, slot_factory=spec
-                    )
-                    level_mean = views["level_mean"][:m_level]
-                    level_var = views["level_var"][:m_level]
-                    rows = views["rows"][:m_level, : (t_hi - w_lo) + store.extra_cols]
-                else:
-                    records = [None] * len(parts)
-                    level_mean, level_var, rows = self._fold_level(
-                        service, parts, mean, var, store, w_lo, t_lo, t_hi,
-                        task_mean_p, task_var_p, extra=True, records=records,
-                    )
-                mean[t_lo:t_hi] = level_mean
-                var[t_lo:t_hi] = level_var
-                store.write_level(level, w_lo, rows)
+                    ],
+                    **slot_kwargs,
+                )
+                mean[t_lo:t_hi] = arrays["level_mean"][:m_level]
+                var[t_lo:t_hi] = arrays["level_var"][:m_level]
+                width = (t_hi - w_lo) + store.extra_cols
+                store.write_level(level, w_lo, arrays["rows"][:m_level, :width])
 
-                if t_hi - t_lo > 1:
+                if m_level > 1:
                     # Pass 2: re-fold now that the level's columns are
                     # written, restricted to those columns (the only
                     # entries pass 1 got wrong); the recorded rho12
@@ -850,21 +756,16 @@ class CorrelatedNormalEstimator(MakespanEstimator):
                     # topological order) computes from the earlier task's
                     # fresh row — exactly the value the sequential
                     # recurrence leaves in the matrix.
-                    if shared:
-                        items = [
+                    service.run(
+                        _fold_partition,
+                        [
                             (ordinal[id(group)], lo, hi, t_lo, t_lo, t_hi,
                              False, records[i])
                             for i, (group, lo, hi) in enumerate(parts)
-                        ]
-                        service.run(
-                            _fold_shared_partition, items, slot_factory=spec
-                        )
-                        block = views["rows"][:m_level, :m_level]
-                    else:
-                        _, _, block = self._fold_level(
-                            service, parts, mean, var, store, t_lo, t_lo, t_hi,
-                            task_mean_p, task_var_p, replays=records,
-                        )
+                        ],
+                        **slot_kwargs,
+                    )
+                    block = arrays["rows"][:m_level, :m_level]
                     order = topo_rank[perm[t_lo:t_hi]]
                     later = order[:, None] > order[None, :]
                     final_block = np.where(later, block, block.T)
@@ -884,7 +785,7 @@ class CorrelatedNormalEstimator(MakespanEstimator):
                 # next estimate over the same DAG while REPRO_EXEC_SHM
                 # holds).
                 detach_segment(state.name)
-                detach_segment(spec.static_name)
+                detach_segment(spec.static[0])
                 state.destroy()
                 REGISTRY.release(static_key)
 

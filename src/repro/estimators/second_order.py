@@ -39,23 +39,22 @@ pair, and the per-chunk partials fold in chunk-index order — results are
 bit-identical at **any** worker count, and within the usual ``<= 1e-9``
 differential of the sequential reference (the only change against the
 historical single pass is the chunk-boundary association of the partial
-sums, ~1 ulp).
+sums, ~1 ulp).  Every backend runs the same chunk function,
+:func:`_sweep_pair_chunk`; the backend only decides where a slot's inputs
+live — local arrays in-process, zero-copy segment views (the schedules
+from the registry, the per-estimate vectors from a fresh segment) in
+``processes`` workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Tuple
+from typing import Dict, Literal, Optional, Tuple
 
 import numpy as np
 
 from ..core.graph import GraphIndex, TaskGraph
-from ..core.kernels import (
-    WavefrontKernel,
-    schedule_arrays,
-    schedule_for,
-    schedule_from_arrays,
-)
+from ..core.kernels import WavefrontKernel
 from ..core.paths import compute_path_metrics
 from ..exceptions import EstimationError
 from ..exec import (
@@ -65,11 +64,12 @@ from ..exec import (
 )
 from ..exec.shm import (
     REGISTRY,
-    SegmentLayout,
+    SegmentHandle,
     SharedSegment,
+    attach_schedule,
     attach_segment,
-    content_key,
     detach_segment,
+    publish_schedule,
 )
 from ..failures.models import ErrorModel
 from ..options import resolve
@@ -105,17 +105,41 @@ def sequential_pair_up_down(
     return up, down
 
 
-class _PairSweepSlot:
-    """One worker's private evaluation state: an up and a down kernel.
+class _PairChunkSlot:
+    """One worker's pair-sweep state: a private up/down kernel pair plus the
+    per-estimate vectors (``weights``, ``q``, ``base``, ``one_minus_q``,
+    ``d_single``) and the failure-free makespan ``d_g``.
 
     The wavefront kernels are non-reentrant (they own their scenario
-    buffers), so every service slot compiles its own pair; the shared
-    level schedule stays cached on the graph index.
+    buffers), so every service slot holds its own pair.  In-process
+    backends build slots from local arrays; ``processes`` workers build
+    them from attached segment views (:class:`_PairSweepSpec`) — every
+    backend runs the same :func:`_sweep_pair_chunk`.
     """
 
-    def __init__(self, index: GraphIndex) -> None:
-        self.kernel_up = WavefrontKernel(index, direction="up", dtype=np.float64)
-        self.kernel_down = WavefrontKernel(index, direction="down", dtype=np.float64)
+    def __init__(
+        self,
+        kernel_up: WavefrontKernel,
+        kernel_down: WavefrontKernel,
+        vectors: Dict[str, np.ndarray],
+        d_g: float,
+        attached: Tuple[str, ...] = (),
+    ) -> None:
+        self.kernel_up = kernel_up
+        self.kernel_down = kernel_down
+        self.weights = vectors["weights"]
+        self.q = vectors["q"]
+        self.base = vectors["base"]
+        self.one_minus_q = vectors["one_minus_q"]
+        self.d_single = vectors["d_single"]
+        self.d_g = d_g
+        self._attached = attached
+
+    def close(self) -> None:
+        # Parent-built (degradation) slots only; pool workers keep their
+        # cached attachments for the life of the process.
+        for name in self._attached:
+            detach_segment(name)
 
 
 @dataclass(frozen=True)
@@ -129,54 +153,33 @@ class _PairSweepSpec:
     private kernel pair from the attached schedules without recompiling.
     """
 
-    up_name: str
-    up_layout: SegmentLayout
-    down_name: str
-    down_layout: SegmentLayout
-    vec_name: str
-    vec_layout: SegmentLayout
+    up: SegmentHandle
+    down: SegmentHandle
+    vectors: SegmentHandle
     d_g: float
 
-    def __call__(self) -> "_SharedPairSweepSlot":
-        return _SharedPairSweepSlot(self)
-
-
-class _SharedPairSweepSlot:
-    """A pair-sweep slot attached zero-copy to the shared segments."""
-
-    def __init__(self, spec: _PairSweepSpec) -> None:
-        up = attach_segment(spec.up_name, spec.up_layout)
-        down = attach_segment(spec.down_name, spec.down_layout)
-        self.kernel_up = WavefrontKernel.from_schedule(
-            schedule_from_arrays(up.arrays), direction="up", dtype=np.float64
+    def __call__(self) -> _PairChunkSlot:
+        return _PairChunkSlot(
+            WavefrontKernel.from_schedule(
+                attach_schedule(self.up), direction="up", dtype=np.float64
+            ),
+            WavefrontKernel.from_schedule(
+                attach_schedule(self.down), direction="down", dtype=np.float64
+            ),
+            attach_segment(*self.vectors).arrays,
+            self.d_g,
+            attached=(self.vectors[0], self.up[0], self.down[0]),
         )
-        self.kernel_down = WavefrontKernel.from_schedule(
-            schedule_from_arrays(down.arrays), direction="down", dtype=np.float64
-        )
-        vectors = attach_segment(spec.vec_name, spec.vec_layout)
-        self.weights = vectors.arrays["weights"]
-        self.q = vectors.arrays["q"]
-        self.base = vectors.arrays["base"]
-        self.one_minus_q = vectors.arrays["one_minus_q"]
-        self.d_single = vectors.arrays["d_single"]
-        self.d_g = spec.d_g
-        self._names = (spec.vec_name, spec.up_name, spec.down_name)
-
-    def close(self) -> None:
-        # Parent-built (degradation) slots only; pool workers keep their
-        # cached attachments for the life of the process.
-        for name in self._names:
-            detach_segment(name)
 
 
 def _sweep_pair_chunk(
-    bounds: Tuple[int, int], slot: "_SharedPairSweepSlot", rng
+    bounds: Tuple[int, int], slot: _PairChunkSlot, rng
 ) -> Tuple[float, float, float]:
-    """One scenario chunk of the pair sweep against shared state.
+    """One scenario chunk of the pair sweep: its partial pair sums.
 
-    The module-level, picklable counterpart of the in-process
-    ``sweep_chunk`` closure — identical arithmetic on the attached views,
-    so the folded partials are bit-identical to the threads backend.
+    Doubles each task of the chunk in turn, sweeps the ``(chunk, tasks)``
+    scenario block up and down, and accumulates the pair terms of every
+    doubled task in task order.
     """
     start, stop = bounds
     n = slot.weights.shape[0]
@@ -195,6 +198,7 @@ def _sweep_pair_chunk(
     worst = slot.d_g
     for offset, i in enumerate(chunk):
         d_pair = np.maximum(slot.d_single[i], through[:, offset])
+        # P({i, j}) = q_i q_j prod_{l not in {i,j}} (1 - q_l)
         p_pair = slot.q[i] * slot.q * slot.base / slot.one_minus_q[i]
         p_pair[i] = 0.0
         d_pair[i] = 0.0
@@ -329,88 +333,47 @@ class SecondOrderEstimator(MakespanEstimator):
                 for start in range(0, n, _PAIR_CHUNK)
             ]
 
-            def sweep_chunk(
-                bounds: Tuple[int, int], slot: _PairSweepSlot, rng
-            ) -> Tuple[float, float, float]:
-                start, stop = bounds
-                chunk = np.arange(start, stop)
-                scenario = np.broadcast_to(weights, (chunk.size, n)).copy()
-                scenario[np.arange(chunk.size), chunk] *= 2.0
-                slot.kernel_up.load(scenario)
-                slot.kernel_up.propagate(chunk.size)
-                ups = slot.kernel_up.completion_matrix(chunk.size)  # (tasks, chunk)
-                slot.kernel_down.load(scenario)
-                slot.kernel_down.propagate(chunk.size)
-                downs = slot.kernel_down.completion_matrix(chunk.size)
-                through = ups + downs
-                contribution = 0.0
-                probability = 0.0
-                worst = d_g
-                for offset, i in enumerate(chunk):
-                    d_pair = np.maximum(d_single[i], through[:, offset])
-                    # P({i, j}) = q_i q_j prod_{l not in {i,j}} (1 - q_l)
-                    p_pair = q[i] * q * base / one_minus_q[i]
-                    p_pair[i] = 0.0
-                    d_pair[i] = 0.0
-                    contribution += float(np.dot(p_pair, d_pair))
-                    probability += float(p_pair.sum())
-                    if d_pair.size:
-                        worst = max(worst, float(d_pair.max()))
-                return contribution, probability, worst
-
+            vectors = {
+                "weights": weights,
+                "q": q,
+                "base": base,
+                "one_minus_q": one_minus_q,
+                "d_single": d_single,
+            }
             service = self._acquire_service()
             shared = service.backend == "processes"
             if shared:
-                csr = (
-                    index.pred_indptr,
-                    index.pred_indices,
-                    index.succ_indptr,
-                    index.succ_indices,
-                )
-                up_key = content_key("schedule", "up", *csr)
-                down_key = content_key("schedule", "down", *csr)
-                up_seg = REGISTRY.publish(
-                    up_key, lambda: schedule_arrays(schedule_for(index, "up"))
-                )
-                down_seg = REGISTRY.publish(
-                    down_key, lambda: schedule_arrays(schedule_for(index, "down"))
-                )
-                vectors = SharedSegment.create(
-                    {
-                        "weights": weights,
-                        "q": q,
-                        "base": base,
-                        "one_minus_q": one_minus_q,
-                        "d_single": d_single,
-                    }
-                )
-                spec = _PairSweepSpec(
-                    up_name=up_seg.name,
-                    up_layout=up_seg.layout,
-                    down_name=down_seg.name,
-                    down_layout=down_seg.layout,
-                    vec_name=vectors.name,
-                    vec_layout=vectors.layout,
-                    d_g=float(d_g),
-                )
-            try:
-                if shared:
-                    partials = service.run(
-                        _sweep_pair_chunk, chunks, slot_factory=spec
+                up_key, up_seg = publish_schedule(index, "up")
+                down_key, down_seg = publish_schedule(index, "down")
+                vec_seg = SharedSegment.create(vectors)
+                slot_kwargs = {
+                    "slot_factory": _PairSweepSpec(
+                        up=up_seg.handle,
+                        down=down_seg.handle,
+                        vectors=vec_seg.handle,
+                        d_g=d_g,
                     )
-                else:
-                    slots = [
-                        _PairSweepSlot(index)
+                }
+            else:
+                slot_kwargs = {
+                    "slots": [
+                        _PairChunkSlot(
+                            WavefrontKernel(index, direction="up", dtype=np.float64),
+                            WavefrontKernel(index, direction="down", dtype=np.float64),
+                            vectors,
+                            d_g,
+                        )
                         for _ in range(min(self.workers, len(chunks)))
                     ]
-                    partials = service.run(sweep_chunk, chunks, slots=slots)
+                }
+            try:
+                partials = service.run(_sweep_pair_chunk, chunks, **slot_kwargs)
             finally:
                 self._release_service(service)
                 if shared:
-                    detach_segment(vectors.name)
-                    detach_segment(up_seg.name)
-                    detach_segment(down_seg.name)
-                    vectors.destroy()
+                    for name in (vec_seg.name, up_seg.name, down_seg.name):
+                        detach_segment(name)
+                    vec_seg.destroy()
                     REGISTRY.release(up_key)
                     REGISTRY.release(down_key)
             for contribution, probability, worst in partials:

@@ -39,7 +39,6 @@ from .shm import (
     SegmentRegistry,
     SharedSegment,
     attach_segment,
-    attach_shared_memory,
     content_key,
     detach_segment,
     shm_enabled,
@@ -64,7 +63,6 @@ __all__ = [
     "SegmentRegistry",
     "SharedSegment",
     "attach_segment",
-    "attach_shared_memory",
     "content_key",
     "detach_segment",
     "partition_stream",

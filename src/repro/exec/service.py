@@ -19,10 +19,10 @@ Backends
 
 ``threads``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  With per-worker
-    ``slots`` (mutable evaluation state such as kernels and buffers) the
-    partitions are scheduled in *rounds* of one partition per slot, so a
-    slot's buffers are reused without synchronisation; without slots every
-    partition is submitted up front and the pool load-balances freely.
+    ``slots`` (mutable evaluation state such as kernels and buffers) at
+    most one partition is in flight per slot, so a slot's buffers are
+    reused without synchronisation; without slots every partition is
+    submitted up front and the pool load-balances freely.
     Suits NumPy-heavy partition functions, which release the GIL.
 
 ``processes``
@@ -511,9 +511,11 @@ class ParallelService:
             backend or worker count — determines the result.
         slots:
             Per-worker mutable evaluation state (kernels, buffers).  The
-            ``threads`` backend then schedules partitions in rounds of one
-            partition per slot so a slot never serves two partitions
-            concurrently; the ``serial`` backend uses ``slots[0]``.
+            ``threads`` backend then keeps at most one partition in flight
+            per slot, so a slot never serves two partitions concurrently
+            (state that partitions may share, such as disjoint writeback
+            buffers, may be listed once per worker); the ``serial``
+            backend uses ``slots[0]``.
         slot_factory:
             ``processes`` only: a picklable zero-argument callable building
             one slot per worker process (pool initializer).  Also the
@@ -729,7 +731,7 @@ class _ServiceRun:
         except Exception as exc:
             raise _BackendUnusable(f"thread pool unavailable: {exc!r}", exc)
         if slots:
-            self._thread_rounds(pool, slots)
+            self._thread_window(pool, slots)
         else:
             self._thread_stream(pool)
 
@@ -739,37 +741,46 @@ class _ServiceRun:
         except RuntimeError as exc:
             raise _BackendUnusable(f"thread pool rejected work: {exc!r}", exc)
 
-    def _thread_rounds(self, pool, slots) -> None:
-        """Rounds of one partition per slot (slot buffers reused safely).
+    def _thread_window(self, pool, slots) -> None:
+        """A sliding window of one partition in flight per slot.
 
-        Within a round the first attempts run concurrently; the round then
-        drains fully — so every slot is quiescent — before results fold in
-        partition-index order, with failed partitions retried inline on
-        their own (now idle) slot.  The round barrier is what lets a
-        slot's buffers be reused without synchronisation.
+        Partitions are dispatched in index order, each on a free slot.  The
+        window waits for its oldest partition, retries a failed attempt
+        inline on that partition's own (now idle) slot, folds the result
+        and hands the slot the next partition — so a slot never serves two
+        running partitions at once.
         """
         k = min(self.service.workers, len(slots), len(self.items) - self.position)
-        while self.position < len(self.items) and not self.stopped:
-            base = self.position
-            indices = list(range(base, min(base + k, len(self.items))))
-            futures = [
-                self._submit(pool, self._evaluate, i, self.items[i], slots[j])
-                for j, i in enumerate(indices)
-            ]
-            outcomes = [future.result() for future in futures]
-            for j, i in enumerate(indices):
-                if self.stopped:
-                    # An earlier partition of this round stopped the fold;
-                    # the remaining (already evaluated) results are
-                    # discarded, exactly as a fault-free run would.
-                    return
-                outcome = outcomes[j]
+        free = list(slots[:k])
+        window: deque = deque()  # (index, slot, future), oldest first
+        following = self.position
+        try:
+            while self.position < len(self.items) and not self.stopped:
+                while free and following < len(self.items):
+                    slot = free.pop(0)
+                    future = self._submit(
+                        pool, self._evaluate, following, self.items[following], slot
+                    )
+                    window.append((following, slot, future))
+                    following += 1
+                i, slot, future = window.popleft()
+                outcome = future.result()
                 if outcome.ok:
                     value = outcome.value
                 else:
-                    value = self._resolve_inline(i, self.items[i], slots[j])
+                    value = self._resolve_inline(i, self.items[i], slot)
+                free.append(slot)
                 if self._fold(i, value):
                     return
+        finally:
+            # Partitions past an early stop (or a failure) are discarded,
+            # exactly as a fault-free run would; drain them so every slot
+            # is quiescent before the caller proceeds.
+            for _, _, future in window:
+                future.cancel()
+            for _, _, future in window:
+                if not future.cancelled():
+                    future.result()
 
     def _thread_stream(self, pool) -> None:
         """Slot-free thread pool: all partitions in flight, free balancing."""

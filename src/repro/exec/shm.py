@@ -11,7 +11,8 @@ private heap.  This module removes both costs:
     block (``multiprocessing.shared_memory``) with a picklable layout
     (name, dtype, shape, byte offset).  The parent creates and owns the
     block (and is responsible for unlinking it); workers attach zero-copy
-    views by (segment name, layout) through the slot-factory protocol.
+    views by their picklable :data:`SegmentHandle` (segment name, layout)
+    through the slot-factory protocol.
 
 ``SegmentRegistry``
     A process-global, content-addressed cache of published segments.
@@ -23,6 +24,13 @@ private heap.  This module removes both costs:
     user releases them, otherwise they stay warm until :meth:`clear`
     (registered ``atexit``) so no ``/dev/shm`` entry ever outlives the
     parent process.
+
+``publish_schedule`` / ``attach_schedule``
+    The one place that knows the registry key of a compiled
+    :class:`~repro.core.kernels.LevelSchedule` (:func:`schedule_key`), so
+    every publisher of the same DAG's schedule — the Monte Carlo processes
+    backend, the correlated and second-order estimators, the estimation
+    service's cache — shares one warm segment.
 
 Determinism is unaffected by any of this: segments hold *read-only*
 inputs (schedules, moment vectors, band geometry) plus per-partition
@@ -41,17 +49,28 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..core.graph import GraphIndex
+from ..core.kernels import (
+    LevelSchedule,
+    schedule_arrays,
+    schedule_for,
+    schedule_from_arrays,
+)
 from ..options import KNOBS, resolve
 
 __all__ = [
     "AttachedSegment",
     "REGISTRY",
+    "SegmentHandle",
     "SegmentRegistry",
     "SharedSegment",
+    "attach_schedule",
     "attach_segment",
     "attach_shared_memory",
     "content_key",
     "detach_segment",
+    "publish_schedule",
+    "schedule_key",
     "shm_enabled",
 ]
 
@@ -61,6 +80,10 @@ _ALIGNMENT = 64
 #: ``(name, dtype string, shape, byte offset)`` per array — picklable, so
 #: worker slot specs can carry it next to the segment name.
 SegmentLayout = Tuple[Tuple[str, str, Tuple[int, ...], int], ...]
+
+#: ``(segment name, layout)`` — everything a worker needs to attach a
+#: segment; what slot specs carry instead of the segment itself.
+SegmentHandle = Tuple[str, SegmentLayout]
 
 
 #: ``REPRO_EXEC_SHM`` spellings already warned about (warn once per value,
@@ -179,6 +202,11 @@ class SharedSegment:
     @property
     def name(self) -> str:
         return self._shm.name
+
+    @property
+    def handle(self) -> SegmentHandle:
+        """The picklable ``(name, layout)`` workers attach by."""
+        return (self.name, self.layout)
 
     @property
     def nbytes(self) -> int:
@@ -438,3 +466,39 @@ class SegmentRegistry:
 REGISTRY = SegmentRegistry()
 
 atexit.register(REGISTRY.clear)
+
+
+def schedule_key(index: GraphIndex, direction: str) -> str:
+    """The registry key of the DAG's compiled ``direction`` schedule.
+
+    Hashes the CSR structure only: weights do not enter a schedule, so
+    graphs differing in weights alone share one segment.
+    """
+    return content_key(
+        "schedule",
+        direction,
+        index.pred_indptr,
+        index.pred_indices,
+        index.succ_indptr,
+        index.succ_indices,
+    )
+
+
+def publish_schedule(
+    index: GraphIndex, direction: str, registry: SegmentRegistry = REGISTRY
+) -> Tuple[str, SharedSegment]:
+    """Publish (or re-use) the DAG's ``direction`` schedule segment.
+
+    Returns the registry key — the caller's reference, to
+    :meth:`~SegmentRegistry.release` when done — and the segment.
+    """
+    key = schedule_key(index, direction)
+    segment = registry.publish(
+        key, lambda: schedule_arrays(schedule_for(index, direction))
+    )
+    return key, segment
+
+
+def attach_schedule(handle: SegmentHandle) -> LevelSchedule:
+    """Rebuild a published schedule from zero-copy views, without compiling."""
+    return schedule_from_arrays(attach_segment(*handle).arrays)

@@ -8,10 +8,10 @@ graph (CSR structure + weights, :func:`request_key`):
   :class:`~repro.core.kernels.LevelSchedule` compiled exactly once and
   warm on the index cache (``schedule_for`` hits, never recompiles);
 * the schedule's shared-memory segment, published through the
-  content-addressed :data:`~repro.exec.shm.REGISTRY` under the *same*
-  static key the Monte Carlo processes backend and the correlated /
-  second-order estimators derive themselves — their publications become
-  registry hits against the cache's warm segment;
+  content-addressed :data:`~repro.exec.shm.REGISTRY` through
+  :func:`~repro.exec.shm.publish_schedule`, as the Monte Carlo processes
+  backend and the correlated / second-order estimators publish it — their
+  publications become registry hits against the cache's warm segment;
 * a :class:`ServicePool` of reusable
   :class:`~repro.exec.ParallelService` instances, so repeated requests
   re-use warm worker pools instead of spawning fresh ones.
@@ -32,10 +32,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.graph import TaskGraph
-from ..core.kernels import LevelSchedule, schedule_arrays, schedule_for
+from ..core.kernels import LevelSchedule, schedule_for
 from ..exec.report import ExecutionReport
 from ..exec.service import ParallelService
-from ..exec.shm import REGISTRY, SegmentRegistry, content_key
+from ..exec.shm import (
+    REGISTRY,
+    SegmentRegistry,
+    content_key,
+    publish_schedule,
+    schedule_key,
+)
 
 __all__ = [
     "CacheEntry",
@@ -70,19 +76,12 @@ def request_key(graph: TaskGraph) -> str:
 def schedule_segment_key(graph: TaskGraph) -> str:
     """The registry key of the DAG's ``"up"`` schedule segment.
 
-    This is the exact key convention of the Monte Carlo processes backend
-    and the correlated/second-order estimators — pre-publishing under it
-    warms their shared-memory plane.
+    The key every publisher of the schedule derives
+    (:func:`repro.exec.shm.schedule_key`) — pre-publishing under it warms
+    the shared-memory plane of the Monte Carlo processes backend and the
+    correlated/second-order estimators.
     """
-    index = graph.index()
-    return content_key(
-        "schedule",
-        "up",
-        index.pred_indptr,
-        index.pred_indices,
-        index.succ_indptr,
-        index.succ_indices,
-    )
+    return schedule_key(graph.index(), "up")
 
 
 class ServicePool:
@@ -192,8 +191,7 @@ def build_entry(
     """
     key = request_key(graph)
     schedule = schedule_for(graph, "up")
-    segment_key = schedule_segment_key(graph)
-    segment = registry.publish(segment_key, lambda: schedule_arrays(schedule))
+    segment_key, segment = publish_schedule(graph.index(), "up", registry)
     return CacheEntry(
         key=key,
         graph=graph,

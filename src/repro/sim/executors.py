@@ -15,7 +15,7 @@ shared-memory result plumbing.  Three interchangeable backends:
     ``workers=1`` engine: the reference backend.
 
 ``threads``
-    The service's round-scheduled thread pool over per-worker evaluation
+    The service's slot-windowed thread pool over per-worker evaluation
     slots (private kernel + buffers each, satisfying the wavefront
     kernel's non-reentrancy contract).  The kernel spends its time in
     GIL-releasing NumPy primitives, so threads scale until the sampling
@@ -23,10 +23,12 @@ shared-memory result plumbing.  Three interchangeable backends:
 
 ``processes``
     The service's process pool, sidestepping the GIL entirely: every
-    worker process compiles its own kernel once (from a compact,
-    cache-free graph payload) and writes batch makespans straight into a
-    :mod:`multiprocessing.shared_memory` result buffer — no pickling of
-    sample arrays on the hot path.  The error model must be picklable.
+    worker process builds its kernel once (from a compact, cache-free
+    graph payload plus the parent's level schedule, attached from the
+    :data:`~repro.exec.shm.REGISTRY`) and writes batch makespans straight
+    into a :class:`~repro.exec.shm.SharedSegment` result buffer — no
+    pickling of sample arrays on the hot path.  The error model must be
+    picklable.
 
 Determinism contract
 --------------------
@@ -54,12 +56,20 @@ slot in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
 from ..exec import ParallelService, partition_stream, resolve_exec_backend
-from ..exec.shm import REGISTRY, attach_segment, attach_shared_memory, content_key
+from ..exec.shm import (
+    REGISTRY,
+    SegmentHandle,
+    SharedSegment,
+    attach_schedule,
+    attach_segment,
+    detach_segment,
+    publish_schedule,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from .engine import MonteCarloEngine
@@ -190,10 +200,9 @@ class SerialBackend(ExecutorBackend):
 class ThreadsBackend(ExecutorBackend):
     """Thread pool over private evaluation slots, per-batch RNG streams.
 
-    The service schedules batches in rounds of one batch per slot: within
-    a round the evaluations run concurrently, between rounds the results
-    fold into the statistics in batch-index order and the stopping
-    criterion is re-checked.
+    The service keeps one batch in flight per slot: evaluations run
+    concurrently, results fold into the statistics in batch-index order,
+    and the stopping criterion is re-checked after every fold.
     """
 
     name = "threads"
@@ -221,8 +230,8 @@ class _ProcessSpec:
 
     The graph travels as its compact :func:`repro.core.serialize.graph_to_dict`
     payload (plain dicts — no index caches, no kernel buffers), the error
-    model is pickled directly, and the shared-memory block is referenced by
-    name.
+    model is pickled directly, and the two shared-memory segments — the
+    parent's compiled level schedule and the result buffer — by handle.
     """
 
     graph_payload: dict
@@ -231,13 +240,8 @@ class _ProcessSpec:
     reexecution_factor: float
     dtype: str
     capacity: int
-    shm_name: str
-    total_trials: int
-    #: Shared-memory segment holding the parent's compiled level schedule
-    #: (see :mod:`repro.exec.shm`); ``None`` falls back to the historical
-    #: per-worker schedule compilation.
-    schedule_name: Optional[str] = None
-    schedule_layout: Optional[Tuple] = None
+    schedule: SegmentHandle
+    out: SegmentHandle
     #: Compiled-kernel backend the workers must resolve — the parent's
     #: resolved choice, so a fleet of processes runs the same fused (or
     #: reference) kernels regardless of per-process environments.
@@ -249,31 +253,27 @@ class _ProcessSpec:
 
 
 class _ProcessWorkerState:
-    """Per-process slot: a single-slot engine plus the shared buffer.
+    """Per-process slot: a single-slot engine plus the shared result buffer.
 
-    Both are set up once per worker (pool initializer): the kernel compiles
-    once, and the shared-memory block is attached and mapped once — batch
-    evaluations then write into the cached view with no per-batch attach
-    syscalls.  The mapping lives until the worker process exits.
+    Both are set up once per worker (pool initializer): the engine's kernel
+    is built from the attached schedule, and the result buffer is attached
+    and mapped once — batch evaluations then write into the cached view
+    with no per-batch attach syscalls.  The mapping lives until the worker
+    process exits.
     """
 
     def __init__(self, spec: _ProcessSpec) -> None:
-        from ..core.kernels import schedule_from_arrays, seed_schedule_cache
+        from ..core.kernels import seed_schedule_cache
         from ..core.serialize import graph_from_dict
         from .engine import MonteCarloEngine
 
         graph = graph_from_dict(spec.graph_payload)
-        if spec.schedule_name is not None:
-            # Zero-copy kernel plane: attach the parent's published level
-            # schedule and pre-seed the index cache, so the engine below
-            # builds its wavefront kernel without recompiling the schedule
-            # from the CSR arrays (the expensive part of worker start-up).
-            segment = attach_segment(spec.schedule_name, spec.schedule_layout)
-            seed_schedule_cache(
-                graph.index(), "up", schedule_from_arrays(segment.arrays)
-            )
-        # A one-slot serial engine: the kernel is compiled once per process,
-        # the sampling buffers are allocated once at full batch capacity.
+        # Pre-seed the index cache with the attached schedule, so the engine
+        # below builds its wavefront kernel without recompiling it from the
+        # CSR arrays (the expensive part of worker start-up).
+        seed_schedule_cache(graph.index(), "up", attach_schedule(spec.schedule))
+        # A one-slot serial engine: the sampling buffers are allocated once
+        # at full batch capacity.
         self.engine = MonteCarloEngine(
             graph,
             spec.model,
@@ -285,27 +285,16 @@ class _ProcessWorkerState:
             backend="serial",
             kernel_backend=spec.kernel_backend,
         )
-        self.shm = _attach_shared_memory(spec.shm_name)
-        self.out = np.ndarray(
-            (spec.total_trials,), dtype=np.float64, buffer=self.shm.buf
-        )
+        self._out_name = spec.out[0]
+        self.out = attach_segment(*spec.out).arrays["makespans"]
 
     def close(self) -> None:
-        """Release the shared-memory mapping (never unlinks: the parent owns
+        """Release the result-buffer mapping (never unlinks: the parent owns
         the segment).  Called by the service for parent-side slots it built
         through the factory (the degradation path); worker-process slots
         release their mapping when the process exits."""
         self.out = None
-        try:
-            self.shm.close()
-        except BufferError:  # pragma: no cover - stale views keep the map
-            pass
-
-
-#: Untracked attach (the parent owns the segment); the implementation —
-#: including the pre-3.13 resource-tracker suppression and its rationale —
-#: lives with the rest of the shared-memory plane in :mod:`repro.exec.shm`.
-_attach_shared_memory = attach_shared_memory
+        detach_segment(self._out_name)
 
 
 def _process_eval_batch(item, state: _ProcessWorkerState, rng) -> int:
@@ -323,21 +312,18 @@ def _process_eval_batch(item, state: _ProcessWorkerState, rng) -> int:
 class ProcessesBackend(ExecutorBackend):
     """Process pool with a shared-memory result buffer.
 
-    Every worker process compiles its own wavefront kernel once (in the
-    pool initializer) and then evaluates batches of the plan, writing the
-    resulting makespans directly into one shared ``float64`` buffer sized
-    for the whole run (8 bytes/trial — 8 MB for a million trials).  The
-    service folds finished batches into the statistics in batch-index
-    order as they land, so the merged result is identical to the
-    ``threads`` backend at any worker count.
+    Every worker process builds its wavefront kernel once (in the pool
+    initializer) from the published schedule segment and then evaluates
+    batches of the plan, writing the resulting makespans directly into one
+    shared ``float64`` buffer sized for the whole run (8 bytes/trial — 8 MB
+    for a million trials).  The service folds finished batches into the
+    statistics in batch-index order as they land, so the merged result is
+    identical to the ``threads`` backend at any worker count.
     """
 
     name = "processes"
 
     def run(self, consume: Consumer) -> None:
-        from multiprocessing import shared_memory
-
-        from ..core.kernels import schedule_arrays, schedule_for
         from ..core.serialize import graph_to_dict
 
         engine = self.engine
@@ -347,26 +333,13 @@ class ProcessesBackend(ExecutorBackend):
             offsets.append(offsets[-1] + batch)
         total = offsets[-1]
 
-        # Publish the compiled level schedule through the content-addressed
-        # registry: repeated runs over the same DAG re-use one warm segment,
+        # Repeated runs over the same DAG re-use one warm schedule segment,
         # and worker start-up attaches it instead of recompiling.
-        index = engine.graph.index()
-        schedule_key = content_key(
-            "schedule",
-            "up",
-            index.pred_indptr,
-            index.pred_indices,
-            index.succ_indptr,
-            index.succ_indices,
-        )
-        schedule_segment = REGISTRY.publish(
-            schedule_key, lambda: schedule_arrays(schedule_for(index, "up"))
-        )
-
-        shm = shared_memory.SharedMemory(create=True, size=max(8, total * 8))
-        service = None
+        schedule_key, schedule_segment = publish_schedule(engine.graph.index(), "up")
+        out = service = None
         try:
-            view = np.ndarray((total,), dtype=np.float64, buffer=shm.buf)
+            out = SharedSegment.create({"makespans": np.zeros(total)})
+            view = out.arrays["makespans"]
             spec = _ProcessSpec(
                 graph_payload=graph_to_dict(engine.graph),
                 model=engine.model,
@@ -374,10 +347,8 @@ class ProcessesBackend(ExecutorBackend):
                 reexecution_factor=engine.reexecution_factor,
                 dtype=engine.dtype.name,
                 capacity=engine._capacity,
-                shm_name=shm.name,
-                total_trials=total,
-                schedule_name=schedule_segment.name,
-                schedule_layout=schedule_segment.layout,
+                schedule=schedule_segment.handle,
+                out=out.handle,
                 kernel_backend=engine.kernel_backend,
             )
             service = self._make_service(engine.workers, "processes")
@@ -393,9 +364,6 @@ class ProcessesBackend(ExecutorBackend):
         finally:
             if service is not None:
                 service.close()
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - tracker raced us
-                pass
+            if out is not None:
+                out.destroy()
             REGISTRY.release(schedule_key)

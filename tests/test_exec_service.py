@@ -17,6 +17,8 @@ client partition set,
 """
 
 import multiprocessing
+import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -201,6 +203,33 @@ class TestThreadsDeterminism:
             assert indices[-1] == triggers[0]
         else:
             assert len(indices) == len(items)
+
+
+    def test_a_slot_never_serves_two_partitions_at_once(self):
+        # More workers than slots and cores, a short switch interval and
+        # uneven partitions: a window that handed a still-busy slot another
+        # partition would find the slot's busy flag set.
+        slots = [{"busy": False} for _ in range(3)]
+        overlaps = []
+
+        def occupy(item, slot, rng):
+            if slot["busy"]:
+                overlaps.append(item)
+            slot["busy"] = True
+            time.sleep(0.0002 * (item % 4))
+            slot["busy"] = False
+            return item
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = ParallelService(workers=8, backend="threads").run(
+                occupy, range(300), slots=slots
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert result == list(range(300))
+        assert not overlaps
 
 
 @pytest.mark.skipif(not HAS_PROCESSES, reason="process pools unavailable")

@@ -623,50 +623,36 @@ class TestMonteCarloWarmSegment:
     def test_worker_state_skips_schedule_compilation(self):
         # Build the worker-process slot *in this process* from the exact
         # spec the backend ships, and watch the compile counter: a spec
-        # carrying a schedule segment must not recompile, the legacy spec
-        # (no segment) must.
+        # carrying a schedule segment must not recompile.
         from repro.core.serialize import graph_to_dict
         from repro.sim.executors import _ProcessSpec, _ProcessWorkerState
-        from multiprocessing import shared_memory
 
         graph = build_dag("cholesky", 4)
         model = ExponentialErrorModel.for_graph(graph, 1e-2)
         schedule_segment = SharedSegment.create(
             schedule_arrays(schedule_for(graph.index(), "up"))
         )
-        out = shared_memory.SharedMemory(create=True, size=256 * 8)
-
-        def spec(**extra):
-            return _ProcessSpec(
-                graph_payload=graph_to_dict(graph),
-                model=model,
-                mode="two-state",
-                reexecution_factor=2.0,
-                dtype="float64",
-                capacity=256,
-                shm_name=out.name,
-                total_trials=256,
-                **extra,
-            )
-
+        out = SharedSegment.create({"makespans": np.zeros(256)})
         try:
             before = schedule_compilations()
             warm = _ProcessWorkerState(
-                spec(
-                    schedule_name=schedule_segment.name,
-                    schedule_layout=schedule_segment.layout,
+                _ProcessSpec(
+                    graph_payload=graph_to_dict(graph),
+                    model=model,
+                    mode="two-state",
+                    reexecution_factor=2.0,
+                    dtype="float64",
+                    capacity=256,
+                    schedule=schedule_segment.handle,
+                    out=out.handle,
                 )
             )
             warm.close()
             assert schedule_compilations() == before  # zero rebuilds
-            cold = _ProcessWorkerState(spec())
-            cold.close()
-            assert schedule_compilations() > before  # legacy path recompiles
         finally:
             detach_segment(schedule_segment.name)
             schedule_segment.destroy()
-            out.close()
-            out.unlink()
+            out.destroy()
 
     @needs_processes
     def test_repeated_runs_reuse_one_warm_segment(self, monkeypatch):
@@ -689,6 +675,68 @@ class TestMonteCarloWarmSegment:
         assert REGISTRY.hits > hits  # second run attached the warm segment
         assert len(REGISTRY) == size  # ... instead of publishing a new one
         assert second.mean == first.mean and second.std == first.std
+
+
+# ----------------------------------------------------------------------
+# One schedule key for every publisher; in-process backends stay local
+# ----------------------------------------------------------------------
+@needs_processes
+def test_every_publisher_hits_the_service_cache_segment(monkeypatch):
+    # The estimation service pre-publishes the DAG's "up" schedule; the MC
+    # processes backend and the correlated and second-order processes folds
+    # must each find that very segment warm.
+    from repro.service.cache import build_entry
+    from repro.sim.engine import MonteCarloEngine
+
+    graph = build_dag("cholesky", 4)
+    model = ExponentialErrorModel.for_graph(graph, 1e-2)
+    entry = build_entry(graph)
+    found_warm = []
+    publish = REGISTRY.publish
+
+    def spy(key, builder):
+        if key == entry.segment_key:
+            found_warm.append(REGISTRY.contains(key))
+        return publish(key, builder)
+
+    monkeypatch.setattr(REGISTRY, "publish", spy)
+    try:
+        MonteCarloEngine(
+            graph, model, trials=1_000, batch_size=500, seed=1,
+            workers=2, backend="processes",
+        ).run()
+        CorrelatedNormalEstimator(
+            workers=2, exec_backend="processes"
+        ).estimate(graph, model)
+        SecondOrderEstimator(
+            workers=2, exec_backend="processes"
+        ).estimate(graph, model)
+    finally:
+        entry.dispose(REGISTRY)
+    assert found_warm == [True, True, True]
+
+
+@pytest.mark.parametrize("backend,workers", [("serial", 1), ("threads", 2)])
+def test_in_process_backends_touch_no_shared_memory(backend, workers):
+    from repro.sim.engine import MonteCarloEngine
+
+    graph = build_dag("lu", 4)
+    model = ExponentialErrorModel.for_graph(graph, 1e-2)
+    before = (REGISTRY.hits, REGISTRY.misses, _shm_entries())
+    for correlation_backend in ("dense", "banded"):
+        CorrelatedNormalEstimator(
+            correlation_backend=correlation_backend,
+            workers=workers,
+            exec_backend=backend,
+        ).estimate(graph, model)
+    SecondOrderEstimator(workers=workers, exec_backend=backend).estimate(
+        graph, model
+    )
+    MonteCarloEngine(
+        graph, model, trials=1_000, batch_size=250, seed=1,
+        workers=workers, backend=backend,
+    ).run()
+    assert (REGISTRY.hits, REGISTRY.misses, _shm_entries()) == before
 
 
 # ----------------------------------------------------------------------

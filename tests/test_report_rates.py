@@ -1,0 +1,62 @@
+"""The rate-archive gate of ``benchmarks/report_rates.py``.
+
+Each benchmark family appends its own record to the archive, so the gate
+must check the latest entry of every configuration, not just the record
+that happened to be archived last.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "report_rates.py"
+
+
+@pytest.fixture(scope="module")
+def report_rates():
+    spec = importlib.util.spec_from_file_location("report_rates", _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _kernel(speedup):
+    return {"dtype": "float64", "workflow": "cholesky", "k": 24,
+            "tasks": 2_600, "speedup": speedup}
+
+
+def _service(speedup):
+    return {"benchmark": "service", "method": "warm", "workflow": "cholesky",
+            "k": 24, "speedup": speedup, "guard_min": 1.3}
+
+
+def _archive(tmp_path, *records):
+    path = tmp_path / "kernel_rates.json"
+    path.write_text(json.dumps(
+        [{"timestamp": f"t{i}", "entries": entries}
+         for i, entries in enumerate(records)]
+    ))
+    return str(path)
+
+
+def test_regression_outside_the_last_record_fails(report_rates, tmp_path):
+    # The kernel family regressed (1.0x < 1.2x); the service family ran
+    # last and is clean.
+    path = _archive(tmp_path, [_kernel(1.0)], [_service(2.0)])
+    assert report_rates.main([path]) == 1
+
+
+def test_clean_archive_passes(report_rates, tmp_path):
+    # The early kernel regression is superseded by a later passing entry of
+    # the same configuration: history, not a violation.
+    path = _archive(
+        tmp_path, [_kernel(1.0)], [_kernel(2.0)], [_service(2.0)]
+    )
+    assert report_rates.main([path]) == 0
+
+
+def test_latest_entry_of_a_family_is_the_one_gated(report_rates, tmp_path):
+    path = _archive(tmp_path, [_service(2.0)], [_service(1.0)], [_kernel(2.0)])
+    assert report_rates.main([path]) == 1

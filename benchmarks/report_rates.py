@@ -10,7 +10,9 @@ violates a regression guard:
 
 * longest-path kernel entries (no ``benchmark`` field): float64 >= 1.2x
   and float32 >= 1.8x over the per-task reference on cholesky DAGs with
-  >= 2,600 tasks;
+  >= 2,600 tasks, for the ``"up"`` sweep only (entries archived before
+  the ``direction`` field existed are ``"up"`` entries; ``"down"``
+  entries are timed but never gate);
 * estimator entries (``benchmark = "estimator_wavefront"``), Monte
   Carlo backend entries (``benchmark = "mc_backends"``), parallel
   correlated-sweep entries (``benchmark = "correlated_parallel"``),
@@ -26,8 +28,9 @@ violates a regression guard:
   ``guard_min`` per entry (``null`` when the guard did not apply at
   measurement time — small graph, too few CPUs for the parallel
   comparisons, or no accelerator installed).  Dtype error-floor entries
-  (``benchmark = "dtype_error_floor"``) are characterisation-only and
-  never gate.
+  (``benchmark = "dtype_error_floor"``) and single-scenario kernel
+  entries (``benchmark = "kernel_lengths"``) are characterisation-only
+  and never gate.
 
 For ``kernel_backends`` entries the report additionally prints the
 backend families side by side: per op/workflow/k group, the throughput
@@ -47,7 +50,7 @@ from pathlib import Path
 DEFAULT_PATH = Path(__file__).resolve().parent / "results" / "kernel_rates.json"
 
 #: Guards of the longest-path kernel benchmark (which predates the
-#: per-entry ``guard_min`` field).
+#: per-entry ``guard_min`` field); they bound its ``"up"`` entries.
 KERNEL_GUARDS = {"float64": 1.2, "float32": 1.8}
 KERNEL_GUARD_MIN_TASKS = 2_600
 
@@ -80,7 +83,14 @@ def _entry_key(entry: dict) -> tuple:
             entry["workflow"],
             entry["k"],
         )
-    return ("kernel", entry.get("dtype", "?"), entry.get("workflow", "?"), entry.get("k"))
+    if entry.get("benchmark") == "kernel_lengths":
+        return ("kernel-lengths", entry["direction"], entry["workflow"], entry["k"])
+    # Kernel entries archived before the direction field are "up" entries
+    # and keep their key.
+    mode = entry.get("dtype", "?")
+    if entry.get("direction", "up") != "up":
+        mode = f"{mode}/{entry['direction']}"
+    return ("kernel", mode, entry.get("workflow", "?"), entry.get("k"))
 
 
 def _entry_guard(entry: dict):
@@ -88,11 +98,12 @@ def _entry_guard(entry: dict):
     if entry.get("benchmark") in (
         "estimator_wavefront", "mc_backends", "correlated_parallel",
         "correlated_processes", "exec_faults", "service",
-        "kernel_backends", "dtype_error_floor",
+        "kernel_backends", "dtype_error_floor", "kernel_lengths",
     ):
         return entry.get("guard_min")
     if (
-        entry.get("workflow") == "cholesky"
+        entry.get("direction", "up") == "up"
+        and entry.get("workflow") == "cholesky"
         and entry.get("tasks", 0) >= KERNEL_GUARD_MIN_TASKS
     ):
         return KERNEL_GUARDS.get(entry.get("dtype"))
@@ -117,6 +128,8 @@ def _label(key: tuple) -> str:
         return f"kernel-backends/{a:<20s} {b} k={k}"
     if kind == "dtype-floor":
         return f"dtype-floor/{a:<14s} {b} k={k}"
+    if kind == "kernel-lengths":
+        return f"kernel-lengths/{a:<6s} {b} k={k}"
     return f"kernel/{a:<13s} {b} k={k}"
 
 

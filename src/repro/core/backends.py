@@ -221,7 +221,7 @@ def get_kernel(op: str, backend: Optional[str] = None) -> Optional[Callable]:
 #   same two-step rounding by storing the masked extra first and then
 #   adding the float64 weight to the read-back value.
 # * the level recurrence runs max/add in the buffer dtype, exactly like
-#   ``np.take``/``np.maximum``/``np.add`` on the buffer-dtype scratch.
+#   the NumPy fold's row gathers, ``np.maximum`` and ``np.add``.
 # * ``moment_fold`` mirrors the scalar Clark fold; ``math.erfc`` and
 #   ``scipy.special.erfc`` agree to ulp-level rounding, hence the ≤1e-9
 #   (not bit-exact) contract for this op.

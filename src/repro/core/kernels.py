@@ -16,13 +16,17 @@ a task-major ``(tasks, trials)`` buffer:
   runs once per level instead of once per task;
 * buffer rows are permuted into *level-contiguous* order, sorted by
   in-degree within each level: the per-level update writes one contiguous
-  row slice, and tasks sharing an in-degree ``d`` form contiguous runs whose
-  predecessor rows are a dense ``(m, d)`` gather matrix — the ``max`` over
-  predecessors becomes ``d`` full-row gathers combined with in-place
-  ``np.maximum``, all on contiguous memory;
-* the buffer (and the two gather scratch rows) are allocated once and
-  reused across batches, so a long Monte Carlo run allocates nothing per
-  batch beyond the returned makespan vectors;
+  row slice, and the rows holding a ``j``-th predecessor form a contiguous
+  *suffix* of the level.  The ``max`` over predecessors is folded one level
+  *column* at a time (:class:`LevelColumns`): column 0 gathers the whole
+  level, each column ``j >= 1`` gathers its suffix and merges it with an
+  in-place ``np.maximum``, so a level with maximum in-degree ``D`` costs
+  ``D`` row gathers however many distinct in-degrees it mixes;
+* the buffer is allocated once and reused across batches.  Gathers are
+  fancy-indexing reads (``buffer[rows]``), not ``np.take(..., out=)``:
+  ``take`` buffers its ``out`` array and copies a strided input whole, so
+  on a partial batch (``trials < capacity``) every gather used to copy the
+  entire buffer.  The per-level temporaries come from NumPy's allocator;
 * a ``dtype`` knob selects ``float64`` (default, bit-identical to the
   reference per-task evaluation because ``max`` and one addition per task
   are order-independent at fixed precision) or ``float32``, which halves
@@ -85,7 +89,7 @@ contract.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -104,6 +108,8 @@ __all__ = [
     "schedule_for",
     "schedule_arrays",
     "schedule_flat_groups",
+    "LevelColumns",
+    "schedule_level_columns",
     "schedule_from_arrays",
     "schedule_compilations",
     "schedule_nbytes",
@@ -180,7 +186,7 @@ class LevelSchedule:
         fold into independent per-group (or per-row-chunk) work partitions
         without walking the flat ``groups`` tuple.
     max_group_rows:
-        Largest group height; sizes the gather scratch buffers.
+        Largest group height, packed by :func:`schedule_arrays`.
     task_level:
         ``task_level[i]`` is the level of task ``i`` (task-index space).
     row_level:
@@ -433,6 +439,110 @@ def schedule_flat_groups(
     return flat
 
 
+@dataclass(frozen=True)
+class LevelColumns:
+    """The level-column plan of :meth:`WavefrontKernel.propagate`.
+
+    Rows of a level are sorted by in-degree, so the rows that have a
+    ``j``-th predecessor form a contiguous suffix of the level.  Column
+    ``c`` of the plan is one such suffix together with the ``j``-th
+    predecessor row of each of its rows; a level's columns run ``j = 0, 1,
+    ...`` (CSR order), so every row still folds its predecessors in the
+    order the per-task loops do.
+
+    Attributes
+    ----------
+    col_indptr:
+        ``(num_levels + 1,)``: the columns of level ``L`` are
+        ``[col_indptr[L], col_indptr[L + 1])``, as many as the level's
+        maximum in-degree (none for level 0).
+    col_start:
+        First buffer row of each column's suffix; the suffix ends where
+        its level ends.
+    col_ptr, col_preds:
+        Column ``c`` gathers the rows ``col_preds[col_ptr[c]:col_ptr[c + 1]]``,
+        one per row of its suffix.
+    steps:
+        The plan as the kernel loops over it: per folded level, ``(lo, hi,
+        first, columns)`` where ``first`` is column 0's gather rows and
+        ``columns`` holds ``(offset, preds)`` for columns ``j >= 1``
+        (``offset`` is the suffix start relative to ``lo``).
+    """
+
+    col_indptr: np.ndarray
+    col_start: np.ndarray
+    col_ptr: np.ndarray
+    col_preds: np.ndarray
+    steps: tuple = field(repr=False, compare=False)
+
+
+def _level_columns(schedule: LevelSchedule) -> LevelColumns:
+    """Regroup the flattened degree groups into level columns (vectorised)."""
+    _, _, group_width, group_ptr, group_preds = schedule_flat_groups(schedule)
+    level_indptr = np.asarray(schedule.level_indptr, dtype=np.int64)
+    group_indptr = schedule.group_indptr
+    num_levels = schedule.num_levels
+    level_groups = np.diff(group_indptr)
+    # Groups are degree-sorted within a level: the last one holds the
+    # level's maximum in-degree, which is its number of columns.
+    level_width = np.zeros(num_levels, dtype=np.int64)
+    folded = level_groups > 0
+    level_width[folded] = group_width[group_indptr[1:][folded] - 1]
+    col_indptr = np.zeros(num_levels + 1, dtype=np.int64)
+    np.cumsum(level_width, out=col_indptr[1:])
+    num_columns = int(col_indptr[-1])
+
+    # Each group block is row-major (rows, width): entry e of group g is
+    # predecessor number (e - group_ptr[g]) % width of its row.
+    group_level = np.repeat(np.arange(num_levels, dtype=np.int64), level_groups)
+    entry_group = np.repeat(
+        np.arange(group_width.shape[0], dtype=np.int64), np.diff(group_ptr)
+    )
+    within = np.arange(group_preds.shape[0], dtype=np.int64) - group_ptr[entry_group]
+    column = col_indptr[group_level][entry_group] + within % group_width[entry_group]
+    # Stable, so each column keeps its entries in ascending row order.
+    col_preds = group_preds[np.argsort(column, kind="stable")]
+    col_ptr = np.zeros(num_columns + 1, dtype=np.int64)
+    np.cumsum(np.bincount(column, minlength=num_columns), out=col_ptr[1:])
+    column_level = np.repeat(np.arange(num_levels, dtype=np.int64), level_width)
+    col_start = level_indptr[column_level + 1] - np.diff(col_ptr)
+    for array in (col_indptr, col_start, col_ptr, col_preds):
+        array.setflags(write=False)
+
+    bounds, col_bounds = level_indptr.tolist(), col_indptr.tolist()
+    starts, ptr = col_start.tolist(), col_ptr.tolist()
+    steps = []
+    for level in np.flatnonzero(folded).tolist():
+        lo, hi = bounds[level], bounds[level + 1]
+        c0, c1 = col_bounds[level], col_bounds[level + 1]
+        columns = tuple(
+            (starts[c] - lo, col_preds[ptr[c] : ptr[c + 1]])
+            for c in range(c0 + 1, c1)
+        )
+        steps.append((lo, hi, col_preds[ptr[c0] : ptr[c0 + 1]], columns))
+    return LevelColumns(
+        col_indptr=col_indptr,
+        col_start=col_start,
+        col_ptr=col_ptr,
+        col_preds=col_preds,
+        steps=tuple(steps),
+    )
+
+
+def schedule_level_columns(schedule: LevelSchedule) -> LevelColumns:
+    """The (cached) :class:`LevelColumns` plan of a compiled schedule.
+
+    Derived from :func:`schedule_flat_groups` without recompiling, and
+    cached on the schedule like it, so a worker that attached a shared
+    schedule derives the plan once for the life of that schedule.
+    """
+    columns = schedule.__dict__.get("_level_columns")
+    if columns is None:
+        columns = _level_columns(schedule)
+        object.__setattr__(schedule, "_level_columns", columns)
+    return columns
+
+
 def schedule_arrays(schedule: LevelSchedule) -> Dict[str, np.ndarray]:
     """Flatten a :class:`LevelSchedule` into named contiguous arrays.
 
@@ -533,9 +643,9 @@ def schedule_from_arrays(arrays: Dict[str, np.ndarray]) -> LevelSchedule:
 class WavefrontKernel:
     """Reusable longest-path evaluator for one graph, direction and dtype.
 
-    The kernel owns a task-major ``(tasks, capacity)`` buffer plus two
-    ``(max_group_rows, capacity)`` gather scratches, grown on demand and
-    reused across calls.  Typical use::
+    The kernel owns a task-major ``(tasks, capacity)`` buffer plus a
+    ``(capacity,)`` scratch row for the compiled backends, grown on demand
+    and reused across calls.  Typical use::
 
         kernel = WavefrontKernel(graph)              # private buffer
         makespans = kernel.run(weight_matrix)        # (trials, tasks) input
@@ -571,8 +681,7 @@ class WavefrontKernel:
         self.schedule = _schedule_for(self.index, direction)
         self._propagate_fn = get_kernel("propagate", self.kernel_backend)
         self._buffer: Optional[np.ndarray] = None
-        self._scratch_a: Optional[np.ndarray] = None
-        self._scratch_b: Optional[np.ndarray] = None
+        self._scratch: Optional[np.ndarray] = None
         self._capacity = 0
 
     @classmethod
@@ -603,8 +712,7 @@ class WavefrontKernel:
         kernel.schedule = schedule
         kernel._propagate_fn = get_kernel("propagate", kernel.kernel_backend)
         kernel._buffer = None
-        kernel._scratch_a = None
-        kernel._scratch_b = None
+        kernel._scratch = None
         kernel._capacity = 0
         return kernel
 
@@ -636,9 +744,9 @@ class WavefrontKernel:
 
     @property
     def buffer_nbytes(self) -> int:
-        """Bytes currently held by the buffer and scratches."""
+        """Bytes currently held by the buffer and scratch row."""
         total = 0
-        for arr in (self._buffer, self._scratch_a, self._scratch_b):
+        for arr in (self._buffer, self._scratch):
             if arr is not None:
                 total += arr.nbytes
         return total
@@ -653,17 +761,14 @@ class WavefrontKernel:
             raise GraphError("number of trials must be positive")
         if trials > self._capacity:
             self._buffer = np.empty((self.num_tasks, trials), dtype=self.dtype)
-            scratch_rows = self.schedule.max_group_rows
-            self._scratch_a = np.empty((scratch_rows, trials), dtype=self.dtype)
-            self._scratch_b = np.empty((scratch_rows, trials), dtype=self.dtype)
+            self._scratch = np.empty(trials, dtype=self.dtype)
             self._capacity = trials
         return self._buffer[:, :trials]
 
     def release(self) -> None:
         """Drop the persistent buffers (they are re-grown on next use)."""
         self._buffer = None
-        self._scratch_a = None
-        self._scratch_b = None
+        self._scratch = None
         self._capacity = 0
 
     # ------------------------------------------------------------------
@@ -714,7 +819,7 @@ class WavefrontKernel:
                     self._buffer,
                     trials,
                     *schedule_flat_groups(self.schedule),
-                    self._scratch_a[0],
+                    self._scratch,
                 )
                 return
             except Exception:
@@ -723,17 +828,14 @@ class WavefrontKernel:
                 # and the NumPy reference takes over.
                 self._propagate_fn = None
         buffer = self._buffer[:, :trials]
-        for group in self.schedule.groups:
-            rows = group.stop - group.start
-            preds = group.preds
-            ready = self._scratch_a[:rows, :trials]
-            np.take(buffer, preds[:, 0], axis=0, out=ready)
-            if preds.shape[1] > 1:
-                other = self._scratch_b[:rows, :trials]
-                for j in range(1, preds.shape[1]):
-                    np.take(buffer, preds[:, j], axis=0, out=other)
-                    np.maximum(ready, other, out=ready)
-            segment = buffer[group.start : group.stop]
+        for lo, hi, first, columns in schedule_level_columns(self.schedule).steps:
+            # Every row of a folded level has a predecessor: column 0 spans
+            # the level, later columns a suffix of it.
+            ready = buffer[first]
+            for offset, preds in columns:
+                tail = ready[offset:]
+                np.maximum(tail, buffer[preds], out=tail)
+            segment = buffer[lo:hi]
             np.add(segment, ready, out=segment)
 
     def makespans(self, trials: int) -> np.ndarray:

@@ -226,9 +226,7 @@ class _BatchWorker:
                         engine._w,
                         engine._extra,
                         *schedule_flat_groups(kernel.schedule),
-                        kernel._scratch_a[0]
-                        if kernel._scratch_a.shape[0]
-                        else np.empty(0, dtype=engine.dtype),
+                        kernel._scratch,
                     )
                     return kernel.makespans(batch)
                 except Exception:

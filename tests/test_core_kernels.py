@@ -466,3 +466,198 @@ class TestGroupPartitionMetadata:
                     )
         with pytest.raises(GraphError):
             schedule.level_partitions(1, 0)
+
+
+# ----------------------------------------------------------------------
+# The level-column fold on degree-skewed levels
+# ----------------------------------------------------------------------
+def per_task_lengths(idx, weight_matrix, direction, dtype):
+    """The per-task loop of the kernel benchmark, for either direction and
+    dtype: ``(trials, tasks)`` path lengths, computed in ``dtype``."""
+    w = np.asarray(weight_matrix, dtype=dtype)
+    if direction == "up":
+        indptr, indices, order = idx.pred_indptr, idx.pred_indices, idx.topo_order
+    else:
+        indptr, indices = idx.succ_indptr, idx.succ_indices
+        order = idx.topo_order[::-1]
+    lengths = np.zeros_like(w)
+    for i in order:
+        nbrs = indices[indptr[i] : indptr[i + 1]]
+        if nbrs.size:
+            lengths[:, i] = w[:, i] + lengths[:, nbrs].max(axis=1)
+        else:
+            lengths[:, i] = w[:, i]
+    return lengths
+
+
+def skewed_dag():
+    """Levels that mix one hub of degree 22 with degree-1 and degree-2 rows.
+
+    ``hub`` has 22 successors (in-degree 22 of the ``"down"`` sweep) and
+    shares its level with single-successor tasks; its mirror ``join`` has
+    22 predecessors and shares its level with single-predecessor tasks.
+    The hub's neighbours get heavier in CSR order, so its last column
+    often holds the maximum.
+    """
+    g = TaskGraph(name="skewed")
+    rng = np.random.default_rng(11)
+
+    def task(name, weight=None):
+        g.add_task(name, float(rng.uniform(0.5, 3.0)) if weight is None else weight)
+        return name
+
+    sinks = [task(f"s{i:02d}", 1.0 + 0.1 * i) for i in range(22)]
+    hub = task("hub")
+    for s in sinks:
+        g.add_edge(hub, s)
+    for k in range(6):
+        g.add_edge(task(f"x{k}"), sinks[k])
+    g.add_edge(task("pair_down"), sinks[0])
+    g.add_edge("pair_down", sinks[1])
+    g.add_edge(task("top"), hub)
+    g.add_edge("top", "x0")
+
+    sources = [task(f"u{i:02d}", 1.0 + 0.1 * i) for i in range(22)]
+    join = task("join")
+    for u in sources:
+        g.add_edge(u, join)
+    for k in range(6):
+        g.add_edge(sources[k], task(f"z{k}"))
+    g.add_edge(sources[0], task("pair_up"))
+    g.add_edge(sources[1], "pair_up")
+    g.add_edge(join, task("bottom"))
+    g.add_edge("z0", "bottom")
+    return g
+
+
+def _edge_free():
+    g = TaskGraph(name="edge-free")
+    for i, w in enumerate([2.0, 1.0, 4.0, 3.0]):
+        g.add_task(i, w)
+    return g
+
+
+SKEWED_DAGS = [skewed_dag(), build_dag("mapreduce", 6), _edge_free()]
+
+
+class TestLevelColumnFold:
+    def test_skewed_dag_mixes_degrees_in_one_level(self):
+        from repro.core.kernels import schedule_for
+
+        idx = skewed_dag().index()
+        for direction in ("up", "down"):
+            schedule = schedule_for(idx, direction)
+            widths = [g.preds.shape[1] for g in schedule.level_groups(1)]
+            assert widths[0] == 1 and widths[-1] >= 20
+
+    @pytest.mark.parametrize("graph", SKEWED_DAGS, ids=lambda g: g.name)
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_bitexact_against_per_task_loop(self, graph, direction, dtype):
+        idx = graph.index()
+        kernel = WavefrontKernel(idx, direction=direction, dtype=dtype)
+        # Growing batches, then a strided call below the capacity.
+        for trials in (1, 3, 128, 5):
+            w = random_weight_matrix(idx, trials, seed=trials)
+            kernel.load(w)
+            kernel.propagate(trials)
+            expected = per_task_lengths(idx, w, direction, dtype)
+            assert np.array_equal(kernel.completion_matrix(trials), expected.T)
+        assert kernel.capacity == 128
+
+    @pytest.mark.parametrize("graph", SKEWED_DAGS, ids=lambda g: g.name)
+    def test_single_scenario_matches_pair_reference(self, graph):
+        from repro.estimators.second_order import sequential_pair_up_down
+
+        idx = graph.index()
+        up, down = sequential_pair_up_down(idx, idx.weights)
+        assert np.array_equal(WavefrontKernel(idx).lengths(idx.weights), up)
+        assert np.array_equal(
+            WavefrontKernel(idx, direction="down").lengths(idx.weights), down
+        )
+
+
+class TestLevelColumnPlan:
+    @pytest.mark.parametrize("direction,gathers", [("up", 135), ("down", 1_059)])
+    def test_one_gather_per_level_column(self, direction, gathers):
+        from repro.core.kernels import (
+            schedule_compilations,
+            schedule_for,
+            schedule_level_columns,
+        )
+
+        idx = build_dag("cholesky", 24).index()
+        schedule = schedule_for(idx, direction)
+        compiled = schedule_compilations()
+        columns = schedule_level_columns(schedule)
+        assert schedule_compilations() == compiled
+        assert schedule_level_columns(schedule) is columns
+        max_degree = sum(
+            max((g.preds.shape[1] for g in schedule.level_groups(level)), default=0)
+            for level in range(schedule.num_levels)
+        )
+        assert max_degree == gathers
+
+        class CountingBuffer(np.ndarray):
+            gathers = 0
+
+            def __getitem__(self, key):
+                if isinstance(key, np.ndarray):
+                    CountingBuffer.gathers += 1
+                return super().__getitem__(key)
+
+        kernel = WavefrontKernel.from_schedule(schedule, direction=direction)
+        kernel.weight_view(4)[...] = 1.0
+        # The buffer plus one scratch row for the compiled backends.
+        assert kernel.buffer_nbytes == (idx.num_tasks + 1) * 4 * 8
+        kernel._buffer = kernel._buffer.view(CountingBuffer)
+        kernel.propagate(4)
+        assert CountingBuffer.gathers == gathers
+
+    @pytest.mark.parametrize("workflow", ["cholesky", "lu", "qr", "mapreduce"])
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_columns_regroup_the_degree_groups(self, workflow, direction):
+        from repro.core.kernels import schedule_for, schedule_level_columns
+
+        schedule = schedule_for(build_dag(workflow, 5).index(), direction)
+        columns = schedule_level_columns(schedule)
+        for level in range(schedule.num_levels):
+            hi = int(schedule.level_indptr[level + 1])
+            first = int(columns.col_indptr[level])
+            for group in schedule.level_groups(level):
+                for j in range(group.preds.shape[1]):
+                    c = first + j
+                    start = int(columns.col_start[c])
+                    assert start <= group.start and hi - start == (
+                        columns.col_ptr[c + 1] - columns.col_ptr[c]
+                    )
+                    lo = int(columns.col_ptr[c]) + group.start - start
+                    np.testing.assert_array_equal(
+                        columns.col_preds[lo : lo + group.stop - group.start],
+                        group.preds[:, j],
+                    )
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_worker_rebuilt_schedule_derives_the_same_plan(self, direction):
+        from repro.core.kernels import (
+            schedule_arrays,
+            schedule_compilations,
+            schedule_for,
+            schedule_from_arrays,
+            schedule_level_columns,
+        )
+
+        schedule = schedule_for(build_dag("qr", 6).index(), direction)
+        compiled = schedule_compilations()
+        rebuilt = schedule_from_arrays(schedule_arrays(schedule))
+        ours, theirs = schedule_level_columns(schedule), schedule_level_columns(rebuilt)
+        assert schedule_compilations() == compiled
+        for name in ("col_indptr", "col_start", "col_ptr", "col_preds"):
+            np.testing.assert_array_equal(getattr(theirs, name), getattr(ours, name))
+
+    def test_edge_free_graph_has_no_columns(self):
+        from repro.core.kernels import schedule_for, schedule_level_columns
+
+        columns = schedule_level_columns(schedule_for(_edge_free().index(), "up"))
+        assert columns.steps == ()
+        assert columns.col_indptr.tolist() == [0, 0]

@@ -41,7 +41,7 @@ from repro.core.backends import (
     resolve_kernel_backend,
 )
 from repro.core.generators import erdos_renyi_dag
-from repro.core.kernels import propagate_moments
+from repro.core.kernels import WavefrontKernel, propagate_moments
 from repro.estimators.correlated import CorrelatedNormalEstimator
 from repro.estimators.montecarlo import MonteCarloEstimator
 from repro.estimators.sculli import SculliEstimator
@@ -92,6 +92,25 @@ def _case(n=14, p=0.35, pfail=5e-3, seed=7):
     graph = erdos_renyi_dag(n, p, rng=np.random.default_rng(seed))
     model = ExponentialErrorModel.for_graph(graph, pfail)
     return graph, model
+
+
+def _assert_down_sweep_bit_identical(graph, dtype, trials):
+    """Compiled ``propagate`` == the NumPy level-column fold, direction
+    ``"down"``: a full batch, then a strided one below the capacity."""
+    idx = graph.index()
+    rng = np.random.default_rng(trials)
+    ref = WavefrontKernel(idx, direction="down", dtype=dtype, kernel_backend="numpy")
+    jit = WavefrontKernel(idx, direction="down", dtype=dtype, kernel_backend="numba")
+    for batch in (trials, trials // 3):
+        w = idx.weights[None, :] * rng.uniform(0.5, 2.0, size=(batch, idx.num_tasks))
+        for kernel in (ref, jit):
+            kernel.load(w)
+            kernel.propagate(batch)
+        # Still compiled: a failing JIT call would have fallen back to NumPy.
+        assert jit._propagate_fn is not None
+        assert np.array_equal(
+            jit.completion_matrix(batch), ref.completion_matrix(batch)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -223,6 +242,10 @@ class TestStubJitDifferential:
         jit = MonteCarloEngine(graph, model, kernel_backend="numba", **kwargs).run()
         assert np.array_equal(ref.samples.samples(), jit.samples.samples())
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_wavefront_down_bit_identical(self, stub_numba, dtype):
+        _assert_down_sweep_bit_identical(build_dag("cholesky", 4), dtype, 48)
+
     @pytest.mark.parametrize("backend,options", [
         ("banded", {}),
         ("banded", {"bandwidth": 1}),
@@ -347,6 +370,11 @@ class TestRealJitDifferential:
         ref = MonteCarloEngine(graph, model, kernel_backend="numpy", **kwargs).run()
         jit = MonteCarloEngine(graph, model, kernel_backend="numba", **kwargs).run()
         assert np.array_equal(ref.samples.samples(), jit.samples.samples())
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("workflow,size", [("cholesky", 8), ("lu", 6), ("qr", 6)])
+    def test_wavefront_down_bit_identical(self, dtype, workflow, size):
+        _assert_down_sweep_bit_identical(build_dag(workflow, size), dtype, 2_048)
 
     @settings(
         max_examples=15,

@@ -22,9 +22,9 @@ def report_rates():
     return module
 
 
-def _kernel(speedup):
+def _kernel(speedup, **fields):
     return {"dtype": "float64", "workflow": "cholesky", "k": 24,
-            "tasks": 2_600, "speedup": speedup}
+            "tasks": 2_600, "speedup": speedup, **fields}
 
 
 def _service(speedup):
@@ -60,3 +60,38 @@ def test_clean_archive_passes(report_rates, tmp_path):
 def test_latest_entry_of_a_family_is_the_one_gated(report_rates, tmp_path):
     path = _archive(tmp_path, [_service(2.0)], [_service(1.0)], [_kernel(2.0)])
     assert report_rates.main([path]) == 1
+
+
+def test_legacy_kernel_records_key_as_up(report_rates):
+    # Records archived before the direction field keep their key, and a
+    # new "up" entry of the same configuration supersedes them.
+    assert report_rates._entry_key(_kernel(2.0)) == (
+        "kernel", "float64", "cholesky", 24
+    )
+    assert report_rates._entry_key(_kernel(2.0, direction="up")) == (
+        report_rates._entry_key(_kernel(2.0))
+    )
+    assert report_rates._entry_key(_kernel(2.0, direction="down")) != (
+        report_rates._entry_key(_kernel(2.0))
+    )
+
+
+def test_down_entries_are_not_gated_by_the_up_guards(report_rates, tmp_path):
+    down = _kernel(1.0, direction="down")
+    assert report_rates._entry_guard(down) is None
+    path = _archive(tmp_path, [_kernel(2.0, direction="up"), down])
+    assert report_rates.main([path]) == 0
+    # The "down" entry does not mask a regressed "up" entry either.
+    path = _archive(tmp_path, [_kernel(1.0), _kernel(3.0, direction="down")])
+    assert report_rates.main([path]) == 1
+
+
+def test_single_scenario_entries_never_gate(report_rates, tmp_path):
+    lengths = {"benchmark": "kernel_lengths", "workflow": "cholesky", "k": 24,
+               "tasks": 2_600, "direction": "down", "dtype": "float64",
+               "speedup": 0.5, "guard_min": None}
+    assert report_rates._entry_key(lengths) == (
+        "kernel-lengths", "down", "cholesky", 24
+    )
+    path = _archive(tmp_path, [_kernel(2.0), lengths])
+    assert report_rates.main([path]) == 0

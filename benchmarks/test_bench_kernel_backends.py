@@ -7,8 +7,9 @@ inputs:
 * ``band_gather`` — the banded correlated estimator's masked symmetric
   window gathers, timed through a full banded sweep (``kernel_backend =
   "numpy"`` vs ``"numba"``);
-* ``mc_two_state`` — the fused two-state weight sampling + level
-  recurrence of the Monte Carlo engine, timed on a float32 batch sweep.
+* ``mc_two_state`` — the Monte Carlo engine's compiled per-tile
+  two-state weight fill plus the compiled level recurrence, timed on a
+  float32 batch sweep.
 
 Bit-identity is asserted on the timed runs' own results: every ported
 kernel must reproduce the NumPy reference exactly, so the speedup is

@@ -1,7 +1,7 @@
 """Pluggable compiled-kernel backends for the hot loops.
 
 Every performance-critical inner loop of the reproduction — the Monte
-Carlo two-state weight sampling + level recurrence
+Carlo two-state weight fill and the level recurrence
 (:mod:`repro.core.kernels` / :mod:`repro.sim.engine`), the banded
 correlation store's masked symmetric gathers
 (:mod:`repro.estimators.correlation`) and the Clark moment-propagation
@@ -18,13 +18,13 @@ instead, without changing any caller-visible semantics:
 
 ``numba``
     JIT-compiled fused loops (lazy ``@njit``, compiled on first use).
-    The fused gather and the fused MC level kernel perform *exactly* the
-    same floating-point operations in the same order as the NumPy
-    reference — including float32's double-rounding through float64
-    intermediates — so they are bit-identical.  The JIT Clark fold uses
-    ``math.erfc`` where the batched reference uses ``scipy.special.erfc``
-    and therefore matches to ulp-level rounding (≤ 1e-9 in the
-    differential tests), exactly like the scalar reference it mirrors.
+    The fused gather, the MC weight fill and the level recurrence
+    perform *exactly* the same floating-point operations in the same
+    order as the NumPy reference, so they are bit-identical.  The JIT
+    Clark fold uses ``math.erfc`` where the batched reference uses
+    ``scipy.special.erfc`` and therefore matches to ulp-level rounding
+    (≤ 1e-9 in the differential tests), exactly like the scalar
+    reference it mirrors.
 
 Selection precedence (the rule of every setting, see :mod:`repro.options`)::
 
@@ -213,15 +213,15 @@ def get_kernel(op: str, backend: Optional[str] = None) -> Optional[Callable]:
 #
 # * ``band_gather`` is pure data movement and therefore bit-identical to
 #   the chunked NumPy gather by construction.
-# * ``mc_two_state``'s weight fill replicates NumPy's mixed-dtype ufunc
-#   semantics for float32 buffers: ``np.multiply(mask, extra_f64,
-#   out=f32)`` rounds the float64 product to float32 on store, and the
-#   subsequent ``view += w_f64`` promotes the float32 value back to
-#   float64, adds, and rounds again.  The compiled loop performs the
-#   same two-step rounding by storing the masked extra first and then
-#   adding the float64 weight to the read-back value.
-# * the level recurrence runs max/add in the buffer dtype, exactly like
-#   the NumPy fold's row gathers, ``np.maximum`` and ``np.add``.
+# * ``mc_two_state`` fills one tile of trials ``t0:t0 + len(uniform)``
+#   of the kernel buffer from the tile's trial-major uniforms.  It makes
+#   the same ``uniform < q`` comparison as the NumPy scatter and stores
+#   one of the engine's two precomputed per-row values (nominal or
+#   re-executed weight, already rounded to the buffer dtype), so it is
+#   pure selection and bit-identical by construction.  The recurrence
+#   that follows is the ``propagate`` op.
+# * ``propagate`` runs max/add in the buffer dtype, exactly like the
+#   NumPy fold's row gathers, ``np.maximum`` and ``np.add``.
 # * ``moment_fold`` mirrors the scalar Clark fold; ``math.erfc`` and
 #   ``scipy.special.erfc`` agree to ulp-level rounding, hence the ≤1e-9
 #   (not bit-exact) contract for this op.
@@ -308,46 +308,15 @@ def _build_numba_ops() -> Dict[str, Callable]:
                     buffer[r, t] = buffer[r, t] + scratch[t]
 
     @njit
-    def mc_two_state(
-        buffer,
-        trials,
-        uniform,
-        perm,
-        q,
-        w_perm,
-        extra_perm,
-        group_start,
-        group_stop,
-        group_width,
-        group_ptr,
-        group_preds,
-        scratch,
-    ):
-        n = buffer.shape[0]
-        for r in range(n):
+    def mc_two_state(buffer, t0, uniform, perm, q, ok, fail):
+        trials = uniform.shape[0]
+        for r in range(buffer.shape[0]):
             p = perm[r]
             q_p = q[p]
-            extra = extra_perm[r]
-            weight = w_perm[r]
+            lo = ok[r]
+            hi = fail[r]
             for t in range(trials):
-                # Two stores: the first rounds the float64 extra to the
-                # buffer dtype, the second re-promotes for the float64
-                # add — NumPy's exact mixed-dtype rounding sequence.
-                if uniform[t, p] < q_p:
-                    buffer[r, t] = extra
-                else:
-                    buffer[r, t] = 0.0
-                buffer[r, t] = buffer[r, t] + weight
-        propagate(
-            buffer,
-            trials,
-            group_start,
-            group_stop,
-            group_width,
-            group_ptr,
-            group_preds,
-            scratch,
-        )
+                buffer[r, t0 + t] = hi if uniform[t, p] < q_p else lo
 
     @njit
     def clark_max(mean1, var1, mean2, var2):

@@ -10,14 +10,23 @@ The engine is a *zero-copy pipeline* around the level-wavefront kernel of
 
 * the per-task failure probabilities are computed (and validated) once per
   engine, not once per batch;
-* all working buffers — the uniform-variate matrix fed to the RNG, the
-  failure mask, and the kernel's task-major ``(tasks, batch)`` completion
-  buffer — are allocated once per *evaluation slot* and reused by every
-  batch;
-* in two-state mode the effective times ``w + mask * (f - 1) w`` are fused
-  directly into the kernel buffer (one multiply + one add, no intermediate
-  ``(trials, tasks)`` weight matrix), and the longest-path recurrence then
-  runs in place on that same buffer.
+* the working buffers — the kernel's task-major ``(tasks, batch)``
+  completion buffer and one trial-major ``(tile, tasks)`` tile of uniform
+  variates (:data:`TILE_BYTES`, sized to stay in a core's L2 cache) — are
+  allocated once per *evaluation slot* and reused by every batch;
+* a batch is sampled tile by tile straight into the kernel buffer.  In
+  two-state mode the batch is set to the nominal weights ``w`` once, and
+  each tile's ``(trial, task)`` failures, found with one contiguous
+  ``uniform < q`` and ``np.flatnonzero``, receive the re-executed weight
+  ``w + (f - 1) w`` by scatter: at the paper's rates a trial fails a few
+  tasks, so no ``(trials, tasks)`` mask or weight matrix is built (the
+  compiled backend's ``mc_two_state`` fills a whole tile instead).  Both
+  values are precomputed with the rounding of the dense
+  ``mask * (f - 1) w`` then ``+= w`` form, so every stored bit and the RNG
+  stream are those of drawing the whole batch at once;
+* the longest-path recurrence then runs in place on that same buffer, and
+  the makespan is the maximum over the sink rows only: weights are
+  non-negative, so every task completes no later than some sink below it.
 
 Execution backends
 ------------------
@@ -93,6 +102,11 @@ __all__ = ["MonteCarloResult", "MonteCarloEngine", "simulate_expected_makespan"]
 DEFAULT_TRIALS = 50_000
 DEFAULT_BATCH = 8_192
 
+#: Bytes of trial-major uniform variates sampled per tile (see
+#: :func:`_tile_trials`): small enough to stay in a core's L2 cache between
+#: the draw, the comparison and the scatter.
+TILE_BYTES = 1 << 20
+
 #: Spawn key of the reservoir's dedicated RNG stream — far outside the
 #: per-batch key range so enabling the reservoir never perturbs a trial.
 _RESERVOIR_SPAWN_KEY = 2**48
@@ -150,6 +164,11 @@ class MonteCarloResult:
         )
 
 
+def _tile_trials(capacity: int, num_tasks: int) -> int:
+    """Trials per sampling tile: :data:`TILE_BYTES` of float64 uniforms."""
+    return max(1, min(capacity, TILE_BYTES // (8 * num_tasks)))
+
+
 class _BatchWorker:
     """One slot's private evaluation state: kernel, buffers, RNG stream.
 
@@ -172,26 +191,19 @@ class _BatchWorker:
             kernel_backend=engine.kernel_backend,
         )
         self.engine = engine
-        #: Fused two-state sampling + level recurrence of the compiled
-        #: backend (``None`` = run the NumPy reference pipeline).
-        self._fused_two_state = (
-            get_kernel("mc_two_state", engine.kernel_backend)
-            if engine.mode == "two-state"
-            else None
-        )
         n = engine.index.num_tasks
-        capacity = engine._capacity
+        #: Compiled per-tile two-state fill (``None`` = the NumPy scatter).
+        self._fill = None
+        #: Trial-major uniform variates of one tile (two-state mode).
+        self.tile = None
         if n:
             # Grow the kernel's completion buffer to its final size now.
-            self.kernel.weight_view(capacity)
-        if engine.mode == "two-state" and n:
-            #: Uniform variates, trial-major to preserve the RNG stream.
-            self.uniform = np.empty((capacity, n), dtype=np.float64)
-            #: First-attempt failure mask, task-major (rows = task order).
-            self.mask = np.empty((n, capacity), dtype=bool)
-        else:
-            self.uniform = None
-            self.mask = None
+            self.kernel.weight_view(engine._capacity)
+            if engine.mode == "two-state":
+                self._fill = get_kernel("mc_two_state", engine.kernel_backend)
+                self.tile = np.empty(
+                    (_tile_trials(engine._capacity, n), n), dtype=np.float64
+                )
 
     def evaluate(
         self, batch: int, rng: Optional[np.random.Generator] = None
@@ -207,46 +219,54 @@ class _BatchWorker:
         # batch <= capacity by construction; slicing the full-capacity view
         # keeps the buffer at its one-time allocation.
         view = kernel.weight_view(engine._capacity)[:, :batch]
-        perm = kernel.perm
-        if engine.mode == "two-state":
-            uniform = self.uniform[:batch]
-            rng.random(out=uniform)
-            fused = self._fused_two_state
-            if fused is not None:
-                # One compiled sweep: the two-state weight fill and the
-                # level recurrence, straight on the kernel buffer (the
-                # RNG draw above stays in NumPy for stream bit-identity).
-                try:
-                    fused(
-                        kernel._buffer,
-                        batch,
-                        self.uniform,
-                        perm,
-                        engine._q,
-                        engine._w,
-                        engine._extra,
-                        *schedule_flat_groups(kernel.schedule),
-                        kernel._scratch,
-                    )
-                    return kernel.makespans(batch)
-                except Exception:
-                    # Graceful per-function fallback: disable the fused
-                    # path for this slot and continue on NumPy.
-                    self._fused_two_state = None
-            mask = self.mask[:, :batch]
-            np.less(uniform.T, engine._q_rows, out=mask)
-            # Fused two-state weights, written straight into the kernel
-            # buffer: w + mask * (factor - 1) * w, rows in kernel order.
-            np.multiply(mask[perm], engine._extra_rows, out=view)
-            view += engine._w_rows
-        else:
-            # Executions until success, capped; same RNG stream as the
-            # trial-major sampler.
-            draws = rng.geometric(engine._success, size=(batch, n))
-            np.minimum(draws, DEFAULT_MAX_EXECUTIONS, out=draws)
-            np.multiply(draws.T[perm], engine._w_rows, out=view)
+        if engine.mode == "two-state" and self._fill is None:
+            view[...] = engine._ok[:, None]
+        step = _tile_trials(engine._capacity, n)
+        # Consecutive tile draws consume the stream exactly like one
+        # trial-major (batch, tasks) draw.
+        for t0 in range(0, batch, step):
+            t1 = min(t0 + step, batch)
+            if engine.mode == "two-state":
+                uniform = self.tile[: t1 - t0]
+                rng.random(out=uniform)
+                self._fill_two_state(view, t0, uniform)
+            else:
+                # Executions until success, capped.
+                draws = rng.geometric(engine._success, size=(t1 - t0, n))
+                np.minimum(draws, DEFAULT_MAX_EXECUTIONS, out=draws)
+                np.multiply(draws.T[kernel.perm], engine._w_rows, out=view[:, t0:t1])
         kernel.propagate(batch)
-        return kernel.makespans(batch)
+        return view[engine._sinks].max(axis=0)
+
+    def _fill_two_state(self, view: np.ndarray, t0: int, uniform: np.ndarray) -> None:
+        """Give the failed tasks of the tile's trials their re-executed weight.
+
+        The NumPy path scatters into a batch pre-filled with the nominal
+        weights; the compiled fill writes every entry of the tile.
+        """
+        engine = self.engine
+        if self._fill is not None:
+            try:
+                self._fill(
+                    self.kernel._buffer,
+                    t0,
+                    uniform,
+                    self.kernel.perm,
+                    engine._q,
+                    engine._ok,
+                    engine._fail,
+                )
+                return
+            except Exception:
+                # Graceful per-function fallback: disable the compiled
+                # fill for this slot and scatter this very tile (no
+                # variate is redrawn) into the rest of the batch, set to
+                # the nominal weights the NumPy scatter starts from.
+                self._fill = None
+                view[:, t0:] = engine._ok[:, None]
+        trial, task = np.divmod(np.flatnonzero(uniform < engine._q), uniform.shape[1])
+        rows = engine._rank[task]
+        view[rows, t0 + trial] = engine._fail[rows]
 
 
 class MonteCarloEngine:
@@ -262,8 +282,8 @@ class MonteCarloEngine:
         Total number of trials.
     batch_size:
         Trials evaluated per vectorised batch (memory ~ ``batch_size x
-        num_tasks`` values of the chosen dtype, plus the sampling buffers,
-        per worker).
+        num_tasks`` values of the chosen dtype, plus one
+        :data:`TILE_BYTES` sampling tile, per worker).
     seed:
         Seed (or generator) for reproducibility.
     mode:
@@ -314,7 +334,7 @@ class MonteCarloEngine:
         batch's RNG stream, so results stay bit-identical under faults.
     kernel_backend:
         Compiled-kernel backend of the hot loops: ``"numpy"`` (the
-        reference) or ``"numba"`` (fused JIT sampling + recurrence,
+        reference) or ``"numba"`` (JIT two-state fill and recurrence,
         bit-identical to the reference).  ``None`` (default) resolves
         ``REPRO_KERNEL_BACKEND`` and falls back to ``"numpy"``; an
         unavailable compiler degrades per function to the NumPy pipeline (see
@@ -401,18 +421,30 @@ class MonteCarloEngine:
         self._q = task_failure_probabilities(model, weights)
         capacity = min(self.batch_size, self.trials)
         self._capacity = capacity
-        # Column vectors in the kernel's (permuted) row order, ready to
-        # broadcast over the batch axis of the task-major buffer.
-        perm = schedule_for(self.index, "up").perm
-        self._w = np.ascontiguousarray(weights[perm], dtype=np.float64)
-        self._w_rows = self._w[:, None]
-        self._q_rows = self._q[:, None]  # task order: compared against rng rows
+        # Per-task data in the kernel's (permuted) row order.
+        schedule = schedule_for(self.index, "up")
+        perm = schedule.perm
+        self._rank = schedule.rank
+        sink_rows = np.sort(schedule.rank[self.index.sink_indices()])
+        if n and sink_rows[-1] - sink_rows[0] + 1 == sink_rows.size:
+            # A contiguous run of sink rows (one sink, or an edge-free
+            # graph) is reduced through a view rather than a gathered copy.
+            sink_rows = slice(sink_rows[0], sink_rows[-1] + 1)
+        self._sinks = sink_rows
+        w = np.ascontiguousarray(weights[perm], dtype=np.float64)
         if mode == "two-state":
-            self._extra = np.ascontiguousarray(
-                ((reexecution_factor - 1.0) * weights)[perm], dtype=np.float64
-            )
-            self._extra_rows = self._extra[:, None]
+            # The stored weight of a succeeded / re-executed task, rounded
+            # like the dense ``mask * (f - 1) w`` then ``+= w`` fill: the
+            # product is stored in the buffer dtype before the float64 add.
+            extra = ((reexecution_factor - 1.0) * weights)[perm]
+            self._ok = np.empty(n, dtype=self.dtype)
+            self._fail = np.empty(n, dtype=self.dtype)
+            np.multiply(False, extra, out=self._ok)
+            np.multiply(True, extra, out=self._fail)
+            self._ok += w
+            self._fail += w
         else:
+            self._w_rows = w[:, None]
             self._success = 1.0 - self._q
             if np.any(self._success <= 0.0):
                 raise EstimationError(
@@ -464,14 +496,6 @@ class MonteCarloEngine:
     @property
     def _kernel(self) -> Optional[WavefrontKernel]:
         return self._slots[0].kernel if self._slots else None
-
-    @property
-    def _uniform(self) -> Optional[np.ndarray]:
-        return self._slots[0].uniform if self._slots else None
-
-    @property
-    def _mask(self) -> Optional[np.ndarray]:
-        return self._slots[0].mask if self._slots else None
 
     def _evaluate_batch(self, batch: int) -> np.ndarray:
         """Sample one batch on slot 0 and return its makespans."""

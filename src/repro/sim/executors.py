@@ -272,8 +272,8 @@ class _ProcessWorkerState:
         # below builds its wavefront kernel without recompiling it from the
         # CSR arrays (the expensive part of worker start-up).
         seed_schedule_cache(graph.index(), "up", attach_schedule(spec.schedule))
-        # A one-slot serial engine: the sampling buffers are allocated once
-        # at full batch capacity.
+        # A one-slot serial engine: the kernel buffer (full batch capacity)
+        # and the sampling tile are allocated once.
         self.engine = MonteCarloEngine(
             graph,
             spec.model,

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+import types
+
 import numpy as np
 import pytest
 
+from repro.core.backends import _reset_backend_state
 from repro.core.graph import TaskGraph
 from repro.core.generators import erdos_renyi_dag
 from repro.failures.models import ExponentialErrorModel, FixedProbabilityModel
@@ -98,3 +102,28 @@ def model_1em2() -> ExponentialErrorModel:
 def fixed_model() -> FixedProbabilityModel:
     """A weight-independent failure probability of 5%."""
     return FixedProbabilityModel(0.05)
+
+
+@pytest.fixture
+def stub_numba(monkeypatch):
+    """A stand-in ``numba`` whose ``njit`` is the identity decorator.
+
+    ``_build_numba_ops`` then returns its kernels as plain Python
+    functions — the genuine fused loops, minus the compilation step.
+    """
+    fake = types.ModuleType("numba")
+
+    def njit(*args, **kwargs):
+        if args and callable(args[0]):
+            return args[0]
+
+        def decorate(fn):
+            return fn
+
+        return decorate
+
+    fake.njit = njit
+    _reset_backend_state()
+    monkeypatch.setitem(sys.modules, "numba", fake)
+    yield fake
+    _reset_backend_state()

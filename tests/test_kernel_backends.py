@@ -18,8 +18,6 @@ Three groups:
   ``accel`` job installs it).
 """
 
-import sys
-import types
 import warnings
 
 import numpy as np
@@ -28,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.backends as backends
+import repro.sim.engine as engine_module
 from repro.core.backends import (
     DEFAULT_KERNEL_BACKEND,
     KERNEL_BACKENDS,
@@ -60,31 +59,6 @@ def clean_state():
     """Pristine backend caches before and after the test."""
     _reset_backend_state()
     yield
-    _reset_backend_state()
-
-
-@pytest.fixture
-def stub_numba(monkeypatch):
-    """A stand-in ``numba`` whose ``njit`` is the identity decorator.
-
-    ``_build_numba_ops`` then returns its kernels as plain Python
-    functions — the genuine fused loops, minus the compilation step.
-    """
-    fake = types.ModuleType("numba")
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def decorate(fn):
-            return fn
-
-        return decorate
-
-    fake.njit = njit
-    _reset_backend_state()
-    monkeypatch.setitem(sys.modules, "numba", fake)
-    yield fake
     _reset_backend_state()
 
 
@@ -317,6 +291,42 @@ class TestStubJitDifferential:
         )
         assert np.array_equal(m_ref, m_jit)
         assert np.array_equal(v_ref, v_jit)
+
+    def test_compiled_fill_failure_mid_run_reuses_the_drawn_tile(
+        self, stub_numba, monkeypatch
+    ):
+        build = backends._build_numba_ops
+        tiles = []
+
+        def flaky_ops():
+            ops = build()
+            fill = ops["mc_two_state"]
+
+            def flaky_fill(buffer, t0, *rest):
+                tiles.append(t0)
+                if len(tiles) == 2:
+                    raise RuntimeError("unsupported tile")
+                return fill(buffer, t0, *rest)
+
+            ops["mc_two_state"] = flaky_fill
+            return ops
+
+        monkeypatch.setattr(backends, "_build_numba_ops", flaky_ops)
+        # 2 kB of uniforms: 17-trial tiles on 14 tasks.
+        monkeypatch.setattr(engine_module, "TILE_BYTES", 2_000)
+        graph, model = _case(pfail=0.2)
+        kwargs = dict(trials=150, batch_size=64, seed=42, keep_samples=True)
+        ref = MonteCarloEngine(graph, model, kernel_backend="numpy", **kwargs)
+        jit = MonteCarloEngine(graph, model, kernel_backend="numba", **kwargs)
+        ref_result, jit_result = ref.run(), jit.run()
+        # The second tile raised; NumPy sampled it and everything after.
+        assert tiles == [0, 17]
+        assert np.array_equal(
+            ref_result.samples.samples(), jit_result.samples.samples()
+        )
+        assert ref_result.mean == jit_result.mean
+        # No variate was drawn twice: both streams stop at the same place.
+        assert jit.rng.random() == ref.rng.random()
 
     @settings(
         max_examples=12,

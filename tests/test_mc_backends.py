@@ -13,10 +13,14 @@ The executor-backend contract (see :mod:`repro.sim.executors`):
 import numpy as np
 import pytest
 
+import repro.sim.engine as engine_module
+from repro.core.generators import erdos_renyi_dag
+from repro.core.kernels import WavefrontKernel
 from repro.exceptions import EstimationError, ReproError
 from repro.failures.models import ExponentialErrorModel, FixedProbabilityModel
 from repro.sim.engine import MonteCarloEngine
 from repro.sim.executors import BACKENDS, batch_stream, resolve_backend
+from repro.sim.sampler import DEFAULT_MAX_EXECUTIONS, task_failure_probabilities
 from repro.sim.stats import (
     P2Quantile,
     QuantileSketch,
@@ -134,6 +138,143 @@ class TestCrossBackendDeterminism:
         b = MonteCarloEngine(graph, model, backend="threads", workers=4, **kw).run()
         assert a.trials == b.trials < 100_000
         assert a.mean == b.mean
+
+
+def _dense_reference(
+    graph, model, *, trials, batch_size, seed, dtype="float64",
+    mode="two-state", reexecution_factor=2.0, per_batch_streams=False,
+):
+    """The dense sampling pipeline the tiled sampler replaced (test oracle).
+
+    Each batch is drawn as one trial-major ``(batch, tasks)`` matrix; the
+    kernel buffer is filled from its transposed failure mask as
+    ``mask * (f - 1) w`` then ``+= w`` (geometric: capped draws times
+    ``w``), folded, and reduced by a maximum over *all* rows.  Returns the
+    makespans and the sequential stream (serial backend) after the run.
+    """
+    idx = graph.index()
+    n = idx.num_tasks
+    q = task_failure_probabilities(model, idx.weights)
+    kernel = WavefrontKernel(idx, dtype=dtype, kernel_backend="numpy")
+    perm = kernel.perm
+    w_rows = idx.weights[perm][:, None]
+    extra_rows = ((reexecution_factor - 1.0) * idx.weights)[perm][:, None]
+    entropy = np.random.SeedSequence(seed).entropy
+    serial = np.random.default_rng(seed)
+    out = []
+    for b, start in enumerate(range(0, trials, batch_size)):
+        batch = min(batch_size, trials - start)
+        rng = batch_stream(entropy, b) if per_batch_streams else serial
+        view = kernel.weight_view(batch)
+        if mode == "two-state":
+            mask = rng.random((batch, n)) < q
+            np.multiply(mask.T[perm], extra_rows, out=view)
+            view += w_rows
+        else:
+            draws = rng.geometric(1.0 - q, size=(batch, n))
+            np.minimum(draws, DEFAULT_MAX_EXECUTIONS, out=draws)
+            np.multiply(draws.T[perm], w_rows, out=view)
+        kernel.propagate(batch)
+        out.append(np.asarray(kernel.makespans(batch), dtype=np.float64))
+    return np.concatenate(out), serial
+
+
+BACKEND_CASES = [("serial", 1), ("threads", 2), ("processes", 2)]
+
+
+class _CertainFailure(FixedProbabilityModel):
+    """Every first attempt fails (``q = 1``, which the base model refuses)."""
+
+    def __init__(self) -> None:
+        super().__init__(0.0)
+
+    def failure_probabilities(self, weights):
+        return np.ones_like(weights, dtype=np.float64)
+
+
+class TestDenseReferenceIdentity:
+    """The tiled, sparse sampler stores the dense pipeline's bits."""
+
+    #: A partial last batch: 1,024 + 1,024 + 452 trials.
+    KW = dict(trials=2_500, batch_size=1_024, seed=2016)
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        # 100 kB of uniforms is 223 trials on cholesky k=6 (56 tasks):
+        # every batch spans several tiles and ends on a ragged one.
+        monkeypatch.setattr(engine_module, "TILE_BYTES", 100_000)
+
+    def _assert_identical(self, graph, model, backend, workers, **kw):
+        engine = MonteCarloEngine(
+            graph, model, backend=backend, workers=workers,
+            keep_samples=True, **self.KW, **kw,
+        )
+        # The kept sample is sorted: record the folded batches for the
+        # trial order.
+        folded = []
+        run_backend = engine._executor.run
+
+        def recording_run(consume):
+            def record(makespans):
+                folded.append(np.array(makespans, dtype=np.float64))
+                return consume(makespans)
+
+            return run_backend(record)
+
+        engine._executor.run = recording_run
+        result = engine.run()
+        ref, _ = _dense_reference(
+            graph, model, per_batch_streams=backend != "serial", **self.KW, **kw
+        )
+        assert np.array_equal(np.concatenate(folded), ref)
+        assert np.array_equal(result.samples.samples(), np.sort(ref))
+
+    @pytest.mark.parametrize("backend,workers", BACKEND_CASES)
+    @pytest.mark.parametrize("mode", ["two-state", "geometric"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_matches_dense_pipeline(self, backend, workers, mode, dtype):
+        graph = build_dag("cholesky", 6)
+        model = ExponentialErrorModel.for_graph(graph, 5e-2)
+        self._assert_identical(graph, model, backend, workers, mode=mode, dtype=dtype)
+
+    @pytest.mark.parametrize("backend,workers", BACKEND_CASES[:2])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize(
+        "model", [FixedProbabilityModel(0.0), _CertainFailure()], ids=["q0", "q1"]
+    )
+    def test_no_failures_and_every_failure(self, model, dtype, backend, workers):
+        # q = 0 scatters nothing; q = 1 scatters every (trial, task) entry.
+        graph = build_dag("cholesky", 6)
+        self._assert_identical(graph, model, backend, workers, dtype=dtype)
+
+    @pytest.mark.parametrize("mode", ["two-state", "geometric"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_zero_weight_tasks(self, mode, dtype):
+        graph = build_dag("cholesky", 6)
+        for task_id in graph.index().task_ids[::3]:
+            graph.set_weight(task_id, 0.0)
+        model = FixedProbabilityModel(0.3)
+        self._assert_identical(graph, model, "serial", 1, mode=mode, dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_stored_bits_of_a_non_doubling_factor(self, dtype):
+        # With f = 1.7 the float32 store of (f - 1) w before the float64
+        # add differs from rounding f w once; many distinct weights make
+        # the two roundings disagree somewhere.
+        graph = erdos_renyi_dag(60, 0.1, rng=np.random.default_rng(8))
+        model = FixedProbabilityModel(0.4)
+        self._assert_identical(
+            graph, model, "serial", 1, dtype=dtype, reexecution_factor=1.7
+        )
+
+    @pytest.mark.parametrize("mode", ["two-state", "geometric"])
+    def test_serial_stream_continues_after_the_run(self, mode):
+        graph = build_dag("cholesky", 6)
+        model = ExponentialErrorModel.for_graph(graph, 5e-2)
+        engine = MonteCarloEngine(graph, model, mode=mode, **self.KW)
+        engine.run()
+        _, stream = _dense_reference(graph, model, mode=mode, **self.KW)
+        assert engine.rng.random() == stream.random()
 
 
 class TestStreamingMode:

@@ -1,9 +1,12 @@
 """Unit tests for repro.sim (sampling, Monte Carlo engine, statistics)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core.generators import chain_graph
+import repro.sim.engine as engine_module
+from repro.core.generators import chain_graph, independent_tasks
 from repro.core.paths import critical_path_length
 from repro.exceptions import EstimationError
 from repro.failures.models import ExponentialErrorModel, FixedProbabilityModel
@@ -12,6 +15,7 @@ from repro.sim.engine import MonteCarloEngine, simulate_expected_makespan
 from repro.sim.longest_path import batch_makespans_with_details, streaming_makespans
 from repro.sim.sampler import sample_failure_mask, sample_task_times
 from repro.sim.stats import ConvergenceTracker, relative_half_width, required_trials
+from repro.workflows.registry import build_dag
 
 
 class TestSampler:
@@ -174,17 +178,72 @@ class TestZeroCopyPipeline:
         engine.run()
         assert CountingModel.calls == 1  # ... and never again per batch
 
-    def test_buffers_allocated_once(self, cholesky4):
+    @pytest.mark.parametrize("compiled", [False, True], ids=["numpy", "stub-numba"])
+    @pytest.mark.parametrize("batch_size", [1_024, 32_768])
+    def test_buffers_allocated_once(self, request, monkeypatch, batch_size, compiled):
+        # 8 kB tiles: 29 trials of cholesky k=5 (35 tasks), many per batch.
+        monkeypatch.setattr(engine_module, "TILE_BYTES", 8_192)
+        kernel_backend = "numba" if compiled else "numpy"
+        if compiled:
+            request.getfixturevalue("stub_numba")
+        graph = build_dag("cholesky", 5)
+        n = graph.num_tasks
         model = FixedProbabilityModel(0.2)
-        engine = MonteCarloEngine(cholesky4, model, trials=7_000, seed=1, batch_size=1_000)
+        engine = MonteCarloEngine(
+            graph, model, trials=2 * batch_size + 100, seed=1,
+            batch_size=batch_size, kernel_backend=kernel_backend,
+        )
+        slot = engine._slots[0]
+        # The compiled fill is under test; the stub's pure-Python fold
+        # would only slow the test down.
+        slot.kernel._propagate_fn = None
         kernel_buffer = engine._kernel._buffer
-        uniform = engine._uniform
-        mask = engine._mask
+        tile = slot.tile
         assert kernel_buffer is not None  # allocated by the constructor
-        engine.run()  # 7 batches later ...
+        sampling = [v for v in vars(slot).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in sampling) <= engine_module.TILE_BYTES + 8 * n
+        engine.run()  # 3 batches later ...
         assert engine._kernel._buffer is kernel_buffer
-        assert engine._uniform is uniform
-        assert engine._mask is mask
+        assert slot.tile is tile
+        assert (slot._fill is not None) == compiled  # no fallback happened
+        # Nothing of the kernel buffer's size besides it: no array holds a
+        # (batch, tasks) block, and sampling a batch allocates less than
+        # its boolean failure mask would take (the fold's per-level
+        # gathers are the kernel's own and are left out; a partial batch
+        # keeps the traced pure-Python fill quick).
+        for owner in (engine, slot, slot.kernel):
+            for value in vars(owner).values():
+                if isinstance(value, np.ndarray) and value is not kernel_buffer:
+                    assert value.size < batch_size * n
+        monkeypatch.setattr(slot.kernel, "propagate", lambda trials: None)
+        batch = min(batch_size, 4_096)
+        tracemalloc.start()
+        try:
+            slot.evaluate(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < batch * n
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("shape", ["edge-free", "mapreduce", "zero-weight-sinks"])
+    def test_sink_rows_reduce_like_all_rows(self, shape, dtype):
+        if shape == "edge-free":
+            graph = independent_tasks(12, rng=3)  # every task is a sink
+        elif shape == "mapreduce":
+            graph = build_dag("mapreduce", 6)
+        else:
+            graph = build_dag("cholesky", 4)
+            sink = graph.index().task_ids[graph.index().sink_indices()[0]]
+            graph.set_weight(sink, 0.0)
+            for i, parent in enumerate(graph.index().task_ids[:2]):
+                graph.add_task(f"zero{i}", 0.0)
+                graph.add_edge(parent, f"zero{i}")
+        model = ExponentialErrorModel.for_graph(graph, 0.1)
+        engine = MonteCarloEngine(graph, model, trials=300, seed=4, dtype=dtype)
+        slot = engine._slots[0]
+        makespans = slot.evaluate(300)
+        assert makespans.tobytes() == slot.kernel.makespans(300).tobytes()
 
     def test_float32_close_to_float64(self, lu4):
         model = ExponentialErrorModel.for_graph(lu4, 0.01)

@@ -45,6 +45,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from report_rates import compact_history
 from repro.experiments.config import PAPER_FIGURES, FigureConfig
 from repro.experiments.error_vs_size import FigureResult, run_error_vs_size
 from repro.experiments.reporting import figure_ascii_plot, figure_table, write_csv
@@ -75,7 +76,8 @@ def write_report(name: str, rows, text: str) -> None:
 
 
 def archive_rates(entries) -> None:
-    """Append one record of benchmark entries to ``kernel_rates.json``, if enabled."""
+    """Append one record of benchmark entries to ``kernel_rates.json``, if
+    enabled, and compact the archive (see ``report_rates.compact_history``)."""
     if not archive_enabled():
         return
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
@@ -94,6 +96,7 @@ def archive_rates(entries) -> None:
             "entries": entries,
         }
     )
+    history = compact_history(history)
     RATES_PATH.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
 
 

@@ -37,6 +37,9 @@ backend families side by side: per op/workflow/k group, the throughput
 of each backend next to its NumPy reference, taken from the most recent
 record in which that group appears.
 
+The archive is kept short by :func:`compact_history`, which the
+benchmarks' ``archive_rates`` applies on every append.
+
 Stdlib-only so it can run as a bare CI step: ``python
 benchmarks/report_rates.py [path/to/kernel_rates.json]``.
 """
@@ -53,6 +56,9 @@ DEFAULT_PATH = Path(__file__).resolve().parent / "results" / "kernel_rates.json"
 #: per-entry ``guard_min`` field); they bound its ``"up"`` entries.
 KERNEL_GUARDS = {"float64": 1.2, "float32": 1.8}
 KERNEL_GUARD_MIN_TASKS = 2_600
+
+#: Most recent records :func:`compact_history` always keeps.
+KEEP_RECORDS = 20
 
 
 def _entry_key(entry: dict) -> tuple:
@@ -91,6 +97,22 @@ def _entry_key(entry: dict) -> tuple:
     if entry.get("direction", "up") != "up":
         mode = f"{mode}/{entry['direction']}"
     return ("kernel", mode, entry.get("workflow", "?"), entry.get("k"))
+
+
+def compact_history(history: list) -> list:
+    """``history`` without the records the gate and recent trend do not need.
+
+    Keeps the last :data:`KEEP_RECORDS` records plus every older record that still
+    holds the latest entry of some :func:`_entry_key`, so :func:`main`
+    gates exactly the entries it gated before.  Idempotent.
+    """
+    holders = {}
+    for i, record in enumerate(history):
+        for entry in record.get("entries", []):
+            holders[_entry_key(entry)] = i
+    needed = set(holders.values())
+    first_recent = len(history) - KEEP_RECORDS
+    return [r for i, r in enumerate(history) if i >= first_recent or i in needed]
 
 
 def _entry_guard(entry: dict):

@@ -238,7 +238,6 @@ def _build_numba_ops() -> Dict[str, Callable]:
     @njit
     def band_gather(
         out,
-        miss,
         data,
         rows,
         cols,
@@ -248,10 +247,8 @@ def _build_numba_ops() -> Dict[str, Callable]:
         row_off,
         row_wid,
         row_ptr,
-        track_miss,
     ):
         m, w = out.shape
-        any_miss = False
         for i in range(m):
             r = rows[i]
             off_r = row_off[r]
@@ -261,20 +258,12 @@ def _build_numba_ops() -> Dict[str, Callable]:
                 rel_r = cols[j] - off_r
                 if 0 <= rel_r < wid_r:
                     out[i, j] = data[ptr_r + rel_r]
-                    if track_miss:
-                        miss[i, j] = False
                 else:
                     rel_c = r - col_off[j]
                     if 0 <= rel_c < col_wid[j]:
                         out[i, j] = data[col_ptr[j] + rel_c]
-                        if track_miss:
-                            miss[i, j] = False
                     else:
                         out[i, j] = 0.0
-                        any_miss = True
-                        if track_miss:
-                            miss[i, j] = True
-        return any_miss
 
     @njit
     def propagate(

@@ -16,7 +16,6 @@ from .correlation import (
     BandedCorrelationStore,
     CorrelationStore,
     DenseCorrelationStore,
-    LowRankCorrelationStore,
     exact_bandwidth,
     make_correlation_store,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "CorrelationStore",
     "DenseCorrelationStore",
     "BandedCorrelationStore",
-    "LowRankCorrelationStore",
     "exact_bandwidth",
     "make_correlation_store",
     "MonteCarloEstimator",

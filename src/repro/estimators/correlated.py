@@ -44,14 +44,13 @@ The estimator therefore partitions each level's degree groups into row
 chunks (:meth:`~repro.core.kernels.LevelSchedule.level_partitions`) and
 executes them on the shared :class:`~repro.exec.ParallelService`
 (``workers=`` / ``REPRO_EST_WORKERS``): results are **bit-identical** at
-any worker count for the dense and banded stores, and ``workers=1`` runs
-the historical whole-group partitions on the serial backend — bit-identical
-to earlier releases for every store.  Every backend runs the same partition
-function, :func:`_fold_partition`, against a slot holding the schedule,
-the store and the sweep arrays; the backend only decides where those
-arrays live — local arrays in-process, zero-copy segment views (the
-schedule from the registry, the sweep state from a per-estimate segment)
-in ``processes`` workers.
+any worker count, and ``workers=1`` runs the historical whole-group
+partitions on the serial backend — bit-identical to earlier releases.
+Every backend runs the same partition function, :func:`_fold_partition`,
+against a slot holding the schedule, the store and the sweep arrays; the
+backend only decides where those arrays live — local arrays in-process,
+zero-copy segment views (the schedule from the registry, the sweep state
+from a per-estimate segment) in ``processes`` workers.
 
 Correlation storage backends
 ----------------------------
@@ -65,13 +64,10 @@ pluggable (see :mod:`repro.estimators.correlation`):
   levels apart, in ``Θ(|V| · band)`` memory.  With the default
   ``bandwidth=None`` (auto: the schedule's max edge level span joined with
   the sinks' level spread) the banded sweep consumes exactly the entries
-  dense would, and is **bit-identical** to it;
-* ``"lowrank"`` — banded plus a rank-``r`` Nyström factor approximating
-  the dropped far-apart level pairs.
+  dense would, and is **bit-identical** to it.
 
-Environment overrides: ``REPRO_CORR_BACKEND``, ``REPRO_CORR_BANDWIDTH``
-(``auto`` or an integer), ``REPRO_CORR_RANK`` fill any knob the caller
-left at ``None``.
+Environment overrides: ``REPRO_CORR_BACKEND`` and ``REPRO_CORR_BANDWIDTH``
+(``auto`` or an integer) fill any knob the caller left at ``None``.
 """
 
 from __future__ import annotations
@@ -111,7 +107,6 @@ from ..options import resolve
 from ..rv.normal import NormalRV, clark_max_moments, norm_cdf
 from .base import EstimateResult, MakespanEstimator
 from .correlation import (
-    DEFAULT_CORRELATION_RANK,
     attach_correlation_store,
     exact_bandwidth,
     make_correlation_store,
@@ -271,11 +266,10 @@ def sequential_correlated_estimate(
 #: Default ceiling on the correlation-store footprint.  For the dense
 #: backend the projection counts two ``(n, n)`` float64 matrices (the
 #: matrix itself plus the worst-case level rows of the two-pass fold), so
-#: 4 GiB admits DAGs up to ~16,000 tasks; the banded/lowrank backends
-#: project their ``Θ(|V|·band)`` storage plus fold scratch instead.  The
-#: estimator refuses — with an error naming the backend and the bandwidth
-#: that would fit — instead of letting the allocation take the process
-#: down.
+#: 4 GiB admits DAGs up to ~16,000 tasks; the banded backend projects its
+#: ``Θ(|V|·band)`` storage plus fold scratch instead.  The estimator
+#: refuses — with an error naming the backend and the bandwidth that would
+#: fit — instead of letting the allocation take the process down.
 DEFAULT_MAX_MATRIX_BYTES = 4 * 1024**3
 
 
@@ -306,7 +300,6 @@ class _CorrelatedFoldSpec:
     state: SegmentHandle
     backend: str
     bandwidth: int
-    rank: int
     #: Compiled-kernel backend of the store's fused gathers; workers
     #: resolve the same backend as the parent (with the same graceful
     #: per-function fallback when the accelerator is absent there).
@@ -319,7 +312,6 @@ class _CorrelatedFoldSpec:
             schedule,
             self.backend,
             bandwidth=self.bandwidth,
-            rank=self.rank,
             kernel_backend=self.kernel_backend,
             arrays=_store_views(arrays),
         )
@@ -378,19 +370,18 @@ def _level_buffers(schedule, store) -> Dict[str, np.ndarray]:
     return {
         "level_mean": np.zeros(max_m, dtype=np.float64),
         "level_var": np.zeros(max_m, dtype=np.float64),
-        "rows": np.zeros((max_m, max_width + store.extra_cols), dtype=np.float64),
+        "rows": np.zeros((max_m, max_width), dtype=np.float64),
     }
 
 
 def _fold_partition(item, slot: _CorrelatedFoldSlot, rng) -> Optional[list]:
     """Batched fold of one ``(group ordinal, row range)`` partition.
 
-    ``item`` is ``(ordinal, lo, hi, w_lo, t_lo, t_hi, extra, replay)``;
-    all array state is reached through ``slot``.  All indices are permuted
+    ``item`` is ``(ordinal, lo, hi, w_lo, t_lo, t_hi, replay)``; all
+    array state is reached through ``slot``.  All indices are permuted
     buffer rows.  Writes the partition's completion ``(mean, variance)``
-    values and correlation rows over the columns ``[w_lo, t_hi)`` (plus
-    the store's extra tracked columns when ``extra``) into its disjoint
-    slices of the slot's level buffers, without mutating the store —
+    values and correlation rows over the columns ``[w_lo, t_hi)`` into its
+    disjoint slices of the slot's level buffers, without mutating the store —
     partitions of one level therefore commute bit-exactly (every per-row
     operation is elementwise), can run concurrently, and retries overwrite
     idempotently.  On pass 1 (``replay is None``) every fold step's
@@ -402,7 +393,7 @@ def _fold_partition(item, slot: _CorrelatedFoldSlot, rng) -> Optional[list]:
     changes, so replaying them is what allows pass 2 to fold only the
     within-level columns.
     """
-    ordinal, lo, hi, w_lo, t_lo, t_hi, extra, replay = item
+    ordinal, lo, hi, w_lo, t_lo, t_hi, replay = item
     group = slot.schedule.groups[ordinal]
     store = slot.store
     mean, var = slot.mean, slot.var
@@ -414,7 +405,7 @@ def _fold_partition(item, slot: _CorrelatedFoldSlot, rng) -> Optional[list]:
     first = preds[:, 0]
     ready_mean = mean[first].copy()
     ready_var = var[first].copy()
-    ready_corr = store.gather(first, w_lo, t_hi, extra=extra)
+    ready_corr = store.gather(first, w_lo, t_hi)
     for j in range(1, preds.shape[1]):
         p = preds[:, j]
         if replay is None:
@@ -432,7 +423,7 @@ def _fold_partition(item, slot: _CorrelatedFoldSlot, rng) -> Optional[list]:
                 ready_var + var[p] - 2.0 * rho12 * sigma1 * sigma2, 0.0
             )
         )
-        corr_p = store.gather(p, w_lo, t_hi, extra=extra)
+        corr_p = store.gather(p, w_lo, t_hi)
         safe_a = np.where(a > 0.0, a, 1.0)
         alpha = (ready_mean - mean[p]) / safe_a
         w1 = norm_cdf_batched(alpha)
@@ -488,19 +479,14 @@ class CorrelatedNormalEstimator(MakespanEstimator):
         Execution-time multiplier of a failed task (2 = full re-execution).
     correlation_backend:
         Correlation storage: ``"dense"`` (default, exact, ``Θ(|V|²)``),
-        ``"banded"`` (``Θ(|V|·band)``, bit-equal to dense at the default
-        auto bandwidth) or ``"lowrank"`` (banded + rank-``r`` Nyström
-        far-field).  ``None`` consults ``REPRO_CORR_BACKEND`` and falls
-        back to ``"dense"``.
+        or ``"banded"`` (``Θ(|V|·band)``, bit-equal to dense at the
+        default auto bandwidth).  ``None`` consults ``REPRO_CORR_BACKEND``
+        and falls back to ``"dense"``.
     bandwidth:
-        Level bandwidth of the banded/lowrank stores.  ``None`` (after the
+        Level bandwidth of the banded store.  ``None`` (after the
         ``REPRO_CORR_BANDWIDTH`` override) resolves to the *exact*
         bandwidth — the smallest band at which banded is bit-equal to
         dense.
-    rank:
-        Rank of the lowrank backend's Nyström factor (default
-        :data:`~repro.estimators.correlation.DEFAULT_CORRELATION_RANK`
-        after the ``REPRO_CORR_RANK`` override).
     max_matrix_bytes:
         Ceiling on the projected correlation-store footprint.  Exceeding
         it raises a :class:`~repro.exceptions.ReproError` naming the task
@@ -512,9 +498,8 @@ class CorrelatedNormalEstimator(MakespanEstimator):
         :class:`~repro.exec.ParallelService` (``None`` consults
         ``REPRO_EST_WORKERS`` and falls back to 1).  Purely a throughput
         knob: ``workers=1`` is bit-identical to earlier releases, and any
-        worker count is bit-identical for the dense/banded stores (the
-        per-row fold operations are elementwise, hence
-        partition-invariant).
+        worker count is bit-identical for both stores (the per-row fold
+        operations are elementwise, hence partition-invariant).
     exec_backend:
         Execution backend of the level fold: ``None`` (after the
         ``REPRO_EXEC_BACKEND`` override) keeps the conventional mapping —
@@ -541,7 +526,6 @@ class CorrelatedNormalEstimator(MakespanEstimator):
         reexecution_factor: float = 2.0,
         correlation_backend: Optional[str] = None,
         bandwidth: Optional[int] = None,
-        rank: Optional[int] = None,
         max_matrix_bytes: Optional[int] = None,
         workers: Optional[int] = None,
         exec_backend: Optional[str] = None,
@@ -558,7 +542,6 @@ class CorrelatedNormalEstimator(MakespanEstimator):
         self.reexecution_factor = reexecution_factor
         self.kernel_backend = resolve_kernel_backend(kernel_backend)
         explicit_bandwidth = bandwidth is not None
-        explicit_rank = rank is not None
         self.correlation_backend = resolve("CORR_BACKEND", correlation_backend, "dense")
         bandwidth = resolve("CORR_BANDWIDTH", bandwidth)
         # An explicitly passed knob the selected backend would silently
@@ -566,17 +549,10 @@ class CorrelatedNormalEstimator(MakespanEstimator):
         # REPRO_CORR_* setting cannot poison unrelated runs).
         if explicit_bandwidth and self.correlation_backend == "dense":
             raise EstimationError(
-                "bandwidth only applies to the 'banded' and 'lowrank' "
-                "correlation backends; pass correlation_backend='banded' "
-                "(or 'lowrank') alongside it"
+                "bandwidth only applies to the 'banded' correlation "
+                "backend; pass correlation_backend='banded' alongside it"
             )
         self.bandwidth = bandwidth
-        if explicit_rank and self.correlation_backend != "lowrank":
-            raise EstimationError(
-                "rank only applies to the 'lowrank' correlation backend; "
-                "pass correlation_backend='lowrank' alongside it"
-            )
-        self.rank = resolve("CORR_RANK", rank, DEFAULT_CORRELATION_RANK)
         if max_matrix_bytes is None:
             max_matrix_bytes = DEFAULT_MAX_MATRIX_BYTES
         if max_matrix_bytes <= 0:
@@ -645,7 +621,6 @@ class CorrelatedNormalEstimator(MakespanEstimator):
             state=state.handle,
             backend=store.backend,
             bandwidth=int(getattr(store, "bandwidth", 0)),
-            rank=int(getattr(store, "rank", 1)),
             kernel_backend=self.kernel_backend,
         )
         return state, static_key, spec
@@ -668,7 +643,6 @@ class CorrelatedNormalEstimator(MakespanEstimator):
             schedule,
             self.correlation_backend,
             bandwidth=self.bandwidth,
-            rank=self.rank,
             sink_rows=sink_rows,
             max_bytes=self.max_matrix_bytes,
             kernel_backend=self.kernel_backend,
@@ -735,15 +709,14 @@ class CorrelatedNormalEstimator(MakespanEstimator):
                 records = service.run(
                     _fold_partition,
                     [
-                        (ordinal[id(group)], lo, hi, w_lo, t_lo, t_hi, True, None)
+                        (ordinal[id(group)], lo, hi, w_lo, t_lo, t_hi, None)
                         for group, lo, hi in parts
                     ],
                     **slot_kwargs,
                 )
                 mean[t_lo:t_hi] = arrays["level_mean"][:m_level]
                 var[t_lo:t_hi] = arrays["level_var"][:m_level]
-                width = (t_hi - w_lo) + store.extra_cols
-                store.write_level(level, w_lo, arrays["rows"][:m_level, :width])
+                store.write_level(level, w_lo, arrays["rows"][:m_level, : t_hi - w_lo])
 
                 if m_level > 1:
                     # Pass 2: re-fold now that the level's columns are
@@ -759,8 +732,7 @@ class CorrelatedNormalEstimator(MakespanEstimator):
                     service.run(
                         _fold_partition,
                         [
-                            (ordinal[id(group)], lo, hi, t_lo, t_lo, t_hi,
-                             False, records[i])
+                            (ordinal[id(group)], lo, hi, t_lo, t_lo, t_hi, records[i])
                             for i, (group, lo, hi) in enumerate(parts)
                         ],
                         **slot_kwargs,
@@ -802,8 +774,6 @@ class CorrelatedNormalEstimator(MakespanEstimator):
         if store.backend != "dense":
             details["correlation_bandwidth"] = store.bandwidth
             details["exact_bandwidth"] = exact_bandwidth(schedule, sink_rows)
-        if store.backend == "lowrank":
-            details["correlation_rank"] = store.extra_cols
 
         return EstimateResult(
             method=self.name,

@@ -4,7 +4,7 @@ The correlated estimator propagates a full correlation matrix between task
 completion times, which costs ``Θ(|V|²)`` memory — the reason the paper's
 correlated-normal ablation historically capped out around ~23k tasks.  This
 module factors the *storage* of that matrix out of the propagation into
-three interchangeable backends keyed off the compiled
+two interchangeable backends keyed off the compiled
 :class:`~repro.core.kernels.LevelSchedule`:
 
 ``dense``
@@ -27,18 +27,6 @@ three interchangeable backends keyed off the compiled
     (Clark's third-variable update is column-independent, so restricting
     the tracked columns never perturbs the retained ones).
 
-``lowrank``
-    The banded structure plus a rank-``r`` Nyström factor for the dropped
-    far-apart level pairs: ``r`` landmark tasks (a nested low-discrepancy
-    subset of the level order) have their correlation column tracked
-    exactly through the sweep in an ``(n, r)`` factor ``A``, and an
-    out-of-band entry is read back as ``clip(A[i] @ pinv(A[S]) @ A[j])`` —
-    the Nyström approximation through the landmarks.  Far-apart tasks are
-    correlated through shared ancestry, which is exactly what landmarks
-    *older than both* mediate; correlations with landmarks processed
-    later than a task are only refreshed inside the band, so the factor is
-    an approximation, improving with ``rank``.
-
 All stores work in the schedule's *permuted* row space, where levels are
 contiguous: a level's band window is one contiguous column range, so
 gathers and scatters stay vectorised.
@@ -46,7 +34,7 @@ gathers and scatters stay vectorised.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -57,14 +45,12 @@ from ..options import KNOBS
 
 __all__ = [
     "CORRELATION_BACKENDS",
-    "DEFAULT_CORRELATION_RANK",
     "exact_bandwidth",
     "projected_store_bytes",
     "largest_feasible_bandwidth",
     "CorrelationStore",
     "DenseCorrelationStore",
     "BandedCorrelationStore",
-    "LowRankCorrelationStore",
     "attach_correlation_store",
     "make_correlation_store",
 ]
@@ -72,17 +58,10 @@ __all__ = [
 #: The correlation-storage backends of the correlated estimator.
 CORRELATION_BACKENDS = KNOBS["CORR_BACKEND"].choices
 
-#: Default rank of the ``lowrank`` backend's Nyström factor.
-DEFAULT_CORRELATION_RANK = 32
-
 #: Row-chunk budget of the masked band gathers (elements per chunk): keeps
 #: the integer index temporaries of one gather below ~256 MiB even on
 #: paper-scale levels.
 _GATHER_CHUNK_ELEMENTS = 1 << 24
-
-#: Placeholder miss-mask for fused gathers that do not track misses (the
-#: banded store reads out-of-band entries as zero, so no mask is needed).
-_NO_MISS = np.empty((0, 0), dtype=bool)
 
 
 def normalize_correlation_backend(name: str) -> str:
@@ -119,12 +98,7 @@ def _banded_data_bytes(level_sizes: np.ndarray, bandwidth: int) -> int:
     return int((level_sizes * widths).sum()) * np.dtype(np.float64).itemsize
 
 
-def projected_store_bytes(
-    schedule: LevelSchedule,
-    backend: str,
-    bandwidth: int,
-    rank: int = DEFAULT_CORRELATION_RANK,
-) -> int:
+def projected_store_bytes(schedule: LevelSchedule, backend: str, bandwidth: int) -> int:
     """Projected memory footprint of one backend, *before* any allocation.
 
     Covers the persistent storage plus the worst-case per-level fold
@@ -145,16 +119,13 @@ def projected_store_bytes(
     else:
         max_window = 0
     data = _banded_data_bytes(level_sizes, bandwidth)
-    scratch = 4 * max_level * (max_window + (rank if backend == "lowrank" else 0))
-    factor = n * rank * itemsize if backend == "lowrank" else 0
-    return data + scratch * itemsize + factor
+    return data + 4 * max_level * max_window * itemsize
 
 
 def largest_feasible_bandwidth(
     schedule: LevelSchedule,
     backend: str,
     max_bytes: int,
-    rank: int = DEFAULT_CORRELATION_RANK,
     start: Optional[int] = None,
 ) -> Optional[int]:
     """Largest bandwidth whose projected footprint fits ``max_bytes``.
@@ -167,7 +138,7 @@ def largest_feasible_bandwidth(
     num_levels = schedule.num_levels
     upper = num_levels - 1 if start is None else min(start, num_levels - 1)
     for bandwidth in range(max(upper, 0), -1, -1):
-        if projected_store_bytes(schedule, backend, bandwidth, rank) <= max_bytes:
+        if projected_store_bytes(schedule, backend, bandwidth) <= max_bytes:
             return bandwidth
     return None
 
@@ -182,10 +153,6 @@ class CorrelationStore:
 
     backend = "abstract"
 
-    #: Number of extra tracked columns appended to every gather (the
-    #: lowrank backend's landmark columns; 0 elsewhere).
-    extra_cols = 0
-
     def __init__(self, schedule: LevelSchedule) -> None:
         self.schedule = schedule
         self._indptr = schedule.level_indptr
@@ -194,19 +161,16 @@ class CorrelationStore:
         """First permuted column the level-``level`` fold must gather."""
         raise NotImplementedError
 
-    def gather(
-        self, rows: np.ndarray, w_lo: int, w_hi: int, extra: bool = False
-    ) -> np.ndarray:
+    def gather(self, rows: np.ndarray, w_lo: int, w_hi: int) -> np.ndarray:
         """Correlation rows over the column window ``[w_lo, w_hi)``.
 
-        Returns a fresh ``(len(rows), w_hi - w_lo [+ extra_cols])`` array;
-        out-of-band entries are the backend's approximation (0 for banded,
-        the Nyström product for lowrank).
+        Returns a fresh ``(len(rows), w_hi - w_lo)`` array; out-of-band
+        entries of the banded store read as 0.
         """
         raise NotImplementedError
 
     def write_level(self, level: int, w_lo: int, rows_block: np.ndarray) -> None:
-        """Store a level's freshly folded rows (window columns + extras)."""
+        """Store a level's freshly folded rows over the window columns."""
         raise NotImplementedError
 
     def write_block(self, level: int, block: np.ndarray) -> None:
@@ -263,9 +227,7 @@ class DenseCorrelationStore(CorrelationStore):
         # Dense keeps the full history: every processed column participates.
         return 0
 
-    def gather(
-        self, rows: np.ndarray, w_lo: int, w_hi: int, extra: bool = False
-    ) -> np.ndarray:
+    def gather(self, rows: np.ndarray, w_lo: int, w_hi: int) -> np.ndarray:
         return self._corr[rows, w_lo:w_hi].copy()
 
     def write_level(self, level: int, w_lo: int, rows_block: np.ndarray) -> None:
@@ -291,15 +253,10 @@ class BandedCorrelationStore(CorrelationStore):
     Row ``r`` at level ``L`` stores the contiguous column segment
     ``[level_start(max(0, L - bandwidth)), level_stop(L))``; an entry with
     the *higher*-level task is stored in that task's row and read through
-    symmetry.  Entries outside both rows' bands fall back to
-    :meth:`_fallback` (zero here; Nyström in the lowrank subclass).
+    symmetry.  Entries outside both rows' bands read as zero.
     """
 
     backend = "banded"
-
-    #: Whether out-of-band reads need a miss mask for :meth:`_fallback`
-    #: (the banded store reads misses as zero; lowrank overrides).
-    _tracks_miss = False
 
     def __init__(
         self,
@@ -388,10 +345,6 @@ class BandedCorrelationStore(CorrelationStore):
         # reads operand correlations at predecessor columns) and the band.
         return int(self._indptr[max(0, level - self._window_span)])
 
-    def _fallback(self, rows: np.ndarray, cols: np.ndarray) -> Optional[np.ndarray]:
-        """Out-of-band values (``None`` means zero)."""
-        return None
-
     def _window_plan(self, w_lo: int, w_hi: int):
         """The cached column-side gather indices of one window.
 
@@ -426,15 +379,12 @@ class BandedCorrelationStore(CorrelationStore):
         if fn is not None and m and w:
             # One fused pass over the output: no per-window index/mask
             # temporaries, no chunking (the compiled loop allocates only
-            # the result and — for stores with a far-field fallback —
-            # one boolean miss mask).  Bit-identical to the chunked
-            # reference: pure data movement.
+            # the result).  Bit-identical to the chunked reference: pure
+            # data movement.
             out = np.empty((m, w), dtype=np.float64)
-            miss = np.empty((m, w), dtype=bool) if self._tracks_miss else _NO_MISS
             try:
-                any_miss = fn(
+                fn(
                     out,
-                    miss,
                     self._data,
                     rows,
                     cols,
@@ -444,17 +394,12 @@ class BandedCorrelationStore(CorrelationStore):
                     self._off,
                     self._wid,
                     self._ptr,
-                    self._tracks_miss,
                 )
             except Exception:
                 # Graceful per-function fallback for unsupported
                 # dtypes/shapes: disable the fused path for this store.
                 self._gather_fn = None
             else:
-                if self._tracks_miss and any_miss:
-                    fallback = self._fallback(rows, cols)
-                    if fallback is not None:
-                        np.copyto(out, fallback, where=miss)
                 return out
         out = np.empty((m, w), dtype=np.float64)
         chunk = max(1, _GATHER_CHUNK_ELEMENTS // max(w, 1))
@@ -469,13 +414,7 @@ class BandedCorrelationStore(CorrelationStore):
             idx = np.where(in_r, ptr[sub][:, None] + rel_r, 0)
             idx = np.where(in_c, col_ptr + rel_c, idx)
             val = self._data[idx]
-            miss = ~(in_r | in_c)
-            if miss.any():
-                fallback = self._fallback(sub, cols)
-                if fallback is None:
-                    val[miss] = 0.0
-                else:
-                    val[miss] = fallback[miss]
+            val[~(in_r | in_c)] = 0.0
             out[a:b] = val
         return out
 
@@ -491,9 +430,7 @@ class BandedCorrelationStore(CorrelationStore):
             self._ptr[cols][None, :],
         )
 
-    def gather(
-        self, rows: np.ndarray, w_lo: int, w_hi: int, extra: bool = False
-    ) -> np.ndarray:
+    def gather(self, rows: np.ndarray, w_lo: int, w_hi: int) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
         return self._gather_with(rows, *self._window_plan(int(w_lo), int(w_hi)))
 
@@ -520,211 +457,11 @@ class BandedCorrelationStore(CorrelationStore):
         return self._data.nbytes
 
 
-class LowRankCorrelationStore(BandedCorrelationStore):
-    """Banded storage plus a rank-``r`` Nyström factor for the far field.
-
-    ``r`` landmark rows (a *nested* van-der-Corput subset of the permuted
-    order, so larger ranks contain smaller ones) have their correlation
-    columns tracked through the sweep in the factor ``A`` (``A[i, j] ==
-    corr[i, landmark_j]`` whenever that entry was computable when row ``i``
-    was folded).  Out-of-band reads return ``clip(A[i] @ K @ A[j])`` with
-    ``K = pinv(A[S])`` — the Nyström bridge through landmarks older than
-    both endpoints, which is where shared-ancestry correlation lives.
-    """
-
-    backend = "lowrank"
-
-    _tracks_miss = True
-
-    def __init__(
-        self,
-        schedule: LevelSchedule,
-        bandwidth: int,
-        rank: int,
-        *,
-        kernel_backend: Optional[str] = None,
-    ) -> None:
-        super().__init__(schedule, bandwidth, kernel_backend=kernel_backend)
-        self._init_rank_geometry(rank)
-        n = schedule.num_tasks
-        self._factor = np.zeros((n, self.extra_cols), dtype=np.float64)
-        self._factor[self._landmarks, np.arange(self.extra_cols)] = 1.0
-
-    def _init_rank_geometry(self, rank: int) -> None:
-        if rank < 1:
-            raise EstimationError("correlation rank must be >= 1")
-        n = self.schedule.num_tasks
-        self.rank = int(min(rank, n)) if n else 0
-        self._landmarks = _nested_landmarks(n, self.rank)
-        self.extra_cols = self._landmarks.shape[0]
-        self._kernel_cache: Optional[np.ndarray] = None
-        # Cross-process kernel invalidation: when the factor lives in a
-        # shared segment, a worker cannot see the parent's
-        # ``_kernel_cache = None`` — so writers bump a shared epoch counter
-        # and ``_kernel()`` drops its cache whenever the counter moved.
-        self._epoch: Optional[np.ndarray] = None
-        self._kernel_epoch = -1
-
-    @classmethod
-    def attach(
-        cls,
-        schedule: LevelSchedule,
-        bandwidth: int,
-        rank: int,
-        arrays: Dict[str, np.ndarray],
-        *,
-        kernel_backend: Optional[str] = None,
-    ) -> "LowRankCorrelationStore":
-        store = cls.__new__(cls)
-        CorrelationStore.__init__(store, schedule)
-        store._init_band_geometry(bandwidth, kernel_backend=kernel_backend)
-        store._init_rank_geometry(rank)
-        store.bind_shared(arrays)
-        return store
-
-    def shared_arrays(self) -> Dict[str, np.ndarray]:
-        arrays = {"band_data": self._data, "factor": self._factor}
-        if self._epoch is None:
-            arrays["epoch"] = np.zeros(1, dtype=np.int64)
-        else:
-            arrays["epoch"] = self._epoch
-        return arrays
-
-    def bind_shared(self, arrays: Dict[str, np.ndarray]) -> None:
-        self._data = arrays["band_data"]
-        self._factor = arrays["factor"]
-        self._epoch = arrays["epoch"]
-        self._kernel_cache = None
-        self._kernel_epoch = -1
-
-    @property
-    def landmarks(self) -> np.ndarray:
-        """The landmark rows (permuted indices), in nesting order."""
-        return self._landmarks.copy()
-
-    def _invalidate_kernel(self) -> None:
-        self._kernel_cache = None
-        if self._epoch is not None:
-            self._epoch[0] += 1
-            self._kernel_epoch = int(self._epoch[0])
-
-    def _kernel(self) -> np.ndarray:
-        if self._epoch is not None and int(self._epoch[0]) != self._kernel_epoch:
-            self._kernel_cache = None
-            self._kernel_epoch = int(self._epoch[0])
-        if self._kernel_cache is None:
-            a_s = self._factor[self._landmarks]
-            sym = 0.5 * (a_s + a_s.T)
-            self._kernel_cache = np.linalg.pinv(sym, rcond=1e-8, hermitian=True)
-        return self._kernel_cache
-
-    def _fallback(self, rows: np.ndarray, cols: np.ndarray) -> Optional[np.ndarray]:
-        approx = self._factor[rows] @ self._kernel() @ self._factor[cols].T
-        return np.clip(approx, -1.0, 1.0, out=approx)
-
-    def gather(
-        self, rows: np.ndarray, w_lo: int, w_hi: int, extra: bool = False
-    ) -> np.ndarray:
-        band = super().gather(rows, w_lo, w_hi)
-        if not extra:
-            return band
-        # Landmark columns: the exact band value where in-band, the tracked
-        # factor entry otherwise (fresher than the Nyström product).
-        tracked = self._gather_landmark_cols(rows)
-        return np.concatenate([band, tracked], axis=1)
-
-    def _gather_landmark_cols(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = self._landmarks
-        rel_r = cols[None, :] - self._off[rows][:, None]
-        in_r = (rel_r >= 0) & (rel_r < self._wid[rows][:, None])
-        rel_c = rows[:, None] - self._off[cols][None, :]
-        in_c = (rel_c >= 0) & (rel_c < self._wid[cols][None, :]) & ~in_r
-        idx = np.where(in_r, self._ptr[rows][:, None] + rel_r, 0)
-        idx = np.where(in_c, self._ptr[cols][None, :] + rel_c, idx)
-        return np.where(in_r | in_c, self._data[idx], self._factor[rows])
-
-    def write_level(self, level: int, w_lo: int, rows_block: np.ndarray) -> None:
-        width = rows_block.shape[1] - self.extra_cols
-        super().write_level(level, w_lo, rows_block[:, :width])
-        t_lo, t_hi = self._level_range(level)
-        self._factor[t_lo:t_hi] = rows_block[:, width:]
-        # Symmetric landmark refresh.  A landmark's factor *column* holds
-        # every task's correlation to it, but tasks written before the
-        # landmark's level could only record the stale initialisation —
-        # which used to pull the Nyström kernel towards zero as the rank
-        # (and with it the share of late landmarks) grew, saturating the
-        # accuracy back to banded above rank ~16.  When the level holding
-        # landmark ``j`` is written we therefore push the freshest values
-        # the sweep knows *into* column ``j``: the landmark's exact band
-        # row for every in-band task, and its tracked landmark
-        # correlations for the other landmark rows (keeping the kernel
-        # matrix ``A[S]`` consistent instead of averaging fresh entries
-        # with stale zeros).
-        inside = np.nonzero((self._landmarks >= t_lo) & (self._landmarks < t_hi))[0]
-        for j in inside:
-            row = int(self._landmarks[j])
-            off, wid, ptr = (
-                int(self._off[row]),
-                int(self._wid[row]),
-                int(self._ptr[row]),
-            )
-            self._factor[off : off + wid, j] = self._data[ptr : ptr + wid]
-            self._factor[self._landmarks, j] = self._factor[row, :]
-            self._factor[row, j] = 1.0
-        self._invalidate_kernel()
-
-    def write_block(self, level: int, block: np.ndarray) -> None:
-        super().write_block(level, block)
-        t_lo, t_hi = self._level_range(level)
-        inside = (self._landmarks >= t_lo) & (self._landmarks < t_hi)
-        if inside.any():
-            # The within-level re-fold corrected these columns; refresh the
-            # tracked factor so it agrees with the band.
-            for j in np.nonzero(inside)[0]:
-                self._factor[t_lo:t_hi, j] = block[:, self._landmarks[j] - t_lo]
-        self._invalidate_kernel()
-
-    @property
-    def nbytes(self) -> int:
-        return self._data.nbytes + self._factor.nbytes
-
-
-def _nested_landmarks(n: int, rank: int) -> np.ndarray:
-    """``rank`` distinct rows from the base-2 van der Corput sequence.
-
-    The sequence is *nested*: the first ``r`` landmarks of any larger rank
-    are exactly the landmarks of rank ``r``, so increasing the rank only
-    ever adds tracked columns (the knob is monotone in coverage).
-    """
-    if n <= 0 or rank <= 0:
-        return np.empty(0, dtype=np.int64)
-    picks = []
-    seen = set()
-    k = 0
-    while len(picks) < min(rank, n):
-        # van der Corput radical inverse of k in base 2
-        num, denom, kk = 0, 1, k
-        while kk:
-            num = num * 2 + (kk & 1)
-            denom *= 2
-            kk >>= 1
-        row = min(int(num / denom * n), n - 1)
-        if row not in seen:
-            seen.add(row)
-            picks.append(row)
-        k += 1
-        if k > 4 * n + 4:  # all rows exhausted (rank >= n)
-            break
-    return np.asarray(picks, dtype=np.int64)
-
-
 def make_correlation_store(
     schedule: LevelSchedule,
     backend: str,
     *,
     bandwidth: Optional[int],
-    rank: int,
     sink_rows: np.ndarray,
     max_bytes: int,
     kernel_backend: Optional[str] = None,
@@ -732,19 +469,18 @@ def make_correlation_store(
     """Build a store, refusing — with a clear error — when it cannot fit.
 
     ``bandwidth=None`` resolves to :func:`exact_bandwidth`, i.e. the
-    smallest band at which the banded/lowrank stores are bit-equal to
-    dense.  The memory guard projects the footprint *before* allocating
-    and names the selected backend plus the largest bandwidth that *would*
-    fit under ``max_bytes``, so the knob is discoverable from the failure.
+    smallest band at which the banded store is bit-equal to dense.  The
+    memory guard projects the footprint *before* allocating and names the
+    selected backend plus the largest bandwidth that *would* fit under
+    ``max_bytes``, so the knob is discoverable from the failure.
     """
     backend = normalize_correlation_backend(backend)
     resolved_bw = exact_bandwidth(schedule, sink_rows) if bandwidth is None else int(bandwidth)
     n = schedule.num_tasks
-    projected = projected_store_bytes(schedule, backend, resolved_bw, rank)
+    projected = projected_store_bytes(schedule, backend, resolved_bw)
     if projected > max_bytes:
-        hint_backend = "banded" if backend == "dense" else backend
         feasible = largest_feasible_bandwidth(
-            schedule, hint_backend, max_bytes, rank,
+            schedule, "banded", max_bytes,
             start=resolved_bw if backend != "dense" else None,
         )
         if feasible is None:
@@ -752,16 +488,11 @@ def make_correlation_store(
                 "no bandwidth fits under the ceiling; use the 'normal' "
                 "(Sculli) estimator whose memory is Θ(|V|)"
             )
-        elif backend == "dense":
-            hint = (
-                f"correlation_backend='banded' with bandwidth<={feasible} "
-                f"(~{projected_store_bytes(schedule, 'banded', feasible, rank):,} "
-                f"bytes) would fit"
-            )
         else:
             hint = (
-                f"bandwidth<={feasible} "
-                f"(~{projected_store_bytes(schedule, hint_backend, feasible, rank):,} "
+                ("correlation_backend='banded' with " if backend == "dense" else "")
+                + f"bandwidth<={feasible} "
+                f"(~{projected_store_bytes(schedule, 'banded', feasible):,} "
                 f"bytes) would fit"
             )
         raise EstimationError(
@@ -773,13 +504,7 @@ def make_correlation_store(
         )
     if backend == "dense":
         return DenseCorrelationStore(schedule)
-    if backend == "banded":
-        return BandedCorrelationStore(
-            schedule, resolved_bw, kernel_backend=kernel_backend
-        )
-    return LowRankCorrelationStore(
-        schedule, resolved_bw, rank, kernel_backend=kernel_backend
-    )
+    return BandedCorrelationStore(schedule, resolved_bw, kernel_backend=kernel_backend)
 
 
 def attach_correlation_store(
@@ -787,7 +512,6 @@ def attach_correlation_store(
     backend: str,
     *,
     bandwidth: int,
-    rank: int,
     arrays: Dict[str, np.ndarray],
     kernel_backend: Optional[str] = None,
 ) -> CorrelationStore:
@@ -795,17 +519,13 @@ def attach_correlation_store(
 
     The counterpart of :func:`make_correlation_store` for the ``processes``
     execution backend: geometry is recomputed locally (cheap, deterministic
-    given ``schedule``/``bandwidth``/``rank``), the heavy data arrays are
-    zero-copy views of the creator's shared segment.  No memory guard runs
-    — the creating process already passed it.
+    given ``schedule``/``bandwidth``), the heavy data arrays are zero-copy
+    views of the creator's shared segment.  No memory guard runs — the
+    creating process already passed it.
     """
     backend = normalize_correlation_backend(backend)
     if backend == "dense":
         return DenseCorrelationStore.attach(schedule, arrays)
-    if backend == "banded":
-        return BandedCorrelationStore.attach(
-            schedule, int(bandwidth), arrays, kernel_backend=kernel_backend
-        )
-    return LowRankCorrelationStore.attach(
-        schedule, int(bandwidth), rank, arrays, kernel_backend=kernel_backend
+    return BandedCorrelationStore.attach(
+        schedule, int(bandwidth), arrays, kernel_backend=kernel_backend
     )

@@ -108,6 +108,10 @@ class FirstOrderEstimator(MakespanEstimator):
         factors = self._failure_weights(model, weights)
         correction = float(np.dot(factors, doubled - d_g))
         expected = d_g + correction
+        # μ = Σ q_i with the exact per-task probabilities: the expansion
+        # assumes at most one failure, so μ ≳ 1 flags a run outside its
+        # regime.
+        expected_failures = float(np.sum(model.failure_probabilities(weights)))
 
         return EstimateResult(
             method=self.name,
@@ -119,6 +123,7 @@ class FirstOrderEstimator(MakespanEstimator):
                 "correction": correction,
                 "use_exact_probabilities": self.use_exact_probabilities,
                 "num_critical_tasks": int(np.count_nonzero(doubled - d_g > 0)),
+                "expected_failures": expected_failures,
             },
         )
 

@@ -403,6 +403,7 @@ class SecondOrderEstimator(MakespanEstimator):
             wall_time=0.0,
             details={
                 "tail_handling": self.tail_handling,
+                "expected_failures": float(q.sum()),
                 "probability_covered": probability_covered,
                 "residual_probability": residual,
                 "pair_contribution": pair_contribution,

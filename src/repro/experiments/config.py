@@ -32,7 +32,6 @@ __all__ = [
     "monte_carlo_streaming",
     "correlation_backend",
     "correlation_bandwidth",
-    "correlation_rank",
     "estimator_workers",
     "execution_retries",
     "execution_timeout",
@@ -102,7 +101,6 @@ monte_carlo_streaming = _environment_first("MC_STREAMING")
 kernel_backend = _environment_first("KERNEL_BACKEND")
 correlation_backend = _environment_first("CORR_BACKEND")
 correlation_bandwidth = _environment_first("CORR_BANDWIDTH")
-correlation_rank = _environment_first("CORR_RANK")
 estimator_workers = _environment_first("EST_WORKERS")
 execution_retries = _environment_first("EXEC_RETRIES")
 execution_timeout = _environment_first("EXEC_TIMEOUT")
@@ -159,7 +157,6 @@ class _KnobFields:
     est_workers: Optional[int] = None
     corr_backend: Optional[str] = None
     corr_bandwidth: Optional[int] = None
-    corr_rank: Optional[int] = None
     exec_retries: Optional[int] = None
     exec_timeout: Optional[float] = None
     exec_on_failure: Optional[str] = None
@@ -189,7 +186,7 @@ class _KnobFields:
 
     def correlated_options(self) -> Dict[str, object]:
         """Constructor kwargs of the correlated estimator, env applied."""
-        return self._options("CORR_BACKEND", "CORR_BANDWIDTH", "CORR_RANK")
+        return self._options("CORR_BACKEND", "CORR_BANDWIDTH")
 
     def exec_options(self) -> Dict[str, object]:
         """Constructor kwargs of the execution knobs, env applied."""

@@ -158,14 +158,11 @@ KNOBS: Dict[str, Knob] = _table(
          minimum=1, flag="--est-workers", kwarg="workers", applies_to=_PARALLEL),
     Knob("CORR_BACKEND", str, "correlation storage of the normal-correlated "
          "estimator (default dense; banded is bit-equal to dense at the auto "
-         "bandwidth)", choices=("dense", "banded", "lowrank"),
+         "bandwidth)", choices=("dense", "banded"),
          flag="--corr-backend", kwarg="correlation_backend", applies_to=_CORRELATED),
-    Knob("CORR_BANDWIDTH", int, "level bandwidth of the banded/lowrank "
-         "correlation stores (default: auto = the exact bandwidth)", minimum=0,
+    Knob("CORR_BANDWIDTH", int, "level bandwidth of the banded correlation "
+         "store (default: auto = the exact bandwidth)", minimum=0,
          auto=True, flag="--corr-bandwidth", kwarg="bandwidth",
-         applies_to=_CORRELATED),
-    Knob("CORR_RANK", int, "Nyström rank of the lowrank correlation store "
-         "(default 32)", minimum=1, flag="--corr-rank", kwarg="rank",
          applies_to=_CORRELATED),
     Knob("EXEC_RETRIES", int, "re-dispatches allowed per work partition "
          "(default 0 = fail fast; retries replay the partition's RNG stream)",

@@ -2,15 +2,12 @@
 
 Contracts (see :mod:`repro.estimators.correlation`):
 
-* ``banded`` (and ``lowrank``) are **bit-identical** to ``dense`` whenever
+* ``banded`` is **bit-identical** to ``dense`` whenever
   the bandwidth covers the exact bandwidth of the schedule — the max edge
   level span joined with the sinks' level spread — which is what the
   default ``bandwidth=None`` resolves to;
 * below the exact bandwidth the approximation error is bounded and shrinks
   monotonically as the bandwidth grows;
-* the ``lowrank`` Nyström factor never does worse than plain dropping
-  (the banded error) by more than a sliver, and improves with rank in the
-  low-rank regime;
 * the memory guard refuses over-budget stores *before* allocating, naming
   the selected backend and the bandwidth that would fit.
 """
@@ -23,14 +20,13 @@ from repro.estimators.correlated import CorrelatedNormalEstimator, sequential_co
 from repro.estimators.correlation import (
     BandedCorrelationStore,
     DenseCorrelationStore,
-    LowRankCorrelationStore,
     exact_bandwidth,
     largest_feasible_bandwidth,
     projected_store_bytes,
-    _nested_landmarks,
 )
-from repro.exceptions import EstimationError, ReproError
+from repro.exceptions import EstimationError, OptionError, ReproError
 from repro.failures.models import ExponentialErrorModel
+from repro.options import KNOBS
 from repro.workflows.registry import build_dag
 
 #: The DAG families of the paper's figure suite plus the extra workloads.
@@ -64,7 +60,7 @@ def _run(graph, model, **kwargs):
 
 class TestBitEquality:
     @pytest.mark.parametrize("workflow,size,pfail", CASES)
-    @pytest.mark.parametrize("backend", ["banded", "lowrank"])
+    @pytest.mark.parametrize("backend", ["banded"])
     def test_auto_bandwidth_bit_equal_to_dense(
         self, workflow, size, pfail, backend, estimates
     ):
@@ -96,7 +92,7 @@ class TestBitEquality:
 
 class TestApproximationError:
     @pytest.mark.parametrize("workflow,size,pfail", CASES)
-    @pytest.mark.parametrize("backend", ["banded", "lowrank"])
+    @pytest.mark.parametrize("backend", ["banded"])
     def test_error_bounded_and_monotone_in_bandwidth(
         self, workflow, size, pfail, backend, estimates
     ):
@@ -124,70 +120,6 @@ class TestApproximationError:
         ).expected_makespan
         assert exact_value == reference
 
-    @pytest.mark.parametrize("workflow,size,pfail", CASES)
-    def test_lowrank_not_worse_than_banded(self, workflow, size, pfail, estimates):
-        graph, model, dense = estimates[workflow]
-        reference = dense.expected_makespan
-        banded = _run(
-            graph, model, correlation_backend="banded", bandwidth=0
-        ).expected_makespan
-        lowrank = _run(
-            graph, model, correlation_backend="lowrank", bandwidth=0, rank=8
-        ).expected_makespan
-        banded_err = abs(banded - reference) / abs(reference)
-        lowrank_err = abs(lowrank - reference) / abs(reference)
-        assert lowrank_err <= banded_err * 1.05 + 1e-12
-
-    @pytest.mark.parametrize("workflow,size,pfail", [CASES[0], CASES[1]])
-    def test_lowrank_error_shrinks_with_rank(self, workflow, size, pfail, estimates):
-        """More landmarks help (within the low-rank regime; 5% slack
-        tolerates the plateaus of the Nyström approximation)."""
-        graph, model, dense = estimates[workflow]
-        reference = dense.expected_makespan
-        bandwidth = 1 if workflow == "cholesky" else 0
-        errors = []
-        for rank in (1, 2, 4, 8):
-            value = _run(
-                graph, model, correlation_backend="lowrank",
-                bandwidth=bandwidth, rank=rank,
-            ).expected_makespan
-            errors.append(abs(value - reference) / abs(reference))
-        for low, high in zip(errors, errors[1:]):
-            assert high <= low * 1.05 + 1e-9
-        assert errors[-1] < errors[0]
-
-    def test_lowrank_monotone_beyond_rank_16(self):
-        """The symmetric landmark refresh keeps the rank knob monotone
-        past ~16 instead of saturating back towards the banded error
-        (before the refresh the Nyström kernel averaged fresh landmark
-        pairs with their stale initialisation, so adding late landmarks
-        *hurt*)."""
-        graph = build_dag("cholesky", 10)
-        model = ExponentialErrorModel.for_graph(graph, 1e-2)
-        reference = _run(
-            graph, model, correlation_backend="dense"
-        ).expected_makespan
-        errors = []
-        for rank in (16, 32, 64, 128):
-            value = _run(
-                graph, model, correlation_backend="lowrank",
-                bandwidth=1, rank=rank,
-            ).expected_makespan
-            errors.append(abs(value - reference) / abs(reference))
-        for low, high in zip(errors, errors[1:]):
-            assert high <= low * 1.10 + 1e-12, errors
-        assert errors[-1] < 0.75 * errors[0], errors
-
-    def test_lowrank_full_rank_recovers_dense(self, estimates):
-        """With every row a landmark the refreshed factor tracks the whole
-        consumed correlation history: the estimate collapses onto dense."""
-        graph, model, dense = estimates["cholesky"]
-        value = _run(
-            graph, model, correlation_backend="lowrank",
-            bandwidth=1, rank=graph.num_tasks,
-        ).expected_makespan
-        assert value == pytest.approx(dense.expected_makespan, rel=1e-6)
-
 
 class TestParallelFold:
     """The per-level fold on the execution service is worker-invariant."""
@@ -204,16 +136,6 @@ class TestParallelFold:
         ]
         assert len({r.expected_makespan for r in results}) == 1
         assert len({r.details["makespan_variance"] for r in results}) == 1
-
-    def test_lowrank_worker_invariant(self, estimates):
-        graph, model, _ = estimates["cholesky"]
-        one = _run(
-            graph, model, correlation_backend="lowrank", workers=1
-        ).expected_makespan
-        four = _run(
-            graph, model, correlation_backend="lowrank", workers=4
-        ).expected_makespan
-        assert four == pytest.approx(one, rel=1e-12)
 
     def test_workers_validation(self):
         with pytest.raises(EstimationError):
@@ -245,7 +167,6 @@ class TestStores:
         for store in (
             DenseCorrelationStore(schedule),
             BandedCorrelationStore(schedule, 1),
-            LowRankCorrelationStore(schedule, 1, 2),
         ):
             pair = store.pair_matrix(np.arange(schedule.num_tasks))
             np.testing.assert_array_equal(pair, np.eye(schedule.num_tasks))
@@ -255,12 +176,6 @@ class TestStores:
         store = BandedCorrelationStore(schedule, 0)
         pair = store.pair_matrix(np.arange(3))
         np.testing.assert_array_equal(pair, np.eye(3))
-
-    def test_landmarks_are_nested(self):
-        small = _nested_landmarks(1000, 8)
-        large = _nested_landmarks(1000, 32)
-        np.testing.assert_array_equal(large[:8], small)
-        assert len(set(large.tolist())) == 32
 
     def test_exact_bandwidth_metadata(self, cholesky4, chain3, diamond):
         for graph, expected in ((chain3, 1), (diamond, 1)):
@@ -349,28 +264,24 @@ class TestMemoryGuard:
 
 class TestKnobs:
     def test_invalid_backend_rejected(self):
-        with pytest.raises(EstimationError):
-            CorrelatedNormalEstimator(correlation_backend="sparse")
+        for backend in ("sparse", "lowrank"):
+            with pytest.raises(EstimationError):
+                CorrelatedNormalEstimator(correlation_backend=backend)
 
-    def test_invalid_bandwidth_and_rank_rejected(self):
+    def test_invalid_bandwidth_rejected(self):
         with pytest.raises(EstimationError):
             CorrelatedNormalEstimator(correlation_backend="banded", bandwidth=-1)
-        with pytest.raises(EstimationError):
-            CorrelatedNormalEstimator(correlation_backend="lowrank", rank=0)
 
     def test_knobs_the_backend_would_ignore_are_rejected(self):
-        # An explicit bandwidth/rank must not be silently ignored by a
-        # backend that does not consume it.
+        # An explicit bandwidth must not be silently ignored by a backend
+        # that does not consume it.
         with pytest.raises(EstimationError, match="banded"):
             CorrelatedNormalEstimator(bandwidth=2)
-        with pytest.raises(EstimationError, match="lowrank"):
-            CorrelatedNormalEstimator(correlation_backend="banded", rank=8)
 
     def test_env_knobs_stay_lenient_for_other_backends(self, monkeypatch):
-        # A globally exported REPRO_CORR_BANDWIDTH/RANK must not poison
-        # dense runs — only explicit constructor arguments conflict.
+        # A globally exported REPRO_CORR_BANDWIDTH must not poison dense
+        # runs — only explicit constructor arguments conflict.
         monkeypatch.setenv("REPRO_CORR_BANDWIDTH", "2")
-        monkeypatch.setenv("REPRO_CORR_RANK", "8")
         estimator = CorrelatedNormalEstimator(correlation_backend="dense")
         assert estimator.correlation_backend == "dense"
 
@@ -389,9 +300,10 @@ class TestKnobs:
         assert estimator.correlation_backend == "dense"
 
     def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORR_BACKEND", "gpu")
-        with pytest.raises(EstimationError):
-            CorrelatedNormalEstimator()
+        for value in ("gpu", "lowrank"):
+            monkeypatch.setenv("REPRO_CORR_BACKEND", value)
+            with pytest.raises(OptionError, match="REPRO_CORR_BACKEND"):
+                CorrelatedNormalEstimator()
         monkeypatch.delenv("REPRO_CORR_BACKEND")
         monkeypatch.setenv("REPRO_CORR_BANDWIDTH", "wide")
         with pytest.raises(EstimationError):
@@ -404,24 +316,24 @@ class TestKnobs:
         assert banded.details["correlation_backend"] == "banded"
         assert banded.details["correlation_bandwidth"] == banded.details["exact_bandwidth"]
         assert banded.details["correlation_store_bytes"] < dense.details["correlation_store_bytes"]
-        lowrank = _run(graph, model, correlation_backend="lowrank", rank=4)
-        assert lowrank.details["correlation_rank"] == 4
 
     def test_config_and_cli_threading(self, monkeypatch):
         from repro.experiments.config import (
             FigureConfig,
             correlation_backend,
             correlation_bandwidth,
-            correlation_rank,
             estimator_options_for,
         )
         from repro.exceptions import ExperimentError
 
-        monkeypatch.delenv("REPRO_CORR_BACKEND", raising=False)
+        # Hermetic against the caller's environment (CI's chaos job
+        # exports REPRO_EXEC_*): the options dict below is compared exactly.
+        for knob in KNOBS.values():
+            monkeypatch.delenv(knob.env, raising=False)
         assert correlation_backend() is None
         assert correlation_backend("banded") == "banded"
-        monkeypatch.setenv("REPRO_CORR_BACKEND", "lowrank")
-        assert correlation_backend("banded") == "lowrank"  # environment wins
+        monkeypatch.setenv("REPRO_CORR_BACKEND", "dense")
+        assert correlation_backend("banded") == "dense"  # environment wins
         monkeypatch.setenv("REPRO_CORR_BACKEND", "gpu")
         with pytest.raises(ExperimentError):
             correlation_backend()
@@ -431,7 +343,6 @@ class TestKnobs:
         assert correlation_bandwidth(3) is None  # environment wins
         monkeypatch.delenv("REPRO_CORR_BANDWIDTH")
         assert correlation_bandwidth(3) == 3
-        assert correlation_rank(16) == 16
 
         config = FigureConfig(
             figure="t", workflow="lu", pfail=1e-3,

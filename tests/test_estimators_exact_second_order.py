@@ -111,6 +111,16 @@ class TestSecondOrderEstimator:
         assert 0.99 < covered <= 1.0 + 1e-12
         assert result.details["residual_probability"] == pytest.approx(1 - covered, abs=1e-12)
 
+    def test_expected_failures_reported(self):
+        # μ = Σ_i q_i with the exact q_i = 1 − e^{−λ a_i}, not λ a_i.
+        weights = [1.0, 2.0, 0.5]
+        g = chain_graph(3, weight=weights)
+        model = ExponentialErrorModel(0.3)
+        mu = sum(1.0 - np.exp(-0.3 * w) for w in weights)
+        for estimator in (FirstOrderEstimator(), SecondOrderEstimator()):
+            result = estimator.estimate(g, model)
+            assert result.details["expected_failures"] == pytest.approx(mu, rel=1e-12)
+
     def test_tail_handling_ordering(self, small_random_dag):
         model = ExponentialErrorModel.for_graph(small_random_dag, 0.1)
         drop = SecondOrderEstimator(tail_handling="drop").estimate(

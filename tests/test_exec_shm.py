@@ -744,7 +744,7 @@ def test_in_process_backends_touch_no_shared_memory(backend, workers):
 # ----------------------------------------------------------------------
 @needs_processes
 class TestEstimatorProcessParity:
-    @pytest.mark.parametrize("backend", ["dense", "banded", "lowrank"])
+    @pytest.mark.parametrize("backend", ["dense", "banded"])
     def test_correlated_processes_bit_identical(self, backend):
         graph = build_dag("cholesky", 6)
         model = ExponentialErrorModel.for_graph(graph, 1e-3)
@@ -835,7 +835,7 @@ class TestKernelBackendProcessParity:
     """
 
     @pytest.mark.parametrize("kernel_backend", _KERNEL_BACKENDS)
-    @pytest.mark.parametrize("corr_backend", ["banded", "lowrank"])
+    @pytest.mark.parametrize("corr_backend", ["banded"])
     def test_correlated_fold_bit_identical(self, corr_backend, kernel_backend):
         graph = build_dag("cholesky", 6)
         model = ExponentialErrorModel.for_graph(graph, 1e-3)

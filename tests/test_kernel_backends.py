@@ -223,7 +223,6 @@ class TestStubJitDifferential:
     @pytest.mark.parametrize("backend,options", [
         ("banded", {}),
         ("banded", {"bandwidth": 1}),
-        ("lowrank", {"bandwidth": 1, "rank": 4}),
     ])
     def test_correlated_gather_bit_identical(self, stub_numba, backend, options):
         graph, model = _case(n=16, p=0.3)

@@ -55,9 +55,8 @@ CLI_SNAPSHOT = {
         ("--streaming", "storetrue", None),
         ("--kernel-backend", "store", ("numpy", "numba")),
         ("--est-workers", "int", None),
-        ("--corr-backend", "store", ("dense", "banded", "lowrank")),
+        ("--corr-backend", "store", ("dense", "banded")),
         ("--corr-bandwidth", "int", None),
-        ("--corr-rank", "int", None),
         ("--exec-retries", "int", None),
         ("--exec-timeout", "float", None),
         ("--exec-on-failure", "store", ("raise", "degrade")),

@@ -95,3 +95,41 @@ def test_single_scenario_entries_never_gate(report_rates, tmp_path):
     )
     path = _archive(tmp_path, [_kernel(2.0), lengths])
     assert report_rates.main([path]) == 0
+
+
+def _history(count):
+    # One early service record, then ``count`` kernel records: only the
+    # last kernel record holds that family's latest entry.
+    records = [{"timestamp": "t0", "entries": [_service(2.0)]}]
+    records += [{"timestamp": f"t{i + 1}", "entries": [_kernel(2.0 + i)]}
+                for i in range(count)]
+    return records
+
+
+def test_compaction_keeps_recent_and_latest_holders(report_rates):
+    history = _history(report_rates.KEEP_RECORDS + 10)
+    compacted = report_rates.compact_history(history)
+    assert compacted[0] is history[0]  # holds the service family's latest
+    assert compacted[1:] == history[-report_rates.KEEP_RECORDS:]
+    assert report_rates.compact_history(compacted) == compacted
+
+
+def test_planted_regression_survives_compaction(report_rates, tmp_path):
+    # The committed archive plus 30 newer records, so that compaction
+    # drops records and every committed family's latest entry sits
+    # outside the recent window.
+    history = json.loads(report_rates.DEFAULT_PATH.read_text(encoding="utf-8"))
+    history += _history(30)
+    latest = {}
+    for i, record in enumerate(history):
+        for j, entry in enumerate(record["entries"]):
+            latest[report_rates._entry_key(entry)] = (i, j)
+    gated = [(key, ij) for key, ij in latest.items()
+             if report_rates._entry_guard(history[ij[0]]["entries"][ij[1]])]
+    assert gated
+    path = tmp_path / "kernel_rates.json"
+    for key, (i, j) in gated:
+        planted = json.loads(json.dumps(history))
+        planted[i]["entries"][j]["speedup"] = 0.0
+        path.write_text(json.dumps(report_rates.compact_history(planted)))
+        assert report_rates.main([str(path)]) == 1, key

@@ -12,6 +12,9 @@ Contracts (see :mod:`repro.estimators.correlation`):
   the selected backend and the bandwidth that would fit.
 """
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,19 @@ CASES = [
 ]
 
 
+def _processes_available() -> bool:
+    try:
+        with ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context()
+        ) as pool:
+            return pool.submit(int, 1).result(timeout=60) == 1
+    except Exception:
+        return False
+
+
+HAS_PROCESSES = _processes_available()
+
+
 @pytest.fixture(scope="module")
 def estimates():
     """Dense reference estimates, one per workflow case."""
@@ -66,6 +82,38 @@ class TestBitEquality:
     ):
         graph, model, dense = estimates[workflow]
         result = _run(graph, model, correlation_backend=backend)
+        assert result.expected_makespan == dense.expected_makespan
+        assert result.details["makespan_variance"] == dense.details["makespan_variance"]
+
+    @pytest.mark.parametrize("workflow,size,pfail", CASES)
+    @pytest.mark.parametrize("exec_backend", [
+        "threads",
+        pytest.param("processes", marks=pytest.mark.skipif(
+            not HAS_PROCESSES, reason="process pools unavailable"
+        )),
+    ])
+    def test_parallel_banded_bit_equal_to_serial_dense(
+        self, workflow, size, pfail, exec_backend, estimates
+    ):
+        graph, model, dense = estimates[workflow]
+        result = _run(
+            graph, model, correlation_backend="banded",
+            exec_backend=exec_backend, workers=2,
+        )
+        assert result.expected_makespan == dense.expected_makespan
+        assert result.details["makespan_variance"] == dense.details["makespan_variance"]
+
+    @pytest.mark.parametrize("workflow,size,pfail", CASES)
+    def test_fused_gather_bit_equal_to_dense(
+        self, workflow, size, pfail, stub_numba, estimates
+    ):
+        # The compiled band_gather loop (run uncompiled through the stub)
+        # against the NumPy dense reference.
+        graph, model, dense = estimates[workflow]
+        result = _run(
+            graph, model, correlation_backend="banded", kernel_backend="numba"
+        )
+        assert result.details["kernel_backend"] == "numba"
         assert result.expected_makespan == dense.expected_makespan
         assert result.details["makespan_variance"] == dense.details["makespan_variance"]
 
@@ -137,6 +185,22 @@ class TestParallelFold:
         assert len({r.expected_makespan for r in results}) == 1
         assert len({r.details["makespan_variance"] for r in results}) == 1
 
+    @pytest.mark.parametrize("workflow,size,pfail", CASES)
+    @pytest.mark.parametrize("bandwidth", [0, 1])
+    def test_narrow_band_bit_identical_at_any_worker_count(
+        self, workflow, size, pfail, bandwidth, estimates
+    ):
+        # Below the exact bandwidth the fold reads out-of-band zeros; the
+        # partitioning must not change which ones.
+        graph, model, _ = estimates[workflow]
+        results = [
+            _run(graph, model, correlation_backend="banded",
+                 bandwidth=bandwidth, workers=k)
+            for k in (1, 2, 4)
+        ]
+        assert len({r.expected_makespan for r in results}) == 1
+        assert len({r.details["makespan_variance"] for r in results}) == 1
+
     def test_workers_validation(self):
         with pytest.raises(EstimationError):
             CorrelatedNormalEstimator(workers=0)
@@ -176,6 +240,50 @@ class TestStores:
         store = BandedCorrelationStore(schedule, 0)
         pair = store.pair_matrix(np.arange(3))
         np.testing.assert_array_equal(pair, np.eye(3))
+
+    @pytest.mark.parametrize("bandwidth", [0, 1, 2])
+    @pytest.mark.parametrize("fused", [False, True], ids=["numpy", "fused"])
+    def test_gather_matches_masked_symmetric_reference(
+        self, bandwidth, fused, request
+    ):
+        kernel_backend = "numpy"
+        if fused:
+            request.getfixturevalue("stub_numba")
+            kernel_backend = "numba"
+        schedule = schedule_for(build_dag("lu", 5).index(), "up")
+        store = BandedCorrelationStore(
+            schedule, bandwidth, kernel_backend=kernel_backend
+        )
+        indptr, level = schedule.level_indptr, schedule.row_level
+        n = schedule.num_tasks
+        # Reference: a row stores the columns of its own level and the
+        # ``bandwidth`` levels below it; a lower-level column reads back
+        # through symmetry; every other entry is zero.
+        reference = np.eye(n)
+        rng = np.random.default_rng(bandwidth)
+        for lev in range(1, schedule.num_levels):
+            t_lo, t_hi = int(indptr[lev]), int(indptr[lev + 1])
+            w_lo = store.window_start(lev)
+            block = rng.uniform(-1, 1, size=(t_hi - t_lo, t_hi - w_lo))
+            store.write_level(lev, w_lo, block)
+            band_lo = int(indptr[max(0, lev - bandwidth)])
+            for r in range(t_lo, t_hi):
+                for c in range(band_lo, t_hi):
+                    value = block[r - t_lo, c - w_lo]
+                    reference[r, c] = value
+                    if c < t_lo:
+                        reference[c, r] = value
+        for r in range(n):
+            for c in range(n):
+                if abs(int(level[r]) - int(level[c])) > bandwidth:
+                    assert reference[r, c] == 0.0
+        rows = np.arange(n)
+        for lev in range(schedule.num_levels):
+            w_lo, w_hi = store.window_start(lev), int(indptr[lev + 1])
+            np.testing.assert_array_equal(
+                store.gather(rows, w_lo, w_hi), reference[:, w_lo:w_hi]
+            )
+        np.testing.assert_array_equal(store.pair_matrix(rows), reference)
 
     def test_exact_bandwidth_metadata(self, cholesky4, chain3, diamond):
         for graph, expected in ((chain3, 1), (diamond, 1)):
@@ -353,6 +461,30 @@ class TestKnobs:
         assert estimator_options_for(config, "dodin") == {}
         with pytest.raises(ExperimentError):
             FigureConfig(figure="t", workflow="lu", pfail=1e-3, corr_backend="gpu")
+
+    def test_config_rejects_removed_backend(self):
+        from repro.experiments.config import FigureConfig
+        from repro.exceptions import ExperimentError
+
+        with pytest.raises(ExperimentError):
+            FigureConfig(figure="t", workflow="lu", pfail=1e-3, corr_backend="lowrank")
+        with pytest.raises(TypeError):
+            FigureConfig(figure="t", workflow="lu", pfail=1e-3, corr_rank=4)
+
+    @pytest.mark.parametrize("flags", [
+        ["--corr-backend", "lowrank"],
+        ["--corr-rank", "4"],
+    ])
+    def test_cli_rejects_removed_flags(self, flags, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "estimate", "--workflow", "mapreduce", "--size", "6",
+                "--method", "normal-correlated", *flags,
+            ])
+        assert excinfo.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
     def test_cli_estimate_passes_corr_flags(self, capsys):
         from repro.cli import main

@@ -1,5 +1,7 @@
 """Unit tests for the exact enumerator and the second-order extension."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.estimators.first_order import FirstOrderEstimator
 from repro.estimators.second_order import SecondOrderEstimator
 from repro.exceptions import EstimationError
 from repro.failures.models import ExponentialErrorModel, FixedProbabilityModel
+from repro.workflows.registry import build_dag
 
 
 class TestExactEstimator:
@@ -120,6 +123,34 @@ class TestSecondOrderEstimator:
         for estimator in (FirstOrderEstimator(), SecondOrderEstimator()):
             result = estimator.estimate(g, model)
             assert result.details["expected_failures"] == pytest.approx(mu, rel=1e-12)
+
+    @pytest.mark.parametrize("estimator_cls", [FirstOrderEstimator, SecondOrderEstimator])
+    @pytest.mark.parametrize("workflow,size,pfail", [
+        ("cholesky", 6, 1e-2),
+        ("lu", 5, 1e-2),
+        ("qr", 5, 1e-3),
+        ("gemm", 4, 1e-2),
+        ("stencil", 5, 5e-2),
+        ("mapreduce", 6, 1e-2),
+    ])
+    def test_expected_failures_on_workflows(self, workflow, size, pfail, estimator_cls):
+        graph = build_dag(workflow, size)
+        model = ExponentialErrorModel.for_graph(graph, pfail)
+        mu = math.fsum(
+            -math.expm1(-model.error_rate * task.weight) for task in graph.tasks()
+        )
+        reported = estimator_cls().estimate(graph, model).details["expected_failures"]
+        assert reported == pytest.approx(mu, rel=1e-12)
+        # q is concave in the weight and calibrated at the mean weight, so
+        # μ never exceeds n·pfail (equality when all weights are equal).
+        assert reported <= graph.num_tasks * pfail * (1 + 1e-12)
+
+    @pytest.mark.parametrize("estimator_cls", [FirstOrderEstimator, SecondOrderEstimator])
+    def test_expected_failures_weight_independent_model(self, estimator_cls):
+        # Zero-weight tasks never fail: μ = pfail × (number of weighted tasks).
+        g = chain_graph(4, weight=[1.0, 0.0, 3.0, 2.0])
+        result = estimator_cls().estimate(g, FixedProbabilityModel(0.05))
+        assert result.details["expected_failures"] == pytest.approx(0.15, rel=1e-12)
 
     def test_tail_handling_ordering(self, small_random_dag):
         model = ExponentialErrorModel.for_graph(small_random_dag, 0.1)

@@ -9,7 +9,11 @@ paper's Cholesky Monte Carlo runs:
   ever fires must cost **< 2%** against the fail-fast defaults: the
   machinery is bookkeeping-only until something actually goes wrong.
   Guarded on the serial backend (the lowest-noise path) on DAGs with
-  >= 2,600 tasks, as ``speedup = baseline/armed >= 0.98``.
+  >= 2,600 tasks, as ``speedup = baseline/armed >= 0.98``.  A 2% bound is
+  below the host's run-to-run noise, so the ratio is the median over
+  ``IDLE_PAIRS`` back-to-back pairs of one-batch runs, each pair in
+  alternating order: drift hits both sides of a pair alike, and the median
+  ignores the pairs a background burst lands on.
 * **Recovery throughput** — with seeded random faults failing ~5% of the
   partitions (``random(p=0.05)`` via ``REPRO_EXEC_FAULTS``) the run must
   still complete *bit-identically* to the clean run; the archived entry
@@ -39,6 +43,8 @@ DEFAULT_SIZES = (24,)
 GUARD_MIN_TASKS = 2_600
 #: Minimal admissible baseline/armed ratio: < 2% zero-fault overhead.
 GUARD_IDLE_POLICY = 0.98
+#: Pairs of one-batch (``BATCH_SIZE``-trial) serial runs behind the guard.
+IDLE_PAIRS = 100
 THREAD_WORKERS = 4
 BATCH_SIZE = 2_048
 PFAIL = 1e-2
@@ -71,6 +77,34 @@ def interleaved_best(fn_a, fn_b, repeats: int = 4):
         fn_b()
         best_b = min(best_b, time.perf_counter() - start)
     return best_a, best_b
+
+
+def paired_median_ratio(fn_a, fn_b, pairs: int = IDLE_PAIRS):
+    """Median over ``pairs`` of ``time(fn_a) / time(fn_b)``, run back to back.
+
+    Every other pair runs ``fn_b`` first, so neither side always pays for
+    running second.  Returns the median time of each side and the median
+    of the per-pair ratios.
+    """
+    import statistics
+    import time
+
+    order = [("a", fn_a), ("b", fn_b)]
+    times_a, times_b, ratios = [], [], []
+    for pair in range(pairs):
+        timed = {}
+        for name, fn in order if pair % 2 == 0 else order[::-1]:
+            start = time.perf_counter()
+            fn()
+            timed[name] = time.perf_counter() - start
+        times_a.append(timed["a"])
+        times_b.append(timed["b"])
+        ratios.append(timed["a"] / timed["b"])
+    return (
+        statistics.median(times_a),
+        statistics.median(times_b),
+        statistics.median(ratios),
+    )
 
 
 def _entry(method, k, n, trials, base_time, time, guard_min, **extra):
@@ -107,21 +141,30 @@ def test_exec_fault_tolerance_overhead():
 
         armed = dict(exec_retries=2, exec_timeout=300.0, exec_on_failure="degrade")
 
-        # Zero-fault overhead, serial (guarded: the low-noise path).
-        base_time, armed_time = interleaved_best(
-            engine(backend="serial").run, engine(backend="serial", **armed).run
+        # Zero-fault overhead, serial (guarded: the low-noise path), from
+        # paired one-batch runs.
+        def one_batch(**kwargs):
+            return MonteCarloEngine(
+                graph, model, trials=BATCH_SIZE, batch_size=BATCH_SIZE, seed=1,
+                backend="serial", **kwargs,
+            ).run
+
+        base_time, armed_time, ratio = paired_median_ratio(
+            one_batch(), one_batch(**armed)
         )
-        entries.append(
-            _entry(
-                "policy-idle-serial", k, n, trials, base_time, armed_time,
-                GUARD_IDLE_POLICY if guarded else None,
-                baseline_seconds=round(base_time, 6),
-            )
+        entry = _entry(
+            "policy-idle-serial", k, n, BATCH_SIZE, base_time, armed_time,
+            GUARD_IDLE_POLICY if guarded else None,
+            baseline_seconds=round(base_time, 6),
+            pairs=IDLE_PAIRS,
         )
+        entry["speedup"] = round(ratio, 3)
+        entries.append(entry)
         print(
             f"  policy idle   k={k:3d} ({n:5d} tasks): serial "
             f"{base_time * 1e3:8.1f} -> {armed_time * 1e3:8.1f} ms "
-            f"({(armed_time / base_time - 1.0) * 100:+5.2f}% overhead)"
+            f"({(1.0 / ratio - 1.0) * 100:+5.2f}% overhead, median of "
+            f"{IDLE_PAIRS} pairs)"
         )
 
         # Zero-fault overhead, threads (informational: pool noise).

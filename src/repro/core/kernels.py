@@ -22,11 +22,14 @@ a task-major ``(tasks, trials)`` buffer:
   level, each column ``j >= 1`` gathers its suffix and merges it with an
   in-place ``np.maximum``, so a level with maximum in-degree ``D`` costs
   ``D`` row gathers however many distinct in-degrees it mixes;
-* the buffer is allocated once and reused across batches.  Gathers are
-  fancy-indexing reads (``buffer[rows]``), not ``np.take(..., out=)``:
-  ``take`` buffers its ``out`` array and copies a strided input whole, so
-  on a partial batch (``trials < capacity``) every gather used to copy the
-  entire buffer.  The per-level temporaries come from NumPy's allocator;
+* the buffer is allocated once and reused across batches.  By default
+  gathers are fancy-indexing reads (``buffer[rows]``) into temporaries from
+  NumPy's allocator.  A pipeline that propagates batch after batch calls
+  :meth:`WavefrontKernel.reserve`, and the fold then gathers with
+  ``np.take(..., out=)`` into per-level rows the kernel keeps, so no batch
+  allocates (and page-faults in) fresh temporaries.  Those takes read the
+  full-capacity rows: ``take`` on the strided ``[:, :trials]`` view of a
+  partial batch would buffer its output and copy the whole buffer;
 * a ``dtype`` knob selects ``float64`` (default, bit-identical to the
   reference per-task evaluation because ``max`` and one addition per task
   are order-independent at fixed precision) or ``float32``, which halves
@@ -645,7 +648,9 @@ class WavefrontKernel:
 
     The kernel owns a task-major ``(tasks, capacity)`` buffer plus a
     ``(capacity,)`` scratch row for the compiled backends, grown on demand
-    and reused across calls.  Typical use::
+    and reused across calls, and after :meth:`reserve` two
+    ``(widest level, capacity)`` gather blocks for the NumPy fold.  Typical
+    use::
 
         kernel = WavefrontKernel(graph)              # private buffer
         makespans = kernel.run(weight_matrix)        # (trials, tasks) input
@@ -682,6 +687,7 @@ class WavefrontKernel:
         self._propagate_fn = get_kernel("propagate", self.kernel_backend)
         self._buffer: Optional[np.ndarray] = None
         self._scratch: Optional[np.ndarray] = None
+        self._gather: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._capacity = 0
 
     @classmethod
@@ -713,6 +719,7 @@ class WavefrontKernel:
         kernel._propagate_fn = get_kernel("propagate", kernel.kernel_backend)
         kernel._buffer = None
         kernel._scratch = None
+        kernel._gather = None
         kernel._capacity = 0
         return kernel
 
@@ -744,9 +751,9 @@ class WavefrontKernel:
 
     @property
     def buffer_nbytes(self) -> int:
-        """Bytes currently held by the buffer and scratch row."""
+        """Bytes currently held by the buffer, scratch row and gather rows."""
         total = 0
-        for arr in (self._buffer, self._scratch):
+        for arr in (self._buffer, self._scratch, *(self._gather or ())):
             if arr is not None:
                 total += arr.nbytes
         return total
@@ -763,12 +770,37 @@ class WavefrontKernel:
             self._buffer = np.empty((self.num_tasks, trials), dtype=self.dtype)
             self._scratch = np.empty(trials, dtype=self.dtype)
             self._capacity = trials
+            if self._gather is not None:
+                self._gather = self._gather_rows(trials)
         return self._buffer[:, :trials]
+
+    def reserve(self, trials: int) -> None:
+        """Grow the buffer to ``trials`` and keep per-level gather rows.
+
+        For pipelines that propagate batch after batch (the Monte Carlo
+        engine): the NumPy fold then gathers into two blocks of rows sized
+        to the widest level instead of allocating per-level temporaries,
+        which the allocator would hand back to the system and fault in
+        again on every batch.  Results are bit-identical either way.
+        """
+        self.weight_view(trials)
+        if self._gather is None:
+            self._gather = self._gather_rows(self._capacity)
+
+    def _gather_rows(self, capacity: int) -> Tuple[np.ndarray, np.ndarray]:
+        widest = max((hi - lo for lo, hi, _, _ in self._steps()), default=0)
+        return tuple(
+            np.empty((widest, capacity), dtype=self.dtype) for _ in range(2)
+        )
+
+    def _steps(self) -> tuple:
+        return schedule_level_columns(self.schedule).steps
 
     def release(self) -> None:
         """Drop the persistent buffers (they are re-grown on next use)."""
         self._buffer = None
         self._scratch = None
+        self._gather = None
         self._capacity = 0
 
     # ------------------------------------------------------------------
@@ -827,8 +859,11 @@ class WavefrontKernel:
                 # dtype/shape disables the compiled path for this kernel
                 # and the NumPy reference takes over.
                 self._propagate_fn = None
+        if self._gather is not None:
+            self._propagate_reserved(trials)
+            return
         buffer = self._buffer[:, :trials]
-        for lo, hi, first, columns in schedule_level_columns(self.schedule).steps:
+        for lo, hi, first, columns in self._steps():
             # Every row of a folded level has a predecessor: column 0 spans
             # the level, later columns a suffix of it.
             ready = buffer[first]
@@ -836,6 +871,29 @@ class WavefrontKernel:
                 tail = ready[offset:]
                 np.maximum(tail, buffer[preds], out=tail)
             segment = buffer[lo:hi]
+            np.add(segment, ready, out=segment)
+
+    def _propagate_reserved(self, trials: int) -> None:
+        """The NumPy fold of :meth:`propagate`, gathering into reserved rows.
+
+        ``np.take`` copies whole (full-capacity, contiguous) rows straight
+        into the contiguous gather blocks, and the arithmetic then runs on
+        the first ``trials`` columns only.  ``mode="clip"`` because the
+        default ``"raise"`` gathers into a temporary and copies it to
+        ``out``; the rows are valid indices, so clipping never applies.
+        """
+        full = self._buffer
+        ready_rows, gathered = self._gather
+        for lo, hi, first, columns in self._steps():
+            ready = ready_rows[: hi - lo]
+            np.take(full, first, axis=0, out=ready, mode="clip")
+            ready = ready[:, :trials]
+            for offset, preds in columns:
+                tail = ready[offset:]
+                got = gathered[: preds.size]
+                np.take(full, preds, axis=0, out=got, mode="clip")
+                np.maximum(tail, got[:, :trials], out=tail)
+            segment = full[lo:hi, :trials]
             np.add(segment, ready, out=segment)
 
     def makespans(self, trials: int) -> np.ndarray:

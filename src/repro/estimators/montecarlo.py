@@ -13,7 +13,7 @@ from typing import Optional
 from ..core.graph import TaskGraph
 from ..core.paths import critical_path_length
 from ..failures.models import ErrorModel
-from ..sim.engine import DEFAULT_BATCH, DEFAULT_TRIALS, MonteCarloEngine
+from ..sim.engine import DEFAULT_TRIALS, MonteCarloEngine
 from ..sim.sampler import SamplingMode
 from .base import EstimateResult, MakespanEstimator
 
@@ -59,7 +59,11 @@ class MonteCarloEstimator(MakespanEstimator):
         (``"numpy"`` or ``"numba"``; ``None`` resolves
         ``REPRO_KERNEL_BACKEND``).  The numba path is bit-identical to
         the NumPy pipeline; see :mod:`repro.core.backends`.
-    batch_size, keep_samples, target_relative_half_width:
+    batch_size:
+        Trials per vectorised batch.  ``None`` (default) sizes it from the
+        task count (:func:`repro.sim.default_batch_size`: 256 trials on a
+        2,600-task DAG); ``details["batch_size"]`` reports the size used.
+    keep_samples, target_relative_half_width:
         Forwarded to :class:`repro.sim.MonteCarloEngine`.
     """
 
@@ -71,7 +75,7 @@ class MonteCarloEstimator(MakespanEstimator):
         trials: int = DEFAULT_TRIALS,
         seed: Optional[int] = None,
         mode: SamplingMode = "two-state",
-        batch_size: int = DEFAULT_BATCH,
+        batch_size: Optional[int] = None,
         reexecution_factor: float = 2.0,
         keep_samples: bool = False,
         target_relative_half_width: Optional[float] = None,

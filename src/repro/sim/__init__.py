@@ -12,6 +12,7 @@ from .engine import (
     DEFAULT_TRIALS,
     MonteCarloEngine,
     MonteCarloResult,
+    default_batch_size,
     simulate_expected_makespan,
 )
 from .executors import BACKENDS, batch_stream, resolve_backend
@@ -36,6 +37,7 @@ __all__ = [
     "simulate_expected_makespan",
     "DEFAULT_TRIALS",
     "DEFAULT_BATCH",
+    "default_batch_size",
     "BACKENDS",
     "batch_stream",
     "resolve_backend",

@@ -11,9 +11,15 @@ The engine is a *zero-copy pipeline* around the level-wavefront kernel of
 * the per-task failure probabilities are computed (and validated) once per
   engine, not once per batch;
 * the working buffers — the kernel's task-major ``(tasks, batch)``
-  completion buffer and one trial-major ``(tile, tasks)`` tile of uniform
-  variates (:data:`TILE_BYTES`, sized to stay in a core's L2 cache) — are
-  allocated once per *evaluation slot* and reused by every batch;
+  completion buffer with its per-level gather rows, and one trial-major
+  ``(tile, tasks)`` tile of uniform variates (:data:`TILE_BYTES`, sized to
+  stay in a core's L2 cache) — are allocated once per *evaluation slot*
+  and reused by every batch;
+* the default batch is sized from the task count so that the completion
+  buffer stays near :data:`BATCH_BUFFER_BYTES` (see
+  :func:`default_batch_size`): a batch of a few hundred trials on a
+  2,600-task DAG keeps the per-level working set in cache, where a fixed
+  8,192-trial batch streams a 170 MB buffer through memory every level;
 * a batch is sampled tile by tile straight into the kernel buffer.  In
   two-state mode the batch is set to the nominal weights ``w`` once, and
   each tile's ``(trial, task)`` failures, found with one contiguous
@@ -36,7 +42,8 @@ Batch scheduling is delegated to the pluggable backends of
 
 * ``"serial"`` (default for ``workers=1``) evaluates batches sequentially
   on a single RNG stream — bit-identical to the historical single-threaded
-  engine for a given seed;
+  engine for a given seed, with the same per-trial samples at any batch
+  size;
 * ``"threads"`` (default for ``workers>1``) runs batches on a thread pool
   of private evaluation slots;
 * ``"processes"`` runs batches on a process pool with per-process compiled
@@ -94,18 +101,29 @@ from .stats import (
     ReservoirSample,
 )
 
-__all__ = ["MonteCarloResult", "MonteCarloEngine", "simulate_expected_makespan"]
+__all__ = [
+    "MonteCarloResult",
+    "MonteCarloEngine",
+    "default_batch_size",
+    "simulate_expected_makespan",
+]
 
 #: Default number of trials.  The paper uses 300,000; the package default is
 #: smaller so that interactive use and the test-suite stay fast, and the
 #: experiment drivers override it explicitly.
 DEFAULT_TRIALS = 50_000
+#: Largest default batch (see :func:`default_batch_size`).
 DEFAULT_BATCH = 8_192
+#: Smallest default batch, however many tasks the DAG has.
+MIN_DEFAULT_BATCH = 128
 
 #: Bytes of trial-major uniform variates sampled per tile (see
 #: :func:`_tile_trials`): small enough to stay in a core's L2 cache between
 #: the draw, the comparison and the scatter.
 TILE_BYTES = 1 << 20
+#: Target size of the kernel's ``(tasks, batch)`` completion buffer at the
+#: default batch size, counted at 8 bytes per value whatever the dtype.
+BATCH_BUFFER_BYTES = 8 << 20
 
 #: Spawn key of the reservoir's dedicated RNG stream — far outside the
 #: per-batch key range so enabling the reservoir never perturbs a trial.
@@ -164,9 +182,56 @@ class MonteCarloResult:
         )
 
 
+def default_batch_size(trials: int, num_tasks: int) -> int:
+    """The batch size an engine uses when none is given.
+
+    The largest power of two whose ``(num_tasks, batch)`` buffer of 8-byte
+    values fits in :data:`BATCH_BUFFER_BYTES`, clamped to
+    ``[MIN_DEFAULT_BATCH, DEFAULT_BATCH]`` and to ``trials``: 4,096 trials
+    on 220 tasks, 256 on 2,600, 128 from 4,097 tasks up.  It depends on
+    the trial and task counts only — never on the dtype, the backend or
+    the worker count — so the batch plan (and with it every per-batch RNG
+    stream of the parallel backends) is a function of the problem alone,
+    and rounding down to a power of two keeps it stable under small graph
+    edits.
+    """
+    fit = BATCH_BUFFER_BYTES // (8 * max(num_tasks, 1))
+    fit = 1 << (fit.bit_length() - 1) if fit else 0
+    return min(trials, DEFAULT_BATCH, max(MIN_DEFAULT_BATCH, fit))
+
+
 def _tile_trials(capacity: int, num_tasks: int) -> int:
     """Trials per sampling tile: :data:`TILE_BYTES` of float64 uniforms."""
     return max(1, min(capacity, TILE_BYTES // (8 * num_tasks)))
+
+
+@dataclass(frozen=True, eq=False)
+class _SamplingPlan:
+    """What an evaluation slot needs of its engine: the per-task data.
+
+    Slots hold this instead of the engine itself, so no slot points back
+    at its engine and a dropped engine (with its kernel buffers) is freed
+    by reference counting, without waiting for the cyclic collector.
+    """
+
+    index: GraphIndex
+    mode: str
+    dtype: np.dtype
+    kernel_backend: str
+    #: Trials of the largest batch (the kernel buffer's width).
+    capacity: int
+    #: Per-task failure probabilities (task order).
+    q: np.ndarray
+    #: Task index -> kernel buffer row.
+    rank: np.ndarray
+    #: Kernel buffer rows of the sinks (a slice when contiguous).
+    sinks: Union[slice, np.ndarray]
+    #: Two-state mode: stored weight of a succeeded / re-executed task.
+    ok: Optional[np.ndarray] = None
+    fail: Optional[np.ndarray] = None
+    #: Geometric mode: ``(tasks, 1)`` nominal weights and success rates.
+    w_rows: Optional[np.ndarray] = None
+    success: Optional[np.ndarray] = None
 
 
 class _BatchWorker:
@@ -181,62 +246,62 @@ class _BatchWorker:
     """
 
     def __init__(
-        self, engine: "MonteCarloEngine", rng: Optional[np.random.Generator]
+        self, plan: _SamplingPlan, rng: Optional[np.random.Generator]
     ) -> None:
         self.rng = rng
+        self.plan = plan
         self.kernel = WavefrontKernel(
-            engine.index,
+            plan.index,
             direction="up",
-            dtype=engine.dtype,
-            kernel_backend=engine.kernel_backend,
+            dtype=plan.dtype,
+            kernel_backend=plan.kernel_backend,
         )
-        self.engine = engine
-        n = engine.index.num_tasks
+        n = plan.index.num_tasks
         #: Compiled per-tile two-state fill (``None`` = the NumPy scatter).
         self._fill = None
         #: Trial-major uniform variates of one tile (two-state mode).
         self.tile = None
         if n:
-            # Grow the kernel's completion buffer to its final size now.
-            self.kernel.weight_view(engine._capacity)
-            if engine.mode == "two-state":
-                self._fill = get_kernel("mc_two_state", engine.kernel_backend)
+            # Grow the kernel's buffers to their final size now.
+            self.kernel.reserve(plan.capacity)
+            if plan.mode == "two-state":
+                self._fill = get_kernel("mc_two_state", plan.kernel_backend)
                 self.tile = np.empty(
-                    (_tile_trials(engine._capacity, n), n), dtype=np.float64
+                    (_tile_trials(plan.capacity, n), n), dtype=np.float64
                 )
 
     def evaluate(
         self, batch: int, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
         """Sample one batch in place and return its makespans."""
-        engine = self.engine
+        plan = self.plan
         if rng is None:
             rng = self.rng
-        n = engine.index.num_tasks
+        n = plan.index.num_tasks
         if n == 0:
             return np.zeros(batch, dtype=np.float64)
         kernel = self.kernel
         # batch <= capacity by construction; slicing the full-capacity view
         # keeps the buffer at its one-time allocation.
-        view = kernel.weight_view(engine._capacity)[:, :batch]
-        if engine.mode == "two-state" and self._fill is None:
-            view[...] = engine._ok[:, None]
-        step = _tile_trials(engine._capacity, n)
+        view = kernel.weight_view(plan.capacity)[:, :batch]
+        if plan.mode == "two-state" and self._fill is None:
+            view[...] = plan.ok[:, None]
+        step = _tile_trials(plan.capacity, n)
         # Consecutive tile draws consume the stream exactly like one
         # trial-major (batch, tasks) draw.
         for t0 in range(0, batch, step):
             t1 = min(t0 + step, batch)
-            if engine.mode == "two-state":
+            if plan.mode == "two-state":
                 uniform = self.tile[: t1 - t0]
                 rng.random(out=uniform)
                 self._fill_two_state(view, t0, uniform)
             else:
                 # Executions until success, capped.
-                draws = rng.geometric(engine._success, size=(t1 - t0, n))
+                draws = rng.geometric(plan.success, size=(t1 - t0, n))
                 np.minimum(draws, DEFAULT_MAX_EXECUTIONS, out=draws)
-                np.multiply(draws.T[kernel.perm], engine._w_rows, out=view[:, t0:t1])
+                np.multiply(draws.T[kernel.perm], plan.w_rows, out=view[:, t0:t1])
         kernel.propagate(batch)
-        return view[engine._sinks].max(axis=0)
+        return view[plan.sinks].max(axis=0)
 
     def _fill_two_state(self, view: np.ndarray, t0: int, uniform: np.ndarray) -> None:
         """Give the failed tasks of the tile's trials their re-executed weight.
@@ -244,7 +309,7 @@ class _BatchWorker:
         The NumPy path scatters into a batch pre-filled with the nominal
         weights; the compiled fill writes every entry of the tile.
         """
-        engine = self.engine
+        plan = self.plan
         if self._fill is not None:
             try:
                 self._fill(
@@ -252,9 +317,9 @@ class _BatchWorker:
                     t0,
                     uniform,
                     self.kernel.perm,
-                    engine._q,
-                    engine._ok,
-                    engine._fail,
+                    plan.q,
+                    plan.ok,
+                    plan.fail,
                 )
                 return
             except Exception:
@@ -263,10 +328,10 @@ class _BatchWorker:
                 # variate is redrawn) into the rest of the batch, set to
                 # the nominal weights the NumPy scatter starts from.
                 self._fill = None
-                view[:, t0:] = engine._ok[:, None]
-        trial, task = np.divmod(np.flatnonzero(uniform < engine._q), uniform.shape[1])
-        rows = engine._rank[task]
-        view[rows, t0 + trial] = engine._fail[rows]
+                view[:, t0:] = plan.ok[:, None]
+        trial, task = np.divmod(np.flatnonzero(uniform < plan.q), uniform.shape[1])
+        rows = plan.rank[task]
+        view[rows, t0 + trial] = plan.fail[rows]
 
 
 class MonteCarloEngine:
@@ -283,7 +348,13 @@ class MonteCarloEngine:
     batch_size:
         Trials evaluated per vectorised batch (memory ~ ``batch_size x
         num_tasks`` values of the chosen dtype, plus one
-        :data:`TILE_BYTES` sampling tile, per worker).
+        :data:`TILE_BYTES` sampling tile, per worker).  ``None`` (default)
+        sizes it from the task count with :func:`default_batch_size`, so
+        the buffer stays near :data:`BATCH_BUFFER_BYTES` (256 trials,
+        ~5 MB, on a 2,600-task DAG); an explicit size is used as given.
+        The serial backend's per-trial samples do not depend on it; the
+        parallel backends draw one RNG stream per batch, so their seeded
+        results do.
     seed:
         Seed (or generator) for reproducibility.
     mode:
@@ -347,7 +418,7 @@ class MonteCarloEngine:
         model: ErrorModel,
         *,
         trials: int = DEFAULT_TRIALS,
-        batch_size: int = DEFAULT_BATCH,
+        batch_size: Optional[int] = None,
         seed: Optional[int] = None,
         mode: SamplingMode = "two-state",
         reexecution_factor: float = 2.0,
@@ -367,7 +438,7 @@ class MonteCarloEngine:
     ) -> None:
         if trials <= 0:
             raise EstimationError("number of trials must be positive")
-        if batch_size <= 0:
+        if batch_size is not None and batch_size <= 0:
             raise EstimationError("batch size must be positive")
         if mode not in ("two-state", "geometric"):
             raise EstimationError(f"unknown sampling mode {mode!r}")
@@ -391,7 +462,12 @@ class MonteCarloEngine:
         self.index: GraphIndex = graph.index()
         self.model = model
         self.trials = int(trials)
-        self.batch_size = int(batch_size)
+        #: The batch size in use: the explicit one, or the resolved default.
+        self.batch_size = (
+            default_batch_size(self.trials, self.index.num_tasks)
+            if batch_size is None
+            else int(batch_size)
+        )
         self.mode = mode
         self.reexecution_factor = reexecution_factor
         self.keep_samples = keep_samples
@@ -417,39 +493,49 @@ class MonteCarloEngine:
         # -- one-time pipeline setup (nothing below re-runs per batch) ----
         n = self.index.num_tasks
         weights = self.index.weights
-        #: Per-task failure probabilities, computed and validated once.
-        self._q = task_failure_probabilities(model, weights)
+        # Per-task failure probabilities, computed and validated once.
+        q = task_failure_probabilities(model, weights)
         capacity = min(self.batch_size, self.trials)
         self._capacity = capacity
         # Per-task data in the kernel's (permuted) row order.
         schedule = schedule_for(self.index, "up")
         perm = schedule.perm
-        self._rank = schedule.rank
         sink_rows = np.sort(schedule.rank[self.index.sink_indices()])
         if n and sink_rows[-1] - sink_rows[0] + 1 == sink_rows.size:
             # A contiguous run of sink rows (one sink, or an edge-free
             # graph) is reduced through a view rather than a gathered copy.
             sink_rows = slice(sink_rows[0], sink_rows[-1] + 1)
-        self._sinks = sink_rows
         w = np.ascontiguousarray(weights[perm], dtype=np.float64)
         if mode == "two-state":
             # The stored weight of a succeeded / re-executed task, rounded
             # like the dense ``mask * (f - 1) w`` then ``+= w`` fill: the
             # product is stored in the buffer dtype before the float64 add.
             extra = ((reexecution_factor - 1.0) * weights)[perm]
-            self._ok = np.empty(n, dtype=self.dtype)
-            self._fail = np.empty(n, dtype=self.dtype)
-            np.multiply(False, extra, out=self._ok)
-            np.multiply(True, extra, out=self._fail)
-            self._ok += w
-            self._fail += w
+            ok = np.empty(n, dtype=self.dtype)
+            fail = np.empty(n, dtype=self.dtype)
+            np.multiply(False, extra, out=ok)
+            np.multiply(True, extra, out=fail)
+            ok += w
+            fail += w
+            per_mode = dict(ok=ok, fail=fail)
         else:
-            self._w_rows = w[:, None]
-            self._success = 1.0 - self._q
-            if np.any(self._success <= 0.0):
+            success = 1.0 - q
+            if np.any(success <= 0.0):
                 raise EstimationError(
                     "some task never succeeds; geometric sampling diverges"
                 )
+            per_mode = dict(w_rows=w[:, None], success=success)
+        plan = _SamplingPlan(
+            index=self.index,
+            mode=mode,
+            dtype=self.dtype,
+            kernel_backend=self.kernel_backend,
+            capacity=capacity,
+            q=q,
+            rank=schedule.rank,
+            sinks=sink_rows,
+            **per_mode,
+        )
 
         # The seed entropy is the root of every derived stream: the serial
         # backend consumes ``default_rng(seed)`` sequentially (exactly like
@@ -470,7 +556,7 @@ class MonteCarloEngine:
             rngs = [None] * min(self.workers, len(self._batch_plan()))
         else:
             rngs = []
-        self._slots = [_BatchWorker(self, rng) for rng in rngs]
+        self._slots = [_BatchWorker(plan, rng) for rng in rngs]
         self._executor = create_backend(self)
 
     # ------------------------------------------------------------------

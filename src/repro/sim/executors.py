@@ -42,10 +42,14 @@ statistics in batch-index order, and early stopping cuts the fold at the
 same batch regardless of scheduling.  Consequently ``threads`` and
 ``processes`` produce *identical* merged estimates for a fixed seed at
 **any** worker count — the worker count is purely a throughput knob.  The
-``serial`` backend intentionally keeps the historical single sequential
-stream instead, so seeded results remain bit-identical with earlier
-releases; it therefore differs from the parallel backends by Monte Carlo
-noise only.
+batch plan is part of that contract: a different ``batch_size`` gives
+different per-batch streams, hence different seeded parallel results.
+
+The ``serial`` backend intentionally keeps the historical single sequential
+stream instead, and it differs from the parallel backends by Monte Carlo
+noise only.  Its samplers consume that stream tile by tile, so its
+per-trial samples are the same at **any** batch size; only the mean moves,
+in the last few ulps, because the moments are merged batch by batch.
 
 Backends call ``consume(makespans)`` once per batch in batch-index order;
 ``consume`` returns ``True`` to request an early stop.  Later backends
@@ -55,6 +59,7 @@ slot in.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, List, Optional, TYPE_CHECKING
 
@@ -152,7 +157,14 @@ class ExecutorBackend:
     name = "abstract"
 
     def __init__(self, engine: "MonteCarloEngine") -> None:
-        self.engine = engine
+        # A weak reference: the engine owns its backend, and a strong
+        # back-reference would keep a dropped engine (and its kernel
+        # buffers) alive until the cyclic garbage collector runs.
+        self._engine = weakref.ref(engine)
+
+    @property
+    def engine(self) -> "MonteCarloEngine":
+        return self._engine()
 
     def run(self, consume: Consumer) -> None:
         """Evaluate every batch of the plan, folding results in batch order.

@@ -661,3 +661,71 @@ class TestLevelColumnPlan:
         columns = schedule_level_columns(schedule_for(_edge_free().index(), "up"))
         assert columns.steps == ()
         assert columns.col_indptr.tolist() == [0, 0]
+
+
+class TestReservedGatherRows:
+    """``reserve`` gathers into kept rows; the results do not change."""
+
+    @pytest.mark.parametrize("workflow,size", [("cholesky", 8), ("lu", 6), ("qr", 6)])
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_bit_identical_on_full_and_partial_batches(
+        self, workflow, size, direction, dtype
+    ):
+        idx = build_dag(workflow, size).index()
+        plain = WavefrontKernel(idx, direction=direction, dtype=dtype)
+        reserved = WavefrontKernel(idx, direction=direction, dtype=dtype)
+        reserved.reserve(64)
+        for trials in (64, 17, 1, 64):
+            w = random_weight_matrix(idx, trials, seed=trials)
+            expected = plain.run(w)
+            assert np.array_equal(reserved.run(w), expected)
+            assert np.array_equal(
+                reserved.completion_matrix(trials), plain.completion_matrix(trials)
+            )
+        assert reserved.capacity == 64
+
+    def test_rows_sized_to_the_widest_level_and_kept(self):
+        from repro.core.kernels import schedule_for, schedule_level_columns
+
+        idx = build_dag("cholesky", 8).index()
+        steps = schedule_level_columns(schedule_for(idx, "up")).steps
+        widest = max(hi - lo for lo, hi, _, _ in steps)
+        kernel = WavefrontKernel(idx)
+        kernel.reserve(16)
+        rows = kernel._gather
+        assert all(block.shape == (widest, 16) for block in rows)
+        assert kernel.buffer_nbytes == (idx.num_tasks + 1 + 2 * widest) * 16 * 8
+        kernel.run(random_weight_matrix(idx, 16, seed=1))
+        kernel.reserve(8)  # no shrink, no new rows
+        assert kernel._gather is rows
+        kernel.weight_view(32)  # growing regrows them to the new capacity
+        assert all(block.shape == (widest, 32) for block in kernel._gather)
+        w = random_weight_matrix(idx, 32, seed=2)
+        assert np.array_equal(kernel.run(w), reference_batched_makespans(idx, w))
+        kernel.release()
+        assert kernel.buffer_nbytes == 0
+
+    def test_no_allocation_per_batch(self):
+        import tracemalloc
+
+        idx = build_dag("cholesky", 8).index()
+        kernel = WavefrontKernel(idx)
+        kernel.reserve(256)
+        kernel.weight_view(256)[...] = 1.0
+        kernel.propagate(256)
+        tracemalloc.start()
+        try:
+            kernel.propagate(256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Well under one 256-trial row: no per-level temporaries.
+        assert peak < 256 * 8
+
+    def test_edge_free_graph(self):
+        idx = _edge_free().index()
+        kernel = WavefrontKernel(idx)
+        kernel.reserve(4)
+        w = random_weight_matrix(idx, 4, seed=3)
+        assert np.array_equal(kernel.run(w), w.max(axis=1))

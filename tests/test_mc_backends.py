@@ -547,3 +547,188 @@ class TestBatchedDodinDifferential:
         details = DodinEstimator().estimate(cholesky4, model).details
         assert details["reduction_rounds"] >= 1
         assert details["batched"] is True
+
+
+def _folded_batches(engine):
+    """Run ``engine`` and return its makespans in trial order."""
+    folded = []
+    run_backend = engine._executor.run
+
+    def recording_run(consume):
+        def record(makespans):
+            folded.append(np.array(makespans, dtype=np.float64))
+            return consume(makespans)
+
+        return run_backend(record)
+
+    engine._executor.run = recording_run
+    result = engine.run()
+    return result, np.concatenate(folded)
+
+
+@pytest.fixture(scope="module")
+def cholesky24():
+    graph = build_dag("cholesky", 24)  # 2,600 tasks: a 256-trial batch
+    return graph, ExponentialErrorModel.for_graph(graph, 1e-3)
+
+
+class TestDefaultBatchSize:
+    """``batch_size=None`` sizes the batch from the task count."""
+
+    @pytest.mark.parametrize(
+        "tasks,batch", [(220, 4_096), (1_496, 512), (2_600, 256), (5_984, 128)]
+    )
+    def test_paper_dag_sizes(self, tasks, batch):
+        assert engine_module.default_batch_size(300_000, tasks) == batch
+
+    def test_power_of_two_cap_floor_and_trials(self):
+        resolve = engine_module.default_batch_size
+        assert resolve(10**6, 1) == engine_module.DEFAULT_BATCH
+        assert resolve(10**6, 0) == engine_module.DEFAULT_BATCH
+        # 2,048 tasks fill the 8 MiB budget at 512 trials exactly; one more
+        # task rounds down to the next power of two.
+        assert resolve(10**6, 2_048) == 512
+        assert resolve(10**6, 2_049) == 256
+        # The floor binds from 4,097 tasks on, however large the DAG.
+        assert resolve(10**6, 4_097) == engine_module.MIN_DEFAULT_BATCH
+        assert resolve(10**6, 10**7) == engine_module.MIN_DEFAULT_BATCH
+        # Never more than the run's trials.
+        assert resolve(100, 2_600) == 100
+        assert resolve(1_000, 220) == 1_000
+
+    @pytest.mark.parametrize("workflow,size", [("cholesky", 10), ("qr", 16)])
+    def test_engine_resolves_independently_of_dtype_backend_workers(
+        self, workflow, size
+    ):
+        graph = build_dag(workflow, size)
+        model = ExponentialErrorModel.for_graph(graph, 1e-3)
+        expected = engine_module.default_batch_size(10_000, graph.num_tasks)
+        for dtype in ("float64", "float32"):
+            for backend, workers in [
+                ("serial", 1), ("threads", 1), ("threads", 2), ("processes", 2),
+            ]:
+                engine = MonteCarloEngine(
+                    graph, model, trials=10_000, seed=1, dtype=dtype,
+                    backend=backend, workers=workers,
+                )
+                assert engine.batch_size == expected, (dtype, backend, workers)
+
+    def test_explicit_batch_size_is_kept(self, cholesky24):
+        graph, model = cholesky24
+        for batch in (1, 100, 8_192, 32_768):
+            engine = MonteCarloEngine(graph, model, trials=500, batch_size=batch)
+            assert engine.batch_size == batch
+
+    @pytest.mark.parametrize("mode", ["two-state", "geometric"])
+    def test_serial_samples_equal_an_explicit_8192_batch(self, cholesky24, mode):
+        graph, model = cholesky24
+        kw = dict(trials=700, seed=2016, mode=mode, keep_samples=True)
+        default = MonteCarloEngine(graph, model, **kw)
+        explicit = MonteCarloEngine(graph, model, batch_size=8_192, **kw)
+        assert default.batch_size == 256  # three batches against one
+        result, trials = _folded_batches(default)
+        reference, reference_trials = _folded_batches(explicit)
+        assert np.array_equal(trials, reference_trials)
+        assert np.array_equal(result.samples.samples(), reference.samples.samples())
+        assert result.mean == pytest.approx(reference.mean, rel=1e-12)
+        assert result.std == pytest.approx(reference.std, rel=1e-12)
+
+    def test_parallel_backends_bit_identical_at_the_default(self, cholesky24):
+        graph, model = cholesky24
+        kw = dict(trials=600, seed=7, keep_samples=True)
+        results = [
+            _folded_batches(
+                MonteCarloEngine(graph, model, backend=backend, workers=workers, **kw)
+            )
+            for backend, workers in [("threads", 1), ("threads", 2), ("processes", 2)]
+        ]
+        (reference, reference_trials), *others = results
+        assert reference.batch_size == 256  # 256 + 256 + 88: three streams
+        for result, trials in others:
+            assert np.array_equal(trials, reference_trials), result.backend
+            assert result.mean == reference.mean
+            assert result.std == reference.std
+
+    def test_details_report_the_resolved_batch(self, cholesky24):
+        from repro import estimate_expected_makespan
+
+        graph, model = cholesky24
+        estimate = estimate_expected_makespan(
+            graph, model, method="monte-carlo", trials=300, seed=1
+        )
+        assert estimate.details["batch_size"] == 256
+        small = build_dag("cholesky", 10)
+        estimate = estimate_expected_makespan(
+            small, 1e-3, method="monte-carlo", trials=4_000, seed=1
+        )
+        assert estimate.details["batch_size"] == 4_000  # one batch
+        estimate = estimate_expected_makespan(
+            small, 1e-3, method="monte-carlo", trials=300, seed=1, batch_size=64
+        )
+        assert estimate.details["batch_size"] == 64
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_kernel_buffers_fit_the_budget(self, cholesky24, dtype):
+        from repro.core.kernels import schedule_for, schedule_level_columns
+
+        graph, model = cholesky24
+        engine = MonteCarloEngine(graph, model, trials=10_000, seed=1, dtype=dtype)
+        n, batch = graph.num_tasks, engine.batch_size
+        itemsize = np.dtype(dtype).itemsize
+        assert engine.batch_size > engine_module.MIN_DEFAULT_BATCH
+        assert n * batch * 8 <= engine_module.BATCH_BUFFER_BYTES
+        steps = schedule_level_columns(schedule_for(graph.index(), "up")).steps
+        widest = max(hi - lo for lo, hi, _, _ in steps)
+        # The completion buffer, one scratch row and two gather blocks.
+        assert engine._kernel.buffer_nbytes == (n + 1 + 2 * widest) * batch * itemsize
+        assert (n + 1) * batch * itemsize <= (
+            engine_module.BATCH_BUFFER_BYTES + batch * 8
+        )
+
+
+class TestDroppedEngineIsFreed:
+    """No reference cycle keeps a dropped engine and its buffers alive."""
+
+    @pytest.fixture(autouse=True)
+    def no_cyclic_gc(self):
+        import gc
+
+        gc.collect()
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("backend,workers", BACKEND_CASES)
+    def test_freed_on_del(self, case, backend, workers):
+        import weakref
+
+        graph, model = case
+        engine = MonteCarloEngine(
+            graph, model, trials=3_000, batch_size=1_024, seed=1,
+            backend=backend, workers=workers,
+        )
+        engine.run()
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+
+    def test_freed_after_an_estimate(self, case, monkeypatch):
+        import weakref
+
+        from repro import estimate_expected_makespan
+
+        graph, model = case
+        refs = []
+        run = MonteCarloEngine.run
+
+        def recording_run(engine):
+            refs.append(weakref.ref(engine))
+            return run(engine)
+
+        monkeypatch.setattr(MonteCarloEngine, "run", recording_run)
+        estimate_expected_makespan(
+            graph, model, method="monte-carlo", trials=2_000, seed=1
+        )
+        assert len(refs) == 1 and refs[0]() is None

@@ -781,10 +781,13 @@ class WavefrontKernel:
         engine): the NumPy fold then gathers into two blocks of rows sized
         to the widest level instead of allocating per-level temporaries,
         which the allocator would hand back to the system and fault in
-        again on every batch.  Results are bit-identical either way.
+        again on every batch.  A compiled ``propagate`` never reads those
+        rows, so none are kept while one is active; should it fall back at
+        run time, the fancy-indexing fold takes over.  Results are
+        bit-identical either way.
         """
         self.weight_view(trials)
-        if self._gather is None:
+        if self._gather is None and self._propagate_fn is None:
             self._gather = self._gather_rows(self._capacity)
 
     def _gather_rows(self, capacity: int) -> Tuple[np.ndarray, np.ndarray]:

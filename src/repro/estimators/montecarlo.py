@@ -30,7 +30,9 @@ class MonteCarloEstimator(MakespanEstimator):
         truth; the default here is smaller, see
         :data:`repro.sim.engine.DEFAULT_TRIALS`).
     seed:
-        Seed for reproducibility.
+        Non-negative integer seed for reproducibility, or ``None`` (fresh
+        OS entropy); anything else raises
+        :class:`~repro.exceptions.EstimationError`.
     mode:
         ``"two-state"`` (at most one re-execution, the paper's evaluation
         model) or ``"geometric"`` (re-execute until success).
@@ -39,12 +41,13 @@ class MonteCarloEstimator(MakespanEstimator):
         bit-identical results) or ``"float32"`` (halves kernel memory
         traffic; the rounding error is far below Monte Carlo noise).
     workers:
-        Number of parallel evaluation workers (default 1, the
-        bit-reproducible serial path); see :class:`repro.sim.MonteCarloEngine`.
+        Number of parallel evaluation workers (default 1, the serial
+        path); see :class:`repro.sim.MonteCarloEngine`.
     backend:
         Execution backend: ``"serial"``, ``"threads"`` or ``"processes"``
         (``None`` resolves from the worker count); see
-        :mod:`repro.sim.executors`.
+        :mod:`repro.sim.executors`.  A seeded estimate is the same on every
+        backend at any worker count.
     streaming:
         Accumulate quantile sketches instead of materialising samples, so
         million-trial references fit in O(batch) memory; the estimate's
@@ -63,6 +66,8 @@ class MonteCarloEstimator(MakespanEstimator):
         Trials per vectorised batch.  ``None`` (default) sizes it from the
         task count (:func:`repro.sim.default_batch_size`: 256 trials on a
         2,600-task DAG); ``details["batch_size"]`` reports the size used.
+        Each batch draws its own RNG stream, so a seeded estimate depends
+        on it.
     keep_samples, target_relative_half_width:
         Forwarded to :class:`repro.sim.MonteCarloEngine`.
     """

@@ -15,7 +15,7 @@ from .engine import (
     default_batch_size,
     simulate_expected_makespan,
 )
-from .executors import BACKENDS, batch_stream, resolve_backend
+from .executors import BACKENDS
 from .longest_path import batch_makespans_with_details, streaming_makespans
 from .stats import (
     ConvergenceTracker,
@@ -39,8 +39,6 @@ __all__ = [
     "DEFAULT_BATCH",
     "default_batch_size",
     "BACKENDS",
-    "batch_stream",
-    "resolve_backend",
     "batch_makespans_with_details",
     "streaming_makespans",
     "ConvergenceTracker",

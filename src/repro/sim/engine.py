@@ -28,8 +28,8 @@ The engine is a *zero-copy pipeline* around the level-wavefront kernel of
   tasks, so no ``(trials, tasks)`` mask or weight matrix is built (the
   compiled backend's ``mc_two_state`` fills a whole tile instead).  Both
   values are precomputed with the rounding of the dense
-  ``mask * (f - 1) w`` then ``+= w`` form, so every stored bit and the RNG
-  stream are those of drawing the whole batch at once;
+  ``mask * (f - 1) w`` then ``+= w`` form, so every stored bit and the
+  batch's RNG stream are those of drawing the whole batch at once;
 * the longest-path recurrence then runs in place on that same buffer, and
   the makespan is the maximum over the sink rows only: weights are
   non-negative, so every task completes no later than some sink below it.
@@ -37,24 +37,21 @@ The engine is a *zero-copy pipeline* around the level-wavefront kernel of
 Execution backends
 ------------------
 
-Batch scheduling is delegated to the pluggable backends of
-:mod:`repro.sim.executors`:
+Batch scheduling is delegated to :func:`repro.sim.executors.run_batches`:
 
-* ``"serial"`` (default for ``workers=1``) evaluates batches sequentially
-  on a single RNG stream — bit-identical to the historical single-threaded
-  engine for a given seed, with the same per-trial samples at any batch
-  size;
+* ``"serial"`` (default for ``workers=1``) evaluates batches one after the
+  other on a single evaluation slot;
 * ``"threads"`` (default for ``workers>1``) runs batches on a thread pool
   of private evaluation slots;
 * ``"processes"`` runs batches on a process pool with per-process compiled
   kernels and a ``multiprocessing.shared_memory`` result buffer, bypassing
   the GIL entirely.
 
-The parallel backends derive the RNG stream of batch ``b`` from
-``SeedSequence(seed).spawn``-style per-batch keys and fold results in
-batch-index order, so ``threads`` and ``processes`` produce identical
-merged estimates for a fixed seed at any worker count (see the
-determinism contract in :mod:`repro.sim.executors`).
+Every backend draws batch ``b`` from its own stream,
+:func:`repro.exec.partition_stream` ``(seed entropy, b)``, and folds
+results in batch-index order, so all three produce identical merged
+estimates for a fixed seed at any worker count (see the determinism
+contract in :mod:`repro.sim.executors`).
 
 Streaming statistics
 --------------------
@@ -88,7 +85,8 @@ from ..core.kernels import (
 from ..exceptions import EstimationError, GraphError
 from ..failures.models import ErrorModel
 from ..rv.empirical import EmpiricalDistribution, RunningMoments
-from .executors import batch_stream, create_backend, resolve_backend
+from ..exec import resolve_exec_backend
+from .executors import run_batches
 from .sampler import (
     DEFAULT_MAX_EXECUTIONS,
     SamplingMode,
@@ -191,7 +189,7 @@ def default_batch_size(trials: int, num_tasks: int) -> int:
     on 220 tasks, 256 on 2,600, 128 from 4,097 tasks up.  It depends on
     the trial and task counts only — never on the dtype, the backend or
     the worker count — so the batch plan (and with it every per-batch RNG
-    stream of the parallel backends) is a function of the problem alone,
+    stream) is a function of the problem alone,
     and rounding down to a power of two keeps it stable under small graph
     edits.
     """
@@ -235,20 +233,16 @@ class _SamplingPlan:
 
 
 class _BatchWorker:
-    """One slot's private evaluation state: kernel, buffers, RNG stream.
+    """One slot's private evaluation state: kernel and buffers.
 
     The engine owns one instance per in-process worker; each instance is
     only ever used by a single thread at a time, which satisfies the
     wavefront kernel's non-reentrancy contract while the compiled schedule
-    stays shared through the index cache.  The slot either owns a
-    sequential RNG stream (serial backend) or receives a per-batch stream
-    with every :meth:`evaluate` call (parallel backends).
+    stays shared through the index cache.  The slot owns no RNG state:
+    every :meth:`evaluate` call receives its batch's stream.
     """
 
-    def __init__(
-        self, plan: _SamplingPlan, rng: Optional[np.random.Generator]
-    ) -> None:
-        self.rng = rng
+    def __init__(self, plan: _SamplingPlan) -> None:
         self.plan = plan
         self.kernel = WavefrontKernel(
             plan.index,
@@ -270,13 +264,9 @@ class _BatchWorker:
                     (_tile_trials(plan.capacity, n), n), dtype=np.float64
                 )
 
-    def evaluate(
-        self, batch: int, rng: Optional[np.random.Generator] = None
-    ) -> np.ndarray:
-        """Sample one batch in place and return its makespans."""
+    def evaluate(self, batch: int, rng: np.random.Generator) -> np.ndarray:
+        """Sample one batch from ``rng`` in place and return its makespans."""
         plan = self.plan
-        if rng is None:
-            rng = self.rng
         n = plan.index.num_tasks
         if n == 0:
             return np.zeros(batch, dtype=np.float64)
@@ -352,11 +342,12 @@ class MonteCarloEngine:
         sizes it from the task count with :func:`default_batch_size`, so
         the buffer stays near :data:`BATCH_BUFFER_BYTES` (256 trials,
         ~5 MB, on a 2,600-task DAG); an explicit size is used as given.
-        The serial backend's per-trial samples do not depend on it; the
-        parallel backends draw one RNG stream per batch, so their seeded
-        results do.
+        Every backend draws one RNG stream per batch, so seeded results
+        depend on it.
     seed:
-        Seed (or generator) for reproducibility.
+        Non-negative integer seed for reproducibility, or ``None`` (fresh
+        OS entropy).  Batch ``b`` draws from
+        :func:`repro.exec.partition_stream` ``(seed entropy, b)``.
     mode:
         ``"two-state"`` (the paper's model) or ``"geometric"``.
     reexecution_factor:
@@ -381,8 +372,8 @@ class MonteCarloEngine:
     backend:
         Execution backend: ``"serial"``, ``"threads"`` or ``"processes"``
         (see :mod:`repro.sim.executors`).  ``None`` (default) resolves to
-        ``"serial"`` for one worker and ``"threads"`` otherwise —
-        the historical behaviour.
+        ``"serial"`` for one worker and ``"threads"`` otherwise.  Seeded
+        results are the same on every backend at any worker count.
     streaming:
         Fold every batch into a fixed-grid quantile sketch (and optional
         reservoir) instead of materialising anything: the result still
@@ -458,6 +449,12 @@ class MonteCarloEngine:
                 "the reservoir subsample is part of streaming mode; "
                 "pass streaming=True (or keep_samples=True for the full sample)"
             )
+        if seed is not None and not (
+            isinstance(seed, (int, np.integer)) and seed >= 0
+        ):
+            raise EstimationError(
+                f"seed must be None or a non-negative integer, got {seed!r}"
+            )
         self.graph = graph
         self.index: GraphIndex = graph.index()
         self.model = model
@@ -474,14 +471,14 @@ class MonteCarloEngine:
         self.confidence = confidence
         self.target_relative_half_width = target_relative_half_width
         self.workers = int(workers)
-        self.backend = resolve_backend(backend, self.workers)
+        self.backend = resolve_exec_backend(backend, self.workers)
         self.streaming = bool(streaming)
         self.sketch_bins = int(sketch_bins)
         self.reservoir = int(reservoir)
         self.exec_retries = exec_retries
         self.exec_timeout = exec_timeout
         self.exec_on_failure = exec_on_failure
-        #: The execution report of the most recent run (set by the backend).
+        #: The execution report of the most recent run (set by run_batches).
         self.last_execution_report = None
         try:
             self.dtype = normalize_dtype(dtype)
@@ -537,55 +534,22 @@ class MonteCarloEngine:
             **per_mode,
         )
 
-        # The seed entropy is the root of every derived stream: the serial
-        # backend consumes ``default_rng(seed)`` sequentially (exactly like
-        # the historical engine), the parallel backends spawn one child
-        # stream per *batch* from this entropy (see executors.batch_stream).
-        self._seed = seed
-        self._root_sequence = np.random.SeedSequence(seed)
+        #: Root entropy of every derived stream: batch ``b`` draws from
+        #: ``partition_stream(seed_entropy, b)`` on every backend.
+        self.seed_entropy = np.random.SeedSequence(seed).entropy
 
-        # In-process evaluation slots.  The serial backend owns exactly one
-        # slot with the sequential stream; the thread backend owns one slot
-        # per worker that can receive a batch (streams arrive per batch);
-        # the process backend builds its slots inside the worker processes.
-        if self.backend == "serial":
-            rngs: List[Optional[np.random.Generator]] = [
-                np.random.default_rng(seed)
-            ]
-        elif self.backend == "threads":
-            rngs = [None] * min(self.workers, len(self._batch_plan()))
-        else:
-            rngs = []
-        self._slots = [_BatchWorker(plan, rng) for rng in rngs]
-        self._executor = create_backend(self)
-
-    # ------------------------------------------------------------------
-    # RNG stream derivation
-    # ------------------------------------------------------------------
-    @property
-    def seed_entropy(self):
-        """Root entropy shared by every derived per-batch stream."""
-        return self._root_sequence.entropy
-
-    def batch_rng(self, batch_index: int) -> np.random.Generator:
-        """The parallel backends' RNG stream of one batch of the plan."""
-        return batch_stream(self.seed_entropy, batch_index)
-
-    # ------------------------------------------------------------------
-    # Single-worker compatibility accessors (slot 0 owns the buffers the
-    # pre-threading engine kept on `self`).
-    # ------------------------------------------------------------------
-    @property
-    def rng(self) -> Optional[np.random.Generator]:
-        return self._slots[0].rng if self._slots else None
+        # In-process evaluation slots: one per worker that can receive a
+        # batch (exactly one for serial); the process backend builds its
+        # slots inside the worker processes.
+        slots = 0 if self.backend == "processes" else min(
+            self.workers, len(self._batch_plan())
+        )
+        self._slots = [_BatchWorker(plan) for _ in range(slots)]
 
     @property
     def _kernel(self) -> Optional[WavefrontKernel]:
+        """Slot 0's wavefront kernel (``None`` on the process backend)."""
         return self._slots[0].kernel if self._slots else None
-
-    def _evaluate_batch(self, batch: int) -> np.ndarray:
-        """Sample one batch on slot 0 and return its makespans."""
-        return self._slots[0].evaluate(batch)
 
     # ------------------------------------------------------------------
     def _batch_plan(self) -> List[int]:
@@ -630,7 +594,7 @@ class MonteCarloEngine:
                 reservoir.update(data)
             return tracker.converged
 
-        self._executor.run(consume)
+        run_batches(self, consume)
 
         elapsed = time.perf_counter() - start
         moments: RunningMoments = tracker.moments
@@ -679,7 +643,11 @@ def simulate_expected_makespan(
     streaming: bool = False,
     kernel_backend: Optional[str] = None,
 ) -> float:
-    """Functional shortcut returning only the Monte Carlo mean."""
+    """Functional shortcut returning only the Monte Carlo mean.
+
+    ``seed`` is ``None`` or a non-negative integer, as for
+    :class:`MonteCarloEngine`.
+    """
     engine = MonteCarloEngine(
         graph,
         model,

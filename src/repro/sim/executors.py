@@ -1,18 +1,19 @@
 """Monte Carlo batch scheduling on the shared parallel-execution service.
 
 :class:`repro.sim.MonteCarloEngine` owns the *what* of a simulation — the
-sampling pipeline, the wavefront kernel, the statistics — while the classes
-here adapt the engine's deterministic batch plan onto the backend-agnostic
-:class:`~repro.exec.ParallelService`.  The batch scheduler is one *client*
-of that service (the correlated fold, the second-order sweeps and Dodin's
-reduction rounds are others); what remains in this module is the mapping
-from batches to service partitions plus the process backend's
-shared-memory result plumbing.  Three interchangeable backends:
+sampling pipeline, the wavefront kernel, the statistics — while
+:func:`run_batches` here maps the engine's deterministic batch plan onto
+the backend-agnostic :class:`~repro.exec.ParallelService`.  The batch
+scheduler is one *client* of that service (the correlated fold, the
+second-order sweeps and Dodin's reduction rounds are others); what remains
+in this module is the mapping from batches to service partitions plus the
+process backend's shared-memory result plumbing.  Three interchangeable
+backends:
 
 ``serial``
-    Evaluates batches one after the other on a single sequential RNG stream
-    (``numpy.random.default_rng(seed)``).  Bit-identical to the historical
-    ``workers=1`` engine: the reference backend.
+    Evaluates batches one after the other on the engine's single
+    evaluation slot: the no-pool path, and the last step of the service's
+    degradation chain.
 
 ``threads``
     The service's slot-windowed thread pool over per-worker evaluation
@@ -33,39 +34,33 @@ shared-memory result plumbing.  Three interchangeable backends:
 Determinism contract
 --------------------
 
-RNG streams for the parallel backends are derived **per batch**, not per
-worker: batch ``b`` always draws from
-``SeedSequence(entropy=root, spawn_key=(b,))`` where ``root`` is the
-engine's seed entropy (the service's :func:`~repro.exec.partition_stream`
-with the batch index as partition index).  Results are folded into the
-statistics in batch-index order, and early stopping cuts the fold at the
-same batch regardless of scheduling.  Consequently ``threads`` and
-``processes`` produce *identical* merged estimates for a fixed seed at
-**any** worker count — the worker count is purely a throughput knob.  The
-batch plan is part of that contract: a different ``batch_size`` gives
-different per-batch streams, hence different seeded parallel results.
+Every backend derives the RNG stream **per batch**, not per worker: batch
+``b`` always draws from ``SeedSequence(entropy=root, spawn_key=(b,))``
+where ``root`` is the engine's seed entropy (the service's
+:func:`~repro.exec.partition_stream` with the batch index as partition
+index).  Results are folded into the statistics in batch-index order, and
+early stopping cuts the fold at the same batch regardless of scheduling.
+Consequently ``serial``, ``threads`` and ``processes`` produce *identical*
+merged estimates for a fixed seed at **any** worker count — the backend
+and the worker count are purely throughput knobs — and a retried batch
+replays its stream by construction.  The batch plan is part of that
+contract: a different ``batch_size`` gives different per-batch streams,
+hence different seeded results.
 
-The ``serial`` backend intentionally keeps the historical single sequential
-stream instead, and it differs from the parallel backends by Monte Carlo
-noise only.  Its samplers consume that stream tile by tile, so its
-per-trial samples are the same at **any** batch size; only the mean moves,
-in the last few ulps, because the moments are merged batch by batch.
-
-Backends call ``consume(makespans)`` once per batch in batch-index order;
-``consume`` returns ``True`` to request an early stop.  Later backends
-(free-threaded builds, GPU queues) only need to honour that contract to
-slot in.
+:func:`run_batches` calls ``consume(makespans)`` once per batch in
+batch-index order; ``consume`` returns ``True`` to request an early stop.
+Later backends (free-threaded builds, GPU queues) only need to honour that
+contract to slot in.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import Callable, List, TYPE_CHECKING
 
 import numpy as np
 
-from ..exec import ParallelService, partition_stream, resolve_exec_backend
+from ..exec import ParallelService
 from ..exec.shm import (
     REGISTRY,
     SegmentHandle,
@@ -79,16 +74,7 @@ from ..exec.shm import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from .engine import MonteCarloEngine
 
-__all__ = [
-    "BACKENDS",
-    "resolve_backend",
-    "create_backend",
-    "batch_stream",
-    "ExecutorBackend",
-    "SerialBackend",
-    "ThreadsBackend",
-    "ProcessesBackend",
-]
+__all__ = ["BACKENDS", "run_batches"]
 
 #: The available executor backends, in documentation order (the engine's
 #: subset of :data:`repro.exec.EXEC_BACKENDS`).
@@ -98,137 +84,43 @@ BACKENDS = ("serial", "threads", "processes")
 Consumer = Callable[[np.ndarray], bool]
 
 
-def batch_stream(entropy, batch_index: int) -> np.random.Generator:
-    """The RNG stream of one batch of the deterministic plan.
+def run_batches(engine: "MonteCarloEngine", consume: Consumer) -> None:
+    """Evaluate every batch of the engine's plan, folding in batch order.
 
-    The service's :func:`~repro.exec.partition_stream` with the batch
-    index as the partition index: equivalent to
-    ``SeedSequence(entropy).spawn(B)[batch_index]`` for any
-    ``B > batch_index``, but O(1).
+    ``consume`` is called exactly once per evaluated batch, in batch-index
+    order, and no new batch is scheduled once it returns ``True``.  The
+    service's accumulating report is published on the engine
+    (``last_execution_report``) so the result/details layers can surface
+    what the execution layer had to do.
     """
-    return partition_stream(entropy, batch_index)
-
-
-def resolve_backend(name: Optional[str], workers: int) -> str:
-    """Resolve (and validate) the backend name.
-
-    ``None`` keeps the historical behaviour: one worker means the serial
-    reference path, several workers mean the thread pool.
-    """
-    return resolve_exec_backend(name, workers)
-
-
-def create_backend(engine: "MonteCarloEngine") -> "ExecutorBackend":
-    """Instantiate the engine's configured backend."""
-    cls = {
-        "serial": SerialBackend,
-        "threads": ThreadsBackend,
-        "processes": ProcessesBackend,
-    }[engine.backend]
-    return cls(engine)
-
-
-def _evaluate_with_slot_stream(batch: int, slot, rng) -> np.ndarray:
-    """Serial partition function: the slot owns its sequential stream.
-
-    The sequential stream is the one piece of state a retry would not
-    replay by construction, so the stream position is snapshotted before
-    the evaluation and restored if it raises: a retried batch re-draws
-    exactly the variates of its failed attempt, keeping the serial
-    backend bit-identical under faults.
-    """
-    state = slot.rng.bit_generator.state if slot.rng is not None else None
+    plan = engine._batch_plan()
+    workers = engine.workers if engine.backend == "processes" else len(engine._slots)
+    service = ParallelService(
+        workers=workers,
+        backend=engine.backend,
+        retries=engine.exec_retries,
+        timeout=engine.exec_timeout,
+        on_failure=engine.exec_on_failure,
+    )
+    engine.last_execution_report = service.report
     try:
-        return slot.evaluate(batch)
-    except BaseException:
-        if state is not None:
-            slot.rng.bit_generator.state = state
-        raise
+        if engine.backend == "processes":
+            _run_processes(engine, plan, service, consume)
+        else:
+            service.run(
+                _evaluate,
+                plan,
+                slots=engine._slots,
+                entropy=engine.seed_entropy,
+                consume=lambda index, makespans: consume(makespans),
+            )
+    finally:
+        service.close()
 
 
-def _evaluate_with_batch_stream(batch: int, slot, rng) -> np.ndarray:
-    """Parallel partition function: the per-batch stream arrives each call."""
+def _evaluate(batch: int, slot, rng: np.random.Generator) -> np.ndarray:
+    """In-process partition function: the batch's stream arrives each call."""
     return slot.evaluate(batch, rng)
-
-
-class ExecutorBackend:
-    """Base class: schedule the engine's batch plan onto compute resources."""
-
-    name = "abstract"
-
-    def __init__(self, engine: "MonteCarloEngine") -> None:
-        # A weak reference: the engine owns its backend, and a strong
-        # back-reference would keep a dropped engine (and its kernel
-        # buffers) alive until the cyclic garbage collector runs.
-        self._engine = weakref.ref(engine)
-
-    @property
-    def engine(self) -> "MonteCarloEngine":
-        return self._engine()
-
-    def run(self, consume: Consumer) -> None:
-        """Evaluate every batch of the plan, folding results in batch order.
-
-        Implementations must call ``consume`` exactly once per evaluated
-        batch, in batch-index order, and stop scheduling new work once it
-        returns ``True``.
-        """
-        raise NotImplementedError
-
-    def _make_service(self, workers: int, backend: str) -> ParallelService:
-        """A service carrying the engine's fault-tolerance knobs.
-
-        The service's accumulating report is published on the engine
-        (``last_execution_report``) so the result/details layers can
-        surface what the execution layer had to do.
-        """
-        engine = self.engine
-        service = ParallelService(
-            workers=workers,
-            backend=backend,
-            retries=engine.exec_retries,
-            timeout=engine.exec_timeout,
-            on_failure=engine.exec_on_failure,
-        )
-        engine.last_execution_report = service.report
-        return service
-
-
-class SerialBackend(ExecutorBackend):
-    """Sequential reference: one slot, one RNG stream, batches in order."""
-
-    name = "serial"
-
-    def run(self, consume: Consumer) -> None:
-        service = self._make_service(1, "serial")
-        service.run(
-            _evaluate_with_slot_stream,
-            self.engine._batch_plan(),
-            slots=self.engine._slots,
-            consume=lambda index, makespans: consume(makespans),
-        )
-
-
-class ThreadsBackend(ExecutorBackend):
-    """Thread pool over private evaluation slots, per-batch RNG streams.
-
-    The service keeps one batch in flight per slot: evaluations run
-    concurrently, results fold into the statistics in batch-index order,
-    and the stopping criterion is re-checked after every fold.
-    """
-
-    name = "threads"
-
-    def run(self, consume: Consumer) -> None:
-        engine = self.engine
-        service = self._make_service(len(engine._slots), "threads")
-        service.run(
-            _evaluate_with_batch_stream,
-            engine._batch_plan(),
-            slots=engine._slots,
-            entropy=engine.seed_entropy,
-            consume=lambda index, makespans: consume(makespans),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -313,15 +205,20 @@ def _process_eval_batch(item, state: _ProcessWorkerState, rng) -> int:
     """Evaluate one batch and write its makespans into the shared buffer.
 
     The service derives ``rng`` from the partition index, which *is* the
-    batch index — the same stream the threads backend hands its slots.
+    batch index — the same stream the in-process backends hand their slots.
     """
     batch, offset = item
-    makespans = state.engine._slots[0].evaluate(batch, rng=rng)
+    makespans = state.engine._slots[0].evaluate(batch, rng)
     state.out[offset : offset + batch] = makespans
     return offset
 
 
-class ProcessesBackend(ExecutorBackend):
+def _run_processes(
+    engine: "MonteCarloEngine",
+    plan: List[int],
+    service: ParallelService,
+    consume: Consumer,
+) -> None:
     """Process pool with a shared-memory result buffer.
 
     Every worker process builds its wavefront kernel once (in the pool
@@ -329,53 +226,43 @@ class ProcessesBackend(ExecutorBackend):
     batches of the plan, writing the resulting makespans directly into one
     shared ``float64`` buffer sized for the whole run (8 bytes/trial — 8 MB
     for a million trials).  The service folds finished batches into the
-    statistics in batch-index order as they land, so the merged result is
-    identical to the ``threads`` backend at any worker count.
+    statistics in batch-index order as they land.
     """
+    from ..core.serialize import graph_to_dict
 
-    name = "processes"
+    offsets: List[int] = [0]
+    for batch in plan:
+        offsets.append(offsets[-1] + batch)
+    total = offsets[-1]
 
-    def run(self, consume: Consumer) -> None:
-        from ..core.serialize import graph_to_dict
-
-        engine = self.engine
-        plan = engine._batch_plan()
-        offsets: List[int] = [0]
-        for batch in plan:
-            offsets.append(offsets[-1] + batch)
-        total = offsets[-1]
-
-        # Repeated runs over the same DAG re-use one warm schedule segment,
-        # and worker start-up attaches it instead of recompiling.
-        schedule_key, schedule_segment = publish_schedule(engine.graph.index(), "up")
-        out = service = None
-        try:
-            out = SharedSegment.create({"makespans": np.zeros(total)})
-            view = out.arrays["makespans"]
-            spec = _ProcessSpec(
-                graph_payload=graph_to_dict(engine.graph),
-                model=engine.model,
-                mode=engine.mode,
-                reexecution_factor=engine.reexecution_factor,
-                dtype=engine.dtype.name,
-                capacity=engine._capacity,
-                schedule=schedule_segment.handle,
-                out=out.handle,
-                kernel_backend=engine.kernel_backend,
-            )
-            service = self._make_service(engine.workers, "processes")
-            service.run(
-                _process_eval_batch,
-                [(batch, offsets[b]) for b, batch in enumerate(plan)],
-                slot_factory=spec,
-                entropy=engine.seed_entropy,
-                consume=lambda b, _offset: consume(
-                    view[offsets[b] : offsets[b + 1]].copy()
-                ),
-            )
-        finally:
-            if service is not None:
-                service.close()
-            if out is not None:
-                out.destroy()
-            REGISTRY.release(schedule_key)
+    # Repeated runs over the same DAG re-use one warm schedule segment,
+    # and worker start-up attaches it instead of recompiling.
+    schedule_key, schedule_segment = publish_schedule(engine.graph.index(), "up")
+    out = None
+    try:
+        out = SharedSegment.create({"makespans": np.zeros(total)})
+        view = out.arrays["makespans"]
+        spec = _ProcessSpec(
+            graph_payload=graph_to_dict(engine.graph),
+            model=engine.model,
+            mode=engine.mode,
+            reexecution_factor=engine.reexecution_factor,
+            dtype=engine.dtype.name,
+            capacity=engine._capacity,
+            schedule=schedule_segment.handle,
+            out=out.handle,
+            kernel_backend=engine.kernel_backend,
+        )
+        service.run(
+            _process_eval_batch,
+            [(batch, offsets[b]) for b, batch in enumerate(plan)],
+            slot_factory=spec,
+            entropy=engine.seed_entropy,
+            consume=lambda b, _offset: consume(
+                view[offsets[b] : offsets[b + 1]].copy()
+            ),
+        )
+    finally:
+        if out is not None:
+            out.destroy()
+        REGISTRY.release(schedule_key)

@@ -706,6 +706,39 @@ class TestReservedGatherRows:
         kernel.release()
         assert kernel.buffer_nbytes == 0
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_no_rows_under_a_compiled_fold(self, stub_numba, dtype):
+        from repro.failures.models import ExponentialErrorModel
+        from repro.sim.engine import MonteCarloEngine
+
+        graph = build_dag("cholesky", 6)
+        idx = graph.index()
+        only_buffer = (idx.num_tasks + 1) * 16 * np.dtype(dtype).itemsize
+        plain = WavefrontKernel(idx, dtype=dtype, kernel_backend="numpy")
+        kernel = WavefrontKernel(idx, dtype=dtype, kernel_backend="numba")
+        kernel.reserve(16)
+        assert kernel._propagate_fn is not None and kernel._gather is None
+        assert kernel.buffer_nbytes == only_buffer
+        w = random_weight_matrix(idx, 16, seed=1)
+        expected = plain.run(w)
+        assert np.array_equal(kernel.run(w), expected)
+
+        def unsupported(*args):
+            raise RuntimeError("unsupported")
+
+        # A runtime fallback folds with fancy indexing: the same bits, and
+        # still no gather rows.
+        kernel._propagate_fn = unsupported
+        assert np.array_equal(kernel.run(w), expected)
+        assert kernel._propagate_fn is None and kernel._gather is None
+        assert kernel.buffer_nbytes == only_buffer
+        # The Monte Carlo slots reserve through the same path.
+        engine = MonteCarloEngine(
+            graph, ExponentialErrorModel.for_graph(graph, 1e-2), trials=16,
+            dtype=dtype, kernel_backend="numba",
+        )
+        assert engine._kernel.buffer_nbytes == only_buffer
+
     def test_no_allocation_per_batch(self):
         import tracemalloc
 

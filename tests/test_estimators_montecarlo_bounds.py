@@ -91,6 +91,50 @@ class TestMonteCarlo:
             MonteCarloEstimator(trials=0).estimate(diamond, ExponentialErrorModel(0.1))
 
 
+class TestMonteCarloAgainstExact:
+    """Seeded Monte Carlo lands within 4 standard errors of exact enumeration.
+
+    For a correct sampler the standardised error is close to a standard
+    normal at 20,000 trials, so each ``|mean - exact| <= 4 * std_error``
+    check fails with two-sided probability 2 (1 - Phi(4)) = 6.3e-5; over
+    the 12 checks below (3 DAGs x 2 rates x 2 seeds) the family-wise
+    false-positive rate is at most 12 x 6.3e-5 = 7.6e-4 (union bound).
+    The seeds are fixed, so the outcome is deterministic: these are the
+    odds that a different choice of seeds would fail.
+    """
+
+    DAGS = [("cholesky", 3), ("lu", 3), ("qr", 3)]  # 10, 14 and 14 tasks
+    TRIALS = 20_000
+
+    @pytest.mark.parametrize("seed", [2016, 2024])
+    @pytest.mark.parametrize("pfail", [1e-1, 1e-2])
+    @pytest.mark.parametrize("workflow,size", DAGS)
+    def test_within_four_standard_errors(self, workflow, size, pfail, seed):
+        from repro.workflows.registry import build_dag
+
+        graph = build_dag(workflow, size)
+        assert graph.num_tasks <= 16
+        model = ExponentialErrorModel.for_graph(graph, pfail)
+        exact = ExactEstimator().estimate(graph, model).expected_makespan
+        mc = MonteCarloEstimator(trials=self.TRIALS, seed=seed).estimate(graph, model)
+        assert mc.std_error > 0.0
+        assert abs(mc.expected_makespan - exact) <= 4.0 * mc.std_error
+
+    def test_every_backend_returns_the_same_mean(self):
+        from repro.workflows.registry import build_dag
+
+        graph = build_dag("lu", 3)
+        model = ExponentialErrorModel.for_graph(graph, 1e-1)
+        means = [
+            MonteCarloEstimator(
+                trials=self.TRIALS, seed=2016, batch_size=4_096,
+                backend=backend, workers=workers,
+            ).estimate(graph, model).expected_makespan
+            for backend, workers in [("serial", 1), ("threads", 2), ("processes", 2)]
+        ]
+        assert means[0] == means[1] == means[2]
+
+
 class TestBounds:
     @pytest.mark.parametrize("pfail", [0.001, 0.01, 0.1])
     def test_bounds_bracket_exact_value(self, small_random_dag, pfail):

@@ -22,6 +22,7 @@ from repro.estimators.correlated import (
 from repro.estimators.sculli import SculliEstimator, sequential_completion_moments
 from repro.estimators.second_order import SecondOrderEstimator, sequential_pair_up_down
 from repro.estimators.sweep import DiscreteSweepEstimator, sequential_sweep_estimate
+from repro.exec import partition_stream
 from repro.failures.models import ExponentialErrorModel
 from repro.failures.twostate import two_state_moment_vectors
 from repro.rv.normal import NormalRV, clark_max
@@ -202,14 +203,15 @@ class TestPrioritiesOnKernels:
 
 
 class TestThreadedMonteCarloDeterminism:
-    """workers=1 must preserve the PR 1 engine's exact sample stream."""
+    """workers=1 must reproduce the original engine's exact samples."""
 
     @staticmethod
     def _pr1_reference_makespans(graph, model, trials, seed, batch_size):
-        """The PR 1 pipeline, reproduced: one RNG stream, trial-major
-        uniforms, fused two-state weights, wavefront kernel sweeps."""
+        """The original pipeline, reproduced: trial-major uniforms from
+        batch ``b``'s ``partition_stream(seed entropy, b)``, fused
+        two-state weights, wavefront kernel sweeps."""
         index = graph.index()
-        rng = np.random.default_rng(seed)
+        entropy = np.random.SeedSequence(seed).entropy
         q = np.asarray(model.failure_probabilities(index.weights), dtype=np.float64)
         kernel = WavefrontKernel(index, direction="up")
         perm = kernel.perm
@@ -219,7 +221,9 @@ class TestThreadedMonteCarloDeterminism:
         remaining = trials
         while remaining > 0:
             batch = min(batch_size, remaining)
-            uniform = rng.random((batch, index.num_tasks))
+            uniform = partition_stream(entropy, len(out)).random(
+                (batch, index.num_tasks)
+            )
             mask = uniform.T < q[:, None]
             view = kernel.weight_view(batch)[:, :batch]
             np.multiply(mask[perm], extra_rows, out=view)
@@ -261,11 +265,9 @@ class TestThreadedMonteCarloDeterminism:
         assert a.workers == 3
 
         single = MonteCarloEngine(graph, model, workers=1, **kwargs).run()
-        # Different streams, same distribution: means agree to Monte Carlo
-        # noise (a few standard errors).
-        assert abs(a.mean - single.mean) <= 6.0 * (
-            a.standard_error + single.standard_error
-        )
+        # The same per-batch streams on the serial path: the same sample.
+        assert np.array_equal(a.samples.samples(), single.samples.samples())
+        assert a.mean == single.mean
 
     def test_multi_worker_early_stopping(self):
         graph = build_dag("cholesky", 4)

@@ -225,8 +225,8 @@ class TestRetryDeterminism:
         assert indices == list(range(len(indices)))
 
     def test_serial_slot_stream_replays_on_retry(self):
-        # The MC serial backend's slot owns one *sequential* stream; the
-        # client snapshots/restores it so retries replay their draws.
+        # Every MC batch draws from its own partition stream, which the
+        # service re-derives on each attempt, so retries replay their draws.
         from repro.failures.models import ExponentialErrorModel
         from repro.sim.engine import MonteCarloEngine
         from repro.workflows.registry import build_dag
@@ -262,6 +262,40 @@ class TestRetryDeterminism:
         assert chaotic.execution["retries"] == 3
         assert chaotic.execution["faults_injected"] == 3
         assert clean.execution["clean"]
+
+    @pytest.mark.parametrize(
+        "backend,workers", [("serial", 1), ("threads", 2), ("processes", 2)]
+    )
+    def test_mc_retries_replay_the_clean_serial_run(
+        self, monkeypatch, backend, workers
+    ):
+        # One RNG contract: a chaotic run on any backend equals the clean
+        # serial run bit for bit.
+        if backend == "processes" and not HAS_PROCESSES:
+            pytest.skip("process pools unavailable")
+        from repro.failures.models import ExponentialErrorModel
+        from repro.sim.engine import MonteCarloEngine
+        from repro.workflows.registry import build_dag
+
+        graph = build_dag("cholesky", 4)
+        model = ExponentialErrorModel.for_graph(graph, 1e-2)
+        kw = dict(trials=4_000, batch_size=512, seed=9, exec_retries=2,
+                  keep_samples=True)
+        monkeypatch.delenv("REPRO_EXEC_FAULTS", raising=False)
+        monkeypatch.setenv("REPRO_EXEC_BACKOFF", "0")
+        clean = MonteCarloEngine(graph, model, **kw).run()
+        monkeypatch.setenv("REPRO_EXEC_FAULTS", "raise@1; raise@3#0")
+        chaotic = MonteCarloEngine(
+            graph, model, backend=backend, workers=workers, **kw
+        ).run()
+        assert clean.execution["clean"]
+        assert chaotic.execution["retries"] == 2
+        assert chaotic.execution["faults_injected"] == 2
+        assert np.array_equal(chaotic.samples.samples(), clean.samples.samples())
+        assert chaotic.mean == clean.mean
+        assert chaotic.std == clean.std
+        assert chaotic.minimum == clean.minimum
+        assert chaotic.maximum == clean.maximum
 
     def test_report_accounts_attempts_and_retries(self):
         service = _service(

@@ -317,6 +317,16 @@ class TestStubJitDifferential:
         kwargs = dict(trials=150, batch_size=64, seed=42, keep_samples=True)
         ref = MonteCarloEngine(graph, model, kernel_backend="numpy", **kwargs)
         jit = MonteCarloEngine(graph, model, kernel_backend="numba", **kwargs)
+        # Keep every batch's stream to see where each one stops.
+        streams = {ref: [], jit: []}
+        for engine, seen in streams.items():
+            slot = engine._slots[0]
+
+            def recording(batch, rng, evaluate=slot.evaluate, seen=seen):
+                seen.append(rng)
+                return evaluate(batch, rng)
+
+            slot.evaluate = recording
         ref_result, jit_result = ref.run(), jit.run()
         # The second tile raised; NumPy sampled it and everything after.
         assert tiles == [0, 17]
@@ -324,8 +334,10 @@ class TestStubJitDifferential:
             ref_result.samples.samples(), jit_result.samples.samples()
         )
         assert ref_result.mean == jit_result.mean
-        # No variate was drawn twice: both streams stop at the same place.
-        assert jit.rng.random() == ref.rng.random()
+        # No variate was drawn twice: every batch's stream stops at the
+        # same place on both engines.
+        assert len(streams[jit]) == len(streams[ref]) == 3
+        assert [r.random() for r in streams[jit]] == [r.random() for r in streams[ref]]
 
     @settings(
         max_examples=12,

@@ -2,10 +2,9 @@
 
 The executor-backend contract (see :mod:`repro.sim.executors`):
 
-* ``serial`` is bit-identical to the historical ``workers=1`` engine;
-* ``threads`` and ``processes`` derive RNG streams per *batch* and fold in
-  batch-index order, so a fixed seed yields identical merged estimates at
-  any worker count with either parallel backend;
+* every backend derives one RNG stream per *batch* and folds in
+  batch-index order, so a fixed seed yields identical merged estimates on
+  ``serial``, ``threads`` and ``processes`` at any worker count;
 * streaming mode serves mean/std/CI from the same fold (exact agreement)
   and quantiles from the fixed-grid sketch (one-bin accuracy).
 """
@@ -17,9 +16,10 @@ import repro.sim.engine as engine_module
 from repro.core.generators import erdos_renyi_dag
 from repro.core.kernels import WavefrontKernel
 from repro.exceptions import EstimationError, ReproError
+from repro.exec import partition_stream, resolve_exec_backend
 from repro.failures.models import ExponentialErrorModel, FixedProbabilityModel
 from repro.sim.engine import MonteCarloEngine
-from repro.sim.executors import BACKENDS, batch_stream, resolve_backend
+from repro.sim.executors import BACKENDS, run_batches
 from repro.sim.sampler import DEFAULT_MAX_EXECUTIONS, task_failure_probabilities
 from repro.sim.stats import (
     P2Quantile,
@@ -43,17 +43,17 @@ KW = dict(trials=6_000, batch_size=1_024, seed=123, keep_samples=True)
 
 class TestBackendResolution:
     def test_default_resolution(self):
-        assert resolve_backend(None, 1) == "serial"
-        assert resolve_backend(None, 4) == "threads"
+        assert resolve_exec_backend(None, 1) == "serial"
+        assert resolve_exec_backend(None, 4) == "threads"
 
     def test_explicit_names(self):
         for name in BACKENDS:
             workers = 1 if name == "serial" else 2
-            assert resolve_backend(name, workers) == name
+            assert resolve_exec_backend(name, workers) == name
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(EstimationError):
-            resolve_backend("gpu", 1)
+            resolve_exec_backend("gpu", 1)
 
     def test_serial_with_many_workers_rejected(self, case):
         graph, model = case
@@ -65,7 +65,7 @@ class TestBackendResolution:
         children = root.spawn(5)
         for b in range(5):
             a = np.random.default_rng(children[b]).random(8)
-            c = batch_stream(99, b).random(8)
+            c = partition_stream(99, b).random(8)
             assert np.array_equal(a, c)
 
 
@@ -81,13 +81,14 @@ class TestCrossBackendDeterminism:
         assert serial.mean == default.mean
         assert serial.std == default.std
 
-    def test_identical_across_parallel_backends_and_worker_counts(self, case):
+    def test_identical_across_backends_and_worker_counts(self, case):
         graph, model = case
         results = [
             MonteCarloEngine(
                 graph, model, backend=backend, workers=workers, **KW
             ).run()
             for backend, workers in [
+                ("serial", 1),
                 ("threads", 1),
                 ("threads", 2),
                 ("threads", 4),
@@ -104,16 +105,6 @@ class TestCrossBackendDeterminism:
             assert other.std == reference.std
             assert other.minimum == reference.minimum
             assert other.maximum == reference.maximum
-
-    def test_parallel_backends_agree_with_serial_statistically(self, case):
-        graph, model = case
-        serial = MonteCarloEngine(graph, model, backend="serial", **KW).run()
-        threads = MonteCarloEngine(
-            graph, model, backend="threads", workers=2, **KW
-        ).run()
-        assert abs(serial.mean - threads.mean) <= 6.0 * (
-            serial.standard_error + threads.standard_error
-        )
 
     def test_processes_reproducible_across_runs(self, case):
         graph, model = case
@@ -140,17 +131,38 @@ class TestCrossBackendDeterminism:
         assert a.mean == b.mean
 
 
+def _folded_batches(engine):
+    """Run ``engine`` and return its makespans in trial order.
+
+    The kept sample is sorted, so the batches are recorded as
+    :func:`run_batches` folds them.
+    """
+    folded = []
+
+    def recording_run(engine, consume):
+        def record(makespans):
+            folded.append(np.array(makespans, dtype=np.float64))
+            return consume(makespans)
+
+        return run_batches(engine, record)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "run_batches", recording_run)
+        result = engine.run()
+    return result, np.concatenate(folded)
+
+
 def _dense_reference(
     graph, model, *, trials, batch_size, seed, dtype="float64",
-    mode="two-state", reexecution_factor=2.0, per_batch_streams=False,
+    mode="two-state", reexecution_factor=2.0,
 ):
     """The dense sampling pipeline the tiled sampler replaced (test oracle).
 
-    Each batch is drawn as one trial-major ``(batch, tasks)`` matrix; the
-    kernel buffer is filled from its transposed failure mask as
-    ``mask * (f - 1) w`` then ``+= w`` (geometric: capped draws times
-    ``w``), folded, and reduced by a maximum over *all* rows.  Returns the
-    makespans and the sequential stream (serial backend) after the run.
+    Batch ``b`` is drawn from ``partition_stream(seed entropy, b)`` as one
+    trial-major ``(batch, tasks)`` matrix; the kernel buffer is filled from
+    its transposed failure mask as ``mask * (f - 1) w`` then ``+= w``
+    (geometric: capped draws times ``w``), folded, and reduced by a
+    maximum over *all* rows.  Returns the makespans in trial order.
     """
     idx = graph.index()
     n = idx.num_tasks
@@ -160,11 +172,10 @@ def _dense_reference(
     w_rows = idx.weights[perm][:, None]
     extra_rows = ((reexecution_factor - 1.0) * idx.weights)[perm][:, None]
     entropy = np.random.SeedSequence(seed).entropy
-    serial = np.random.default_rng(seed)
     out = []
     for b, start in enumerate(range(0, trials, batch_size)):
         batch = min(batch_size, trials - start)
-        rng = batch_stream(entropy, b) if per_batch_streams else serial
+        rng = partition_stream(entropy, b)
         view = kernel.weight_view(batch)
         if mode == "two-state":
             mask = rng.random((batch, n)) < q
@@ -176,7 +187,7 @@ def _dense_reference(
             np.multiply(draws.T[perm], w_rows, out=view)
         kernel.propagate(batch)
         out.append(np.asarray(kernel.makespans(batch), dtype=np.float64))
-    return np.concatenate(out), serial
+    return np.concatenate(out)
 
 
 BACKEND_CASES = [("serial", 1), ("threads", 2), ("processes", 2)]
@@ -209,24 +220,9 @@ class TestDenseReferenceIdentity:
             graph, model, backend=backend, workers=workers,
             keep_samples=True, **self.KW, **kw,
         )
-        # The kept sample is sorted: record the folded batches for the
-        # trial order.
-        folded = []
-        run_backend = engine._executor.run
-
-        def recording_run(consume):
-            def record(makespans):
-                folded.append(np.array(makespans, dtype=np.float64))
-                return consume(makespans)
-
-            return run_backend(record)
-
-        engine._executor.run = recording_run
-        result = engine.run()
-        ref, _ = _dense_reference(
-            graph, model, per_batch_streams=backend != "serial", **self.KW, **kw
-        )
-        assert np.array_equal(np.concatenate(folded), ref)
+        result, folded = _folded_batches(engine)
+        ref = _dense_reference(graph, model, **self.KW, **kw)
+        assert np.array_equal(folded, ref)
         assert np.array_equal(result.samples.samples(), np.sort(ref))
 
     @pytest.mark.parametrize("backend,workers", BACKEND_CASES)
@@ -266,15 +262,6 @@ class TestDenseReferenceIdentity:
         self._assert_identical(
             graph, model, "serial", 1, dtype=dtype, reexecution_factor=1.7
         )
-
-    @pytest.mark.parametrize("mode", ["two-state", "geometric"])
-    def test_serial_stream_continues_after_the_run(self, mode):
-        graph = build_dag("cholesky", 6)
-        model = ExponentialErrorModel.for_graph(graph, 5e-2)
-        engine = MonteCarloEngine(graph, model, mode=mode, **self.KW)
-        engine.run()
-        _, stream = _dense_reference(graph, model, mode=mode, **self.KW)
-        assert engine.rng.random() == stream.random()
 
 
 class TestStreamingMode:
@@ -549,23 +536,6 @@ class TestBatchedDodinDifferential:
         assert details["batched"] is True
 
 
-def _folded_batches(engine):
-    """Run ``engine`` and return its makespans in trial order."""
-    folded = []
-    run_backend = engine._executor.run
-
-    def recording_run(consume):
-        def record(makespans):
-            folded.append(np.array(makespans, dtype=np.float64))
-            return consume(makespans)
-
-        return run_backend(record)
-
-    engine._executor.run = recording_run
-    result = engine.run()
-    return result, np.concatenate(folded)
-
-
 @pytest.fixture(scope="module")
 def cholesky24():
     graph = build_dag("cholesky", 24)  # 2,600 tasks: a 256-trial batch
@@ -619,28 +589,16 @@ class TestDefaultBatchSize:
             engine = MonteCarloEngine(graph, model, trials=500, batch_size=batch)
             assert engine.batch_size == batch
 
-    @pytest.mark.parametrize("mode", ["two-state", "geometric"])
-    def test_serial_samples_equal_an_explicit_8192_batch(self, cholesky24, mode):
-        graph, model = cholesky24
-        kw = dict(trials=700, seed=2016, mode=mode, keep_samples=True)
-        default = MonteCarloEngine(graph, model, **kw)
-        explicit = MonteCarloEngine(graph, model, batch_size=8_192, **kw)
-        assert default.batch_size == 256  # three batches against one
-        result, trials = _folded_batches(default)
-        reference, reference_trials = _folded_batches(explicit)
-        assert np.array_equal(trials, reference_trials)
-        assert np.array_equal(result.samples.samples(), reference.samples.samples())
-        assert result.mean == pytest.approx(reference.mean, rel=1e-12)
-        assert result.std == pytest.approx(reference.std, rel=1e-12)
-
-    def test_parallel_backends_bit_identical_at_the_default(self, cholesky24):
+    def test_every_backend_bit_identical_at_the_default(self, cholesky24):
         graph, model = cholesky24
         kw = dict(trials=600, seed=7, keep_samples=True)
         results = [
             _folded_batches(
                 MonteCarloEngine(graph, model, backend=backend, workers=workers, **kw)
             )
-            for backend, workers in [("threads", 1), ("threads", 2), ("processes", 2)]
+            for backend, workers in [
+                ("serial", 1), ("threads", 1), ("threads", 2), ("processes", 2),
+            ]
         ]
         (reference, reference_trials), *others = results
         assert reference.batch_size == 256  # 256 + 256 + 88: three streams

@@ -9,6 +9,7 @@ import repro.sim.engine as engine_module
 from repro.core.generators import chain_graph, independent_tasks
 from repro.core.paths import critical_path_length
 from repro.exceptions import EstimationError
+from repro.exec import partition_stream
 from repro.failures.models import ExponentialErrorModel, FixedProbabilityModel
 from repro.rv.empirical import RunningMoments
 from repro.sim.engine import MonteCarloEngine, simulate_expected_makespan
@@ -114,6 +115,28 @@ class TestEngine:
         with pytest.raises(EstimationError):
             MonteCarloEngine(diamond, model, batch_size=0)
 
+    @pytest.mark.parametrize(
+        "seed", [np.random.default_rng(3), -1], ids=["generator", "negative"]
+    )
+    def test_invalid_seed_rejected(self, diamond, seed):
+        from repro import estimate_expected_makespan
+
+        model = FixedProbabilityModel(0.1)
+        with pytest.raises(EstimationError, match="seed"):
+            MonteCarloEngine(diamond, model, trials=10, seed=seed)
+        with pytest.raises(EstimationError, match="seed"):
+            estimate_expected_makespan(
+                diamond, model, method="monte-carlo", trials=10, seed=seed
+            )
+
+    def test_integer_seeds_accepted(self, diamond):
+        model = FixedProbabilityModel(0.1)
+        runs = [
+            MonteCarloEngine(diamond, model, trials=100, seed=seed).run().mean
+            for seed in (0, 7, np.int64(7))
+        ]
+        assert runs[1] == runs[2]
+
 
 class CountingModel(FixedProbabilityModel):
     """Fixed-probability model that counts vectorised probability queries."""
@@ -130,14 +153,18 @@ class TestZeroCopyPipeline:
 
     @staticmethod
     def _reference_makespans(graph, model, trials, seed, batch_size, factor=2.0):
-        """The pre-refactor pipeline: trial-major sampling + per-task sweep."""
+        """The pre-refactor pipeline: trial-major sampling + per-task sweep.
+
+        Batch ``k`` draws from ``partition_stream(seed entropy, k)``.
+        """
         idx = graph.index()
-        rng = np.random.default_rng(seed)
+        entropy = np.random.SeedSequence(seed).entropy
         q = model.failure_probabilities(idx.weights)
         out = []
         remaining = trials
         while remaining > 0:
             b = min(batch_size, remaining)
+            rng = partition_stream(entropy, len(out))
             failures = rng.random((b, idx.num_tasks)) < q[None, :]
             times = idx.weights[None, :] + failures * ((factor - 1.0) * idx.weights[None, :])
             completion = np.zeros((b, idx.num_tasks))
@@ -217,9 +244,10 @@ class TestZeroCopyPipeline:
                     assert value.size < batch_size * n
         monkeypatch.setattr(slot.kernel, "propagate", lambda trials: None)
         batch = min(batch_size, 4_096)
+        rng = partition_stream(engine.seed_entropy, 0)
         tracemalloc.start()
         try:
-            slot.evaluate(batch)
+            slot.evaluate(batch, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -242,7 +270,7 @@ class TestZeroCopyPipeline:
         model = ExponentialErrorModel.for_graph(graph, 0.1)
         engine = MonteCarloEngine(graph, model, trials=300, seed=4, dtype=dtype)
         slot = engine._slots[0]
-        makespans = slot.evaluate(300)
+        makespans = slot.evaluate(300, partition_stream(engine.seed_entropy, 0))
         assert makespans.tobytes() == slot.kernel.makespans(300).tobytes()
 
     def test_float32_close_to_float64(self, lu4):
@@ -256,11 +284,12 @@ class TestZeroCopyPipeline:
     def test_geometric_mode_unchanged(self, cholesky4):
         model = ExponentialErrorModel.for_graph(cholesky4, 0.05)
         idx = cholesky4.index()
-        rng = np.random.default_rng(21)
+        entropy = np.random.SeedSequence(21).entropy
         ref = []
         remaining = 3_000
         while remaining > 0:
             b = min(1_024, remaining)
+            rng = partition_stream(entropy, len(ref))
             times = sample_task_times(idx, model, b, rng, mode="geometric")
             completion = np.zeros((b, idx.num_tasks))
             indptr, indices = idx.pred_indptr, idx.pred_indices

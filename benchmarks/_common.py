@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -108,6 +109,31 @@ def best_time(fn, repeats: int = 3) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def paired_median_ratio(fn_a, fn_b, pairs: int):
+    """Median over ``pairs`` of ``time(fn_a) / time(fn_b)``, run back to back.
+
+    Every other pair runs ``fn_b`` first, so neither side always pays for
+    running second.  Returns the median time of each side and the median
+    of the per-pair ratios.
+    """
+    order = [("a", fn_a), ("b", fn_b)]
+    times_a, times_b, ratios = [], [], []
+    for pair in range(pairs):
+        timed = {}
+        for name, fn in order if pair % 2 == 0 else order[::-1]:
+            start = time.perf_counter()
+            fn()
+            timed[name] = time.perf_counter() - start
+        times_a.append(timed["a"])
+        times_b.append(timed["b"])
+        ratios.append(timed["a"] / timed["b"])
+    return (
+        statistics.median(times_a),
+        statistics.median(times_b),
+        statistics.median(ratios),
+    )
 
 
 def bench_sizes(config: FigureConfig) -> Tuple[int, ...]:

@@ -24,7 +24,9 @@ violates a regression guard:
   warm-hit/cold-miss request-rate ratio) and compiled-kernel backend
   entries (``benchmark = "kernel_backends"``, where ``speedup`` is the
   NumPy-reference/backend time ratio and the guard self-arms only when
-  the accelerator was importable at measurement time): the archived
+  the accelerator was importable at measurement time) and fresh-graph
+  compile entries (``benchmark = "graph_compile"``, where ``speedup`` is
+  the median reference/package time ratio of paired runs): the archived
   ``guard_min`` per entry (``null`` when the guard did not apply at
   measurement time — small graph, too few CPUs for the parallel
   comparisons, or no accelerator installed).  Dtype error-floor entries
@@ -75,6 +77,8 @@ def _entry_key(entry: dict) -> tuple:
         return ("exec-faults", entry["method"], entry["workflow"], entry["k"])
     if entry.get("benchmark") == "service":
         return ("service", entry["method"], entry["workflow"], entry["k"])
+    if entry.get("benchmark") == "graph_compile":
+        return ("graph-compile", entry["method"], entry["workflow"], entry["k"])
     if entry.get("benchmark") == "kernel_backends":
         return (
             "kernel-backends",
@@ -121,6 +125,7 @@ def _entry_guard(entry: dict):
         "estimator_wavefront", "mc_backends", "correlated_parallel",
         "correlated_processes", "exec_faults", "service",
         "kernel_backends", "dtype_error_floor", "kernel_lengths",
+        "graph_compile",
     ):
         return entry.get("guard_min")
     if (
@@ -148,6 +153,8 @@ def _label(key: tuple) -> str:
         return f"service/{a:<12s} {b} k={k}"
     if kind == "kernel-backends":
         return f"kernel-backends/{a:<20s} {b} k={k}"
+    if kind == "graph-compile":
+        return f"graph-compile/{a:<13s} {b} k={k}"
     if kind == "dtype-floor":
         return f"dtype-floor/{a:<14s} {b} k={k}"
     if kind == "kernel-lengths":

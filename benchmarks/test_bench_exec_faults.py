@@ -36,7 +36,12 @@ from repro.failures.models import ExponentialErrorModel
 from repro.sim.engine import MonteCarloEngine
 from repro.workflows.registry import build_dag
 
-from _common import archive_rates, best_time, throughput_bench_sizes
+from _common import (
+    archive_rates,
+    best_time,
+    paired_median_ratio,
+    throughput_bench_sizes,
+)
 
 DEFAULT_SIZES = (24,)
 
@@ -77,34 +82,6 @@ def interleaved_best(fn_a, fn_b, repeats: int = 4):
         fn_b()
         best_b = min(best_b, time.perf_counter() - start)
     return best_a, best_b
-
-
-def paired_median_ratio(fn_a, fn_b, pairs: int = IDLE_PAIRS):
-    """Median over ``pairs`` of ``time(fn_a) / time(fn_b)``, run back to back.
-
-    Every other pair runs ``fn_b`` first, so neither side always pays for
-    running second.  Returns the median time of each side and the median
-    of the per-pair ratios.
-    """
-    import statistics
-    import time
-
-    order = [("a", fn_a), ("b", fn_b)]
-    times_a, times_b, ratios = [], [], []
-    for pair in range(pairs):
-        timed = {}
-        for name, fn in order if pair % 2 == 0 else order[::-1]:
-            start = time.perf_counter()
-            fn()
-            timed[name] = time.perf_counter() - start
-        times_a.append(timed["a"])
-        times_b.append(timed["b"])
-        ratios.append(timed["a"] / timed["b"])
-    return (
-        statistics.median(times_a),
-        statistics.median(times_b),
-        statistics.median(ratios),
-    )
 
 
 def _entry(method, k, n, trials, base_time, time, guard_min, **extra):
@@ -150,7 +127,7 @@ def test_exec_fault_tolerance_overhead():
             ).run
 
         base_time, armed_time, ratio = paired_median_ratio(
-            one_batch(), one_batch(**armed)
+            one_batch(), one_batch(**armed), IDLE_PAIRS
         )
         entry = _entry(
             "policy-idle-serial", k, n, BATCH_SIZE, base_time, armed_time,

@@ -20,6 +20,7 @@ The index is computed lazily and cached; any mutation invalidates the cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Any,
     Dict,
@@ -45,17 +46,16 @@ from .task import Task, TaskId, validate_weight
 __all__ = ["TaskGraph", "GraphIndex", "compute_level_structure"]
 
 
-def _ragged_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Indices selecting ``counts[i]`` consecutive items from ``starts[i]``.
+def _ragged_gather(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Positions ``[starts[i], stops[i])`` of CSR segments, concatenated.
 
-    Expands CSR segments ``[starts[i], starts[i] + counts[i])`` into one flat
-    index array, fully vectorised (no Python loop over segments).
+    Fully vectorised (no Python loop over segments): one ``repeat`` of
+    each segment's offset plus one ``arange`` over the output.
     """
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)
+    counts = stops - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(stops - ends, counts) + np.arange(total, dtype=np.int64)
 
 
 def compute_level_structure(
@@ -87,8 +87,12 @@ def compute_level_structure(
         number of levels.
     """
     n = int(in_indptr.shape[0]) - 1
-    indegree = np.diff(in_indptr).astype(np.int64)
-    frontier = np.nonzero(indegree == 0)[0]
+    indegree = np.diff(in_indptr).astype(np.int64, copy=False)
+    out_starts, out_stops = out_indptr[:-1], out_indptr[1:]
+    # Tasks that reach in-degree zero this level, possibly repeated; the
+    # mask turns them into the next (ascending, duplicate-free) frontier.
+    hit = np.zeros(n, dtype=bool)
+    frontier = np.flatnonzero(indegree == 0)
     parts = []
     indptr = [0]
     visited = 0
@@ -96,17 +100,15 @@ def compute_level_structure(
         parts.append(frontier)
         visited += int(frontier.size)
         indptr.append(visited)
-        starts = out_indptr[frontier]
-        counts = out_indptr[frontier + 1] - starts
-        targets = out_indices[_ragged_gather(starts, counts)]
-        if targets.size:
-            indegree -= np.bincount(targets, minlength=n)
-            candidates = np.unique(targets)
-            frontier = candidates[indegree[candidates] == 0]
-        else:
-            frontier = np.empty(0, dtype=np.int64)
+        targets = out_indices[
+            _ragged_gather(out_starts[frontier], out_stops[frontier])
+        ]
+        np.subtract.at(indegree, targets, 1)
+        hit[targets[indegree[targets] == 0]] = True
+        frontier = np.flatnonzero(hit)
+        hit[frontier] = False
     if visited != n:
-        raise CycleError(cycle=np.nonzero(indegree > 0)[0][:10].tolist())
+        raise CycleError(cycle=np.flatnonzero(indegree > 0)[:10].tolist())
     level_order = (
         np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     )
@@ -114,6 +116,36 @@ def compute_level_structure(
     level_indptr.setflags(write=False)
     level_order.setflags(write=False)
     return level_indptr, level_order
+
+
+def _kahn_order(
+    succ_indptr: np.ndarray, successors: np.ndarray, task_ids: Tuple[TaskId, ...]
+) -> np.ndarray:
+    """Kahn's topological order over integer successor lists.
+
+    ``successors`` lists each task's successors in edge-insertion order;
+    the ready queue is FIFO and seeded in task-insertion order, so the
+    result is deterministic for a given construction sequence.
+
+    Raises
+    ------
+    CycleError
+        Naming (up to) the first ten tasks, in insertion order, that still
+        have unprocessed predecessors.
+    """
+    indegree = np.bincount(successors, minlength=len(task_ids)).tolist()
+    bounds = succ_indptr.tolist()
+    succ = successors.tolist()
+    order = [i for i, degree in enumerate(indegree) if not degree]
+    for task in order:  # the queue grows while it is walked
+        for nxt in succ[bounds[task] : bounds[task + 1]]:
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                order.append(nxt)
+    if len(order) != len(task_ids):
+        remaining = [task_ids[i] for i, degree in enumerate(indegree) if degree]
+        raise CycleError(cycle=remaining[:10])
+    return np.array(order, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -493,29 +525,16 @@ class TaskGraph:
         """Return a topological order of the task identifiers.
 
         Kahn's algorithm is used; ties are broken by insertion order so the
-        result is deterministic.
+        result is deterministic.  This is the order of :meth:`index`
+        (``topo_order``), built once and cached with it.
 
         Raises
         ------
         CycleError
             If the graph contains a cycle.
         """
-        in_deg = {tid: len(self._pred[tid]) for tid in self._tasks}
-        ready: List[TaskId] = [tid for tid in self._tasks if in_deg[tid] == 0]
-        order: List[TaskId] = []
-        cursor = 0
-        while cursor < len(ready):
-            tid = ready[cursor]
-            cursor += 1
-            order.append(tid)
-            for succ in self._succ[tid]:
-                in_deg[succ] -= 1
-                if in_deg[succ] == 0:
-                    ready.append(succ)
-        if len(order) != len(self._tasks):
-            remaining = [tid for tid, deg in in_deg.items() if deg > 0]
-            raise CycleError(cycle=remaining[:10])
-        return order
+        index = self.index()
+        return [index.task_ids[i] for i in index.topo_order.tolist()]
 
     def is_acyclic(self) -> bool:
         """Whether the graph is a DAG."""
@@ -533,49 +552,37 @@ class TaskGraph:
 
     def _build_index(self) -> GraphIndex:
         task_ids = tuple(self._tasks)
-        index_of = {tid: i for i, tid in enumerate(task_ids)}
         n = len(task_ids)
-        weights = np.fromiter(
-            (self._tasks[tid].weight for tid in task_ids), dtype=np.float64, count=n
-        )
-        topo = np.fromiter(
-            (index_of[tid] for tid in self.topological_order()), dtype=np.int64, count=n
-        )
-
-        # One flat pass per direction over the adjacency dictionaries yields
-        # each CSR index array already grouped by task (ascending index);
-        # the pointer arrays follow from cumsum over the per-task counts.
-        # No per-task Python loop fills array slices.
         m = self._num_edges
-        succ_counts = np.fromiter(
-            (len(succs) for succs in self._succ.values()), dtype=np.int64, count=n
+        index_of = dict(zip(task_ids, range(n)))
+        weights = np.fromiter(
+            (task.weight for task in self._tasks.values()), dtype=np.float64, count=n
         )
-        pred_counts = np.fromiter(
-            (len(preds) for preds in self._pred.values()), dtype=np.int64, count=n
-        )
-        succ_indices = np.fromiter(
-            (index_of[d] for succs in self._succ.values() for d in succs),
+        # One flat pass over the successor dictionaries, in edge-insertion
+        # order; the topological order, both canonical CSR directions and
+        # their pointer arrays follow from whole-array passes.
+        succ_counts = np.fromiter(map(len, self._succ.values()), dtype=np.int64, count=n)
+        targets = np.fromiter(
+            map(index_of.__getitem__, chain.from_iterable(self._succ.values())),
             dtype=np.int64,
             count=m,
         )
-        pred_indices = np.fromiter(
-            (index_of[p] for preds in self._pred.values() for p in preds),
-            dtype=np.int64,
-            count=m,
-        )
+        succ_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(succ_counts, out=succ_indptr[1:])
+        topo = _kahn_order(succ_indptr, targets, task_ids)
+
         # Canonicalise neighbour order within each row.  Edge-insertion
         # order is an accident of construction (a serialize round-trip
         # regroups it), and both the content-addressed schedule keys and
         # the floating-point reduction order in the kernels depend on
         # these arrays — structurally identical graphs must index
-        # identically, bit for bit.
-        if m:
-            succ_rows = np.repeat(np.arange(n, dtype=np.int64), succ_counts)
-            succ_indices = succ_indices[np.lexsort((succ_indices, succ_rows))]
-            pred_rows = np.repeat(np.arange(n, dtype=np.int64), pred_counts)
-            pred_indices = pred_indices[np.lexsort((pred_indices, pred_rows))]
-        succ_indptr = np.concatenate(([0], np.cumsum(succ_counts)))
-        pred_indptr = np.concatenate(([0], np.cumsum(pred_counts)))
+        # identically, bit for bit.  The predecessor CSR is the same edge
+        # list sorted by target instead of by source.
+        sources = np.repeat(np.arange(n, dtype=np.int64), succ_counts)
+        succ_indices = targets[np.lexsort((targets, sources))]
+        pred_indices = sources[np.lexsort((sources, targets))]
+        pred_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(targets, minlength=n), out=pred_indptr[1:])
 
         for arr in (weights, topo, pred_indptr, pred_indices, succ_indptr, succ_indices):
             arr.setflags(write=False)

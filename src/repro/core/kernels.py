@@ -36,6 +36,11 @@ a task-major ``(tasks, trials)`` buffer:
   memory traffic — Monte Carlo standard error dwarfs the ~6e-8 relative
   rounding of single precision.
 
+A :class:`LevelSchedule` is its flat arrays (:func:`schedule_arrays`),
+which :func:`_compile_schedule` builds with whole-array passes;
+:func:`schedule_from_arrays` is its one constructor, shared with workers
+that attach a published segment.
+
 Compiled schedules are cached on the index (one per direction); kernels
 returned by :func:`wavefront_kernel` are additionally cached per dtype and
 per thread so that repeated API calls (``upward_lengths``,
@@ -99,7 +104,7 @@ import numpy as np
 
 from ..exceptions import GraphError
 from .backends import get_kernel, resolve_kernel_backend
-from .graph import GraphIndex, TaskGraph, compute_level_structure
+from .graph import GraphIndex, TaskGraph, _ragged_gather, compute_level_structure
 
 __all__ = [
     "SUPPORTED_DTYPES",
@@ -167,6 +172,10 @@ class LevelGroup:
 class LevelSchedule:
     """Precompiled evaluation order for one sweep direction.
 
+    A schedule *is* its flat, read-only arrays (:func:`schedule_arrays`);
+    its one constructor is :func:`schedule_from_arrays`, after a fresh
+    compile and on workers that attached a published segment alike.
+
     Attributes
     ----------
     num_tasks:
@@ -179,9 +188,18 @@ class LevelSchedule:
         (level-contiguous, in-degree-sorted within each level).
     rank:
         Inverse permutation: task ``i`` lives in buffer row ``rank[i]``.
+    group_start, group_stop, group_width, group_ptr, group_preds:
+        The per-level degree groups, flattened in evaluation order: group
+        ``g`` updates buffer rows ``[group_start[g], group_stop[g])``, each
+        of which has ``group_width[g]`` in-neighbours, and its row-major
+        ``(rows, width)`` block of predecessor *rows* (not task indices) is
+        ``group_preds[group_ptr[g]:group_ptr[g + 1]]``.  Column ``j`` of a
+        block holds each row's ``j``-th in-neighbour in CSR order.  Level 0
+        (tasks without in-edges) needs no update and has no groups.
     groups:
-        The per-level degree groups, in evaluation order.  Level 0 (tasks
-        without in-edges) needs no update and has no groups.
+        The same degree groups as :class:`LevelGroup` objects whose
+        ``preds`` are views of ``group_preds``, for clients that iterate
+        them in Python.
     group_indptr:
         ``(num_levels + 1,)`` partition metadata: the degree groups of
         level ``L`` are ``groups[group_indptr[L]:group_indptr[L + 1]]``
@@ -189,7 +207,7 @@ class LevelSchedule:
         fold into independent per-group (or per-row-chunk) work partitions
         without walking the flat ``groups`` tuple.
     max_group_rows:
-        Largest group height, packed by :func:`schedule_arrays`.
+        Largest group height.
     task_level:
         ``task_level[i]`` is the level of task ``i`` (task-index space).
     row_level:
@@ -208,6 +226,11 @@ class LevelSchedule:
     level_order: np.ndarray
     perm: np.ndarray
     rank: np.ndarray
+    group_start: np.ndarray
+    group_stop: np.ndarray
+    group_width: np.ndarray
+    group_ptr: np.ndarray
+    group_preds: np.ndarray
     groups: Tuple[LevelGroup, ...]
     group_indptr: np.ndarray
     max_group_rows: int
@@ -270,71 +293,69 @@ def _compile_schedule(
     in_indptr: np.ndarray,
     in_indices: np.ndarray,
 ) -> LevelSchedule:
-    """Compile a level structure + incoming CSR into a :class:`LevelSchedule`."""
+    """Compile a level structure + incoming CSR into a :class:`LevelSchedule`.
+
+    Builds the flat arrays of :func:`schedule_arrays` with whole-array
+    passes (no loop over levels or groups).
+    """
     _COMPILE_COUNT[0] += 1
     n = int(in_indptr.shape[0]) - 1
-    degree = np.diff(in_indptr)
     num_levels = int(level_indptr.shape[0]) - 1
-
-    perm_parts = []
-    for level in range(num_levels):
-        tasks = level_order[level_indptr[level] : level_indptr[level + 1]]
-        perm_parts.append(tasks[np.argsort(degree[tasks], kind="stable")])
-    perm = np.concatenate(perm_parts) if perm_parts else np.empty(0, dtype=np.int64)
-    rank = np.empty(n, dtype=np.int64)
-    rank[perm] = np.arange(n, dtype=np.int64)
+    degree = np.diff(in_indptr)
     row_level = np.repeat(
         np.arange(num_levels, dtype=np.int64), np.diff(level_indptr)
     )
+    # Level-contiguous rows, in-degree-sorted within each level; lexsort is
+    # stable, so equal degrees keep their (ascending) level order.
+    perm = level_order[np.lexsort((degree[level_order], row_level))]
+    rank = np.empty(n, dtype=np.int64)
+    rank[perm] = np.arange(n, dtype=np.int64)
     task_level = np.empty(n, dtype=np.int64)
     task_level[perm] = row_level
 
-    groups = []
-    group_indptr = np.zeros(max(num_levels + 1, 1), dtype=np.int64)
-    max_group_rows = 0
-    max_edge_level_span = 0
-    for level in range(1, num_levels):
-        base = int(level_indptr[level])
-        tasks = perm[base : int(level_indptr[level + 1])]
-        degrees = degree[tasks]
-        # Degree-sorted, so equal degrees form runs; split at the changes.
-        cuts = np.concatenate(
-            ([0], np.nonzero(np.diff(degrees))[0] + 1, [len(tasks)])
-        )
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            a, b = int(a), int(b)
-            run = tasks[a:b]
-            d = int(degrees[a])
-            # Every task of the run has exactly d in-neighbours, so its CSR
-            # segment is a dense (b - a, d) block starting at indptr[task].
-            block = in_indptr[run][:, None] + np.arange(d, dtype=np.int64)
-            preds = rank[in_indices[block]]
-            preds.setflags(write=False)
-            groups.append(LevelGroup(start=base + a, stop=base + b, preds=preds))
-            max_group_rows = max(max_group_rows, b - a)
-            if preds.size:
-                span = level - int(row_level[preds].min())
-                max_edge_level_span = max(max_edge_level_span, span)
-        group_indptr[level + 1] = len(groups)
-
-    perm.setflags(write=False)
-    group_indptr.setflags(write=False)
-    rank.setflags(write=False)
-    row_level.setflags(write=False)
-    task_level.setflags(write=False)
-    return LevelSchedule(
-        num_tasks=n,
-        level_indptr=level_indptr,
-        level_order=level_order,
-        perm=perm,
-        rank=rank,
-        groups=tuple(groups),
-        group_indptr=group_indptr,
-        max_group_rows=max_group_rows,
-        task_level=task_level,
-        row_level=row_level,
-        max_edge_level_span=max_edge_level_span,
+    # Rows from level 1 on are folded.  A degree group starts at the first
+    # of them and wherever the level or the in-degree changes.
+    first = int(level_indptr[1]) if num_levels > 1 else n
+    tail = perm[first:]
+    tail_degree = degree[tail]
+    tail_level = row_level[first:]
+    starts = np.ones(n - first, dtype=bool)
+    starts[1:] = (tail_level[1:] != tail_level[:-1]) | (
+        tail_degree[1:] != tail_degree[:-1]
     )
+    group_start = np.flatnonzero(starts) + first
+    group_stop = np.empty_like(group_start)
+    group_stop[:-1] = group_start[1:]
+    group_stop[-1:] = n
+    group_width = degree[perm[group_start]]
+    group_rows = group_stop - group_start
+    group_ptr = np.zeros(group_start.shape[0] + 1, dtype=np.int64)
+    np.cumsum(group_rows * group_width, out=group_ptr[1:])
+    # Rows in order, each with its in-neighbours in CSR order: exactly the
+    # row-major group blocks, back to back.
+    group_preds = rank[
+        in_indices[_ragged_gather(in_indptr[tail], in_indptr[tail + 1])]
+    ]
+    group_indptr = np.zeros(max(num_levels + 1, 1), dtype=np.int64)
+    np.cumsum(
+        np.bincount(row_level[group_start], minlength=num_levels),
+        out=group_indptr[1:],
+    )
+    max_edge_level_span = (
+        int((np.repeat(tail_level, tail_degree) - row_level[group_preds]).max())
+        if group_preds.size
+        else 0
+    )
+    scalars = np.array(
+        [n, int(group_rows.max()) if group_rows.size else 0, max_edge_level_span],
+        dtype=np.int64,
+    )
+    return schedule_from_arrays(dict(
+        level_indptr=level_indptr, level_order=level_order, perm=perm, rank=rank,
+        group_indptr=group_indptr, task_level=task_level, row_level=row_level,
+        group_start=group_start, group_stop=group_stop, group_width=group_width,
+        group_ptr=group_ptr, group_preds=group_preds, scalars=scalars,
+    ))
 
 
 def _index_cache(index: GraphIndex) -> dict:
@@ -402,44 +423,24 @@ def seed_schedule_cache(
     _index_cache(_as_index(graph))[("schedule", direction)] = schedule
 
 
-def _flatten_groups(
-    groups: Tuple[LevelGroup, ...]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten the degree groups into ``(start, stop, width, ptr, preds)``."""
-    num_groups = len(groups)
-    group_start = np.fromiter((g.start for g in groups), dtype=np.int64, count=num_groups)
-    group_stop = np.fromiter((g.stop for g in groups), dtype=np.int64, count=num_groups)
-    group_width = np.fromiter(
-        (g.preds.shape[1] for g in groups), dtype=np.int64, count=num_groups
-    )
-    sizes = np.fromiter((g.preds.size for g in groups), dtype=np.int64, count=num_groups)
-    group_ptr = np.zeros(num_groups + 1, dtype=np.int64)
-    np.cumsum(sizes, out=group_ptr[1:])
-    group_preds = (
-        np.concatenate([np.ascontiguousarray(g.preds).ravel() for g in groups])
-        if num_groups
-        else np.empty(0, dtype=np.int64)
-    ).astype(np.int64, copy=False)
-    return group_start, group_stop, group_width, group_ptr, group_preds
-
-
 def schedule_flat_groups(
     schedule: LevelSchedule,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The (cached) flattened degree groups of a compiled schedule.
+    """The flat degree groups of a compiled schedule.
 
     The compiled kernel backends (:mod:`repro.core.backends`) iterate the
     level recurrence over these five contiguous arrays — ``(group_start,
     group_stop, group_width, group_ptr, group_preds)`` — instead of the
-    Python-object ``groups`` tuple.  Cached on the schedule, so every
-    kernel over the same schedule (including worker-side attached
-    schedules) shares one flattening.
+    Python-object ``groups`` tuple.  They are the schedule's own arrays:
+    on a worker that attached a shared schedule, views of the segment.
     """
-    flat = schedule.__dict__.get("_flat_groups")
-    if flat is None:
-        flat = _flatten_groups(schedule.groups)
-        object.__setattr__(schedule, "_flat_groups", flat)
-    return flat
+    return (
+        schedule.group_start,
+        schedule.group_stop,
+        schedule.group_width,
+        schedule.group_ptr,
+        schedule.group_preds,
+    )
 
 
 @dataclass(frozen=True)
@@ -546,100 +547,66 @@ def schedule_level_columns(schedule: LevelSchedule) -> LevelColumns:
     return columns
 
 
+#: The array fields of a :class:`LevelSchedule`, in :func:`schedule_arrays` order.
+_SCHEDULE_ARRAYS = (
+    "level_indptr", "level_order", "perm", "rank", "group_indptr", "task_level",
+    "row_level", "group_start", "group_stop", "group_width", "group_ptr", "group_preds",
+)
+
+
 def schedule_arrays(schedule: LevelSchedule) -> Dict[str, np.ndarray]:
-    """Flatten a :class:`LevelSchedule` into named contiguous arrays.
+    """The named flat arrays of a :class:`LevelSchedule`.
 
     The dict is suitable for publication as one shared-memory segment
     (:class:`repro.exec.shm.SharedSegment`); the inverse is
-    :func:`schedule_from_arrays`, which reconstructs an equivalent
-    schedule from (possibly attached, zero-copy) views *without* running
-    :func:`_compile_schedule` again.  Group predecessor blocks are
-    concatenated row-major into one flat array indexed by ``group_ptr``.
+    :func:`schedule_from_arrays`, which rebuilds the schedule around
+    (possibly attached, zero-copy) views *without* running
+    :func:`_compile_schedule` again.  Only ``scalars`` is built per call.
     """
-    group_start, group_stop, group_width, group_ptr, group_preds = (
-        schedule_flat_groups(schedule)
-    )
-    scalars = np.array(
+    arrays = {name: getattr(schedule, name) for name in _SCHEDULE_ARRAYS}
+    arrays["scalars"] = np.array(
         [schedule.num_tasks, schedule.max_group_rows, schedule.max_edge_level_span],
         dtype=np.int64,
     )
-    return {
-        "level_indptr": np.ascontiguousarray(schedule.level_indptr, dtype=np.int64),
-        "level_order": np.ascontiguousarray(schedule.level_order, dtype=np.int64),
-        "perm": np.ascontiguousarray(schedule.perm, dtype=np.int64),
-        "rank": np.ascontiguousarray(schedule.rank, dtype=np.int64),
-        "group_indptr": np.ascontiguousarray(schedule.group_indptr, dtype=np.int64),
-        "task_level": np.ascontiguousarray(schedule.task_level, dtype=np.int64),
-        "row_level": np.ascontiguousarray(schedule.row_level, dtype=np.int64),
-        "group_start": group_start,
-        "group_stop": group_stop,
-        "group_width": group_width,
-        "group_ptr": group_ptr,
-        "group_preds": group_preds,
-        "scalars": scalars,
-    }
+    return arrays
 
 
 def schedule_nbytes(schedule: LevelSchedule) -> int:
-    """Resident bytes of a compiled schedule's arrays.
-
-    Counts the flat metadata vectors plus every group's predecessor block
-    — the same arrays :func:`schedule_arrays` would pack — without
-    materialising the flattened copies.  Cache layers (the estimation
-    service's :class:`~repro.service.cache.ScheduleCache`) use this for
-    their memory accounting.
-    """
-    total = (
-        schedule.level_indptr.nbytes
-        + schedule.level_order.nbytes
-        + schedule.perm.nbytes
-        + schedule.rank.nbytes
-        + schedule.group_indptr.nbytes
-        + schedule.task_level.nbytes
-        + schedule.row_level.nbytes
-    )
-    for group in schedule.groups:
-        total += group.preds.nbytes
-    return int(total)
+    """Resident bytes of a compiled schedule: its flat arrays (the
+    ``groups`` are views into them), for cache-layer memory accounting."""
+    return int(sum(getattr(schedule, name).nbytes for name in _SCHEDULE_ARRAYS))
 
 
 def schedule_from_arrays(arrays: Dict[str, np.ndarray]) -> LevelSchedule:
-    """Rebuild a :class:`LevelSchedule` from :func:`schedule_arrays` output.
+    """Build a :class:`LevelSchedule` around :func:`schedule_arrays` output.
 
-    All array fields (including every group's ``preds`` block) are
-    zero-copy views of the input arrays; no schedule compilation happens.
+    The one constructor of a schedule: a fresh compile hands it the
+    arrays it just built, a worker the views of an attached segment.
+    Every array field — including the flat groups the compiled backends
+    read and every group's ``preds`` block — is a zero-copy, read-only
+    view of the input arrays; no schedule compilation happens.
     """
-    num_tasks, max_group_rows, max_edge_level_span = (
-        int(v) for v in arrays["scalars"]
-    )
-    group_start = arrays["group_start"]
-    group_stop = arrays["group_stop"]
-    group_width = arrays["group_width"]
-    group_ptr = arrays["group_ptr"]
-    flat_preds = arrays["group_preds"]
-    groups = []
-    for g in range(group_start.shape[0]):
-        rows = int(group_stop[g]) - int(group_start[g])
-        width = int(group_width[g])
-        preds = flat_preds[int(group_ptr[g]) : int(group_ptr[g + 1])].reshape(rows, width)
-        preds.setflags(write=False)
-        groups.append(
-            LevelGroup(start=int(group_start[g]), stop=int(group_stop[g]), preds=preds)
+    for array in arrays.values():
+        array.setflags(write=False)
+    num_tasks, max_group_rows, max_edge_level_span = arrays["scalars"].tolist()
+    group_preds = arrays["group_preds"]
+    ptr = arrays["group_ptr"].tolist()
+    groups = tuple(
+        LevelGroup(start, stop, group_preds[lo:hi].reshape(stop - start, width))
+        for start, stop, width, lo, hi in zip(
+            arrays["group_start"].tolist(),
+            arrays["group_stop"].tolist(),
+            arrays["group_width"].tolist(),
+            ptr,
+            ptr[1:],
         )
-    for name in ("perm", "rank", "group_indptr", "task_level", "row_level"):
-        arrays[name].setflags(write=False)
+    )
     return LevelSchedule(
         num_tasks=num_tasks,
-        level_indptr=arrays["level_indptr"],
-        level_order=arrays["level_order"],
-        perm=arrays["perm"],
-        rank=arrays["rank"],
-        groups=tuple(groups),
-        group_indptr=arrays["group_indptr"],
+        groups=groups,
         max_group_rows=max_group_rows,
-        task_level=arrays["task_level"],
-        row_level=arrays["row_level"],
         max_edge_level_span=max_edge_level_span,
+        **{name: arrays[name] for name in _SCHEDULE_ARRAYS},
     )
 
 

@@ -177,7 +177,9 @@ class CacheEntry:
 
 
 def build_entry(
-    graph: TaskGraph, registry: SegmentRegistry = REGISTRY
+    graph: TaskGraph,
+    registry: SegmentRegistry = REGISTRY,
+    key: Optional[str] = None,
 ) -> CacheEntry:
     """Compile and publish one DAG's cached state.
 
@@ -187,9 +189,11 @@ def build_entry(
     compiles lazily on the shared cached index and stays warm there too.
     The flattened schedule is published to the segment registry under the
     standard static key, where the Monte Carlo processes backend and the
-    shm estimators will find it warm.
+    shm estimators will find it warm.  ``key`` is the graph's
+    :func:`request_key` when the caller has already hashed it.
     """
-    key = request_key(graph)
+    if key is None:
+        key = request_key(graph)
     schedule = schedule_for(graph, "up")
     segment_key, segment = publish_schedule(graph.index(), "up", registry)
     return CacheEntry(

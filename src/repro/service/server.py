@@ -6,8 +6,9 @@ repeated or concurrent requests for one DAG from a shared
 :class:`~repro.service.cache.ScheduleCache` entry: the graph is built
 once, its level schedule compiled once, its shared-memory segment
 published once, and its :class:`~repro.exec.ParallelService` pool kept
-warm.  A payload memo maps byte-identical request payloads straight to
-their cache key, so exact repeats skip graph reconstruction too.  Estimates themselves run on a bounded thread pool
+warm.  A payload memo maps repeated graph payloads (the same decoded
+values in the same key order) straight to their cache key, so exact
+repeats skip graph reconstruction too.  Estimates themselves run on a bounded thread pool
 (``REPRO_SERVICE_WORKERS``) so slow requests never stall the event loop
 accepting new connections.
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import json
+import marshal
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Set
@@ -257,18 +258,19 @@ class EstimationServer:
     def _payload_memo_key(self, request: EstimationRequest) -> str:
         """A request-key memo key naming the payload without building it.
 
-        Exact-repeat requests (same generator call, or byte-identical
-        graph payloads after canonical re-serialisation) skip graph
-        reconstruction entirely — the dominant per-request cost on large
-        DAGs.  Distinct payloads that describe the same DAG simply miss
-        the memo and converge on the content-addressed ``request_key``.
+        Exact-repeat requests (same generator call, or the same decoded
+        graph payload) skip graph reconstruction entirely — the dominant
+        per-request cost on large DAGs.  A graph payload is hashed as
+        ``marshal.dumps(graph, 2)``: format version 2 writes no
+        back-references, so the bytes depend only on the decoded values
+        (floats bit for bit) and on key order, never on object identity.
+        Distinct payloads that describe the same DAG — including the same
+        payload with its keys reordered — simply miss the memo and
+        converge on the content-addressed ``request_key``.
         """
         if request.graph is None:
             return f"workflow:{request.workflow}:{request.size}"
-        canonical = json.dumps(
-            request.graph, sort_keys=True, separators=(",", ":"), default=str
-        )
-        return "payload:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return "payload:" + hashlib.sha256(marshal.dumps(request.graph, 2)).hexdigest()
 
     def _acquire_entry(self, request: EstimationRequest):
         """The pinned cache entry for a request: ``(entry, built)``."""
@@ -282,7 +284,7 @@ class EstimationServer:
         graph = self._resolve_graph(request)
         key = request_key(graph)
         entry, built = self.cache.get_or_build(
-            key, lambda: build_entry(graph, self.registry)
+            key, lambda: build_entry(graph, self.registry, key=key)
         )
         # The memo only ever maps a payload to the key its graph hashes
         # to, so concurrent writers agree; bound it against unbounded

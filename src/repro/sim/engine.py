@@ -79,7 +79,6 @@ from ..core.graph import GraphIndex, TaskGraph
 from ..core.kernels import (
     WavefrontKernel,
     normalize_dtype,
-    schedule_flat_groups,
     schedule_for,
 )
 from ..exceptions import EstimationError, GraphError

@@ -97,6 +97,27 @@ def test_single_scenario_entries_never_gate(report_rates, tmp_path):
     assert report_rates.main([path]) == 0
 
 
+def _graph_compile(speedup, guard_min=1.5, k=24):
+    return {"benchmark": "graph_compile", "method": "fresh-compile",
+            "workflow": "cholesky", "k": k, "tasks": 2_600,
+            "speedup": speedup, "guard_min": guard_min}
+
+
+def test_graph_compile_entries_gate_on_their_own_guard(report_rates, tmp_path):
+    assert report_rates._entry_key(_graph_compile(2.0)) == (
+        "graph-compile", "fresh-compile", "cholesky", 24
+    )
+    assert report_rates._entry_guard(_graph_compile(2.0)) == 1.5
+    path = _archive(tmp_path, [_graph_compile(2.1)], [_kernel(2.0)])
+    assert report_rates.main([path]) == 0
+    # A regressed compile entry fails the report even when another family
+    # ran last; an unarmed (small-DAG) entry never gates.
+    path = _archive(tmp_path, [_graph_compile(1.2)], [_kernel(2.0)])
+    assert report_rates.main([path]) == 1
+    path = _archive(tmp_path, [_graph_compile(1.2, guard_min=None, k=6)])
+    assert report_rates.main([path]) == 0
+
+
 def _history(count):
     # One early service record, then ``count`` kernel records: only the
     # last kernel record holds that family's latest entry.

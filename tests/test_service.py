@@ -447,3 +447,93 @@ class TestEstimationServer:
         server.stop()
         with pytest.raises(ServiceError):
             ServiceClient(port=port, timeout=0.5)
+
+
+# ----------------------------------------------------------------------
+# payload memo and the miss path
+# ----------------------------------------------------------------------
+def _estimate_line(payload):
+    return encode_message(
+        {"op": "estimate", "graph": payload, "pfail": 1e-3,
+         "methods": ["first-order", "normal"]}
+    )
+
+
+def _reordered(value):
+    """``value`` with every mapping's keys in reverse order (same content)."""
+    if isinstance(value, dict):
+        return {k: _reordered(value[k]) for k in reversed(list(value))}
+    if isinstance(value, list):
+        return [_reordered(item) for item in value]
+    return value
+
+
+class TestPayloadMemo:
+    def test_repeats_hit_the_memo_without_rebuilding_the_graph(self, monkeypatch):
+        payload = graph_to_dict(_fresh_graph(401.0))
+        with EstimationServer() as server:
+            resolved = []
+            resolve = server._resolve_graph
+            monkeypatch.setattr(
+                server, "_resolve_graph",
+                lambda request: resolved.append(1) or resolve(request),
+            )
+            first = decode_message(server.handle_line(_estimate_line(payload)))
+            again = decode_message(server.handle_line(_estimate_line(payload)))
+        assert first["ok"] and not first["cached"]
+        assert again["ok"] and again["cached"]
+        assert len(resolved) == 1
+        def values(response):
+            return [(e["method"], e["expected_makespan"]) for e in response["estimates"]]
+
+        assert values(again) == values(first)
+
+    def test_one_ulp_weight_change_is_a_new_memo_key(self):
+        payload = graph_to_dict(_fresh_graph(402.0))
+        nudged = json.loads(json.dumps(payload))
+        weight = nudged["tasks"][3]["weight"]
+        nudged["tasks"][3]["weight"] = float(np.nextafter(weight, np.inf))
+        with EstimationServer() as server:
+            keys = {
+                server._payload_memo_key(
+                    EstimationRequest.from_dict(decode_message(_estimate_line(p)))
+                )
+                for p in (payload, json.loads(json.dumps(payload)), nudged)
+            }
+        assert len(keys) == 2
+
+    def test_reordered_payload_converges_on_the_cached_entry(self):
+        payload = graph_to_dict(_fresh_graph(403.0))
+        reordered = _reordered(payload)
+        assert json.dumps(reordered) != json.dumps(payload)
+        with EstimationServer() as server:
+            first = decode_message(server.handle_line(_estimate_line(payload)))
+            before = schedule_compilations()
+            again = decode_message(server.handle_line(_estimate_line(reordered)))
+            assert schedule_compilations() == before
+            assert len(server._graph_memo) == 2  # a memo miss ...
+        assert again["ok"] and again["cached"]  # ... but a cache hit
+        assert again["key"] == first["key"]
+        for ours, theirs in zip(again["estimates"], first["estimates"]):
+            assert ours["method"] == theirs["method"]
+            assert ours["expected_makespan"] == theirs["expected_makespan"]
+            assert ours["failure_free_makespan"] == theirs["failure_free_makespan"]
+
+    def test_a_miss_hashes_the_graph_once(self, monkeypatch):
+        import repro.service.cache as cache_module
+        import repro.service.server as server_module
+
+        calls = []
+
+        def counting(graph):
+            calls.append(graph)
+            return request_key(graph)
+
+        monkeypatch.setattr(server_module, "request_key", counting)
+        monkeypatch.setattr(cache_module, "request_key", counting)
+        payload = graph_to_dict(_fresh_graph(404.0))
+        with EstimationServer() as server:
+            response = decode_message(server.handle_line(_estimate_line(payload)))
+        assert response["ok"] and not response["cached"]
+        assert len(calls) == 1
+        assert response["key"] == request_key(graph_from_dict(payload))

@@ -25,8 +25,9 @@ violates a regression guard:
   entries (``benchmark = "kernel_backends"``, where ``speedup`` is the
   NumPy-reference/backend time ratio and the guard self-arms only when
   the accelerator was importable at measurement time) and fresh-graph
-  compile entries (``benchmark = "graph_compile"``, where ``speedup`` is
-  the median reference/package time ratio of paired runs): the archived
+  compile entries (``benchmark = "graph_compile"``, methods
+  ``fresh-compile`` and ``fresh-path-metrics``, where ``speedup`` is the
+  median reference/package time ratio of paired runs): the archived
   ``guard_min`` per entry (``null`` when the guard did not apply at
   measurement time — small graph, too few CPUs for the parallel
   comparisons, or no accelerator installed).  Dtype error-floor entries

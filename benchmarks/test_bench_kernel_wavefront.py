@@ -3,7 +3,8 @@
 Compares the level-wavefront kernel of :mod:`repro.core.kernels` (float64
 and float32) against the pre-kernel per-task recurrence on the paper's
 three DAG families at several sizes, in both sweep directions, plus the
-single-scenario ``lengths()`` path, asserting the regression guard of the
+single-scenario ``upward_lengths()`` / ``downward_lengths()`` sweeps the
+estimators call, asserting the regression guard of the
 kernel refactor on the ``"up"`` batch sweep:
 
 * float64 results are bit-identical to the reference, and at least
@@ -11,8 +12,8 @@ kernel refactor on the ``"up"`` batch sweep:
 * float32 is at least 1.8x faster than the reference on the same DAG.
 
 The ``"down"`` sweep (successor edges, where a level mixes many
-in-degrees) and ``lengths()`` are checked bit for bit and timed, but not
-gated.
+in-degrees) and the single-scenario sweeps are checked bit for bit and
+timed, but not gated.
 
 The measured rates are archived (appended) to
 ``benchmarks/results/kernel_rates.json`` so the performance trajectory can
@@ -31,6 +32,7 @@ import numpy as np
 import pytest
 
 from repro.core.kernels import WavefrontKernel
+from repro.core.paths import downward_lengths, upward_lengths
 from repro.workflows.registry import build_dag
 
 from _common import archive_rates, best_time, throughput_bench_sizes
@@ -139,16 +141,18 @@ def test_kernel_wavefront_throughput(workflow):
                     f"{GUARD_FLOAT32}x on {n}-task cholesky"
                 )
 
-        # Single-scenario sweeps (first- and second-order path metrics).
+        # Single-scenario sweeps (first- and second-order path metrics),
+        # timed through the calls the estimators make.
         single = w[:1]
-        for direction in ("up", "down"):
+        for direction, lengths in (("up", upward_lengths), ("down", downward_lengths)):
             kernel = WavefrontKernel(idx, direction=direction)
             reference = reference_lengths(idx, single, direction)[0]
             assert np.array_equal(kernel.lengths(single[0]), reference)
+            assert np.array_equal(lengths(idx, single[0]), reference)
             ref_time = best_time(
                 lambda: reference_lengths(idx, single, direction), repeats=3
             )
-            new_time = best_time(lambda: kernel.lengths(single[0]), repeats=5)
+            new_time = best_time(lambda: lengths(idx, single[0]), repeats=5)
             entries.append(
                 {
                     "benchmark": "kernel_lengths",
@@ -164,7 +168,7 @@ def test_kernel_wavefront_throughput(workflow):
                 }
             )
             print(
-                f"  {workflow} k={k:3d} {direction:>4s} lengths(): "
+                f"  {workflow} k={k:3d} {direction:>4s} {lengths.__name__}(): "
                 f"reference={ref_time * 1e3:8.2f} ms  "
                 f"kernel={new_time * 1e3:8.2f} ms ({ref_time / new_time:5.2f}x)"
             )

@@ -120,12 +120,16 @@ def compute_level_structure(
 
 def _kahn_order(
     succ_indptr: np.ndarray, successors: np.ndarray, task_ids: Tuple[TaskId, ...]
-) -> np.ndarray:
-    """Kahn's topological order over integer successor lists.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Kahn's topological order over integer successor lists, with levels.
 
     ``successors`` lists each task's successors in edge-insertion order;
     the ready queue is FIFO and seeded in task-insertion order, so the
     result is deterministic for a given construction sequence.
+
+    Also returns each task's FIFO generation.  The queue stays sorted by
+    generation, so the predecessor that enqueues a task has the highest
+    one: generations are the levels of :func:`compute_level_structure`.
 
     Raises
     ------
@@ -136,16 +140,19 @@ def _kahn_order(
     indegree = np.bincount(successors, minlength=len(task_ids)).tolist()
     bounds = succ_indptr.tolist()
     succ = successors.tolist()
+    level = [0] * len(task_ids)
     order = [i for i, degree in enumerate(indegree) if not degree]
     for task in order:  # the queue grows while it is walked
+        below = level[task] + 1
         for nxt in succ[bounds[task] : bounds[task + 1]]:
             indegree[nxt] -= 1
             if not indegree[nxt]:
+                level[nxt] = below
                 order.append(nxt)
     if len(order) != len(task_ids):
         remaining = [task_ids[i] for i, degree in enumerate(indegree) if degree]
         raise CycleError(cycle=remaining[:10])
-    return np.array(order, dtype=np.int64)
+    return np.array(order, dtype=np.int64), np.array(level, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -171,8 +178,8 @@ class GraphIndex:
 
     The topological *level structure* (tasks grouped by depth, see
     :func:`compute_level_structure`) is exposed through
-    :attr:`level_indptr` / :attr:`level_order`; it is computed lazily on
-    first access and cached on the instance.
+    :attr:`level_indptr` / :attr:`level_order`.  :meth:`TaskGraph.index`
+    records it during the topological sort and caches it on the instance.
     """
 
     task_ids: Tuple[TaskId, ...]
@@ -214,9 +221,10 @@ class GraphIndex:
     def level_structure(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(level_indptr, level_order)``: tasks grouped by topological depth.
 
-        Computed on first access with :func:`compute_level_structure` and
-        cached (the dataclass is frozen, so the cache lives in the instance
-        ``__dict__`` under a private key).
+        Recorded by the topological sort of :meth:`TaskGraph.index`, or
+        else computed on first access with :func:`compute_level_structure`,
+        and cached (the dataclass is frozen, so the cache lives in the
+        instance ``__dict__`` under a private key).
         """
         cached = self.__dict__.get("_level_cache")
         if cached is None:
@@ -569,7 +577,12 @@ class TaskGraph:
         )
         succ_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(succ_counts, out=succ_indptr[1:])
-        topo = _kahn_order(succ_indptr, targets, task_ids)
+        topo, level = _kahn_order(succ_indptr, targets, task_ids)
+        # Ascending task index within each level, as compute_level_structure.
+        levels = (
+            np.concatenate(([0], np.cumsum(np.bincount(level)))),
+            np.argsort(level, kind="stable"),
+        )
 
         # Canonicalise neighbour order within each row.  Edge-insertion
         # order is an accident of construction (a serialize round-trip
@@ -584,9 +597,9 @@ class TaskGraph:
         pred_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(targets, minlength=n), out=pred_indptr[1:])
 
-        for arr in (weights, topo, pred_indptr, pred_indices, succ_indptr, succ_indices):
+        for arr in (weights, topo, pred_indptr, pred_indices, succ_indptr, succ_indices, *levels):
             arr.setflags(write=False)
-        return GraphIndex(
+        index = GraphIndex(
             task_ids=task_ids,
             index_of=index_of,
             weights=weights,
@@ -596,6 +609,8 @@ class TaskGraph:
             succ_indptr=succ_indptr,
             succ_indices=succ_indices,
         )
+        object.__setattr__(index, "_level_cache", levels)
+        return index
 
     # ------------------------------------------------------------------
     # Copies, subgraphs and conversions

@@ -43,16 +43,20 @@ that attach a published segment.
 
 Compiled schedules are cached on the index (one per direction); kernels
 returned by :func:`wavefront_kernel` are additionally cached per dtype and
-per thread so that repeated API calls (``upward_lengths``,
-``batched_makespans``, ...) reuse one buffer.  Pipelines with their own
-lifetime — notably :class:`repro.sim.MonteCarloEngine` — construct a private
+per thread so that repeated batched calls (``batched_makespans``, ...)
+reuse one buffer.  Pipelines with their own lifetime — notably
+:class:`repro.sim.MonteCarloEngine` — construct a private
 :class:`WavefrontKernel` instead and keep their buffers for the whole run.
+
+A single scenario (``upward_lengths`` / ``downward_lengths``) needs no
+schedule and no buffer: :func:`sweep_lengths` makes one gather, one
+``np.maximum.reduceat`` and one add per level of the recorded levels.
 
 A :class:`WavefrontKernel` mutates its buffer in place and is therefore
 **not reentrant**: concurrent evaluations on the same graph must use one
 private kernel per thread (the compiled schedule is immutable and safely
 shared).  :func:`wavefront_kernel` does exactly that, so the module-level
-path APIs built on it are safe to call from several threads at once.
+path APIs are safe to call from several threads at once.
 
 Moment-propagation kernels
 --------------------------
@@ -120,7 +124,7 @@ __all__ = [
     "schedule_level_columns",
     "schedule_from_arrays",
     "schedule_compilations",
-    "schedule_nbytes",
+    "sweep_lengths",
     "seed_schedule_cache",
     "clark_max_moments_batched",
     "propagate_moments",
@@ -134,6 +138,11 @@ SUPPORTED_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 _DIRECTIONS = ("up", "down")
 
 _CACHE_ATTR = "_wavefront_cache"
+
+
+def _check_direction(direction: str) -> None:
+    if direction not in _DIRECTIONS:
+        raise GraphError(f"unknown sweep direction {direction!r}; choose 'up' or 'down'")
 
 
 def normalize_dtype(dtype: Union[str, np.dtype, type, None]) -> np.dtype:
@@ -378,10 +387,7 @@ def schedule_for(
     a group's ``preds`` matrix follow CSR order — the order the sequential
     per-task loops fold their in-neighbours.
     """
-    if direction not in _DIRECTIONS:
-        raise GraphError(
-            f"unknown sweep direction {direction!r}; choose 'up' or 'down'"
-        )
+    _check_direction(direction)
     return _schedule_for(_as_index(graph), direction)
 
 
@@ -416,10 +422,7 @@ def seed_schedule_cache(
     make every subsequent :class:`WavefrontKernel` / :func:`schedule_for`
     call hit the cache instead of recompiling from the CSR arrays.
     """
-    if direction not in _DIRECTIONS:
-        raise GraphError(
-            f"unknown sweep direction {direction!r}; choose 'up' or 'down'"
-        )
+    _check_direction(direction)
     _index_cache(_as_index(graph))[("schedule", direction)] = schedule
 
 
@@ -547,6 +550,75 @@ def schedule_level_columns(schedule: LevelSchedule) -> LevelColumns:
     return columns
 
 
+def _sweep_plan(owner: Union[GraphIndex, LevelSchedule], direction: str) -> tuple:
+    """``(perm, rank, steps)`` of :func:`_sweep`, cached on ``owner``.
+
+    An index's plan runs over the forward levels its build recorded
+    ("down" reversed), a schedule's over its own arrays.  Rows run level by
+    level, rows without neighbours first; a step ``(lo, hi, nbrs,
+    offsets)`` covers one level's rows with neighbours.  Racing first
+    calls build equal plans.
+    """
+    cache = _index_cache(owner)
+    plan = cache.get(("sweep", direction))
+    if plan is not None:
+        return plan
+    if isinstance(owner, LevelSchedule):
+        level_indptr, perm, rank = owner.level_indptr, owner.perm, owner.rank
+        # The degree groups cover the folded rows, the last ones, in order.
+        rows = owner.group_stop - owner.group_start
+        degree = np.zeros(owner.num_tasks, dtype=np.int64)
+        degree[owner.num_tasks - int(rows.sum()) :] = np.repeat(owner.group_width, rows)
+        nbrs = owner.group_preds
+    else:
+        level_indptr, level_order = owner.level_structure()
+        row_level = np.repeat(np.arange(level_indptr.shape[0] - 1), np.diff(level_indptr))
+        in_indptr, in_indices = owner.pred_indptr, owner.pred_indices
+        if direction == "down":
+            row_level, level_indptr = -row_level, owner.num_tasks - level_indptr[::-1]
+            in_indptr, in_indices = owner.succ_indptr, owner.succ_indices
+        degree = np.diff(in_indptr)
+        # Stable, so each level keeps ascending task order per class.
+        perm = level_order[
+            np.argsort(2 * row_level + (degree[level_order] > 0), kind="stable")
+        ]
+        rank = np.empty_like(perm)
+        rank[perm] = np.arange(perm.shape[0])
+        degree = degree[perm]
+        nbrs = rank[in_indices[_ragged_gather(in_indptr[perm], in_indptr[perm + 1])]]
+    ptr = np.concatenate(([0], np.cumsum(degree)))
+    linked = np.concatenate(([0], np.cumsum(degree > 0)))
+    hi = level_indptr[1:]
+    lo = hi - (linked[hi] - linked[level_indptr[:-1]])
+    offsets = ptr[:-1] - ptr[np.repeat(lo, np.diff(level_indptr))]
+    steps = tuple(
+        (a, b, nbrs[ptr[a] : ptr[b]], offsets[a:b])
+        for a, b in zip(lo.tolist(), hi.tolist()) if a < b
+    )
+    plan = cache[("sweep", direction)] = (perm, rank, steps)
+    return plan
+
+
+def _sweep(plan: tuple, weights: np.ndarray) -> np.ndarray:
+    """Single-scenario path lengths in task order.  Bit-identical to the
+    column fold of :meth:`WavefrontKernel.propagate`: ``max`` is exact and
+    each task still gets exactly one addition."""
+    perm, rank, steps = plan
+    buf = weights[perm]
+    for lo, hi, nbrs, offsets in steps:
+        buf[lo:hi] += np.maximum.reduceat(buf[nbrs], offsets)
+    return buf[rank]
+
+
+def sweep_lengths(
+    graph: Union[TaskGraph, GraphIndex], weights: np.ndarray, direction: str = "up"
+) -> np.ndarray:
+    """Longest path ending (``"up"``) or starting (``"down"``) at each task,
+    for one ``(tasks,)`` weight vector; compiles no :class:`LevelSchedule`."""
+    _check_direction(direction)
+    return _sweep(_sweep_plan(_as_index(graph), direction), weights)
+
+
 #: The array fields of a :class:`LevelSchedule`, in :func:`schedule_arrays` order.
 _SCHEDULE_ARRAYS = (
     "level_indptr", "level_order", "perm", "rank", "group_indptr", "task_level",
@@ -569,12 +641,6 @@ def schedule_arrays(schedule: LevelSchedule) -> Dict[str, np.ndarray]:
         dtype=np.int64,
     )
     return arrays
-
-
-def schedule_nbytes(schedule: LevelSchedule) -> int:
-    """Resident bytes of a compiled schedule: its flat arrays (the
-    ``groups`` are views into them), for cache-layer memory accounting."""
-    return int(sum(getattr(schedule, name).nbytes for name in _SCHEDULE_ARRAYS))
 
 
 def schedule_from_arrays(arrays: Dict[str, np.ndarray]) -> LevelSchedule:
@@ -642,10 +708,7 @@ class WavefrontKernel:
         dtype: Union[str, np.dtype, type, None] = np.float64,
         kernel_backend: Optional[str] = None,
     ) -> None:
-        if direction not in _DIRECTIONS:
-            raise GraphError(
-                f"unknown sweep direction {direction!r}; choose 'up' or 'down'"
-            )
+        _check_direction(direction)
         self.index = _as_index(graph)
         self.direction = direction
         self.dtype = normalize_dtype(dtype)
@@ -673,10 +736,7 @@ class WavefrontKernel:
         index is needed and nothing is recompiled.  The kernel is fully
         functional except that :attr:`index` is ``None``.
         """
-        if direction not in _DIRECTIONS:
-            raise GraphError(
-                f"unknown sweep direction {direction!r}; choose 'up' or 'down'"
-            )
+        _check_direction(direction)
         kernel = cls.__new__(cls)
         kernel.index = None
         kernel.direction = direction
@@ -904,18 +964,17 @@ class WavefrontKernel:
         return completion.max(axis=0), completion.argmax(axis=0)
 
     def lengths(self, weights: np.ndarray) -> np.ndarray:
-        """Single-scenario sweep: per-task path lengths in task order."""
+        """Single-scenario sweep: per-task path lengths in task order.
+
+        The sweep of :func:`sweep_lengths`, over a plan of the schedule's
+        own arrays (so a kernel built by :meth:`from_schedule` has one too).
+        """
         w = np.asarray(weights, dtype=self.dtype)
         if w.shape != (self.num_tasks,):
             raise GraphError(
                 f"weight vector has shape {w.shape}, expected ({self.num_tasks},)"
             )
-        if self.num_tasks == 0:
-            return np.zeros(0, dtype=self.dtype)
-        view = self.weight_view(1)
-        view[:, 0] = w[self.schedule.perm]
-        self.propagate(1)
-        return self._buffer[self.schedule.rank, 0]
+        return _sweep(_sweep_plan(self.schedule, self.direction), w)
 
 
 def wavefront_kernel(

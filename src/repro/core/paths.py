@@ -15,25 +15,26 @@ paper:
   value ``d(G_i)`` obtained when task ``i``'s weight is doubled, which is
   the building block of the first-order approximation.
 
-All functions run in ``O(|V| + |E|)`` and are evaluated by the precompiled
-level-wavefront kernels of :mod:`repro.core.kernels`: the Python-level loop
-runs once per topological *level* (not once per task), and batched
-evaluations process a task-major ``(tasks, trials)`` buffer that is reused
-across calls.  ``float64`` results are bit-identical to the per-task
-reference recurrence because ``max`` and the single addition per task are
+All functions run in ``O(|V| + |E|)``, one topological *level* at a time
+(not one task).  Single-scenario sweeps run
+:func:`repro.core.kernels.sweep_lengths` over the levels the index build
+recorded, compiling no schedule; batched evaluations run the precompiled
+level-wavefront kernels over a reused task-major ``(tasks, trials)``
+buffer.  ``float64`` results are bit-identical to the per-task reference
+recurrence because ``max`` and the single addition per task are
 order-independent at fixed precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from ..exceptions import GraphError
 from .graph import GraphIndex, TaskGraph
-from .kernels import wavefront_kernel
+from .kernels import sweep_lengths, wavefront_kernel
 from .task import TaskId
 
 __all__ = [
@@ -108,17 +109,6 @@ class PathMetrics:
         """
         return np.maximum(self.critical_length, self.up + self.down)
 
-    def as_dicts(self) -> Dict[str, Dict[TaskId, float]]:
-        """Return the per-task metrics keyed by task identifier."""
-        ids = self.index.task_ids
-        return {
-            "up": dict(zip(ids, self.up.tolist())),
-            "down": dict(zip(ids, self.down.tolist())),
-            "top_level": dict(zip(ids, self.top_level.tolist())),
-            "bottom_level": dict(zip(ids, self.bottom_level.tolist())),
-            "through": dict(zip(ids, self.through.tolist())),
-        }
-
 
 def compute_path_metrics(
     graph: Union[TaskGraph, GraphIndex],
@@ -136,13 +126,9 @@ def compute_path_metrics(
         evaluate perturbed weight assignments without copying the graph.
     """
     idx = _as_index(graph)
-    w = idx.weights if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != (idx.num_tasks,):
-        raise GraphError(
-            f"weight vector has shape {w.shape}, expected ({idx.num_tasks},)"
-        )
-    up = upward_lengths(idx, w)
-    down = downward_lengths(idx, w)
+    w = _resolve_weights(idx, weights)
+    up = sweep_lengths(idx, w, "up")
+    down = sweep_lengths(idx, w, "down")
     d = float(up.max()) if idx.num_tasks else 0.0
     return PathMetrics(index=idx, up=up, down=down, critical_length=d)
 
@@ -162,7 +148,7 @@ def upward_lengths(
     """``up(i)``: longest path ending at each task (task included)."""
     idx = _as_index(graph)
     w = _resolve_weights(idx, weights)
-    return wavefront_kernel(idx, direction="up").lengths(w)
+    return sweep_lengths(idx, w, "up")
 
 
 def downward_lengths(
@@ -171,7 +157,7 @@ def downward_lengths(
     """``down(i)``: longest path starting at each task (task included)."""
     idx = _as_index(graph)
     w = _resolve_weights(idx, weights)
-    return wavefront_kernel(idx, direction="down").lengths(w)
+    return sweep_lengths(idx, w, "down")
 
 
 def critical_path_length(

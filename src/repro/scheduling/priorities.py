@@ -18,13 +18,13 @@ This module provides:
   (Sculli) propagation, for comparison;
 * :func:`upward_ranks` — HEFT's upward rank for heterogeneous platforms.
 
-All four recurrences over ``topo_order`` run on the compiled ``"down"``
-:class:`~repro.core.kernels.LevelSchedule` of the graph: the deterministic
-bottom levels and the (expectation-inflated) HEFT ranks are plain
-longest-path sweeps evaluated by the shared wavefront kernel (bit-identical
-to the per-task fold at float64), while the Sculli bottom levels use the
-batched Clark moment propagation (same CSR fold order as the sequential
-recurrence, so results agree to floating-point rounding).
+The deterministic bottom levels and the (expectation-inflated) HEFT ranks
+are plain longest-path sweeps, run by :func:`~repro.core.paths.downward_lengths`
+with no compiled schedule (bit-identical to the per-task fold at float64).
+The Sculli bottom levels use the batched Clark moment propagation over the
+compiled ``"down"`` :class:`~repro.core.kernels.LevelSchedule` (same CSR
+fold order as the sequential recurrence, so results agree to
+floating-point rounding).
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def deterministic_bottom_levels(graph: TaskGraph) -> Dict[TaskId, float]:
 
     Note: this follows the list-scheduling convention where a task's
     priority includes its own execution time, i.e. the returned value is the
-    ``down(i)`` of :mod:`repro.core.paths` — evaluated by the level-wavefront
-    kernel, one batched update per topological level.
+    ``down(i)`` of :mod:`repro.core.paths` — evaluated one update per
+    topological level.
     """
     index = graph.index()
     return dict(zip(index.task_ids, downward_lengths(index).tolist()))
@@ -93,7 +93,7 @@ def expected_bottom_levels_first_order(
     topo = index.topo_order
 
     # down[j]: longest path starting at j (inclusive) -- shared by all
-    # roots, evaluated on the compiled "down" level schedule.
+    # roots, evaluated level by level with no compiled schedule.
     down = downward_lengths(index)
 
     result: Dict[TaskId, float] = {}
@@ -154,7 +154,7 @@ def upward_ranks(
 
     The recurrence is the ``"down"`` longest-path sweep with the average
     (or expectation-inflated) execution times as weights, so it runs on the
-    same compiled level schedule as the deterministic bottom levels.
+    same level plan as the deterministic bottom levels.
     """
     if platform.num_processors <= 0:
         raise SchedulingError("platform must have at least one processor")

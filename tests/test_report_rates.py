@@ -97,8 +97,8 @@ def test_single_scenario_entries_never_gate(report_rates, tmp_path):
     assert report_rates.main([path]) == 0
 
 
-def _graph_compile(speedup, guard_min=1.5, k=24):
-    return {"benchmark": "graph_compile", "method": "fresh-compile",
+def _graph_compile(speedup, guard_min=1.5, k=24, method="fresh-compile"):
+    return {"benchmark": "graph_compile", "method": method,
             "workflow": "cholesky", "k": k, "tasks": 2_600,
             "speedup": speedup, "guard_min": guard_min}
 
@@ -115,6 +115,25 @@ def test_graph_compile_entries_gate_on_their_own_guard(report_rates, tmp_path):
     path = _archive(tmp_path, [_graph_compile(1.2)], [_kernel(2.0)])
     assert report_rates.main([path]) == 1
     path = _archive(tmp_path, [_graph_compile(1.2, guard_min=None, k=6)])
+    assert report_rates.main([path]) == 0
+
+
+def test_fresh_path_metrics_entries_gate_apart_from_the_compile(report_rates, tmp_path):
+    def path_metrics(speedup, **fields):
+        return _graph_compile(speedup, guard_min=1.8, method="fresh-path-metrics", **fields)
+
+    assert report_rates._entry_key(path_metrics(2.5)) == (
+        "graph-compile", "fresh-path-metrics", "cholesky", 24
+    )
+    assert report_rates._entry_guard(path_metrics(2.5)) == 1.8
+    path = _archive(tmp_path, [_graph_compile(2.1), path_metrics(2.5)])
+    assert report_rates.main([path]) == 0
+    # A planted regression in the new method fails the report, though the
+    # compile entry of the same graph passes and another family ran last.
+    path = _archive(tmp_path, [_graph_compile(2.1), path_metrics(1.2)], [_kernel(2.0)])
+    assert report_rates.main([path]) == 1
+    # A later passing entry of the same configuration supersedes it.
+    path = _archive(tmp_path, [path_metrics(1.2)], [path_metrics(2.4)])
     assert report_rates.main([path]) == 0
 
 

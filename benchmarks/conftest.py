@@ -1,6 +1,7 @@
 """Pytest configuration for the benchmark suite.
 
-Ensures the package sources and the shared ``_common`` helpers are
+Ensures the package sources, the shared ``_common`` helpers and the test
+oracles (``tests/oracles``, imported as ``oracles.<module>``) are
 importable whether or not the package was pip-installed, and registers the
 ``paper_graph`` fixture used by the per-estimator timing benchmarks.
 """
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 _ROOT = Path(__file__).resolve().parent.parent
-for path in (_ROOT / "src", Path(__file__).resolve().parent):
+for path in (_ROOT / "src", _ROOT / "tests", Path(__file__).resolve().parent):
     if path.is_dir() and str(path) not in sys.path:
         sys.path.insert(0, str(path))
 

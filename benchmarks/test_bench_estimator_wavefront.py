@@ -37,9 +37,9 @@ import os
 import numpy as np
 import pytest
 
+from oracles.estimators import sequential_completion_moments, sequential_sweep_estimate
 from repro.core.kernels import propagate_moments, schedule_for
-from repro.estimators.sculli import sequential_completion_moments
-from repro.estimators.sweep import DiscreteSweepEstimator, sequential_sweep_estimate
+from repro.estimators.sweep import DiscreteSweepEstimator
 from repro.failures.models import ExponentialErrorModel
 from repro.failures.twostate import two_state_moment_vectors
 from repro.sim.engine import MonteCarloEngine

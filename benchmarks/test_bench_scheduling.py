@@ -21,7 +21,7 @@ from repro.scheduling.priorities import (
     expected_bottom_levels_first_order,
     expected_bottom_levels_sculli,
 )
-from repro.scheduling.simulation import expected_schedule_makespan
+from repro.scheduling.schedule import expected_schedule_makespan
 from repro.workflows.cholesky import cholesky_dag
 
 PFAIL = 1e-2

@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     sch.add_argument("--pfail", type=float, default=1e-2)
     sch.add_argument("--priority", default="bottom-level",
                      choices=["bottom-level", "expected-first-order", "expected-sculli"])
-    sch.add_argument("--trials", type=int, default=500, help="execution-simulation trials")
+    sch.add_argument("--trials", type=int, default=500, help="Monte Carlo trials")
     sch.add_argument("--seed", type=int, default=0)
 
     return parser

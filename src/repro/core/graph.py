@@ -118,6 +118,18 @@ def compute_level_structure(
     return level_indptr, level_order
 
 
+def _group_by_level(level: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(level_indptr, level_order)`` of per-task integer levels,
+    ascending task index within each level, as :func:`compute_level_structure`."""
+    levels = (
+        np.concatenate(([0], np.cumsum(np.bincount(level)))),
+        np.argsort(level, kind="stable"),
+    )
+    for arr in levels:
+        arr.setflags(write=False)
+    return levels
+
+
 def _kahn_order(
     succ_indptr: np.ndarray, successors: np.ndarray, task_ids: Tuple[TaskId, ...]
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -578,11 +590,6 @@ class TaskGraph:
         succ_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(succ_counts, out=succ_indptr[1:])
         topo, level = _kahn_order(succ_indptr, targets, task_ids)
-        # Ascending task index within each level, as compute_level_structure.
-        levels = (
-            np.concatenate(([0], np.cumsum(np.bincount(level)))),
-            np.argsort(level, kind="stable"),
-        )
 
         # Canonicalise neighbour order within each row.  Edge-insertion
         # order is an accident of construction (a serialize round-trip
@@ -597,7 +604,7 @@ class TaskGraph:
         pred_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(targets, minlength=n), out=pred_indptr[1:])
 
-        for arr in (weights, topo, pred_indptr, pred_indices, succ_indptr, succ_indices, *levels):
+        for arr in (weights, topo, pred_indptr, pred_indices, succ_indptr, succ_indices):
             arr.setflags(write=False)
         index = GraphIndex(
             task_ids=task_ids,
@@ -609,7 +616,7 @@ class TaskGraph:
             succ_indptr=succ_indptr,
             succ_indices=succ_indices,
         )
-        object.__setattr__(index, "_level_cache", levels)
+        object.__setattr__(index, "_level_cache", _group_by_level(level))
         return index
 
     # ------------------------------------------------------------------

@@ -108,7 +108,15 @@ import numpy as np
 
 from ..exceptions import GraphError
 from .backends import get_kernel, resolve_kernel_backend
-from .graph import GraphIndex, TaskGraph, _ragged_gather, compute_level_structure
+# No compile path here runs compute_level_structure; it stays importable
+# from this module so tests can patch it here and check exactly that.
+from .graph import (
+    GraphIndex,
+    TaskGraph,
+    _group_by_level,
+    _ragged_gather,
+    compute_level_structure,
+)
 
 __all__ = [
     "SUPPORTED_DTYPES",
@@ -403,9 +411,11 @@ def _schedule_for(index: GraphIndex, direction: str) -> LevelSchedule:
                 level_indptr, level_order, index.pred_indptr, index.pred_indices
             )
         else:
-            level_indptr, level_order = compute_level_structure(
-                index.succ_indptr, index.pred_indptr, index.pred_indices
-            )
+            # A task's level in the reversed graph is its longest path to a
+            # sink, in edges: the "down" sweep over unit weights, minus one.
+            ones = np.ones(index.num_tasks)
+            depth = _sweep(_sweep_plan(index, "down"), ones) - 1
+            level_indptr, level_order = _group_by_level(depth.astype(np.int64))
             schedule = _compile_schedule(
                 level_indptr, level_order, index.succ_indptr, index.succ_indices
             )

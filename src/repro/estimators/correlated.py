@@ -31,8 +31,8 @@ The batched sweep reproduces this with a second fold pass per level after
 the level's rows are written (correlation entries are column-independent in
 Clark's third-variable formula, so the second pass recovers exactly the
 sequential pair entries, selected by topological rank).  Results match the
-sequential reference (retained as :func:`sequential_correlated_estimate`)
-to floating-point rounding.
+sequential reference (kept as a test oracle in
+``tests/oracles/estimators.py``) to floating-point rounding.
 
 Parallel level folds
 --------------------
@@ -102,7 +102,7 @@ from ..exec.shm import (
 )
 from ..exceptions import EstimationError
 from ..failures.models import ErrorModel
-from ..failures.twostate import TwoStateDistribution, two_state_moment_vectors
+from ..failures.twostate import two_state_moment_vectors
 from ..options import resolve
 from ..rv.normal import NormalRV, clark_max_moments, norm_cdf
 from .base import EstimateResult, MakespanEstimator
@@ -114,7 +114,6 @@ from .correlation import (
 
 __all__ = [
     "CorrelatedNormalEstimator",
-    "sequential_correlated_estimate",
     "DEFAULT_MAX_MATRIX_BYTES",
 ]
 
@@ -155,112 +154,6 @@ def _fold_sinks_correlated(
             np.clip(final_corr, -1.0, 1.0, out=final_corr)
         final = NormalRV(m, v)
     return final
-
-
-def _sequential_fold_sinks(
-    index, mean: np.ndarray, var: np.ndarray, corr: np.ndarray
-) -> NormalRV:
-    """Full-matrix sink fold of the sequential reference.
-
-    Kept verbatim from the pre-backend implementation (blending the full
-    ``n``-wide correlation rows) so the oracle shares *no* code with the
-    production sweep's restricted sink fold.
-    """
-    n = mean.shape[0]
-    sinks = index.sink_indices()
-    final = NormalRV(float(mean[sinks[0]]), float(var[sinks[0]]))
-    final_corr = corr[int(sinks[0])].copy()
-    for s_raw in sinks[1:]:
-        s = int(s_raw)
-        rho = float(np.clip(final_corr[s], -1.0, 1.0))
-        m, v = clark_max_moments(final.mean, final.variance, mean[s], var[s], rho)
-        sigma1, sigma2 = final.std, math.sqrt(max(var[s], 0.0))
-        a = math.sqrt(max(final.variance + var[s] - 2 * rho * sigma1 * sigma2, 0.0))
-        if v <= 0.0:
-            final_corr = np.zeros(n, dtype=np.float64)
-        elif a == 0.0:
-            final_corr = final_corr if final.mean >= mean[s] else corr[s].copy()
-        else:
-            alpha = (final.mean - mean[s]) / a
-            final_corr = (
-                sigma1 * norm_cdf(alpha) * final_corr + sigma2 * norm_cdf(-alpha) * corr[s]
-            ) / math.sqrt(v)
-            np.clip(final_corr, -1.0, 1.0, out=final_corr)
-        final = NormalRV(m, v)
-    return final
-
-
-def sequential_correlated_estimate(
-    graph: TaskGraph, model: ErrorModel, *, reexecution_factor: float = 2.0
-) -> Tuple[float, float]:
-    """Reference per-task propagation returning ``(mean, variance)``.
-
-    The pre-kernel implementation (one Python iteration per task, scalar
-    Clark formulas, full dense matrix, full-width sink fold), retained
-    verbatim as the oracle of the differential tests — it shares no
-    storage or fold code with the production sweep.
-    """
-    index = graph.index()
-    n = index.num_tasks
-    weights = index.weights
-    indptr, indices = index.pred_indptr, index.pred_indices
-
-    mean = np.zeros(n, dtype=np.float64)
-    var = np.zeros(n, dtype=np.float64)
-    corr = np.eye(n, dtype=np.float64)
-
-    for i in index.topo_order:
-        law = TwoStateDistribution.from_model(
-            float(weights[i]), model, reexecution_factor=reexecution_factor
-        )
-        task_mean, task_var = law.mean, law.variance
-
-        preds = indices[indptr[i] : indptr[i + 1]]
-        if preds.size == 0:
-            ready_mean, ready_var = 0.0, 0.0
-            ready_corr = np.zeros(n, dtype=np.float64)
-        else:
-            first = int(preds[0])
-            ready_mean, ready_var = mean[first], var[first]
-            ready_corr = corr[first].copy()
-            for p_raw in preds[1:]:
-                p = int(p_raw)
-                rho12 = float(np.clip(ready_corr[p], -1.0, 1.0))
-                m, v = clark_max_moments(ready_mean, ready_var, mean[p], var[p], rho12)
-                # Correlation of the new maximum with every other
-                # completion variable (Clark's third-variable formula).
-                sigma1 = math.sqrt(max(ready_var, 0.0))
-                sigma2 = math.sqrt(max(var[p], 0.0))
-                a_sq = ready_var + var[p] - 2.0 * rho12 * sigma1 * sigma2
-                a = math.sqrt(max(a_sq, 0.0))
-                if v <= 0.0:
-                    new_corr = np.zeros(n, dtype=np.float64)
-                elif a == 0.0:
-                    new_corr = ready_corr if ready_mean >= mean[p] else corr[p].copy()
-                else:
-                    alpha = (ready_mean - mean[p]) / a
-                    w1 = norm_cdf(alpha)
-                    w2 = norm_cdf(-alpha)
-                    new_corr = (
-                        sigma1 * w1 * ready_corr + sigma2 * w2 * corr[p]
-                    ) / math.sqrt(v)
-                    np.clip(new_corr, -1.0, 1.0, out=new_corr)
-                ready_mean, ready_var, ready_corr = m, v, new_corr
-
-        # C_i = ready + X_i with X_i independent of everything.
-        mean[i] = ready_mean + task_mean
-        var[i] = ready_var + task_var
-        if var[i] > 0.0:
-            scale = math.sqrt(max(ready_var, 0.0)) / math.sqrt(var[i])
-            row = ready_corr * scale
-        else:
-            row = np.zeros(n, dtype=np.float64)
-        row[i] = 1.0
-        corr[i, :] = row
-        corr[:, i] = row
-
-    final = _sequential_fold_sinks(index, mean, var, corr)
-    return final.mean, final.variance
 
 
 #: Default ceiling on the correlation-store footprint.  For the dense

@@ -68,8 +68,8 @@ parallel merges induced by coinciding endpoints with row-batched CDF-product
 maxima — turning thousands of tiny per-arc NumPy calls into a handful of
 ``(rows, width)`` array operations.  The batched operations mirror the
 scalar :class:`~repro.rv.discrete.DiscreteRV` arithmetic step by step, and
-the *same* round schedule evaluated with scalar operations is retained as
-:func:`sequential_dodin_estimate`, the oracle of the differential tests.
+the *same* round schedule evaluated with scalar operations
+(``batched=False``) is the oracle of the differential tests.
 The two paths differ only by ulp-level rounding (NumPy's pairwise row
 sums), but a rounding difference can move an atom across an equal-mass
 pruning boundary, and later rounds amplify it.  Measured relative gaps at
@@ -89,8 +89,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..core.graph import TaskGraph
 from ..core.kernels import schedule_for
 from ..core.paths import critical_path_length
@@ -102,7 +100,7 @@ from ..rv.discrete import DiscreteRV
 from ..rv.discrete_batch import DiscreteBatch
 from .base import EstimateResult, MakespanEstimator
 
-__all__ = ["DodinEstimator", "sequential_dodin_estimate"]
+__all__ = ["DodinEstimator"]
 
 #: Minimum number of rows for which the batched discrete operations beat
 #: the scalar ones (padding + row bookkeeping have a fixed cost); smaller
@@ -624,33 +622,3 @@ class DodinEstimator(MakespanEstimator):
                 "execution": service.report.as_dict(),
             },
         )
-
-
-def sequential_dodin_estimate(
-    graph: TaskGraph,
-    model: ErrorModel,
-    *,
-    max_support: int = 64,
-    max_duplications: Optional[int] = None,
-    reexecution_factor: float = 2.0,
-) -> float:
-    """Scalar-arithmetic reference of the batched Dodin estimator.
-
-    Runs the *same* round schedule (independent arc groups, selection-order
-    parallel merges, deepest-first independent-join duplication rounds)
-    with one scalar :class:`~repro.rv.discrete.DiscreteRV` operation per
-    arc — the oracle of the differential tests: at the tested sizes the
-    batched estimator agrees with this value to <= 1e-9 relative error at
-    any worker count (the module docstring gives the measured gap on
-    larger DAGs).
-    """
-    return (
-        DodinEstimator(
-            max_support=max_support,
-            max_duplications=max_duplications,
-            reexecution_factor=reexecution_factor,
-            batched=False,
-        )
-        .estimate(graph, model)
-        .expected_makespan
-    )

@@ -21,8 +21,8 @@ The propagation runs on the level-wavefront moment kernel of
 instead of one Python iteration (and one :class:`~repro.rv.normal.NormalRV`
 allocation) per task, with the predecessor fold applied in the same CSR
 order as the sequential recurrence — results agree with the per-task
-reference (kept below as :func:`sequential_completion_moments` for the
-differential tests and benchmarks) to floating-point rounding.
+reference (kept as a test oracle in ``tests/oracles/estimators.py``) to
+floating-point rounding.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ from ..core.kernels import propagate_moments
 from ..core.paths import critical_path_length
 from ..exceptions import EstimationError
 from ..failures.models import ErrorModel
-from ..failures.twostate import TwoStateDistribution, two_state_moment_vectors
+from ..failures.twostate import two_state_moment_vectors
 from ..rv.normal import NormalRV, clark_max
 from .base import EstimateResult, MakespanEstimator
 
-__all__ = ["SculliEstimator", "sequential_completion_moments"]
+__all__ = ["SculliEstimator"]
 
 
 def _fold_sinks(
@@ -52,39 +52,6 @@ def _fold_sinks(
     for s in sinks[1:]:
         makespan = clark_max(makespan, NormalRV(float(mean[s]), float(var[s])), 0.0)
     return makespan
-
-
-def sequential_completion_moments(
-    index: GraphIndex, model: ErrorModel, reexecution_factor: float = 2.0
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Reference per-task propagation (one Python iteration per task).
-
-    This is the pre-kernel implementation, retained verbatim as the ground
-    truth of the differential tests and the baseline of the estimator
-    throughput benchmark.
-    """
-    n = index.num_tasks
-    weights = index.weights
-    completion_mean = np.zeros(n, dtype=np.float64)
-    completion_var = np.zeros(n, dtype=np.float64)
-    indptr, indices = index.pred_indptr, index.pred_indices
-    for i in index.topo_order:
-        law = TwoStateDistribution.from_model(
-            float(weights[i]), model, reexecution_factor=reexecution_factor
-        )
-        preds = indices[indptr[i] : indptr[i + 1]]
-        if preds.size == 0:
-            ready = NormalRV.degenerate(0.0)
-        else:
-            ready = NormalRV(completion_mean[preds[0]], completion_var[preds[0]])
-            for p in preds[1:]:
-                ready = clark_max(
-                    ready, NormalRV(completion_mean[p], completion_var[p]), 0.0
-                )
-        total = ready.add_independent(NormalRV(law.mean, law.variance))
-        completion_mean[i] = total.mean
-        completion_var[i] = total.variance
-    return completion_mean, completion_var
 
 
 class SculliEstimator(MakespanEstimator):

@@ -27,8 +27,8 @@ The ``n`` up/down recomputations are evaluated in *chunks* on two private
 level-wavefront kernels (one per direction): a chunk of doubled-weight
 scenarios forms a ``(chunk, tasks)`` weight matrix whose per-task completion
 times the kernel returns in one batched sweep — float64 results are
-bit-identical to the per-task reference recurrence (retained as
-:func:`sequential_pair_up_down` for the differential tests) because ``max``
+bit-identical to the per-task reference recurrence (a test oracle in
+``tests/oracles/estimators.py``) because ``max``
 and the single addition per task are order-independent at fixed precision.
 
 The chunks are mutually independent work partitions (each owns its own
@@ -53,7 +53,7 @@ from typing import Dict, Literal, Optional, Tuple
 
 import numpy as np
 
-from ..core.graph import GraphIndex, TaskGraph
+from ..core.graph import TaskGraph
 from ..core.kernels import WavefrontKernel
 from ..core.paths import compute_path_metrics
 from ..exceptions import EstimationError
@@ -75,34 +75,11 @@ from ..failures.models import ErrorModel
 from ..options import resolve
 from .base import EstimateResult, MakespanEstimator
 
-__all__ = ["SecondOrderEstimator", "sequential_pair_up_down"]
+__all__ = ["SecondOrderEstimator"]
 
 #: Scenarios evaluated per batched kernel sweep (memory ~ 2 x chunk x tasks
 #: float64 on top of the kernel buffers, per worker slot).
 _PAIR_CHUNK = 128
-
-
-def sequential_pair_up_down(
-    index: GraphIndex, weights: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Reference per-task ``up``/``down`` sweep for one weight assignment.
-
-    The pre-kernel inner loops of the pair-term computation, kept as the
-    bit-exactness oracle of the differential tests.
-    """
-    n = index.num_tasks
-    indptr_p, indices_p = index.pred_indptr, index.pred_indices
-    indptr_s, indices_s = index.succ_indptr, index.succ_indices
-    topo = index.topo_order
-    up = np.zeros(n, dtype=np.float64)
-    for v in topo:
-        preds = indices_p[indptr_p[v] : indptr_p[v + 1]]
-        up[v] = weights[v] + (up[preds].max() if preds.size else 0.0)
-    down = np.zeros(n, dtype=np.float64)
-    for v in topo[::-1]:
-        succs = indices_s[indptr_s[v] : indptr_s[v + 1]]
-        down[v] = weights[v] + (down[succs].max() if succs.size else 0.0)
-    return up, down
 
 
 class _PairChunkSlot:

@@ -30,13 +30,11 @@ small per-task NumPy calls into a few dozen per level.  The batched
 operations mirror the scalar :class:`~repro.rv.discrete.DiscreteRV`
 pipeline step by step (same merge tolerance, same pruning groups, same
 fold order over predecessors), so the estimate matches the per-task
-reference — retained as :func:`sequential_sweep_estimate` for the
-differential tests and benchmarks — to floating-point rounding.
+reference — kept as a test oracle in ``tests/oracles/estimators.py`` —
+to floating-point rounding.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
@@ -45,52 +43,11 @@ from ..core.kernels import schedule_for
 from ..core.paths import critical_path_length
 from ..exceptions import EstimationError
 from ..failures.models import ErrorModel
-from ..failures.twostate import TwoStateDistribution
 from ..rv.discrete import DiscreteRV
 from ..rv.discrete_batch import DiscreteBatch
 from .base import EstimateResult, MakespanEstimator
 
-__all__ = ["DiscreteSweepEstimator", "sequential_sweep_estimate"]
-
-
-def sequential_sweep_estimate(
-    graph: TaskGraph,
-    model: ErrorModel,
-    *,
-    max_support: int = 128,
-    reexecution_factor: float = 2.0,
-) -> DiscreteRV:
-    """Reference per-task sweep returning the makespan distribution.
-
-    The pre-kernel implementation (one :class:`DiscreteRV` operation chain
-    per task), retained verbatim as the oracle of the differential tests
-    and the baseline of the estimator throughput benchmark.
-    """
-    index = graph.index()
-    weights = index.weights
-    indptr, indices = index.pred_indptr, index.pred_indices
-    cap = max_support
-
-    completion = [None] * index.num_tasks
-    zero = DiscreteRV.constant(0.0)
-    for i in index.topo_order:
-        law = TwoStateDistribution.from_model(
-            float(weights[i]), model, reexecution_factor=reexecution_factor
-        ).to_discrete()
-        preds = indices[indptr[i] : indptr[i + 1]]
-        if preds.size == 0:
-            ready = zero
-        else:
-            ready = completion[preds[0]]
-            for p in preds[1:]:
-                ready = ready.maximum(completion[p], max_support=cap)
-        completion[i] = ready.add(law, max_support=cap)
-
-    sinks = index.sink_indices()
-    makespan = completion[sinks[0]]
-    for s in sinks[1:]:
-        makespan = makespan.maximum(completion[s], max_support=cap)
-    return makespan
+__all__ = ["DiscreteSweepEstimator"]
 
 
 class DiscreteSweepEstimator(MakespanEstimator):

@@ -1,7 +1,8 @@
-"""List scheduling under silent errors: platforms, CP scheduling, HEFT, execution simulation."""
+"""List scheduling under silent errors: platforms, CP scheduling, HEFT, and
+the schedule DAG that the estimators and the Monte Carlo engine evaluate."""
 
 from .platform import Platform, Processor
-from .schedule import Schedule, ScheduledTask
+from .schedule import Schedule, ScheduledTask, expected_schedule_makespan, schedule_dag
 from .priorities import (
     deterministic_bottom_levels,
     expected_bottom_levels_first_order,
@@ -10,7 +11,6 @@ from .priorities import (
 )
 from .list_scheduling import PriorityScheme, cp_schedule
 from .heft import heft_schedule
-from .simulation import ExecutionTrace, execute_schedule, expected_schedule_makespan
 
 __all__ = [
     "Platform",
@@ -24,7 +24,6 @@ __all__ = [
     "cp_schedule",
     "PriorityScheme",
     "heft_schedule",
-    "ExecutionTrace",
-    "execute_schedule",
+    "schedule_dag",
     "expected_schedule_makespan",
 ]

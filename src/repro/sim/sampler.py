@@ -21,7 +21,7 @@ Everything is vectorised: a whole batch of trials is sampled as one
 
 from __future__ import annotations
 
-from typing import Literal, Optional, Union
+from typing import Literal, Union
 
 import numpy as np
 
@@ -58,10 +58,6 @@ def task_failure_probabilities(model: ErrorModel, weights: np.ndarray) -> np.nda
     return q
 
 
-# Backwards-compatible private alias (pre-refactor name).
-_failure_probabilities = task_failure_probabilities
-
-
 def sample_failure_mask(
     weights: np.ndarray,
     model: ErrorModel,
@@ -71,7 +67,7 @@ def sample_failure_mask(
     """Boolean matrix ``(trials, tasks)``: True where the first attempt fails."""
     if trials <= 0:
         raise EstimationError("number of trials must be positive")
-    q = _failure_probabilities(model, weights)
+    q = task_failure_probabilities(model, weights)
     return rng.random((trials, weights.shape[0])) < q[None, :]
 
 
@@ -125,7 +121,7 @@ def sample_task_times(
     if reexecution_factor < 1.0:
         raise EstimationError("re-execution factor must be >= 1")
 
-    q = _failure_probabilities(model, weights)
+    q = task_failure_probabilities(model, weights)
 
     if mode == "two-state":
         failures = rng.random((trials, weights.shape[0])) < q[None, :]

@@ -1,35 +1,34 @@
 """Discrete-event execution of a schedule under injected silent errors.
 
-The makespan estimators of :mod:`repro.estimators` assume unlimited
-processors (bottom levels, critical paths).  To evaluate what a *scheduler*
-gains from error-aware priorities one must execute its schedule on a finite
-platform while errors strike: each task runs on its assigned processor,
-its result is verified, and on failure the task is re-executed immediately
-on the same processor (the paper's model: detection happens only at the end
-of the task, re-execution is from scratch).
+The per-trial event loop that ``repro.scheduling`` ran before a schedule
+became a task graph (:func:`repro.scheduling.schedule_dag`), kept only as
+the differential reference of ``tests/test_scheduling.py``: the Monte
+Carlo engine on the schedule DAG must agree with it within statistical
+error.
 
-The simulator keeps the *processor assignment and the task order per
-processor* of the input schedule, but recomputes start times dynamically as
-failures delay tasks — this is how static list schedules are executed by
-runtime systems when task durations deviate from their estimates.
+Each task runs on its assigned processor, its result is verified, and on
+failure the task is re-executed immediately on the same processor (the
+paper's model: detection happens only at the end of the task,
+re-execution is from scratch).  The simulator keeps the *processor
+assignment and the task order per processor* of the input schedule, but
+recomputes start times dynamically as failures delay tasks — this is how
+static list schedules are executed by runtime systems when task durations
+deviate from their estimates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.graph import TaskGraph
-from ..core.task import TaskId
-from ..exceptions import SchedulingError
-from ..failures.models import ErrorModel
-from ..rv.empirical import EmpiricalDistribution
-from .platform import Platform
-from .schedule import Schedule
+from repro.core.task import TaskId
+from repro.exceptions import SchedulingError
+from repro.failures.models import ErrorModel
+from repro.scheduling.schedule import Schedule
 
-__all__ = ["ExecutionTrace", "execute_schedule", "expected_schedule_makespan"]
+__all__ = ["ExecutionTrace", "execute_schedule"]
 
 
 @dataclass
@@ -138,32 +137,3 @@ def execute_schedule(
         total_failures=total_failures,
     )
 
-
-def expected_schedule_makespan(
-    schedule: Schedule,
-    model: ErrorModel,
-    *,
-    trials: int = 1_000,
-    seed: Optional[int] = None,
-    max_reexecutions: Optional[int] = 1,
-    reexecution_factor: float = 1.0,
-) -> Tuple[float, EmpiricalDistribution]:
-    """Monte Carlo estimate of a schedule's expected makespan under failures.
-
-    Returns the mean and the empirical distribution of the simulated
-    makespans.
-    """
-    if trials <= 0:
-        raise SchedulingError("number of trials must be positive")
-    rng = np.random.default_rng(seed)
-    samples = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        samples[t] = execute_schedule(
-            schedule,
-            model,
-            rng,
-            max_reexecutions=max_reexecutions,
-            reexecution_factor=reexecution_factor,
-        ).makespan
-    distribution = EmpiricalDistribution(samples)
-    return distribution.mean(), distribution

@@ -567,7 +567,7 @@ class TestLevelColumnFold:
 
     @pytest.mark.parametrize("graph", SKEWED_DAGS, ids=lambda g: g.name)
     def test_single_scenario_matches_pair_reference(self, graph):
-        from repro.estimators.second_order import sequential_pair_up_down
+        from oracles.estimators import sequential_pair_up_down
 
         idx = graph.index()
         up, down = sequential_pair_up_down(idx, idx.weights)

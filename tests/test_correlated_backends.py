@@ -18,8 +18,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from oracles.estimators import sequential_correlated_estimate
 from repro.core.kernels import schedule_for
-from repro.estimators.correlated import CorrelatedNormalEstimator, sequential_correlated_estimate
+from repro.estimators.correlated import CorrelatedNormalEstimator
 from repro.estimators.correlation import (
     BandedCorrelationStore,
     DenseCorrelationStore,

@@ -143,7 +143,7 @@ class TestJoinRounds:
         assert result.details["duplications"] > result.details["join_rounds"] >= 1
 
     def test_round_schedule_matches_scalar_reference(self):
-        from repro.estimators.dodin import sequential_dodin_estimate
+        from oracles.estimators import sequential_dodin_estimate
 
         g = self._twin_gadget()
         model = FixedProbabilityModel(0.05)

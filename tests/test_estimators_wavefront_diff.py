@@ -14,14 +14,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.kernels import WavefrontKernel, propagate_moments
-from repro.estimators.correlated import (
-    CorrelatedNormalEstimator,
+from oracles.estimators import (
+    sequential_completion_moments,
     sequential_correlated_estimate,
+    sequential_pair_up_down,
+    sequential_sweep_estimate,
 )
-from repro.estimators.sculli import SculliEstimator, sequential_completion_moments
-from repro.estimators.second_order import SecondOrderEstimator, sequential_pair_up_down
-from repro.estimators.sweep import DiscreteSweepEstimator, sequential_sweep_estimate
+from repro.core.kernels import WavefrontKernel, propagate_moments
+from repro.estimators.correlated import CorrelatedNormalEstimator
+from repro.estimators.sculli import SculliEstimator
+from repro.estimators.second_order import SecondOrderEstimator
+from repro.estimators.sweep import DiscreteSweepEstimator
 from repro.exec import partition_stream
 from repro.failures.models import ExponentialErrorModel
 from repro.failures.twostate import two_state_moment_vectors

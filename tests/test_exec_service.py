@@ -289,7 +289,8 @@ class TestServiceClients:
         assert len(values) == 1
 
     def test_dodin_differential_holds_at_any_worker_count(self, case):
-        from repro.estimators.dodin import DodinEstimator, sequential_dodin_estimate
+        from oracles.estimators import sequential_dodin_estimate
+        from repro.estimators.dodin import DodinEstimator
 
         graph, model = case
         reference = sequential_dodin_estimate(graph, model)

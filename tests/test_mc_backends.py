@@ -511,7 +511,8 @@ class TestBatchedDodinDifferential:
         ("cholesky", 6), ("lu", 5), ("qr", 5),
     ])
     def test_batched_matches_sequential(self, workflow, size):
-        from repro.estimators.dodin import DodinEstimator, sequential_dodin_estimate
+        from oracles.estimators import sequential_dodin_estimate
+        from repro.estimators.dodin import DodinEstimator
 
         graph = build_dag(workflow, size)
         model = ExponentialErrorModel.for_graph(graph, 1e-2)
@@ -520,7 +521,8 @@ class TestBatchedDodinDifferential:
         assert abs(batched - sequential) <= 1e-9 * abs(sequential)
 
     def test_batched_matches_sequential_coarse_pruning(self, lu4):
-        from repro.estimators.dodin import DodinEstimator, sequential_dodin_estimate
+        from oracles.estimators import sequential_dodin_estimate
+        from repro.estimators.dodin import DodinEstimator
 
         model = ExponentialErrorModel.for_graph(lu4, 5e-2)
         batched = DodinEstimator(max_support=8).estimate(lu4, model).expected_makespan

@@ -1,8 +1,12 @@
-"""Unit tests for repro.scheduling (platforms, priorities, CP, HEFT, simulation)."""
+"""Unit tests for repro.scheduling (platforms, priorities, CP, HEFT, schedule DAGs)."""
+
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles.schedule_simulation import execute_schedule
 from repro.core.generators import chain_graph, fork_join, independent_tasks
 from repro.core.paths import critical_path_length
 from repro.core.task import Task
@@ -17,8 +21,8 @@ from repro.scheduling.priorities import (
     expected_bottom_levels_sculli,
     upward_ranks,
 )
-from repro.scheduling.schedule import Schedule
-from repro.scheduling.simulation import execute_schedule, expected_schedule_makespan
+from repro.scheduling.schedule import Schedule, expected_schedule_makespan, schedule_dag
+from repro.workflows.registry import build_dag
 
 
 class TestPlatform:
@@ -259,3 +263,116 @@ class TestExecutionSimulation:
         schedule = Schedule(diamond, Platform.homogeneous(1))
         with pytest.raises(SchedulingError):
             execute_schedule(schedule, FixedProbabilityModel(0.1), np.random.default_rng(0))
+
+
+def _hetero_platform():
+    """Fast, accelerated-GEMM and reference processors."""
+    return Platform(
+        [Processor(0, speed=4.0), Processor(1, kernel_speed={"GEMM": 3.0}), Processor(2)]
+    )
+
+
+def _schedules(graph):
+    """A CP schedule on identical processors and a HEFT one on mixed ones."""
+    return {
+        "cp": cp_schedule(graph, Platform.homogeneous(3)),
+        "heft": heft_schedule(graph, _hetero_platform()),
+    }
+
+
+class TestScheduleDag:
+    def test_tasks_weights_and_edges(self, cholesky4):
+        schedule = _schedules(cholesky4)["heft"]
+        dag = schedule_dag(schedule)
+        assert dag.task_ids() == cholesky4.task_ids()
+        for task in cholesky4.tasks():
+            copy = dag.task(task.task_id)
+            assert (copy.kernel, copy.metadata) == (task.kernel, task.metadata)
+            processor = schedule.platform.processor(schedule.entry(task.task_id).processor)
+            assert copy.weight == processor.execution_time(task)
+        timelines = [schedule.processor_timeline(p.proc_id) for p in schedule.platform.processors]
+        chains = {(a.task_id, b.task_id) for t in timelines for a, b in zip(t, t[1:])}
+        expected = set(cholesky4.edges()) | chains
+        assert set(dag.edges()) == expected and dag.num_edges == len(expected)
+
+    @pytest.mark.parametrize("workflow", ["cholesky", "lu", "qr"])
+    @pytest.mark.parametrize("scheduler", ["cp", "heft"])
+    def test_failure_free_longest_path_is_the_makespan(self, workflow, scheduler):
+        schedule = _schedules(build_dag(workflow, 6))[scheduler]
+        assert critical_path_length(schedule_dag(schedule)) == schedule.makespan
+
+    @pytest.mark.parametrize("scheduler", ["cp", "heft"])
+    def test_no_errors_every_sample_is_the_makespan(self, lu4, scheduler):
+        schedule = _schedules(lu4)[scheduler]
+        _, distribution = expected_schedule_makespan(
+            schedule, ExponentialErrorModel(0.0), trials=64, seed=0
+        )
+        assert distribution.min() == distribution.max() == schedule.makespan
+
+    # Two-state with f = 1 and 0.5, and re-execution until success.
+    MODES = [(1, 1.0), (1, 0.5), (None, 1.0)]
+
+    @pytest.mark.parametrize("max_reexecutions, factor", MODES)
+    @pytest.mark.parametrize("scheduler", ["cp", "heft"])
+    def test_engine_agrees_with_the_event_loop(
+        self, cholesky4, scheduler, max_reexecutions, factor
+    ):
+        schedule = _schedules(cholesky4)[scheduler]
+        model = ExponentialErrorModel.for_graph(cholesky4, 0.2)
+        options = dict(max_reexecutions=max_reexecutions, reexecution_factor=factor)
+        rng = np.random.default_rng(7)
+        oracle = np.array(
+            [execute_schedule(schedule, model, rng, **options).makespan for _ in range(2_000)]
+        )
+        mean, distribution = expected_schedule_makespan(
+            schedule, model, trials=20_000, seed=7, **options
+        )
+        assert distribution.count == 20_000
+        sigma = np.hypot(
+            oracle.std(ddof=1) / np.sqrt(oracle.size), distribution.std() / np.sqrt(20_000)
+        )
+        assert abs(mean - oracle.mean()) <= 4 * sigma
+
+    def test_infeasible_order_rejected(self, diamond):
+        schedule = Schedule(diamond, Platform.homogeneous(1))
+        for tid, start, finish in (("t", 0, 1), ("s", 1, 2), ("left", 2, 4), ("right", 4, 8)):
+            schedule.place(tid, 0, start, finish)
+        with pytest.raises(SchedulingError, match="infeasible"):
+            schedule_dag(schedule)
+        with pytest.raises(SchedulingError):
+            execute_schedule(schedule, FixedProbabilityModel(0.1), np.random.default_rng(0))
+
+    def test_incomplete_schedule_rejected(self, diamond):
+        schedule = Schedule(diamond, Platform.homogeneous(1))
+        schedule.place("s", 0, 0.0, 1.0)
+        with pytest.raises(SchedulingError):
+            schedule_dag(schedule)
+        with pytest.raises(SchedulingError):
+            expected_schedule_makespan(schedule, FixedProbabilityModel(0.1), trials=10)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(max_reexecutions=2),
+            dict(max_reexecutions=0),
+            dict(max_reexecutions=None, reexecution_factor=0.5),
+            dict(reexecution_factor=-0.5),
+            dict(trials=0),
+        ],
+    )
+    def test_unsupported_options_rejected(self, diamond, options):
+        schedule = cp_schedule(diamond, Platform.homogeneous(2))
+        with pytest.raises(SchedulingError):
+            expected_schedule_makespan(schedule, FixedProbabilityModel(0.1), **options)
+
+
+def test_error_aware_scheduling_example(capsys):
+    example = Path(__file__).resolve().parents[1] / "examples" / "error_aware_scheduling.py"
+    runpy.run_path(str(example), run_name="__main__")
+    out = capsys.readouterr().out
+    rows = [line for line in out.splitlines() if line.startswith(("CP /", "HEFT"))]
+    assert len(rows) == 5
+    assert "HEFT (heterogeneous, failure-aware ranks)" in rows[-1]
+    for row in rows:
+        planned, mean, p99 = map(float, row.split()[-3:])
+        assert planned <= mean <= p99

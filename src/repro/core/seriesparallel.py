@@ -5,31 +5,28 @@ tractable (pseudo-polynomially) when the graph is *two-terminal
 series-parallel* (TTSP): the distribution of a series composition is the
 convolution of its parts, the distribution of a parallel composition is
 obtained by multiplying CDFs (Section II-A2 of the paper).  Dodin's method
-approximates an arbitrary DAG by a series-parallel one; its implementation
-in :mod:`repro.estimators.dodin` is built on the arc-network machinery of
-this module.
+approximates an arbitrary DAG by a series-parallel one;
+:mod:`repro.estimators.dodin` implements it on its own activity-on-arc
+reduction network.
 
-The node-weighted task graph is first converted to an *activity-on-arc*
-network: every task ``i`` becomes an arc carrying ``i`` between two fresh
-vertices ``i_in -> i_out``; every precedence edge becomes a zero arc; a
-global source feeds every entry task and a global sink collects every exit
-task.  The network is then repeatedly simplified with
+:func:`sp_decomposition` works on the task graph itself and repeatedly
+applies
 
-* **series reduction** — a vertex with exactly one incoming and one outgoing
-  arc is removed and the two arcs are fused; and
-* **parallel reduction** — two arcs sharing both endpoints are fused,
+* **series reduction** — a task whose single successor has no other
+  predecessor is fused with that successor; and
+* **parallel reduction** — two tasks with identical predecessor and
+  successor sets are fused,
 
-until either a single source->sink arc remains (the graph is SP and the
-arc's payload is its decomposition tree) or no reduction applies (the graph
-is not SP).  The reduction system is confluent, so a greedy order suffices.
-"""
+until either a single super-task remains (the graph is SP and its payload
+is the decomposition tree) or no reduction applies (the graph is not SP).
+The reduction system is confluent, so a greedy order suffices."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
-from ..exceptions import GraphError, NotSeriesParallelError
+from ..exceptions import NotSeriesParallelError
 from .graph import TaskGraph
 from .task import TaskId
 
@@ -38,10 +35,6 @@ __all__ = [
     "SPSeries",
     "SPParallel",
     "SPNode",
-    "Arc",
-    "ArcNetwork",
-    "build_arc_network",
-    "reduce_network",
     "is_series_parallel",
     "sp_decomposition",
     "evaluate_sp",
@@ -57,8 +50,8 @@ __all__ = [
 class SPLeaf:
     """Leaf of an SP decomposition tree.
 
-    ``task_id`` is ``None`` for the zero-weight arcs introduced by the
-    activity-on-arc conversion (pure precedence, no work).
+    ``task_id`` is ``None`` for a zero-weight leaf (pure precedence, no
+    work).
     """
 
     task_id: Optional[TaskId]
@@ -161,200 +154,6 @@ def evaluate_sp(
     for value in values[1:]:
         acc = combine(acc, value)
     return acc
-
-
-# ----------------------------------------------------------------------
-# Activity-on-arc network and reductions
-# ----------------------------------------------------------------------
-@dataclass
-class Arc:
-    """An arc of the activity-on-arc network, carrying an arbitrary payload."""
-
-    arc_id: int
-    tail: int
-    head: int
-    payload: Any
-
-
-class ArcNetwork:
-    """A small two-terminal multigraph supporting SP reductions.
-
-    Vertices are integers; ``source`` and ``sink`` are the two terminals.
-    Arcs carry arbitrary payloads (SP trees for recognition, random
-    variables for Dodin's evaluation).
-    """
-
-    def __init__(self, source: int, sink: int) -> None:
-        self.source = source
-        self.sink = sink
-        self.arcs: Dict[int, Arc] = {}
-        self._out: Dict[int, Set[int]] = {source: set(), sink: set()}
-        self._in: Dict[int, Set[int]] = {source: set(), sink: set()}
-        self._next_arc_id = 0
-        self._next_vertex = max(source, sink) + 1
-
-    # -- construction --------------------------------------------------
-    def new_vertex(self) -> int:
-        v = self._next_vertex
-        self._next_vertex += 1
-        self._out[v] = set()
-        self._in[v] = set()
-        return v
-
-    def ensure_vertex(self, v: int) -> None:
-        if v not in self._out:
-            self._out[v] = set()
-            self._in[v] = set()
-            self._next_vertex = max(self._next_vertex, v + 1)
-
-    def add_arc(self, tail: int, head: int, payload: Any) -> Arc:
-        self.ensure_vertex(tail)
-        self.ensure_vertex(head)
-        arc = Arc(self._next_arc_id, tail, head, payload)
-        self._next_arc_id += 1
-        self.arcs[arc.arc_id] = arc
-        self._out[tail].add(arc.arc_id)
-        self._in[head].add(arc.arc_id)
-        return arc
-
-    def remove_arc(self, arc_id: int) -> Arc:
-        arc = self.arcs.pop(arc_id)
-        self._out[arc.tail].discard(arc_id)
-        self._in[arc.head].discard(arc_id)
-        return arc
-
-    def remove_vertex(self, v: int) -> None:
-        if self._out[v] or self._in[v]:
-            raise GraphError(f"cannot remove vertex {v}: incident arcs remain")
-        del self._out[v]
-        del self._in[v]
-
-    # -- queries ---------------------------------------------------------
-    @property
-    def num_arcs(self) -> int:
-        return len(self.arcs)
-
-    def vertices(self) -> List[int]:
-        return list(self._out)
-
-    def out_arcs(self, v: int) -> List[Arc]:
-        return [self.arcs[a] for a in sorted(self._out[v])]
-
-    def in_arcs(self, v: int) -> List[Arc]:
-        return [self.arcs[a] for a in sorted(self._in[v])]
-
-    def in_degree(self, v: int) -> int:
-        return len(self._in[v])
-
-    def out_degree(self, v: int) -> int:
-        return len(self._out[v])
-
-    def is_single_arc(self) -> bool:
-        """True when only the final ``source -> sink`` arc remains."""
-        if len(self.arcs) != 1:
-            return False
-        arc = next(iter(self.arcs.values()))
-        return arc.tail == self.source and arc.head == self.sink
-
-    def final_payload(self) -> Any:
-        if not self.is_single_arc():
-            raise GraphError("network is not reduced to a single arc")
-        return next(iter(self.arcs.values())).payload
-
-    # -- reductions ------------------------------------------------------
-    def find_parallel_pair(self) -> Optional[Tuple[int, int]]:
-        """Return two arc ids sharing both endpoints, if any."""
-        seen: Dict[Tuple[int, int], int] = {}
-        for arc_id in sorted(self.arcs):
-            arc = self.arcs[arc_id]
-            key = (arc.tail, arc.head)
-            if key in seen:
-                return seen[key], arc_id
-            seen[key] = arc_id
-        return None
-
-    def find_series_vertex(self) -> Optional[int]:
-        """Return a non-terminal vertex with exactly one in- and out-arc."""
-        for v in sorted(self._out):
-            if v in (self.source, self.sink):
-                continue
-            if len(self._in[v]) == 1 and len(self._out[v]) == 1:
-                return v
-        return None
-
-    def apply_parallel(self, arc_a: int, arc_b: int, combine: Callable[[Any, Any], Any]) -> Arc:
-        """Replace two parallel arcs by a single arc with combined payload."""
-        a = self.remove_arc(arc_a)
-        b = self.remove_arc(arc_b)
-        if (a.tail, a.head) != (b.tail, b.head):
-            raise GraphError("arcs are not parallel")
-        return self.add_arc(a.tail, a.head, combine(a.payload, b.payload))
-
-    def apply_series(self, vertex: int, combine: Callable[[Any, Any], Any]) -> Arc:
-        """Remove a series vertex and fuse its two incident arcs."""
-        in_ids = list(self._in[vertex])
-        out_ids = list(self._out[vertex])
-        if len(in_ids) != 1 or len(out_ids) != 1:
-            raise GraphError(f"vertex {vertex} is not a series vertex")
-        first = self.remove_arc(in_ids[0])
-        second = self.remove_arc(out_ids[0])
-        self.remove_vertex(vertex)
-        return self.add_arc(first.tail, second.head, combine(first.payload, second.payload))
-
-
-def build_arc_network(
-    graph: TaskGraph,
-    leaf_payload: Optional[Callable[[Optional[TaskId]], Any]] = None,
-) -> ArcNetwork:
-    """Convert a node-weighted task graph into an activity-on-arc network.
-
-    ``leaf_payload`` maps task identifiers (and ``None`` for zero arcs) to
-    arc payloads; by default arcs carry :class:`SPLeaf` trees.
-    """
-    if graph.num_tasks == 0:
-        raise GraphError("cannot build an arc network from an empty graph")
-    if leaf_payload is None:
-        leaf_payload = SPLeaf
-
-    source, sink = 0, 1
-    network = ArcNetwork(source, sink)
-    vertex_in: Dict[TaskId, int] = {}
-    vertex_out: Dict[TaskId, int] = {}
-    for tid in graph.task_ids():
-        vertex_in[tid] = network.new_vertex()
-        vertex_out[tid] = network.new_vertex()
-        network.add_arc(vertex_in[tid], vertex_out[tid], leaf_payload(tid))
-    for src, dst in graph.edges():
-        network.add_arc(vertex_out[src], vertex_in[dst], leaf_payload(None))
-    for tid in graph.sources():
-        network.add_arc(source, vertex_in[tid], leaf_payload(None))
-    for tid in graph.sinks():
-        network.add_arc(vertex_out[tid], sink, leaf_payload(None))
-    return network
-
-
-def reduce_network(
-    network: ArcNetwork,
-    series_combine: Callable[[Any, Any], Any],
-    parallel_combine: Callable[[Any, Any], Any],
-) -> bool:
-    """Apply series/parallel reductions until exhaustion.
-
-    Returns ``True`` when the network was fully reduced to a single
-    ``source -> sink`` arc (i.e. the underlying graph is series-parallel),
-    ``False`` when the reduction got stuck.
-    """
-    while not network.is_single_arc():
-        pair = network.find_parallel_pair()
-        if pair is not None:
-            network.apply_parallel(pair[0], pair[1], parallel_combine)
-            continue
-        vertex = network.find_series_vertex()
-        if vertex is not None:
-            network.apply_series(vertex, series_combine)
-            continue
-        return False
-    return True
 
 
 def sp_decomposition(graph: TaskGraph) -> SPNode:

@@ -647,8 +647,8 @@ class CorrelatedNormalEstimator(MakespanEstimator):
                 # attachments (built by degradation slots, if any) before
                 # destroying the state segment, then drop the registry
                 # reference on the schedule segment (kept warm for the
-                # next estimate over the same DAG while REPRO_EXEC_SHM
-                # holds).
+                # next estimate over the same DAG unless the registry's
+                # budget evicts it).
                 detach_segment(state.name)
                 detach_segment(spec.static[0])
                 state.destroy()

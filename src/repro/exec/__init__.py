@@ -41,7 +41,6 @@ from .shm import (
     attach_segment,
     content_key,
     detach_segment,
-    shm_enabled,
 )
 
 __all__ = [
@@ -68,5 +67,4 @@ __all__ = [
     "partition_stream",
     "resolve_exec_backend",
     "resolve_workers",
-    "shm_enabled",
 ]

@@ -15,15 +15,16 @@ private heap.  This module removes both costs:
     through the slot-factory protocol.
 
 ``SegmentRegistry``
-    A process-global, content-addressed cache of published segments.
-    Keys are structural hashes (:func:`content_key`) of the arrays'
-    *sources* — e.g. the DAG's CSR arrays plus schedule parameters — so
-    repeated runs over the same graph re-use one warm segment instead of
-    republishing.  ``publish``/``release`` are refcounted; with
-    ``REPRO_EXEC_SHM`` disabled, segments are unlinked as soon as the last
-    user releases them, otherwise they stay warm until :meth:`clear`
-    (registered ``atexit``) so no ``/dev/shm`` entry ever outlives the
-    parent process.
+    A process-global, content-addressed cache of published segments: a
+    :class:`PinnedLRU`, the pin/latch/LRU/budget protocol that the
+    estimation service's :class:`~repro.service.cache.ScheduleCache`
+    shares.  Keys are structural hashes (:func:`content_key`) of the
+    arrays' *sources* — e.g. the DAG's CSR arrays plus schedule
+    parameters — so repeated runs over the same graph re-use one warm
+    segment instead of republishing.  ``publish`` pins a segment until its
+    ``release``; released segments stay warm until the budget evicts them
+    (a budget of 0 unlinks on last release) or :meth:`clear` (registered
+    ``atexit``) does, so no ``/dev/shm`` entry outlives the parent process.
 
 ``publish_schedule`` / ``attach_schedule``
     The one place that knows the registry key of a compiled
@@ -44,8 +45,9 @@ from __future__ import annotations
 import atexit
 import hashlib
 import threading
+from collections import OrderedDict
 from multiprocessing import resource_tracker, shared_memory
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,10 +58,10 @@ from ..core.kernels import (
     schedule_for,
     schedule_from_arrays,
 )
-from ..options import KNOBS, resolve
 
 __all__ = [
     "AttachedSegment",
+    "PinnedLRU",
     "REGISTRY",
     "SegmentHandle",
     "SegmentRegistry",
@@ -71,7 +73,6 @@ __all__ = [
     "detach_segment",
     "publish_schedule",
     "schedule_key",
-    "shm_enabled",
 ]
 
 #: Byte alignment of every array inside a segment (one cache line).
@@ -84,25 +85,6 @@ SegmentLayout = Tuple[Tuple[str, str, Tuple[int, ...], int], ...]
 #: ``(segment name, layout)`` — everything a worker needs to attach a
 #: segment; what slot specs carry instead of the segment itself.
 SegmentHandle = Tuple[str, SegmentLayout]
-
-
-#: ``REPRO_EXEC_SHM`` spellings already warned about (warn once per value,
-#: not once per call — the knob is consulted on every registry release).
-_WARNED_SHM_VALUES: set = KNOBS["EXEC_SHM"].warned
-
-
-def shm_enabled(default: bool = True) -> bool:
-    """Whether published segments stay warm for re-use (``REPRO_EXEC_SHM``).
-
-    Disabling the knob does not turn shared memory off — the processes
-    backend still needs segments to exist while a run is in flight — it
-    makes the registry unlink each segment as soon as its last user
-    releases it instead of keeping it warm for the next run.  An
-    unrecognised value falls back to ``default`` but warns once (per
-    value, per process) instead of silently swallowing e.g.
-    ``REPRO_EXEC_SHM=flase``.
-    """
-    return resolve("EXEC_SHM", fallback=default)
 
 
 def content_key(*parts: Union[np.ndarray, str, int, float, bool, None]) -> str:
@@ -278,80 +260,77 @@ def detach_segment(name: str) -> None:
         segment.close()
 
 
-class SegmentRegistry:
-    """Process-global content-addressed cache of published segments.
+class PinnedLRU:
+    """Pinned, byte-budgeted LRU of values built once per key.
 
-    ``publish(key, builder)`` returns the warm segment for ``key`` when one
-    exists (``hits``) and otherwise materialises the builder's arrays into
-    a fresh segment (``misses``).  Publications are refcounted via
-    ``release``; a segment whose refcount drops to zero is kept warm while
-    :func:`shm_enabled` holds and unlinked immediately otherwise.
-    :meth:`clear` (registered ``atexit``) unlinks everything, so normal
-    interpreter exit never leaks a ``/dev/shm`` entry.
+    Values carry an ``nbytes`` footprint; ``dispose(value)`` tears one
+    down, always outside the lock.  ``get_or_build(key, builder)`` returns
+    the resident value (``hits``) or runs ``builder`` (``misses``), and
+    either way *pins* it until the caller's :meth:`release`;
+    :meth:`acquire` is the hit half alone.
 
-    **Concurrency.**  A miss materialises the builder's arrays *outside*
-    the registry lock — one large publication must not serialise every
-    concurrent publish/release/attach in the process (a multi-request
-    server publishes many independent DAGs at once).  Same-key publishers
-    still coalesce onto one build through a per-key in-flight latch:
-    late arrivals wait on the latch and then take the hit path, so the
-    builder runs at most once per key.
+    **Concurrency.**  The builder runs outside the lock, so one large build
+    does not serialise other keys.  Same-key callers coalesce through a
+    per-key in-flight latch: late arrivals wait on it and then take the
+    hit path, so the builder runs at most once per key.  A failed build
+    releases the latch and re-raises; the waiters then race to build.
 
-    **Memory budget.**  Warm zero-reference segments historically lived
-    until :meth:`clear`; a workload of ever-fresh DAGs therefore grew
-    ``/dev/shm`` without bound.  :meth:`set_budget` arms LRU eviction:
-    whenever resident bytes exceed the budget, least-recently-used
-    segments *without* live references are unlinked (``evictions``).
-    Referenced segments are never evicted — the budget is a target, and
-    in-flight publications may transiently exceed it.  :meth:`evict`
-    force-unlinks one named warm segment (cache layers above the registry
-    use it to drop a key they no longer want regardless of the budget).
+    **Budget.**  While resident bytes exceed the budget (``None`` =
+    unbounded), least-recently-used unpinned values are disposed
+    (``evictions``), so a budget of 0 disposes each value on its last
+    release.  Pinned values are never evicted: the budget is a target
+    that in-flight builds may exceed.
     """
 
-    def __init__(self, budget: Optional[int] = None) -> None:
-        self._segments: Dict[str, SharedSegment] = {}
-        self._refs: Dict[str, int] = {}
+    def __init__(
+        self, dispose: Callable[[Any], None], budget: Optional[int] = None
+    ) -> None:
+        self._dispose = dispose
+        self._values: OrderedDict[str, Any] = OrderedDict()  # LRU first
+        self._pins: Dict[str, int] = {}
         self._pending: Dict[str, threading.Event] = {}
-        self._stamp: Dict[str, int] = {}
-        self._counter = 0
         self._bytes = 0
-        self._budget = budget
+        self._budget: Optional[int] = None
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.set_budget(budget)
 
     # -- bookkeeping (all under self._lock) ----------------------------
-    def _touch(self, key: str) -> None:
-        self._counter += 1
-        self._stamp[key] = self._counter
+    def _on_hit(self, value: Any) -> None:
+        """Hook of subclasses, called under the lock on every hit."""
 
-    def _pop_locked(self, key: str) -> SharedSegment:
-        segment = self._segments.pop(key)
-        del self._refs[key]
-        self._stamp.pop(key, None)
-        self._bytes -= segment.nbytes
-        return segment
+    def _hit_locked(self, key: str) -> Any:
+        value = self._values.get(key)
+        if value is not None:
+            self.hits += 1
+            self._pins[key] += 1
+            self._values.move_to_end(key)
+            self._on_hit(value)
+        return value
 
-    def _trim_locked(self) -> List[SharedSegment]:
-        """Pop LRU zero-ref segments until resident bytes fit the budget."""
-        if self._budget is None:
+    def _pop_locked(self, key: str) -> Any:
+        value = self._values.pop(key)
+        del self._pins[key]
+        self._bytes -= value.nbytes
+        return value
+
+    def _trim_locked(self) -> List[Any]:
+        """Pop LRU unpinned values until resident bytes fit the budget."""
+        if self._budget is None or self._bytes <= self._budget:
             return []
         dropped = []
-        while self._bytes > self._budget:
-            idle = [k for k, refs in self._refs.items() if refs <= 0]
-            if not idle:
-                break
-            victim = min(idle, key=lambda k: self._stamp.get(k, 0))
-            dropped.append(self._pop_locked(victim))
+        for key in [k for k in self._values if self._pins[k] <= 0]:
+            dropped.append(self._pop_locked(key))
             self.evictions += 1
+            if self._bytes <= self._budget:
+                break
         return dropped
 
-    @staticmethod
-    def _destroy(segments: List[SharedSegment]) -> None:
-        for segment in segments:
-            detach_segment(segment.name)
-            segment.destroy()
+    def _dispose_all(self, values: List[Any]) -> None:
+        for value in values:
+            self._dispose(value)
 
     # -- budget --------------------------------------------------------
     @property
@@ -363,42 +342,39 @@ class SegmentRegistry:
     def set_budget(self, budget: Optional[int]) -> None:
         """Arm (or disarm, with ``None``) the LRU memory budget."""
         if budget is not None and budget < 0:
-            raise ValueError("registry budget must be >= 0 bytes (or None)")
+            raise ValueError("budget must be >= 0 bytes (or None)")
         with self._lock:
             self._budget = budget
             dropped = self._trim_locked()
-        self._destroy(dropped)
+        self._dispose_all(dropped)
 
     def resident_bytes(self) -> int:
-        """Total bytes of all published (referenced or warm) segments."""
+        """Total bytes of all resident (pinned or idle) values."""
         with self._lock:
             return self._bytes
 
-    # -- publish / release ---------------------------------------------
-    def publish(
-        self,
-        key: str,
-        builder: Union[Dict[str, np.ndarray], Callable[[], Dict[str, np.ndarray]]],
-    ) -> SharedSegment:
+    # -- pin / unpin ---------------------------------------------------
+    def get_or_build(self, key: str, builder: Callable[[], Any]) -> Tuple[Any, bool]:
+        """The pinned value of ``key``, built (once) if absent.
+
+        Returns ``(value, built)``, where ``built`` says whether *this*
+        call ran the builder.
+        """
         while True:
             with self._lock:
-                segment = self._segments.get(key)
-                if segment is not None:
-                    self.hits += 1
-                    self._refs[key] += 1
-                    self._touch(key)
-                    return segment
+                value = self._hit_locked(key)
+                if value is not None:
+                    return value, False
                 latch = self._pending.get(key)
                 if latch is None:
                     latch = threading.Event()
                     self._pending[key] = latch
                     break
-            # Another thread is materialising this key: wait for its latch
-            # and re-check (hit if it succeeded, claim the build if not).
+            # Another thread is building this key: wait for its latch and
+            # re-check (hit if it succeeded, claim the build if not).
             latch.wait()
         try:
-            arrays = builder() if callable(builder) else builder
-            segment = SharedSegment.create(arrays)
+            value = builder()
         except BaseException:
             with self._lock:
                 del self._pending[key]
@@ -406,60 +382,90 @@ class SegmentRegistry:
             raise
         with self._lock:
             del self._pending[key]
-            self._segments[key] = segment
-            self._refs[key] = 1
-            self._bytes += segment.nbytes
+            self._values[key] = value
+            self._pins[key] = 1
+            self._bytes += value.nbytes
             self.misses += 1
-            self._touch(key)
             dropped = self._trim_locked()
         latch.set()
-        self._destroy(dropped)
-        return segment
+        self._dispose_all(dropped)
+        return value, True
 
-    def release(self, key: str) -> None:
-        with self._lock:
-            if key not in self._segments:
-                return
-            self._refs[key] -= 1
-            if self._refs[key] <= 0 and not shm_enabled():
-                dropped = [self._pop_locked(key)]
-            else:
-                dropped = self._trim_locked()
-        self._destroy(dropped)
+    def acquire(self, key: str) -> Optional[Any]:
+        """The pinned value of ``key`` if resident, else ``None``.
 
-    def evict(self, key: str) -> bool:
-        """Unlink the warm segment of ``key`` now, regardless of budget.
-
-        Returns ``False`` (and leaves the segment alone) when the key is
-        unknown or still referenced — callers release their own reference
-        first; a concurrent holder's reference keeps the segment alive
-        until *it* releases, at which point the budget path reclaims it.
+        A miss builds nothing and counts nothing; a hit must be released
+        like any other.
         """
         with self._lock:
-            if key not in self._segments or self._refs[key] > 0:
+            return self._hit_locked(key)
+
+    def release(self, key: str) -> None:
+        """Unpin ``key`` (a no-op for a key no longer resident)."""
+        with self._lock:
+            if key not in self._values:
+                return
+            self._pins[key] -= 1
+            dropped = self._trim_locked()
+        self._dispose_all(dropped)
+
+    def evict(self, key: str) -> bool:
+        """Dispose the value of ``key`` now, regardless of budget.
+
+        Returns ``False`` (and leaves the value alone) when the key is
+        unknown or still pinned: callers release their own pin first.
+        """
+        with self._lock:
+            if key not in self._values or self._pins[key] > 0:
                 return False
-            segment = self._pop_locked(key)
+            value = self._pop_locked(key)
             self.evictions += 1
-        self._destroy([segment])
+        self._dispose(value)
         return True
 
     def contains(self, key: str) -> bool:
         with self._lock:
-            return key in self._segments
+            return key in self._values
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._segments)
+            return len(self._values)
 
     def clear(self) -> None:
-        """Unlink every published segment (idempotent; runs ``atexit``)."""
+        """Dispose every value, pinned ones included (idempotent)."""
         with self._lock:
-            segments = list(self._segments.values())
-            self._segments.clear()
-            self._refs.clear()
-            self._stamp.clear()
+            values = list(self._values.values())
+            self._values.clear()
+            self._pins.clear()
             self._bytes = 0
-        self._destroy(segments)
+        self._dispose_all(values)
+
+
+def _destroy_segment(segment: SharedSegment) -> None:
+    detach_segment(segment.name)
+    segment.destroy()
+
+
+class SegmentRegistry(PinnedLRU):
+    """Content-addressed :class:`PinnedLRU` of published segments.
+
+    ``publish(key, builder)`` pins the warm segment of ``key``, or
+    materialises the builder's arrays (a dict, or a callable returning
+    one) into a fresh segment.  Disposal detaches and unlinks.
+    """
+
+    def __init__(self, budget: Optional[int] = None) -> None:
+        super().__init__(_destroy_segment, budget)
+
+    def publish(
+        self,
+        key: str,
+        builder: Union[Dict[str, np.ndarray], Callable[[], Dict[str, np.ndarray]]],
+    ) -> SharedSegment:
+        return self.get_or_build(
+            key,
+            lambda: SharedSegment.create(builder() if callable(builder) else builder),
+        )[0]
 
 
 #: The process-global registry used by the estimators and MC backends.

@@ -14,7 +14,7 @@ step, and a blank or whitespace-only environment value counts as unset.
 A value that fails its row's check raises
 :class:`~repro.exceptions.OptionError`, which names the variable when the
 value came from the environment.  The exception is an unrecognised
-environment value of a *lenient* row (``KERNEL_BACKEND``, ``EXEC_SHM``): it
+environment value of a *lenient* row (``KERNEL_BACKEND``): it
 warns once per value and process and counts as unset, so a typo in a batch
 script cannot abort a long run.
 
@@ -181,8 +181,6 @@ KNOBS: Dict[str, Knob] = _table(
          kwarg="exec_backend", applies_to=("normal-correlated", "second-order")),
     Knob("EXEC_BACKOFF", float, "base delay in seconds of the retry backoff",
          minimum=0),
-    Knob("EXEC_SHM", bool, "keep published shared-memory segments warm for "
-         "re-use", default=True, lenient=True),
     Knob("EXEC_FAULTS", str, "fault-injection plan of the execution service"),
     Knob("SERVICE_CACHE_BYTES", int, "byte budget of the schedule cache and the "
          "shared-memory segment registry (default unbounded)", minimum=0,

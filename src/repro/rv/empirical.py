@@ -32,9 +32,9 @@ def mean_confidence_interval(
         return (-math.inf, math.inf)
     if not (0.0 < confidence < 1.0):
         raise EstimationError("confidence must be in (0, 1)")
-    from scipy.stats import norm
+    from scipy.special import ndtri
 
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = float(ndtri(0.5 + confidence / 2.0))
     half_width = z * std / math.sqrt(count)
     return (mean - half_width, mean + half_width)
 

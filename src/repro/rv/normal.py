@@ -104,14 +104,14 @@ class NormalRV:
         return norm_cdf((x - self.mean) / self.std)
 
     def quantile(self, q: float) -> float:
-        """Inverse CDF (uses :func:`scipy.stats.norm` for accuracy)."""
+        """Inverse CDF (uses :func:`scipy.special.ndtri` for accuracy)."""
         if not (0.0 < q < 1.0):
             raise EstimationError("quantile level must be in (0, 1)")
         if self.variance == 0.0:
             return self.mean
-        from scipy.stats import norm
+        from scipy.special import ndtri
 
-        return float(norm.ppf(q, loc=self.mean, scale=self.std))
+        return float(ndtri(q) * self.std + self.mean)
 
 
 def clark_max_moments(

@@ -16,20 +16,20 @@ graph (CSR structure + weights, :func:`request_key`):
   :class:`~repro.exec.ParallelService` instances, so repeated requests
   re-use warm worker pools instead of spawning fresh ones.
 
-Concurrent requests for the same (not-yet-cached) DAG coalesce onto one
-entry build through a per-key in-flight latch — the same protocol as
-:meth:`SegmentRegistry.publish <repro.exec.shm.SegmentRegistry.publish>`
-— so N simultaneous identical requests cost exactly one schedule
-compilation.  Entries are LRU-evicted while the resident segment bytes
-exceed ``max_bytes`` (entries serving in-flight requests are pinned and
-never evicted).
+:class:`ScheduleCache` is a :class:`~repro.exec.shm.PinnedLRU`, the
+protocol the segment registry uses too: concurrent requests for the same
+(not-yet-cached) DAG coalesce onto one entry build through a per-key
+in-flight latch, so N simultaneous identical requests cost exactly one
+schedule compilation, and entries are LRU-evicted while the resident
+segment bytes exceed ``max_bytes`` (entries serving in-flight requests are
+pinned and never evicted).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.graph import TaskGraph
 from ..core.kernels import LevelSchedule, schedule_for
@@ -37,10 +37,10 @@ from ..exec.report import ExecutionReport
 from ..exec.service import ParallelService
 from ..exec.shm import (
     REGISTRY,
+    PinnedLRU,
     SegmentRegistry,
     content_key,
     publish_schedule,
-    schedule_key,
 )
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "ServicePool",
     "build_entry",
     "request_key",
-    "schedule_segment_key",
 ]
 
 
@@ -71,17 +70,6 @@ def request_key(graph: TaskGraph) -> str:
         index.succ_indices,
         index.weights,
     )
-
-
-def schedule_segment_key(graph: TaskGraph) -> str:
-    """The registry key of the DAG's ``"up"`` schedule segment.
-
-    The key every publisher of the schedule derives
-    (:func:`repro.exec.shm.schedule_key`) — pre-publishing under it warms
-    the shared-memory plane of the Monte Carlo processes backend and the
-    correlated/second-order estimators.
-    """
-    return schedule_key(graph.index(), "up")
 
 
 class ServicePool:
@@ -205,15 +193,16 @@ def build_entry(
     )
 
 
-class ScheduleCache:
+class ScheduleCache(PinnedLRU):
     """LRU cache of :class:`CacheEntry` objects under a byte budget.
 
-    ``get_or_build`` pins the returned entry (its DAG is serving a
-    request); callers must :meth:`release` it when done.  Eviction only
-    considers unpinned entries, ordered least-recently-used first, and
-    runs whenever resident bytes exceed ``max_bytes`` — so a sweep of
-    ever-fresh DAGs keeps the cache (and ``/dev/shm``) bounded while a
-    hot DAG mid-request is never torn down.
+    A :class:`~repro.exec.shm.PinnedLRU` whose values are entries:
+    ``get_or_build``/``acquire`` pin the returned entry (its DAG is
+    serving a request), and callers must :meth:`release` it when done.
+    Unpinned entries are disposed least-recently-used first while resident
+    bytes exceed ``max_bytes`` — so a sweep of ever-fresh DAGs keeps the
+    cache (and ``/dev/shm``) bounded while a hot DAG mid-request is never
+    torn down.
     """
 
     def __init__(
@@ -221,151 +210,30 @@ class ScheduleCache:
         max_bytes: Optional[int] = None,
         registry: SegmentRegistry = REGISTRY,
     ) -> None:
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError("cache max_bytes must be >= 0 (or None)")
-        self.max_bytes = max_bytes
+        super().__init__(lambda entry: entry.dispose(registry), max_bytes)
         self.registry = registry
-        self._entries: Dict[str, CacheEntry] = {}
-        self._active: Dict[str, int] = {}
-        self._stamp: Dict[str, int] = {}
-        self._pending: Dict[str, threading.Event] = {}
-        self._counter = 0
-        self._bytes = 0
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
-    # -- bookkeeping (under self._lock) --------------------------------
-    def _touch(self, key: str) -> None:
-        self._counter += 1
-        self._stamp[key] = self._counter
+    @property
+    def max_bytes(self) -> Optional[int]:
+        """The byte budget of the cache (``None`` = unbounded)."""
+        return self.budget
 
-    def _trim_locked(self) -> List[CacheEntry]:
-        if self.max_bytes is None:
-            return []
-        dropped = []
-        while self._bytes > self.max_bytes:
-            idle = [k for k, active in self._active.items() if active <= 0]
-            if not idle:
-                break
-            victim = min(idle, key=lambda k: self._stamp.get(k, 0))
-            entry = self._entries.pop(victim)
-            del self._active[victim]
-            self._stamp.pop(victim, None)
-            self._bytes -= entry.nbytes
-            self.evictions += 1
-            dropped.append(entry)
-        return dropped
-
-    def _dispose(self, entries: List[CacheEntry]) -> None:
-        for entry in entries:
-            entry.dispose(self.registry)
-
-    # -- public API -----------------------------------------------------
-    def get_or_build(
-        self, key: str, builder: Callable[[], CacheEntry]
-    ) -> Tuple[CacheEntry, bool]:
-        """The pinned entry of ``key``, built (once) if absent.
-
-        Returns ``(entry, built)`` where ``built`` says whether *this*
-        call ran the builder.  Concurrent callers for one absent key
-        coalesce: exactly one runs the builder, the rest block on its
-        latch and then take the hit path.  A failed build releases the
-        latch and re-raises; waiters then race to claim the build.
-        """
-        while True:
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self.hits += 1
-                    entry.hits += 1
-                    self._active[key] += 1
-                    self._touch(key)
-                    return entry, False
-                latch = self._pending.get(key)
-                if latch is None:
-                    latch = threading.Event()
-                    self._pending[key] = latch
-                    break
-            latch.wait()
-        try:
-            entry = builder()
-        except BaseException:
-            with self._lock:
-                del self._pending[key]
-            latch.set()
-            raise
-        with self._lock:
-            del self._pending[key]
-            self._entries[key] = entry
-            self._active[key] = 1
-            self._bytes += entry.nbytes
-            self.misses += 1
-            self._touch(key)
-            dropped = self._trim_locked()
-        latch.set()
-        self._dispose(dropped)
-        return entry, True
-
-    def acquire(self, key: str) -> Optional[CacheEntry]:
-        """The pinned entry of ``key`` if resident, else ``None``.
-
-        The hit half of :meth:`get_or_build`, for callers that can name
-        the key without materialising the graph (the server's payload
-        memo).  A hit must be released like any other.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self.hits += 1
-            entry.hits += 1
-            self._active[key] += 1
-            self._touch(key)
-            return entry
+    def _on_hit(self, entry: CacheEntry) -> None:
+        entry.hits += 1
 
     def release(self, entry: CacheEntry) -> None:
-        """Unpin an entry returned by :meth:`get_or_build`."""
-        with self._lock:
-            if entry.key not in self._entries:
-                return
-            self._active[entry.key] -= 1
-            dropped = self._trim_locked()
-        self._dispose(dropped)
-
-    def resident_bytes(self) -> int:
-        """Total schedule-segment bytes of all cached entries."""
-        with self._lock:
-            return self._bytes
-
-    def contains(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        """Unpin an entry returned by :meth:`get_or_build` or :meth:`acquire`."""
+        super().release(entry.key)
 
     def stats(self) -> Dict[str, object]:
         """Counters of the cache (for the server's ``stats`` op)."""
         with self._lock:
             return {
-                "entries": len(self._entries),
+                "entries": len(self._values),
                 "resident_bytes": self._bytes,
-                "max_bytes": self.max_bytes,
+                "max_bytes": self._budget,
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "pinned": sum(1 for a in self._active.values() if a > 0),
+                "pinned": sum(1 for pins in self._pins.values() if pins > 0),
             }
-
-    def clear(self) -> None:
-        """Dispose every entry (including pinned ones — shutdown only)."""
-        with self._lock:
-            entries = list(self._entries.values())
-            self._entries.clear()
-            self._active.clear()
-            self._stamp.clear()
-            self._bytes = 0
-        self._dispose(entries)

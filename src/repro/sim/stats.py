@@ -86,9 +86,9 @@ def required_trials(
         raise EstimationError("target relative error must be positive")
     if mean == 0:
         raise EstimationError("mean must be non-zero")
-    from scipy.stats import norm
+    from scipy.special import ndtri
 
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = float(ndtri(0.5 + confidence / 2.0))
     n = (z * std / (target_relative_error * abs(mean))) ** 2
     return max(1, int(math.ceil(n)))
 

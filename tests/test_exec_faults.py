@@ -450,7 +450,7 @@ def _leaked_shm_segments():
     base = "/dev/shm"
     if not os.path.isdir(base):  # pragma: no cover - non-POSIX fallback
         return set()
-    owned = {seg.name for seg in REGISTRY._segments.values()}
+    owned = {seg.name for seg in REGISTRY._values.values()}
     return {
         name
         for name in os.listdir(base)

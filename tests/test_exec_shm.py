@@ -6,8 +6,8 @@ Three layers, mirroring the module's contract:
   picklable, 64-byte-aligned layout, and attaches back to bit-identical
   zero-copy views (same physical pages, so writes are visible both ways);
 * **registry** — publications are content-addressed, deduplicated and
-  refcounted; ``REPRO_EXEC_SHM`` picks warm-vs-eager unlinking, and
-  ``clear()`` always empties ``/dev/shm``;
+  pinned; a budget picks warm-vs-eager unlinking, and ``clear()`` always
+  empties ``/dev/shm``;
 * **estimators** — correlated and second-order folds on the ``processes``
   backend are bit-identical to serial/threads at any worker count, the MC
   backend's workers build kernels from the warm segment without ever
@@ -17,6 +17,7 @@ Three layers, mirroring the module's contract:
 import multiprocessing
 import os
 import threading
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -41,9 +42,9 @@ from repro.exec.shm import (
     attach_segment,
     content_key,
     detach_segment,
-    shm_enabled,
 )
 from repro.failures.models import ExponentialErrorModel
+from repro.service.cache import ScheduleCache, build_entry
 from repro.workflows.registry import build_dag
 
 
@@ -193,8 +194,7 @@ class TestSegmentRegistry:
         finally:
             registry.clear()
 
-    def test_release_keeps_segment_warm_when_enabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_SHM", "1")
+    def test_release_keeps_segment_warm_when_enabled(self):
         registry = SegmentRegistry()
         try:
             segment = registry.publish("k", {"x": np.zeros(3)})
@@ -206,9 +206,8 @@ class TestSegmentRegistry:
         finally:
             registry.clear()
 
-    def test_release_unlinks_eagerly_when_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_SHM", "0")
-        registry = SegmentRegistry()
+    def test_release_unlinks_eagerly_when_disabled(self):
+        registry = SegmentRegistry(budget=0)
         segment = registry.publish("k", {"x": np.zeros(3)})
         name = segment.name
         registry.release("k")
@@ -216,9 +215,8 @@ class TestSegmentRegistry:
         assert name not in _shm_entries()
         registry.release("k")  # releasing an absent key is a no-op
 
-    def test_refcount_outlives_intermediate_releases(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_SHM", "0")
-        registry = SegmentRegistry()
+    def test_refcount_outlives_intermediate_releases(self):
+        registry = SegmentRegistry(budget=0)
         segment = registry.publish("k", {"x": np.zeros(3)})
         registry.publish("k", {"x": np.zeros(3)})
         registry.release("k")
@@ -235,39 +233,6 @@ class TestSegmentRegistry:
         assert len(registry) == 0
         assert not (_shm_entries() & set(names))
         registry.clear()  # idempotent
-
-    def test_shm_enabled_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXEC_SHM", raising=False)
-        assert shm_enabled() and not shm_enabled(default=False)
-        for raw, expected in (
-            ("1", True), ("true", True), ("YES", True), (" on ", True),
-            ("0", False), ("false", False), ("No", False), ("off", False),
-        ):
-            monkeypatch.setenv("REPRO_EXEC_SHM", raw)
-            assert shm_enabled() is expected
-        monkeypatch.setenv("REPRO_EXEC_SHM", "banana")
-        with warnings.catch_warnings():
-            # Unrecognised values warn (once) — covered below; this test
-            # only cares about the fallback value.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert shm_enabled() and not shm_enabled(default=False)
-
-    def test_shm_enabled_warns_once_per_unrecognised_value(self, monkeypatch):
-        import repro.exec.shm as shm_mod
-
-        monkeypatch.setattr(shm_mod, "_WARNED_SHM_VALUES", set())
-        monkeypatch.setenv("REPRO_EXEC_SHM", "flase")
-        with pytest.warns(RuntimeWarning, match="unrecognised REPRO_EXEC_SHM"):
-            assert shm_enabled() is True
-        # Same value again: silent (the knob is consulted on every release,
-        # so one typo must not spam a warning per registry operation).
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert shm_enabled() is True
-        # A different typo warns again.
-        monkeypatch.setenv("REPRO_EXEC_SHM", "treu")
-        with pytest.warns(RuntimeWarning, match="'treu'"):
-            assert shm_enabled(default=False) is False
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +262,7 @@ class TestSegmentRegistryConcurrency:
             assert built == [1]  # the latch coalesced every publisher
             assert len({id(seg) for seg in results}) == 1
             assert registry.misses == 1 and registry.hits == 7
-            assert registry._refs["k"] == 8
+            assert registry._pins["k"] == 8
         finally:
             registry.clear()
 
@@ -371,8 +336,7 @@ class TestSegmentRegistryConcurrency:
         finally:
             registry.clear()
 
-    def test_hammer_publish_release_attach_refcounts_exact(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_SHM", "1")
+    def test_hammer_publish_release_attach_refcounts_exact(self):
         registry = SegmentRegistry()
         keys = [f"hammer-{i}" for i in range(4)]
         errors = []
@@ -400,13 +364,12 @@ class TestSegmentRegistryConcurrency:
         assert not any(t.is_alive() for t in threads), "registry deadlocked"
         assert errors == []
         # Balanced publish/release: every key warm with exactly zero refs.
-        assert all(registry._refs[key] == 0 for key in registry._refs)
+        assert all(registry._pins[key] == 0 for key in registry._pins)
         registry.clear()
         assert len(registry) == 0 and registry.resident_bytes() == 0
         assert _shm_entries() - before == set()
 
-    def test_hammer_with_concurrent_clears_leaves_shm_empty(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_SHM", "1")
+    def test_hammer_with_concurrent_clears_leaves_shm_empty(self):
         registry = SegmentRegistry()
         stop = threading.Event()
         errors = []
@@ -486,8 +449,7 @@ class TestSegmentRegistryConcurrency:
 # SegmentRegistry memory budget
 # ----------------------------------------------------------------------
 class TestSegmentRegistryBudget:
-    def test_budget_trims_lru_zero_ref_segments(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_SHM", "1")
+    def test_budget_trims_lru_zero_ref_segments(self):
         registry = SegmentRegistry()
         try:
             names = {}
@@ -508,8 +470,7 @@ class TestSegmentRegistryBudget:
         finally:
             registry.clear()
 
-    def test_publish_over_budget_evicts_the_coldest(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_SHM", "1")
+    def test_publish_over_budget_evicts_the_coldest(self):
         registry = SegmentRegistry()
         try:
             registry.publish("old", {"x": np.zeros(1024)})
@@ -523,8 +484,7 @@ class TestSegmentRegistryBudget:
         finally:
             registry.clear()
 
-    def test_referenced_segments_are_never_evicted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_SHM", "1")
+    def test_referenced_segments_are_never_evicted(self):
         registry = SegmentRegistry(budget=0)
         try:
             segment = registry.publish("k", {"x": np.zeros(64)})
@@ -538,8 +498,7 @@ class TestSegmentRegistryBudget:
         finally:
             registry.clear()
 
-    def test_evict_force_unlinks_warm_segments_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_SHM", "1")
+    def test_evict_force_unlinks_warm_segments_only(self):
         registry = SegmentRegistry()
         try:
             name = registry.publish("k", {"x": np.zeros(32)}).name
@@ -556,6 +515,127 @@ class TestSegmentRegistryBudget:
         registry = SegmentRegistry()
         with pytest.raises(ValueError):
             registry.set_budget(-1)
+
+
+# ----------------------------------------------------------------------
+# The PinnedLRU protocol, once per subclass
+# ----------------------------------------------------------------------
+class _SegmentsHarness:
+    """A registry whose values are segments, released by key."""
+
+    def __init__(self):
+        self.registry = self.lru = SegmentRegistry()
+
+    def build(self, key):
+        return SharedSegment.create({"x": np.zeros(64)})
+
+    def release(self, key, value):
+        self.lru.release(key)
+
+    def disposed(self, value):
+        return value.name not in _shm_entries()
+
+    def close(self):
+        self.registry.clear()
+
+
+class _EntriesHarness:
+    """A schedule cache whose values are entries, released by entry."""
+
+    def __init__(self):
+        self.registry = SegmentRegistry()
+        self.lru = ScheduleCache(registry=self.registry)
+
+    def build(self, key):
+        return build_entry(build_dag("lu", 3), self.registry, key=key)
+
+    def release(self, key, value):
+        self.lru.release(value)
+
+    def disposed(self, value):
+        return not self.registry.contains(value.segment_key)
+
+    def close(self):
+        self.lru.clear()
+        self.registry.clear()
+
+
+@pytest.fixture(params=[_SegmentsHarness, _EntriesHarness], ids=["registry", "cache"])
+def harness(request):
+    harness = request.param()
+    yield harness
+    harness.close()
+
+
+class TestPinnedLRUProtocol:
+    def test_failed_build_releases_the_latch_to_a_waiter(self, harness):
+        lru = harness.lru
+        building, waiting = threading.Event(), threading.Event()
+        outcomes = {}
+
+        def failing_builder():
+            building.set()
+            assert waiting.wait(timeout=10)
+            time.sleep(0.05)  # let the waiter block on the latch
+            raise RuntimeError("first build dies")
+
+        def first():
+            try:
+                lru.get_or_build("k", failing_builder)
+            except RuntimeError as exc:
+                outcomes["first"] = exc
+
+        def second():
+            assert building.wait(timeout=10)
+            waiting.set()
+            outcomes["second"] = lru.get_or_build("k", lambda: harness.build("k"))
+
+        threads = [
+            threading.Thread(target=first, daemon=True),
+            threading.Thread(target=second, daemon=True),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads), "latch wedged the key"
+        assert isinstance(outcomes["first"], RuntimeError)
+        value, built = outcomes["second"]
+        assert built and lru.contains("k")
+        assert (lru.hits, lru.misses) == (0, 1)
+        harness.release("k", value)
+
+    def test_acquire_on_a_miss_returns_none_and_counts_nothing(self, harness):
+        lru = harness.lru
+        assert lru.acquire("absent") is None
+        assert (lru.hits, lru.misses, lru.evictions) == (0, 0, 0)
+        assert len(lru) == 0 and lru.resident_bytes() == 0
+        value, _ = lru.get_or_build("k", lambda: harness.build("k"))
+        assert lru.acquire("k") is value and lru.hits == 1
+        harness.release("k", value)
+        harness.release("k", value)
+
+    def test_evict_refuses_a_pinned_key(self, harness):
+        lru = harness.lru
+        value, _ = lru.get_or_build("k", lambda: harness.build("k"))
+        assert lru.evict("k") is False
+        assert lru.contains("k") and not harness.disposed(value)
+        harness.release("k", value)
+        assert lru.evict("k") is True
+        assert not lru.contains("k") and harness.disposed(value)
+        assert lru.evictions == 1 and lru.resident_bytes() == 0
+
+    def test_zero_budget_disposes_on_the_last_release(self, harness):
+        lru = harness.lru
+        lru.set_budget(0)
+        value, built = lru.get_or_build("k", lambda: harness.build("k"))
+        again, rebuilt = lru.get_or_build("k", lambda: harness.build("k"))
+        assert again is value and built and not rebuilt
+        harness.release("k", value)
+        assert lru.contains("k") and not harness.disposed(value)  # still pinned
+        harness.release("k", value)
+        assert not lru.contains("k") and harness.disposed(value)
+        assert lru.resident_bytes() == 0
 
 
 # ----------------------------------------------------------------------
@@ -655,10 +735,9 @@ class TestMonteCarloWarmSegment:
             out.destroy()
 
     @needs_processes
-    def test_repeated_runs_reuse_one_warm_segment(self, monkeypatch):
+    def test_repeated_runs_reuse_one_warm_segment(self):
         from repro.sim.engine import MonteCarloEngine
 
-        monkeypatch.setenv("REPRO_EXEC_SHM", "1")
         graph = build_dag("lu", 4)
         model = ExponentialErrorModel.for_graph(graph, 1e-2)
 
@@ -786,7 +865,7 @@ class TestEstimatorProcessParity:
     def test_estimates_leave_no_unowned_segments(self):
         graph = build_dag("lu", 5)
         model = ExponentialErrorModel.for_graph(graph, 1e-3)
-        owned = lambda: {seg.name for seg in REGISTRY._segments.values()}
+        owned = lambda: {seg.name for seg in REGISTRY._values.values()}
         before = _shm_entries() - owned()
         CorrelatedNormalEstimator(
             workers=2, exec_backend="processes"
@@ -803,7 +882,7 @@ class TestEstimatorProcessParity:
         CorrelatedNormalEstimator(
             workers=2, exec_backend="processes"
         ).estimate(graph, model)
-        warm = {seg.name for seg in REGISTRY._segments.values()}
+        warm = {seg.name for seg in REGISTRY._values.values()}
         REGISTRY.clear()
         assert not (_shm_entries() & warm)
 

@@ -1,11 +1,16 @@
 """Unit tests for repro.rv.normal (Clark's formulas) and repro.rv.empirical."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import repro
 from repro.exceptions import EstimationError
 from repro.rv.empirical import EmpiricalDistribution, RunningMoments, mean_confidence_interval
 from repro.rv.normal import (
@@ -16,6 +21,7 @@ from repro.rv.normal import (
     norm_cdf,
     norm_pdf,
 )
+from repro.sim.stats import required_trials
 
 
 class TestNormalBasics:
@@ -165,3 +171,55 @@ class TestEmpiricalDistribution:
         assert low == pytest.approx(10.0 - 1.959964 * 0.1, rel=1e-4)
         assert high == pytest.approx(10.0 + 1.959964 * 0.1, rel=1e-4)
         assert mean_confidence_interval(1.0, 1.0, 1) == (-math.inf, math.inf)
+
+
+class TestNormalQuantiles:
+    """The three normal-quantile sites use ``scipy.special.ndtri``: values
+    equal to ``scipy.stats.norm.ppf`` to the last bit, without paying the
+    ``scipy.stats`` import."""
+
+    LEVELS = np.concatenate([np.linspace(0.001, 0.999, 999), [0.9, 0.95, 0.99, 0.999]])
+
+    def test_confidence_interval_matches_norm_ppf_bitwise(self):
+        for confidence in self.LEVELS:
+            z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+            half = z * 2.5 / math.sqrt(400)
+            low, high = mean_confidence_interval(10.0, 2.5, 400, confidence=confidence)
+            assert (low.hex(), high.hex()) == ((10.0 - half).hex(), (10.0 + half).hex())
+
+    def test_required_trials_matches_norm_ppf(self):
+        for confidence in self.LEVELS:
+            z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+            expected = max(1, int(math.ceil((z * 3.0 / (1e-3 * 7.0)) ** 2)))
+            assert required_trials(3.0, 7.0, 1e-3, confidence=confidence) == expected
+
+    def test_normal_quantile_matches_norm_ppf_bitwise(self):
+        rng = np.random.default_rng(20160814)
+        for q, mean, std in zip(
+            rng.uniform(1e-6, 1 - 1e-6, 2000),
+            rng.uniform(-100.0, 100.0, 2000),
+            rng.uniform(1e-3, 50.0, 2000),
+        ):
+            rv = NormalRV(mean, std * std)
+            expected = float(stats.norm.ppf(q, loc=rv.mean, scale=rv.std))
+            assert rv.quantile(q).hex() == expected.hex()
+
+    def test_monte_carlo_result_does_not_import_scipy_stats(self):
+        script = (
+            "import sys\n"
+            "from repro.failures.models import ExponentialErrorModel\n"
+            "from repro.rv.normal import NormalRV\n"
+            "from repro.sim.engine import MonteCarloEngine\n"
+            "from repro.workflows.registry import build_dag\n"
+            "graph = build_dag('cholesky', 4)\n"
+            "model = ExponentialErrorModel.for_graph(graph, 1e-2)\n"
+            "MonteCarloEngine(graph, model, trials=1000, seed=1).run()\n"
+            "NormalRV(1.0, 4.0).quantile(0.9)\n"
+            "assert 'scipy.stats' not in sys.modules\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr

@@ -105,6 +105,9 @@ faults through the same dispatch seam the real failures take.
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+import threading
 import time
 import weakref
 from collections import deque
@@ -116,6 +119,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass
+from multiprocessing import context as mp_context
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -320,6 +324,54 @@ def _process_pool_call(
     return fn(item, _PROCESS_SLOT, rng)
 
 
+class _FrozenHeapForkProcess(mp_context.ForkProcess):
+    """A forked pool worker whose collector never scans the parent's heap.
+
+    A forked child inherits the parent's uncollected garbage, such as a
+    discarded :class:`ProcessPoolExecutor` caught in a reference cycle.
+    Were the child's collector to free that executor, its weakref callback
+    would take the executor's shutdown lock, which the parent's manager
+    thread may have held at the moment of the fork: the worker hangs, and
+    the parent waits on its partition forever.  Freezing the collector
+    across the fork puts every inherited object in the permanent
+    generation, which the child never collects; the parent unfreezes at
+    once, so only the child's view changes.
+    """
+
+    @staticmethod
+    def _Popen(process_obj):
+        with _FORK_LOCK:
+            frozen_before = gc.get_freeze_count()
+            gc.freeze()
+            try:
+                return mp_context.ForkProcess._Popen(process_obj)
+            finally:
+                if not frozen_before:
+                    gc.unfreeze()
+
+
+class _FrozenHeapForkContext(mp_context.ForkContext):
+    Process = _FrozenHeapForkProcess
+
+
+#: Serialises the freeze/fork/unfreeze of concurrent pool builds, so one
+#: thread's unfreeze cannot land between another thread's freeze and fork.
+_FORK_LOCK = threading.Lock()
+_FORK_CONTEXT = _FrozenHeapForkContext()
+
+
+def _pool_context() -> Optional[mp_context.BaseContext]:
+    """The start context of process pools (``None``: the platform default).
+
+    Pools fork through :class:`_FrozenHeapForkProcess` wherever ``fork``
+    is the default start method; ``spawn`` and ``forkserver`` workers
+    inherit no heap and keep the default context.
+    """
+    if multiprocessing.get_start_method() == "fork":
+        return _FORK_CONTEXT
+    return None
+
+
 def _shutdown_pool_quietly(pool: ProcessPoolExecutor) -> None:
     """Finalizer for service-cached pools: release workers, never raise."""
     try:
@@ -449,6 +501,7 @@ class ParallelService:
         self._discard_process_pool()
         pool = ProcessPoolExecutor(
             max_workers=k,
+            mp_context=_pool_context(),
             initializer=_process_pool_init,
             initargs=(slot_factory,),
         )

@@ -16,9 +16,11 @@ client partition set,
   rounds) inherit those properties end to end.
 """
 
+import gc
 import multiprocessing
 import sys
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -72,6 +74,16 @@ def _slot_transform(item, slot, rng):
 
 def _make_slots(k):
     return [{"scratch": np.empty(8, dtype=np.float64)} for _ in range(k)]
+
+
+#: A weak reference to parent-process garbage, read by forked workers.
+_GARBAGE = {}
+
+
+def _collect_and_probe(item, slot, rng):
+    """Run the worker's collector; report whether the parent's garbage lives."""
+    gc.collect()
+    return _GARBAGE["ref"]() is not None
 
 
 partition_lists = st.lists(st.integers(0, 1000), min_size=0, max_size=40)
@@ -267,6 +279,34 @@ class TestProcessesDeterminism:
             return folded
 
         assert run("processes") == run("threads")
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only forked workers inherit the parent's heap",
+    )
+    def test_forked_workers_never_collect_inherited_garbage(self):
+        # Regression: a worker's collector freed a discarded executor
+        # inherited from the parent, whose weakref callback then waited
+        # forever on a lock held by a parent thread at the fork.  The
+        # stand-in here is a plain reference cycle that is garbage at the
+        # fork: the worker must leave it alone.
+        class Node:
+            pass
+
+        gc.disable()
+        try:
+            node = Node()
+            node.cycle = node
+            _GARBAGE["ref"] = weakref.ref(node)
+            del node
+            service = ParallelService(workers=1, backend="processes")
+            assert service.run(_collect_and_probe, [0]) == [True]
+            service.close()
+        finally:
+            gc.enable()
+            gc.collect()
+            _GARBAGE.clear()
+        assert gc.get_freeze_count() == 0
 
 
 class TestServiceClients:

@@ -107,6 +107,7 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
+import os
 import threading
 import time
 import weakref
@@ -304,6 +305,10 @@ _PROCESS_SLOT: Optional[object] = None
 
 def _process_pool_init(slot_factory: Optional[Callable[[], object]]) -> None:
     global _PROCESS_SLOT
+    # A forked worker starts with its collector paused (see
+    # _FrozenHeapForkProcess): freeze the inherited heap before resuming.
+    gc.freeze()
+    gc.enable()
     _PROCESS_SLOT = slot_factory() if slot_factory is not None else None
 
 
@@ -332,32 +337,43 @@ class _FrozenHeapForkProcess(mp_context.ForkProcess):
     Were the child's collector to free that executor, its weakref callback
     would take the executor's shutdown lock, which the parent's manager
     thread may have held at the moment of the fork: the worker hangs, and
-    the parent waits on its partition forever.  Freezing the collector
-    across the fork puts every inherited object in the permanent
-    generation, which the child never collects; the parent unfreezes at
-    once, so only the child's view changes.
+    the parent waits on its partition forever.  The parent pauses its
+    collector across the fork, so the child starts with it paused, and
+    :func:`_process_pool_init` freezes every inherited object into the
+    permanent generation, which the child never collects, before it turns
+    collection back on.  The parent's own collector state and freeze
+    count are left as they were.
     """
 
     @staticmethod
     def _Popen(process_obj):
         with _FORK_LOCK:
-            frozen_before = gc.get_freeze_count()
-            gc.freeze()
+            enabled = gc.isenabled()
+            gc.disable()
             try:
                 return mp_context.ForkProcess._Popen(process_obj)
             finally:
-                if not frozen_before:
-                    gc.unfreeze()
+                if enabled:
+                    gc.enable()
 
 
 class _FrozenHeapForkContext(mp_context.ForkContext):
     Process = _FrozenHeapForkProcess
 
 
-#: Serialises the freeze/fork/unfreeze of concurrent pool builds, so one
-#: thread's unfreeze cannot land between another thread's freeze and fork.
+#: Serialises the pause/fork/resume of concurrent pool builds, so one
+#: thread's resume cannot land between another thread's pause and fork.
 _FORK_LOCK = threading.Lock()
 _FORK_CONTEXT = _FrozenHeapForkContext()
+
+
+def _reset_fork_lock() -> None:
+    """A forked child gets a free lock: the parent's was held by the fork."""
+    global _FORK_LOCK
+    _FORK_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_fork_lock)
 
 
 def _pool_context() -> Optional[mp_context.BaseContext]:

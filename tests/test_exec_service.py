@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import EstimationError
+from repro.exec import service as exec_service
 from repro.exec import (
     EXEC_BACKENDS,
     ParallelService,
@@ -84,6 +85,11 @@ def _collect_and_probe(item, slot, rng):
     """Run the worker's collector; report whether the parent's garbage lives."""
     gc.collect()
     return _GARBAGE["ref"]() is not None
+
+
+def _worker_fork_state(item, slot, rng):
+    """Whether the worker collects, and whether its pool-fork lock is held."""
+    return gc.isenabled(), exec_service._FORK_LOCK.locked()
 
 
 partition_lists = st.lists(st.integers(0, 1000), min_size=0, max_size=40)
@@ -307,6 +313,31 @@ class TestProcessesDeterminism:
             gc.collect()
             _GARBAGE.clear()
         assert gc.get_freeze_count() == 0
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only forked workers inherit the parent's heap",
+    )
+    def test_pool_forks_leave_the_parents_collector_alone(self):
+        # The parent only pauses its collector across a fork.  A heap it
+        # froze beforehand, as a benchmark harness does after set-up, must
+        # not take in what was allocated since, or that garbage would
+        # never be collected.
+        gc.collect()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            service = ParallelService(workers=2, backend="processes")
+            states = service.run(_worker_fork_state, [0, 1])
+            service.close()
+            gc.collect()
+            # Frozen objects may still die by reference count; none join.
+            assert gc.get_freeze_count() <= frozen
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
+        # Workers collect again, and could fork pools of their own.
+        assert states == [(True, False), (True, False)]
 
 
 class TestServiceClients:

@@ -28,10 +28,12 @@ from repro.scheduling import (
     heft_schedule,
 )
 
-WORKFLOW = "cholesky"
+# On qr k=8 the CP priority rules give different schedules (on cholesky
+# they coincide, and the comparison would show nothing).
+WORKFLOW = "qr"
 K = 8
-PROCESSORS = 6
-PFAIL = 2e-2        # deliberately pessimistic so re-executions matter
+PROCESSORS = 8
+PFAIL = 1e-2        # deliberately pessimistic so re-executions matter
 TRIALS = 400
 
 

@@ -1039,10 +1039,21 @@ def norm_cdf_batched(x: np.ndarray) -> np.ndarray:
     return 0.5 * _erfc(-np.asarray(x, dtype=np.float64) / _SQRT2)
 
 
-def norm_pdf_batched(x: np.ndarray) -> np.ndarray:
-    """Standard normal density ``φ(x)``, element-wise."""
-    x = np.asarray(x, dtype=np.float64)
+def _norm_pdf(x: np.ndarray) -> np.ndarray:
+    # ``x * x`` overflows to ``inf`` for ``|x| > ~1e154``, where the density
+    # is 0 either way: callers run this under ``np.errstate(over="ignore")``
+    # (once per propagation on the hot path, not once per call).
     return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+
+
+def norm_pdf_batched(x: np.ndarray) -> np.ndarray:
+    """Standard normal density ``φ(x)``, element-wise.
+
+    A huge ``|x|`` gives 0 without an overflow warning.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return _norm_pdf(x)
 
 
 def clark_max_moments_batched(
@@ -1061,6 +1072,11 @@ def clark_max_moments_batched(
     in particular the degenerate case ``a = 0`` (deterministic difference)
     selects the operand with the larger mean.
     """
+    with np.errstate(over="ignore"):
+        return _clark_max_moments(mean1, var1, mean2, var2, correlation)
+
+
+def _clark_max_moments(mean1, var1, mean2, var2, correlation=0.0):
     mean1 = np.asarray(mean1, dtype=np.float64)
     var1 = np.asarray(var1, dtype=np.float64)
     mean2 = np.asarray(mean2, dtype=np.float64)
@@ -1074,7 +1090,7 @@ def clark_max_moments_batched(
     degenerate = a == 0.0
     safe_a = np.where(degenerate, 1.0, a)
     alpha = (mean1 - mean2) / safe_a
-    phi = norm_pdf_batched(alpha)
+    phi = _norm_pdf(alpha)
     cdf_pos = norm_cdf_batched(alpha)
     cdf_neg = norm_cdf_batched(-alpha)
 
@@ -1103,7 +1119,7 @@ def _reduce_group_moments(
         mean = mean_buf[preds[:, 0]]
         var = var_buf[preds[:, 0]]
         for j in range(1, preds.shape[1]):
-            mean, var = clark_max_moments_batched(
+            mean, var = _clark_max_moments(
                 mean, var, mean_buf[preds[:, j]], var_buf[preds[:, j]]
             )
         return mean, var
@@ -1115,7 +1131,7 @@ def _reduce_group_moments(
     while len(means) > 1:
         next_means, next_vars = [], []
         for k in range(0, len(means) - 1, 2):
-            m, v = clark_max_moments_batched(
+            m, v = _clark_max_moments(
                 means[k], vars_[k], means[k + 1], vars_[k + 1]
             )
             next_means.append(m)
@@ -1184,10 +1200,11 @@ def propagate_moments(
                 return mean_buf[schedule.rank], var_buf[schedule.rank]
             mean_buf = task_mean[perm].copy()
             var_buf = task_var[perm].copy()
-    for group in schedule.groups:
-        ready_mean, ready_var = _reduce_group_moments(
-            group.preds, mean_buf, var_buf, reduce
-        )
-        mean_buf[group.start : group.stop] += ready_mean
-        var_buf[group.start : group.stop] += ready_var
+    with np.errstate(over="ignore"):
+        for group in schedule.groups:
+            ready_mean, ready_var = _reduce_group_moments(
+                group.preds, mean_buf, var_buf, reduce
+            )
+            mean_buf[group.start : group.stop] += ready_mean
+            var_buf[group.start : group.stop] += ready_var
     return mean_buf[schedule.rank], var_buf[schedule.rank]

@@ -12,38 +12,53 @@ failed task's weight doubles), the exact expectation is
 where ``P(S)`` is the probability that exactly the tasks of ``S`` fail and
 ``L(S)`` the corresponding longest-path length.  The second-order
 approximation keeps all the terms with ``|S| ≤ 2`` and exact subset
-probabilities; the neglected mass is ``O(λ³)``.
+probabilities.  The neglected mass is ``P(|S| ≥ 3)``, which grows with the
+expected number of failures ``μ = Σ q_i`` rather than as ``O(λ³)``: on a
+2,600-task Cholesky DAG at ``pfail = 1e-3`` the kept terms cover only about
+half of the probability.  ``tail_handling`` decides what it is charged at.
 
-The doubled-pair makespans ``L({i, j})`` are obtained without enumerating
-paths: for a fixed ``i``, recompute the ``up``/``down`` arrays of ``G_i``
-(task ``i`` doubled) in ``O(|V| + |E|)``; then for every ``j``
+With ``r_i = q_i / (1 - q_i)`` and ``P(∅)`` the failure-free probability,
+``P({i, j}) = P(∅) r_i r_j``.  The doubled-pair makespan is
 
-``L({i, j}) = max( L({i}), up_i(j) + down_i(j) )``,
+``L({i, j}) = max( L({i}), L({j}), up_i(j) + down_i(j) )``,
 
-because doubling ``a_j`` on top of ``G_i`` stretches exactly the paths
-through ``j``.  The total cost is ``O(|V|·(|V| + |E|))``.
+where ``up_i``/``down_i`` are the up/down arrays of ``G_i`` (task ``i``
+doubled): doubling ``a_j`` on top of ``G_i`` stretches exactly the paths
+through ``j``.  The pair sum therefore splits into
 
-The ``n`` up/down recomputations are evaluated in *chunks* on two private
-level-wavefront kernels (one per direction): a chunk of doubled-weight
-scenarios forms a ``(chunk, tasks)`` weight matrix whose per-task completion
-times the kernel returns in one batched sweep — float64 results are
-bit-identical to the per-task reference recurrence (a test oracle in
-``tests/oracles/estimators.py``) because ``max``
-and the single addition per task are order-independent at fixed precision.
+* the *all-pairs part* ``P(∅) Σ_{i<j} r_i r_j max(L({i}), L({j}))``, in
+  closed form from one stable sort of ``L({i})`` and a prefix sum of ``r``;
+* the *corrections* ``P(∅) Σ_{i<j} r_i r_j max(up_i(j) + down_i(j) -
+  max(L({i}), L({j})), 0)``, which vanish unless the two tasks *interact*.
 
-The chunks are mutually independent work partitions (each owns its own
-scenario block and accumulates its own partial pair sums), so they run on
+With ``s`` the slack and ``a = s - w`` (``d(G) - up - down``), a path
+through both ``i`` and ``j`` is at most ``d(G) - max(s_i, s_j)`` long, so
+the pair interacts only if ``a_j < w_i`` and ``a_i < w_j``.  Only the
+*rows* ``i`` with such a partner need a doubled-weight sweep; they are
+found with one sort by ``a``, a ``searchsorted`` and a prefix maximum of
+``w`` (:func:`_interacting_rows`), with a margin of a few ulps of ``d(G)``
+so that float ties keep a row rather than drop it.  A row's sweep costs
+``O(|V| + |E|)``, so the total is ``O(rows·(|V| + |E|))``.
+
+The row sweeps are evaluated in *chunks* on two private level-wavefront
+kernels (one per direction): a chunk of doubled-weight scenarios forms a
+``(chunk, tasks)`` weight matrix whose per-task completion times the kernel
+returns in one batched sweep — float64 results are bit-identical to the
+per-task reference recurrence (a test oracle in
+``tests/oracles/estimators.py``, which also keeps the unpruned all-rows
+sum) because ``max`` and the single addition per task are
+order-independent at fixed precision.
+
+The chunks are mutually independent work partitions (each owns its block
+of the row list and returns its own partial correction), so they run on
 the shared :class:`~repro.exec.ParallelService` (``workers=`` /
 ``REPRO_EST_WORKERS``): every worker slot holds a private up/down kernel
 pair, and the per-chunk partials fold in chunk-index order — results are
-bit-identical at **any** worker count, and within the usual ``<= 1e-9``
-differential of the sequential reference (the only change against the
-historical single pass is the chunk-boundary association of the partial
-sums, ~1 ulp).  Every backend runs the same chunk function,
-:func:`_sweep_pair_chunk`; the backend only decides where a slot's inputs
-live — local arrays in-process, zero-copy segment views (the schedules
-from the registry, the per-estimate vectors from a fresh segment) in
-``processes`` workers.
+bit-identical at **any** worker count and backend.  Every backend runs the
+same chunk function, :func:`_sweep_pair_chunk`; the backend only decides
+where a slot's inputs live — local arrays in-process, zero-copy segment
+views (the schedules from the registry; the row list, ``L({i})``, ``r``
+and the weights from a fresh segment) in ``processes`` workers.
 """
 
 from __future__ import annotations
@@ -77,15 +92,49 @@ from .base import EstimateResult, MakespanEstimator
 
 __all__ = ["SecondOrderEstimator"]
 
-#: Scenarios evaluated per batched kernel sweep (memory ~ 2 x chunk x tasks
-#: float64 on top of the kernel buffers, per worker slot).
+#: Rows (doubled-task scenarios) per batched kernel sweep (memory ~ 4 x
+#: chunk x tasks float64 on top of the kernel buffers, per worker slot).
 _PAIR_CHUNK = 128
+
+#: Row-selection margin, in ulps of ``d(G)``: a pair whose interaction
+#: test is decided by rounding is kept (an extra row costs only time).
+_TIE_ULPS = 4
+
+
+def _interacting_rows(
+    gap: np.ndarray, weights: np.ndarray, margin: float
+) -> np.ndarray:
+    """Tasks with at least one interacting partner, in index order.
+
+    ``gap`` is ``a = d(G) - up - down`` (the slack less the weight).  Tasks
+    ``i != j`` interact when ``a_j < w_i + margin`` and ``a_i < w_j +
+    margin``.  With the tasks sorted by ``a``, the candidates of ``i`` are a
+    prefix (``searchsorted`` of ``w_i + margin``); ``i`` has a partner when
+    the largest weight in that prefix, ``i`` itself left out, exceeds
+    ``a_i - margin``.  Leaving ``i`` out needs the prefix's second-largest
+    weight too, which is the prefix maximum of ``min(previous maximum,
+    w)``.
+    """
+    order = np.argsort(gap, kind="stable")
+    sorted_gap = gap[order]
+    sorted_w = weights[order]
+    top = np.maximum.accumulate(sorted_w)
+    previous = np.concatenate(([-np.inf], top[:-1]))
+    second = np.maximum.accumulate(np.minimum(previous, sorted_w))
+    limit = weights + margin
+    count = np.searchsorted(sorted_gap, limit, side="left")
+    last = np.maximum(count - 1, 0)
+    best = np.where(count > 0, top[last], -np.inf)
+    # i is among its own candidates and (one of) their heaviest.
+    own = (gap < limit) & (weights == best)
+    best = np.where(own, second[last], best)
+    return np.flatnonzero(best > gap - margin)
 
 
 class _PairChunkSlot:
     """One worker's pair-sweep state: a private up/down kernel pair plus the
-    per-estimate vectors (``weights``, ``q``, ``base``, ``one_minus_q``,
-    ``d_single``) and the failure-free makespan ``d_g``.
+    per-estimate vectors (``rows``, the swept tasks; ``weights``;
+    ``d_single``, ``L({i})``; ``r``, ``q / (1 - q)``).
 
     The wavefront kernels are non-reentrant (they own their scenario
     buffers), so every service slot holds its own pair.  In-process
@@ -99,17 +148,14 @@ class _PairChunkSlot:
         kernel_up: WavefrontKernel,
         kernel_down: WavefrontKernel,
         vectors: Dict[str, np.ndarray],
-        d_g: float,
         attached: Tuple[str, ...] = (),
     ) -> None:
         self.kernel_up = kernel_up
         self.kernel_down = kernel_down
+        self.rows = vectors["rows"]
         self.weights = vectors["weights"]
-        self.q = vectors["q"]
-        self.base = vectors["base"]
-        self.one_minus_q = vectors["one_minus_q"]
         self.d_single = vectors["d_single"]
-        self.d_g = d_g
+        self.r = vectors["r"]
         self._attached = attached
 
     def close(self) -> None:
@@ -126,14 +172,13 @@ class _PairSweepSpec:
     The two schedule segments come from the content-addressed registry
     (the ``"up"`` one is the very segment the Monte Carlo and correlated
     processes backends publish for the same DAG); the vector segment holds
-    the per-estimate probability/makespan inputs.  Workers rebuild their
+    the row list and the per-estimate inputs.  Workers rebuild their
     private kernel pair from the attached schedules without recompiling.
     """
 
     up: SegmentHandle
     down: SegmentHandle
     vectors: SegmentHandle
-    d_g: float
 
     def __call__(self) -> _PairChunkSlot:
         return _PairChunkSlot(
@@ -144,64 +189,75 @@ class _PairSweepSpec:
                 attach_schedule(self.down), direction="down", dtype=np.float64
             ),
             attach_segment(*self.vectors).arrays,
-            self.d_g,
             attached=(self.vectors[0], self.up[0], self.down[0]),
         )
 
 
+def _doubled_completions(
+    kernel: WavefrontKernel, weights: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Completion times, ``(tasks, rows)`` in task order, of one scenario
+    per row: ``weights`` with that row's task doubled.
+
+    Fills the kernel buffer in its own task-major layout, so the scenario
+    block is never built trial-major and transposed by ``load``.
+    """
+    view = kernel.weight_view(rows.size)
+    view[...] = weights[kernel.perm][:, None]
+    view[kernel.rank[rows], np.arange(rows.size)] *= 2.0
+    kernel.propagate(rows.size)
+    return kernel.completion_matrix(rows.size)
+
+
 def _sweep_pair_chunk(
     bounds: Tuple[int, int], slot: _PairChunkSlot, rng
-) -> Tuple[float, float, float]:
-    """One scenario chunk of the pair sweep: its partial pair sums.
+) -> Tuple[float, float]:
+    """One chunk of the row list: its pair corrections and largest ``L({i, j})``.
 
-    Doubles each task of the chunk in turn, sweeps the ``(chunk, tasks)``
-    scenario block up and down, and accumulates the pair terms of every
-    doubled task in task order.
+    Doubles each row's task in turn, sweeps the ``(chunk, tasks)``
+    scenario block up and down, and returns ``Σ_i r_i Σ_{j != i} r_j
+    max(up_i(j) + down_i(j) - max(L({i}), L({j})), 0)`` over the chunk's
+    rows ``i``.  The term is zero for every pair that does not interact,
+    so it needs no per-pair mask.
     """
     start, stop = bounds
-    n = slot.weights.shape[0]
-    chunk = np.arange(start, stop)
-    scenario = np.broadcast_to(slot.weights, (chunk.size, n)).copy()
-    scenario[np.arange(chunk.size), chunk] *= 2.0
-    slot.kernel_up.load(scenario)
-    slot.kernel_up.propagate(chunk.size)
-    ups = slot.kernel_up.completion_matrix(chunk.size)  # (tasks, chunk)
-    slot.kernel_down.load(scenario)
-    slot.kernel_down.propagate(chunk.size)
-    downs = slot.kernel_down.completion_matrix(chunk.size)
-    through = ups + downs
-    contribution = 0.0
-    probability = 0.0
-    worst = slot.d_g
-    for offset, i in enumerate(chunk):
-        d_pair = np.maximum(slot.d_single[i], through[:, offset])
-        # P({i, j}) = q_i q_j prod_{l not in {i,j}} (1 - q_l)
-        p_pair = slot.q[i] * slot.q * slot.base / slot.one_minus_q[i]
-        p_pair[i] = 0.0
-        d_pair[i] = 0.0
-        contribution += float(np.dot(p_pair, d_pair))
-        probability += float(p_pair.sum())
-        if d_pair.size:
-            worst = max(worst, float(d_pair.max()))
-    return contribution, probability, worst
+    rows = slot.rows[start:stop]
+    cols = np.arange(rows.size)
+    through = _doubled_completions(slot.kernel_up, slot.weights, rows)
+    through += _doubled_completions(slot.kernel_down, slot.weights, rows)
+    # floor[j, c] = max(L({j}), L({rows[c]})); L({i, j}) = max(floor, through).
+    floor = np.maximum.outer(slot.d_single, slot.d_single[rows])
+    pair = np.maximum(through, floor, out=through)
+    pair[rows, cols] = floor[rows, cols]  # no pair of a task with itself
+    worst = float(pair.max())
+    pair -= floor
+    correction = float(np.dot(slot.r[rows], slot.r @ pair))
+    return correction, worst
 
 
 class SecondOrderEstimator(MakespanEstimator):
     """Expected makespan exact up to (and including) two simultaneous failures.
 
+    Only the tasks with an interacting partner get a doubled-weight
+    up/down sweep (see the module docstring); ``details["pair_rows"]``
+    reports how many.
+
     Parameters
     ----------
     tail_handling:
         What longest-path value to associate with the neglected scenarios
-        (three or more failing tasks), whose total probability is ``O(λ³)``:
+        (three or more failing tasks).  Their total probability
+        ``P(|S| ≥ 3)`` grows with the expected number of failures
+        ``μ = Σ q_i`` (reported as ``details["expected_failures"]``), so
+        on large DAGs it can be most of the mass:
 
         * ``"failure-free"`` (default) — use ``d(G)``, the cheapest
           consistent choice;
-        * ``"drop"`` — ignore the mass entirely (slight underestimation);
+        * ``"drop"`` — ignore the mass entirely (an underestimate);
         * ``"worst-pair"`` — use the largest ``L({i, j})`` computed, an
           inexpensive upper-biased choice.
     workers:
-        Worker count of the chunked pair sweeps on the shared
+        Worker count of the chunked row sweeps on the shared
         :class:`~repro.exec.ParallelService` (``None`` consults
         ``REPRO_EST_WORKERS`` and falls back to 1).  A pure throughput
         knob: the per-chunk partials fold in chunk-index order, so the
@@ -272,6 +328,48 @@ class SecondOrderEstimator(MakespanEstimator):
         else:
             service.close()
 
+    def _sweep_rows(self, index, vectors: Dict[str, np.ndarray]):
+        """Run the chunks of ``vectors["rows"]`` on the service: the
+        per-chunk ``(correction, worst)`` partials and the execution report."""
+        rows = vectors["rows"]
+        chunks = [
+            (start, min(start + _PAIR_CHUNK, rows.size))
+            for start in range(0, rows.size, _PAIR_CHUNK)
+        ]
+        service = self._acquire_service()
+        shared = service.backend == "processes"
+        if shared:
+            up_key, up_seg = publish_schedule(index, "up")
+            down_key, down_seg = publish_schedule(index, "down")
+            vec_seg = SharedSegment.create(vectors)
+            slot_kwargs = {
+                "slot_factory": _PairSweepSpec(
+                    up=up_seg.handle, down=down_seg.handle, vectors=vec_seg.handle
+                )
+            }
+        else:
+            slot_kwargs = {
+                "slots": [
+                    _PairChunkSlot(
+                        WavefrontKernel(index, direction="up", dtype=np.float64),
+                        WavefrontKernel(index, direction="down", dtype=np.float64),
+                        vectors,
+                    )
+                    for _ in range(min(self.workers, len(chunks)))
+                ]
+            }
+        try:
+            partials = service.run(_sweep_pair_chunk, chunks, **slot_kwargs)
+        finally:
+            self._release_service(service)
+            if shared:
+                for name in (vec_seg.name, up_seg.name, down_seg.name):
+                    detach_segment(name)
+                vec_seg.destroy()
+                REGISTRY.release(up_key)
+                REGISTRY.release(down_key)
+        return partials, service.report.as_dict()
+
     def _estimate(self, graph: TaskGraph, model: ErrorModel) -> EstimateResult:
         index = graph.index()
         n = index.num_tasks
@@ -293,75 +391,39 @@ class SecondOrderEstimator(MakespanEstimator):
         expected = p_none * d_g + float(np.dot(p_single, d_single))
         probability_covered = p_none + float(p_single.sum())
 
-        # Pair terms: for every i, recompute up/down with a_i doubled.  The
-        # n scenarios are evaluated in chunks of _PAIR_CHUNK batched kernel
-        # sweeps (one per direction) instead of two per-task Python loops
-        # per scenario; each chunk is one service partition owning its
-        # partial pair sums (per-i accumulation order unchanged inside a
-        # chunk, chunk partials folded in chunk-index order).
+        # Pair terms: P({i, j}) = p_none r_i r_j.  The all-pairs part
+        # sum_{i<j} r_i r_j max(L_i, L_j) takes one stable sort of L: each
+        # task pairs with every task sorted before it at its own L.
         worst_pair = d_g
         pair_contribution = 0.0
         pair_probability = 0.0
+        pair_rows = 0
         execution = None
         if n >= 2:
-            base = np.exp(log_all - np.log(one_minus_q))  # prod_{l != i} (1-q_l)
-            chunks = [
-                (start, min(start + _PAIR_CHUNK, n))
-                for start in range(0, n, _PAIR_CHUNK)
-            ]
+            r = q / one_minus_q
+            order = np.argsort(d_single, kind="stable")
+            r_sorted = r[order]
+            below = np.concatenate(([0.0], np.cumsum(r_sorted)[:-1]))
+            pair_base = float(np.dot(r_sorted * d_single[order], below))
+            pair_probability = p_none * float(np.dot(r_sorted, below))
 
-            vectors = {
-                "weights": weights,
-                "q": q,
-                "base": base,
-                "one_minus_q": one_minus_q,
-                "d_single": d_single,
-            }
-            service = self._acquire_service()
-            shared = service.backend == "processes"
-            if shared:
-                up_key, up_seg = publish_schedule(index, "up")
-                down_key, down_seg = publish_schedule(index, "down")
-                vec_seg = SharedSegment.create(vectors)
-                slot_kwargs = {
-                    "slot_factory": _PairSweepSpec(
-                        up=up_seg.handle,
-                        down=down_seg.handle,
-                        vectors=vec_seg.handle,
-                        d_g=d_g,
-                    )
-                }
-            else:
-                slot_kwargs = {
-                    "slots": [
-                        _PairChunkSlot(
-                            WavefrontKernel(index, direction="up", dtype=np.float64),
-                            WavefrontKernel(index, direction="down", dtype=np.float64),
-                            vectors,
-                            d_g,
-                        )
-                        for _ in range(min(self.workers, len(chunks)))
-                    ]
-                }
-            try:
-                partials = service.run(_sweep_pair_chunk, chunks, **slot_kwargs)
-            finally:
-                self._release_service(service)
-                if shared:
-                    for name in (vec_seg.name, up_seg.name, down_seg.name):
-                        detach_segment(name)
-                    vec_seg.destroy()
-                    REGISTRY.release(up_key)
-                    REGISTRY.release(down_key)
-            for contribution, probability, worst in partials:
-                pair_contribution += contribution
-                pair_probability += probability
+            # Corrections: one doubled-weight sweep per row that has an
+            # interacting partner, in chunks of _PAIR_CHUNK rows; each chunk
+            # is one service partition, folded in chunk-index order.
+            margin = _TIE_ULPS * float(np.spacing(d_g))
+            gap = d_g - (metrics.up + metrics.down)
+            rows = _interacting_rows(gap, weights, margin)
+            pair_rows = int(rows.size)
+            partials, execution = self._sweep_rows(
+                index, {"rows": rows, "weights": weights, "d_single": d_single, "r": r}
+            )
+            corrections = 0.0
+            worst_pair = float(d_single.max())
+            for correction, worst in partials:
+                corrections += correction
                 worst_pair = max(worst_pair, worst)
-            # Every unordered pair was counted twice (once per orientation).
-            pair_contribution *= 0.5
-            pair_probability *= 0.5
-
-            execution = service.report.as_dict()
+            # Every interacting pair was corrected twice (once per row).
+            pair_contribution = p_none * (pair_base + 0.5 * corrections)
 
         expected += pair_contribution
         probability_covered += pair_probability
@@ -384,6 +446,7 @@ class SecondOrderEstimator(MakespanEstimator):
                 "probability_covered": probability_covered,
                 "residual_probability": residual,
                 "pair_contribution": pair_contribution,
+                "pair_rows": pair_rows,
                 "sweep_workers": self.workers,
                 **({"execution": execution} if execution is not None else {}),
             },

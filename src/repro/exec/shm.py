@@ -298,16 +298,12 @@ class PinnedLRU:
         self.set_budget(budget)
 
     # -- bookkeeping (all under self._lock) ----------------------------
-    def _on_hit(self, value: Any) -> None:
-        """Hook of subclasses, called under the lock on every hit."""
-
     def _hit_locked(self, key: str) -> Any:
         value = self._values.get(key)
         if value is not None:
             self.hits += 1
             self._pins[key] += 1
             self._values.move_to_end(key)
-            self._on_hit(value)
         return value
 
     def _pop_locked(self, key: str) -> Any:

@@ -21,7 +21,7 @@ protocol the segment registry uses too: concurrent requests for the same
 (not-yet-cached) DAG coalesce onto one entry build through a per-key
 in-flight latch, so N simultaneous identical requests cost exactly one
 schedule compilation, and entries are LRU-evicted while the resident
-segment bytes exceed ``max_bytes`` (entries serving in-flight requests are
+segment bytes exceed ``budget`` (entries serving in-flight requests are
 pinned and never evicted).
 """
 
@@ -153,7 +153,6 @@ class CacheEntry:
     segment_key: str
     nbytes: int
     pool: ServicePool = field(default_factory=ServicePool)
-    hits: int = 0
 
     def dispose(self, registry: SegmentRegistry) -> None:
         """Tear the entry down: pooled services and the warm segment."""
@@ -198,32 +197,20 @@ class ScheduleCache(PinnedLRU):
 
     A :class:`~repro.exec.shm.PinnedLRU` whose values are entries:
     ``get_or_build``/``acquire`` pin the returned entry (its DAG is
-    serving a request), and callers must :meth:`release` it when done.
+    serving a request), and callers must ``release(entry.key)`` when done.
     Unpinned entries are disposed least-recently-used first while resident
-    bytes exceed ``max_bytes`` — so a sweep of ever-fresh DAGs keeps the
+    bytes exceed ``budget`` — so a sweep of ever-fresh DAGs keeps the
     cache (and ``/dev/shm``) bounded while a hot DAG mid-request is never
     torn down.
     """
 
     def __init__(
         self,
-        max_bytes: Optional[int] = None,
+        budget: Optional[int] = None,
         registry: SegmentRegistry = REGISTRY,
     ) -> None:
-        super().__init__(lambda entry: entry.dispose(registry), max_bytes)
+        super().__init__(lambda entry: entry.dispose(registry), budget)
         self.registry = registry
-
-    @property
-    def max_bytes(self) -> Optional[int]:
-        """The byte budget of the cache (``None`` = unbounded)."""
-        return self.budget
-
-    def _on_hit(self, entry: CacheEntry) -> None:
-        entry.hits += 1
-
-    def release(self, entry: CacheEntry) -> None:
-        """Unpin an entry returned by :meth:`get_or_build` or :meth:`acquire`."""
-        super().release(entry.key)
 
     def stats(self) -> Dict[str, object]:
         """Counters of the cache (for the server's ``stats`` op)."""

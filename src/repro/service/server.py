@@ -318,7 +318,7 @@ class EstimationServer:
                     }
                 )
         finally:
-            self.cache.release(entry)
+            self.cache.release(key)
         return {
             "id": request.request_id,
             "ok": True,

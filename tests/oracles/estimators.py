@@ -3,7 +3,8 @@
 The pre-kernel, one-Python-iteration-per-task versions of the Sculli
 moment propagation, the second-order ``up``/``down`` pair sweep, the
 discrete topological sweep and the correlation-aware normal propagation,
-plus the scalar-arithmetic Dodin reduction.  They exist only as test
+plus the scalar-arithmetic Dodin reduction and the unpruned second-order
+pair sum (every task swept, every pair summed).  They exist only as test
 oracles: the differential suites assert that the package's batched
 estimators agree with them (bit for bit or to <= 1e-9), and
 ``benchmarks/test_bench_estimator_wavefront.py`` times the package
@@ -14,11 +15,13 @@ against them.  The bodies are unchanged from when they lived in
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.graph import GraphIndex, TaskGraph
+from repro.core.kernels import WavefrontKernel
+from repro.core.paths import compute_path_metrics
 from repro.estimators.dodin import DodinEstimator
 from repro.failures.models import ErrorModel
 from repro.failures.twostate import TwoStateDistribution
@@ -28,6 +31,7 @@ from repro.rv.normal import NormalRV, clark_max, clark_max_moments, norm_cdf
 __all__ = [
     "sequential_completion_moments",
     "sequential_pair_up_down",
+    "unpruned_second_order_estimates",
     "sequential_sweep_estimate",
     "sequential_dodin_estimate",
     "sequential_correlated_estimate",
@@ -88,6 +92,103 @@ def sequential_pair_up_down(
         succs = indices_s[indptr_s[v] : indptr_s[v + 1]]
         down[v] = weights[v] + (down[succs].max() if succs.size else 0.0)
     return up, down
+
+
+class _UnprunedPairSlot:
+    """The per-estimate inputs of :func:`unpruned_pair_chunk`."""
+
+    def __init__(self, index, weights, q, base, one_minus_q, d_single, d_g):
+        self.kernel_up = WavefrontKernel(index, direction="up", dtype=np.float64)
+        self.kernel_down = WavefrontKernel(index, direction="down", dtype=np.float64)
+        self.weights = weights
+        self.q = q
+        self.base = base
+        self.one_minus_q = one_minus_q
+        self.d_single = d_single
+        self.d_g = d_g
+
+
+def unpruned_pair_chunk(
+    bounds: Tuple[int, int], slot: _UnprunedPairSlot
+) -> Tuple[float, float, float]:
+    """One scenario chunk of the pair sweep: its partial pair sums.
+
+    Doubles each task of the chunk in turn, sweeps the ``(chunk, tasks)``
+    scenario block up and down, and accumulates the pair terms of every
+    doubled task in task order.
+    """
+    start, stop = bounds
+    n = slot.weights.shape[0]
+    chunk = np.arange(start, stop)
+    scenario = np.broadcast_to(slot.weights, (chunk.size, n)).copy()
+    scenario[np.arange(chunk.size), chunk] *= 2.0
+    slot.kernel_up.load(scenario)
+    slot.kernel_up.propagate(chunk.size)
+    ups = slot.kernel_up.completion_matrix(chunk.size)  # (tasks, chunk)
+    slot.kernel_down.load(scenario)
+    slot.kernel_down.propagate(chunk.size)
+    downs = slot.kernel_down.completion_matrix(chunk.size)
+    through = ups + downs
+    contribution = 0.0
+    probability = 0.0
+    worst = slot.d_g
+    for offset, i in enumerate(chunk):
+        d_pair = np.maximum(slot.d_single[i], through[:, offset])
+        # P({i, j}) = q_i q_j prod_{l not in {i,j}} (1 - q_l)
+        p_pair = slot.q[i] * slot.q * slot.base / slot.one_minus_q[i]
+        p_pair[i] = 0.0
+        d_pair[i] = 0.0
+        contribution += float(np.dot(p_pair, d_pair))
+        probability += float(p_pair.sum())
+        if d_pair.size:
+            worst = max(worst, float(d_pair.max()))
+    return contribution, probability, worst
+
+
+def unpruned_second_order_estimates(
+    graph: TaskGraph, model: ErrorModel, chunk_size: int = 128
+) -> Dict[str, float]:
+    """The second-order estimate with one pair sweep for *every* task.
+
+    The pre-pruning ``SecondOrderEstimator`` sum, run serially: every task
+    is doubled in turn and its pair terms ``P({i, j})·L({i, j})`` are
+    summed over all ``j``, each unordered pair counted twice and halved.
+    Returns the estimate under each ``tail_handling`` mode.
+    """
+    index = graph.index()
+    n = index.num_tasks
+    weights = index.weights
+    q = np.asarray(model.failure_probabilities(weights), dtype=np.float64)
+    metrics = compute_path_metrics(index)
+    d_g = metrics.critical_length
+    d_single = metrics.doubled_makespans()
+
+    one_minus_q = 1.0 - q
+    log_all = float(np.sum(np.log(one_minus_q)))
+    p_none = float(np.exp(log_all))
+    p_single = q * np.exp(log_all - np.log(one_minus_q))
+    expected = p_none * d_g + float(np.dot(p_single, d_single))
+    covered = p_none + float(p_single.sum())
+
+    worst_pair = d_g
+    if n >= 2:
+        base = np.exp(log_all - np.log(one_minus_q))
+        slot = _UnprunedPairSlot(index, weights, q, base, one_minus_q, d_single, d_g)
+        contribution = probability = 0.0
+        for start in range(0, n, chunk_size):
+            part = unpruned_pair_chunk((start, min(start + chunk_size, n)), slot)
+            contribution += part[0]
+            probability += part[1]
+            worst_pair = max(worst_pair, part[2])
+        expected += 0.5 * contribution
+        covered += 0.5 * probability
+
+    residual = max(0.0, 1.0 - covered)
+    return {
+        "failure-free": expected + residual * d_g,
+        "drop": expected,
+        "worst-pair": expected + residual * worst_pair,
+    }
 
 
 def sequential_sweep_estimate(

@@ -16,7 +16,13 @@ from repro.core.generators import (
     random_out_tree,
 )
 from repro.core.graph import TaskGraph, compute_level_structure
-from repro.core.kernels import WavefrontKernel, normalize_dtype, wavefront_kernel
+from repro.core.kernels import (
+    WavefrontKernel,
+    clark_max_moments_batched,
+    norm_pdf_batched,
+    normalize_dtype,
+    wavefront_kernel,
+)
 from repro.core.paths import (
     batched_makespans,
     critical_path_length,
@@ -762,3 +768,19 @@ class TestReservedGatherRows:
         kernel.reserve(4)
         w = random_weight_matrix(idx, 4, seed=3)
         assert np.array_equal(kernel.run(w), w.max(axis=1))
+
+
+def test_huge_standardised_gaps_warn_nothing():
+    # x * x overflows past |x| ~ 1e154; the density is 0 and no
+    # RuntimeWarning may leak to the caller.
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        density = norm_pdf_batched(np.array([1e200, -1e200, np.inf]))
+        # a = 1e-155, so the Clark gap (1 - 0) / a squares past the range.
+        mean, var = clark_max_moments_batched(
+            np.array([1.0]), np.array([1e-310]), np.array([0.0]), np.array([0.0])
+        )
+    assert np.array_equal(density, np.zeros(3))
+    assert mean[0] == 1.0 and var[0] == pytest.approx(1e-310, rel=1e-6)

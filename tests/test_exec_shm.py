@@ -540,7 +540,7 @@ class _SegmentsHarness:
 
 
 class _EntriesHarness:
-    """A schedule cache whose values are entries, released by entry."""
+    """A schedule cache whose values are entries."""
 
     def __init__(self):
         self.registry = SegmentRegistry()
@@ -550,7 +550,7 @@ class _EntriesHarness:
         return build_entry(build_dag("lu", 3), self.registry, key=key)
 
     def release(self, key, value):
-        self.lru.release(value)
+        self.lru.release(key)
 
     def disposed(self, value):
         return not self.registry.contains(value.segment_key)

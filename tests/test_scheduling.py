@@ -376,3 +376,7 @@ def test_error_aware_scheduling_example(capsys):
     for row in rows:
         planned, mean, p99 = map(float, row.split()[-3:])
         assert planned <= mean <= p99
+    # The CP priority rules must schedule differently, or the comparison
+    # shows nothing.
+    cp_numbers = {tuple(row.split()[-3:]) for row in rows if row.startswith("CP /")}
+    assert len(cp_numbers) > 1

@@ -204,7 +204,7 @@ class TestScheduleCache:
             barrier.wait()
             entry, _built = cache.get_or_build(key, builder)
             entries.append(entry)
-            cache.release(entry)
+            cache.release(entry.key)
 
         try:
             before = schedule_compilations()
@@ -227,14 +227,14 @@ class TestScheduleCache:
         probe = build_entry(graphs[0], registry)
         entry_bytes = probe.nbytes
         probe.dispose(registry)
-        cache = ScheduleCache(max_bytes=int(2.5 * entry_bytes), registry=registry)
+        cache = ScheduleCache(budget=int(2.5 * entry_bytes), registry=registry)
         try:
             for graph in graphs:
                 entry, _ = cache.get_or_build(
                     request_key(graph), lambda g=graph: build_entry(g, registry)
                 )
-                cache.release(entry)
-                assert cache.resident_bytes() <= cache.max_bytes
+                cache.release(entry.key)
+                assert cache.resident_bytes() <= cache.budget
             stats = cache.stats()
             assert stats["entries"] == 2
             assert stats["evictions"] == 3
@@ -248,7 +248,7 @@ class TestScheduleCache:
     def test_pinned_entries_survive_eviction_pressure(self):
         registry = SegmentRegistry()
         graph = _fresh_graph(9.0)
-        cache = ScheduleCache(max_bytes=0, registry=registry)
+        cache = ScheduleCache(budget=0, registry=registry)
         try:
             entry, built = cache.get_or_build(
                 request_key(graph), lambda: build_entry(graph, registry)
@@ -260,10 +260,10 @@ class TestScheduleCache:
             other_entry, _ = cache.get_or_build(
                 request_key(other), lambda: build_entry(other, registry)
             )
-            cache.release(other_entry)  # unpinned sibling goes immediately
+            cache.release(other_entry.key)  # unpinned sibling goes immediately
             assert not cache.contains(other_entry.key)
             assert cache.contains(entry.key)
-            cache.release(entry)
+            cache.release(entry.key)
             assert not cache.contains(entry.key)
             assert cache.resident_bytes() == 0
         finally:
@@ -437,7 +437,7 @@ class TestEstimationServer:
                     assert entry.pool.created == 1
                     assert entry.pool.leases == 3
                 finally:
-                    server.cache.release(entry)
+                    server.cache.release(entry.key)
 
     def test_stop_is_idempotent_and_releases_the_port(self):
         server = EstimationServer()

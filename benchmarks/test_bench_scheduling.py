@@ -5,13 +5,19 @@ priorities based on *expected* bottom levels need a cheap, accurate expected
 path-length estimate.  These benchmarks time the priority computations and
 the schedulers, and measure (once, printed) the makespan impact of
 error-aware priorities when the produced schedules are executed under
-injected failures.
+injected failures.  On cholesky k=16 (816 tasks) the first-order expected
+bottom levels run against the per-root loop they replaced
+(``tests/oracles/priorities.py``): both times are printed, the results must
+be bit-identical and the cone sweeps at least 5x faster.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from _common import paired_median_ratio
+from oracles.priorities import sequential_expected_bottom_levels
 from repro.failures.models import ExponentialErrorModel
 from repro.scheduling.heft import heft_schedule
 from repro.scheduling.list_scheduling import cp_schedule
@@ -97,3 +103,30 @@ def test_error_aware_priorities_under_failures(benchmark, qr_inputs):
         f"({mean_aware / mean_plain - 1:+.2%})"
     )
     assert mean_aware <= mean_plain * 1.1
+
+
+def test_expected_bottom_levels_against_the_loop(benchmark):
+    """Cone sweeps against the per-root loop on cholesky k=16, alternating."""
+    graph = cholesky_dag(16)
+    model = ExponentialErrorModel.for_graph(graph, PFAIL)
+    swept = expected_bottom_levels_first_order(graph, model)
+    looped = sequential_expected_bottom_levels(graph, model)
+    assert np.array_equal(
+        np.fromiter(swept.values(), dtype=np.float64),
+        np.fromiter((looped[t] for t in swept), dtype=np.float64),
+    )
+
+    def run():
+        return paired_median_ratio(
+            lambda: sequential_expected_bottom_levels(graph, model),
+            lambda: expected_bottom_levels_first_order(graph, model),
+            pairs=5,
+        )
+
+    t_loop, t_sweep, speedup = benchmark.pedantic(run, rounds=1, iterations=1)
+    print(
+        f"\n[expected bottom levels, cholesky k=16, {graph.num_tasks} tasks] "
+        f"per-root loop {t_loop * 1e3:.1f} ms, cone sweeps {t_sweep * 1e3:.1f} ms "
+        f"({speedup:.1f}x, median of 5 alternating pairs)"
+    )
+    assert speedup >= 5.0

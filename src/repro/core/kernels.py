@@ -959,20 +959,6 @@ class WavefrontKernel:
         self.propagate(trials)
         return self.makespans(trials)
 
-    def run_with_details(
-        self, weight_matrix: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Makespans plus, per trial, the first task index realising them."""
-        trials = self.load(weight_matrix)
-        if self.num_tasks == 0 or trials == 0:
-            return (
-                np.zeros(trials, dtype=self.dtype),
-                np.zeros(trials, dtype=np.int64),
-            )
-        self.propagate(trials)
-        completion = self.completion_matrix(trials)
-        return completion.max(axis=0), completion.argmax(axis=0)
-
     def lengths(self, weights: np.ndarray) -> np.ndarray:
         """Single-scenario sweep: per-task path lengths in task order.
 

@@ -20,17 +20,22 @@ Two failure semantics are supported:
   once, a failed task runs for ``2 a_i``;
 * ``weights``: arbitrary per-task binary scenarios supplied explicitly
   through :meth:`ExactEstimator.expected_makespan_from_table`.
+
+Both run one enumerator over per-task ``(nominal, alternative, q)``
+vectors: scenario ``s`` (an integer) takes task ``i``'s alternative iff
+bit ``i`` of ``s`` is set, and each batch of subsets is written straight
+into the wavefront kernel's task-major buffer.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Dict, Optional
+from typing import Dict, Tuple
 
 import numpy as np
 
-from ..core.graph import TaskGraph
-from ..core.paths import batched_makespans, critical_path_length
+from ..core.graph import GraphIndex, TaskGraph
+from ..core.kernels import WavefrontKernel
+from ..core.paths import critical_path_length
 from ..exceptions import EstimationError
 from ..failures.models import ErrorModel
 from .base import EstimateResult, MakespanEstimator
@@ -38,6 +43,7 @@ from .base import EstimateResult, MakespanEstimator
 __all__ = ["ExactEstimator"]
 
 _DEFAULT_MAX_TASKS = 22
+_BATCH = 1 << 14
 
 
 def _vector_from_table(index, table: Dict, what: str) -> np.ndarray:
@@ -66,6 +72,39 @@ def _vector_from_table(index, table: Dict, what: str) -> np.ndarray:
     out = np.empty(n, dtype=np.float64)
     out[gather] = values
     return out
+
+
+def _enumerate(
+    index: GraphIndex, nominal: np.ndarray, alternative: np.ndarray, q: np.ndarray
+) -> Tuple[float, float]:
+    """``(Σ_S P(S) L(S), Σ_S P(S))`` over all ``2^n`` subsets ``S``.
+
+    Subsets go in batches of ``_BATCH`` scenario ids, which bounds memory
+    at ~batch x n doubles.  ``P(S)`` is a product over tasks in task-index
+    order; the weights are filled task-major in kernel row order.
+    """
+    num_scenarios = 1 << index.num_tasks
+    kernel = WavefrontKernel(index, direction="up", dtype=np.float64)
+    perm = kernel.perm
+    nominal_rows = nominal[perm][:, None]
+    alternative_rows = alternative[perm][:, None]
+    bits = np.arange(index.num_tasks, dtype=np.uint64)[:, None]
+    expected = 0.0
+    total_probability = 0.0
+    for start in range(0, num_scenarios, _BATCH):
+        stop = min(start + _BATCH, num_scenarios)
+        ids = np.arange(start, stop, dtype=np.uint64)
+        failed = ((ids >> bits) & 1).astype(bool)
+        probabilities = np.prod(
+            np.where(failed, q[:, None], (1.0 - q)[:, None]), axis=0
+        )
+        view = kernel.weight_view(stop - start)
+        view[...] = np.where(failed[perm], alternative_rows, nominal_rows)
+        kernel.propagate(stop - start)
+        makespans = kernel.makespans(stop - start)
+        expected += float(np.dot(probabilities, makespans))
+        total_probability += float(probabilities.sum())
+    return expected, total_probability
 
 
 class ExactEstimator(MakespanEstimator):
@@ -111,27 +150,10 @@ class ExactEstimator(MakespanEstimator):
         if np.any((q < 0) | (q > 1)):
             raise EstimationError("failure probabilities must lie in [0, 1]")
 
-        # Enumerate all subsets in batches: scenario s (an integer) fails task
-        # i iff bit i of s is set.  Probabilities and longest paths are
-        # computed per batch to bound memory at ~batch x n doubles.
-        num_scenarios = 1 << n
         factor = self.reexecution_factor
-        expected = 0.0
-        total_probability = 0.0
-        batch = max(1, min(num_scenarios, 1 << 14))
-        bit_positions = np.arange(n, dtype=np.uint64)[None, :]
-        for start in range(0, num_scenarios, batch):
-            stop = min(start + batch, num_scenarios)
-            scenario_ids = np.arange(start, stop, dtype=np.uint64)
-            block = ((scenario_ids[:, None] >> bit_positions) & 1).astype(np.float64)
-            # Scenario probabilities: prod over tasks of q_i (fail) or 1-q_i.
-            probabilities = np.prod(
-                np.where(block > 0.5, q[None, :], (1.0 - q)[None, :]), axis=1
-            )
-            scenario_weights = weights[None, :] * (1.0 + (factor - 1.0) * block)
-            makespans = batched_makespans(index, scenario_weights)
-            expected += float(np.dot(probabilities, makespans))
-            total_probability += float(probabilities.sum())
+        expected, total_probability = _enumerate(
+            index, weights, weights * (1.0 + (factor - 1.0)), q
+        )
         if abs(total_probability - 1.0) > 1e-9:
             raise EstimationError(
                 f"scenario probabilities sum to {total_probability}, expected 1"
@@ -143,7 +165,7 @@ class ExactEstimator(MakespanEstimator):
             failure_free_makespan=critical_path_length(index),
             wall_time=0.0,
             details={
-                "num_scenarios": num_scenarios,
+                "num_scenarios": 1 << n,
                 "reexecution_factor": factor,
             },
         )
@@ -173,16 +195,4 @@ class ExactEstimator(MakespanEstimator):
         if np.any((q < 0) | (q > 1)):
             raise EstimationError("probabilities must lie in [0, 1]")
 
-        expected = 0.0
-        for size in range(n + 1):
-            for subset in combinations(range(n), size):
-                mask = np.zeros(n, dtype=bool)
-                mask[list(subset)] = True
-                prob = float(np.prod(np.where(mask, q, 1.0 - q)))
-                if prob == 0.0:
-                    continue
-                scenario = np.where(mask, alt_vec, nominal_vec)
-                expected += prob * float(
-                    batched_makespans(index, scenario[None, :])[0]
-                )
-        return expected
+        return _enumerate(index, nominal_vec, alt_vec, q)[0]

@@ -39,7 +39,26 @@ from ..exceptions import EstimationError
 from ..failures.models import ErrorModel, ExponentialErrorModel
 from .base import EstimateResult, MakespanEstimator
 
-__all__ = ["FirstOrderEstimator", "first_order_expected_makespan"]
+__all__ = [
+    "FirstOrderEstimator",
+    "first_order_expected_makespan",
+    "first_order_factors",
+]
+
+
+def first_order_factors(model: ErrorModel, weights: np.ndarray) -> np.ndarray:
+    """Per-task first-order factors: ``λ a_i``, or ``q_i`` without a rate.
+
+    The paper's expansion weighs task ``i`` by ``λ a_i``.  Models without
+    an error rate (e.g. :class:`~repro.failures.models.FixedProbabilityModel`)
+    fall back to the per-attempt failure probability, which plays its role.
+    Shared by :class:`FirstOrderEstimator` and the error-aware bottom levels
+    of :mod:`repro.scheduling.priorities`.
+    """
+    rate = getattr(model, "error_rate", None)
+    if rate is None:
+        return np.asarray(model.failure_probabilities(weights), dtype=np.float64)
+    return float(rate) * weights
 
 
 class FirstOrderEstimator(MakespanEstimator):
@@ -81,13 +100,7 @@ class FirstOrderEstimator(MakespanEstimator):
         """
         if self.use_exact_probabilities:
             return np.asarray(model.failure_probabilities(weights), dtype=np.float64)
-        rate = getattr(model, "error_rate", None)
-        if rate is None:
-            # Models without a rate (e.g. FixedProbabilityModel): fall back
-            # to the per-attempt failure probability, which plays the role
-            # of λ·a_i in the expansion.
-            return np.asarray(model.failure_probabilities(weights), dtype=np.float64)
-        return float(rate) * weights
+        return first_order_factors(model, weights)
 
     def _estimate(self, graph: TaskGraph, model: ErrorModel) -> EstimateResult:
         index = graph.index()

@@ -1,5 +1,5 @@
-"""Monte Carlo simulation: sampling, batched longest paths, pluggable
-execution backends and streaming statistics."""
+"""Monte Carlo simulation: sampling, pluggable execution backends and
+streaming statistics."""
 
 from .sampler import (
     SamplingMode,
@@ -16,7 +16,6 @@ from .engine import (
     simulate_expected_makespan,
 )
 from .executors import BACKENDS
-from .longest_path import batch_makespans_with_details, streaming_makespans
 from .stats import (
     ConvergenceTracker,
     P2Quantile,
@@ -39,8 +38,6 @@ __all__ = [
     "DEFAULT_BATCH",
     "default_batch_size",
     "BACKENDS",
-    "batch_makespans_with_details",
-    "streaming_makespans",
     "ConvergenceTracker",
     "P2Quantile",
     "QuantileSketch",

@@ -3,8 +3,10 @@
 The pre-kernel, one-Python-iteration-per-task versions of the Sculli
 moment propagation, the second-order ``up``/``down`` pair sweep, the
 discrete topological sweep and the correlation-aware normal propagation,
-plus the scalar-arithmetic Dodin reduction and the unpruned second-order
-pair sum (every task swept, every pair summed).  They exist only as test
+plus the scalar-arithmetic Dodin reduction, the unpruned second-order
+pair sum (every task swept, every pair summed) and the two exact
+enumerations that built trial-major scenario blocks (one batch of subsets
+through ``batched_makespans``, or one kernel call per subset).  They exist only as test
 oracles: the differential suites assert that the package's batched
 estimators agree with them (bit for bit or to <= 1e-9), and
 ``benchmarks/test_bench_estimator_wavefront.py`` times the package
@@ -15,13 +17,14 @@ against them.  The bodies are unchanged from when they lived in
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.graph import GraphIndex, TaskGraph
 from repro.core.kernels import WavefrontKernel
-from repro.core.paths import compute_path_metrics
+from repro.core.paths import batched_makespans, compute_path_metrics
 from repro.estimators.dodin import DodinEstimator
 from repro.failures.models import ErrorModel
 from repro.failures.twostate import TwoStateDistribution
@@ -35,6 +38,8 @@ __all__ = [
     "sequential_sweep_estimate",
     "sequential_dodin_estimate",
     "sequential_correlated_estimate",
+    "trial_major_exact_estimate",
+    "subset_loop_expected_makespan",
 ]
 
 
@@ -365,3 +370,60 @@ def sequential_correlated_estimate(
 
     final = _sequential_fold_sinks(index, mean, var, corr)
     return final.mean, final.variance
+
+
+def trial_major_exact_estimate(
+    graph: TaskGraph, model: ErrorModel, factor: float = 2.0
+) -> float:
+    """Exact expected makespan from trial-major ``(subsets, tasks)`` blocks."""
+    index = graph.index()
+    n = index.num_tasks
+    weights = index.weights
+    q = np.asarray(model.failure_probabilities(weights), dtype=np.float64)
+
+    # Enumerate all subsets in batches: scenario s (an integer) fails task
+    # i iff bit i of s is set.  Probabilities and longest paths are
+    # computed per batch to bound memory at ~batch x n doubles.
+    num_scenarios = 1 << n
+    expected = 0.0
+    batch = max(1, min(num_scenarios, 1 << 14))
+    bit_positions = np.arange(n, dtype=np.uint64)[None, :]
+    for start in range(0, num_scenarios, batch):
+        stop = min(start + batch, num_scenarios)
+        scenario_ids = np.arange(start, stop, dtype=np.uint64)
+        block = ((scenario_ids[:, None] >> bit_positions) & 1).astype(np.float64)
+        # Scenario probabilities: prod over tasks of q_i (fail) or 1-q_i.
+        probabilities = np.prod(
+            np.where(block > 0.5, q[None, :], (1.0 - q)[None, :]), axis=1
+        )
+        scenario_weights = weights[None, :] * (1.0 + (factor - 1.0) * block)
+        makespans = batched_makespans(index, scenario_weights)
+        expected += float(np.dot(probabilities, makespans))
+    return expected
+
+
+def subset_loop_expected_makespan(
+    graph: TaskGraph,
+    nominal: np.ndarray,
+    alternative: np.ndarray,
+    q: np.ndarray,
+) -> float:
+    """Exact expectation of per-task two-point laws, one subset at a time.
+
+    ``nominal`` / ``alternative`` / ``q`` are vectors in task-index order.
+    """
+    index = graph.index()
+    n = index.num_tasks
+    expected = 0.0
+    for size in range(n + 1):
+        for subset in combinations(range(n), size):
+            mask = np.zeros(n, dtype=bool)
+            mask[list(subset)] = True
+            prob = float(np.prod(np.where(mask, q, 1.0 - q)))
+            if prob == 0.0:
+                continue
+            scenario = np.where(mask, alternative, nominal)
+            expected += prob * float(
+                batched_makespans(index, scenario[None, :])[0]
+            )
+    return expected

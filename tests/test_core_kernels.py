@@ -31,7 +31,6 @@ from repro.core.paths import (
     upward_lengths,
 )
 from repro.exceptions import GraphError
-from repro.sim.longest_path import batch_makespans_with_details
 from repro.workflows.registry import available_workflows, build_dag
 
 
@@ -169,17 +168,6 @@ class TestKernelDifferential:
         assert np.array_equal(upward_lengths(idx, w), reference_upward(idx, w))
         assert np.array_equal(downward_lengths(idx, w), reference_downward(idx, w))
 
-    def test_details_match_reference(self, cholesky4):
-        idx = cholesky4.index()
-        w = random_weight_matrix(idx, 9, seed=8)
-        makespans, argmax = batch_makespans_with_details(idx, w)
-        expected = reference_batched_makespans(idx, w)
-        assert np.array_equal(makespans, expected)
-        # argmax points at a task whose completion realises the makespan
-        for t in range(w.shape[0]):
-            assert makespans[t] == pytest.approx(expected[t])
-            assert 0 <= argmax[t] < idx.num_tasks
-
     def test_float32_tolerance(self):
         idx = build_dag("cholesky", 10).index()
         w = random_weight_matrix(idx, 64, seed=5)
@@ -209,10 +197,6 @@ class TestKernelEdgeCases:
         # as it did before the kernel refactor.
         out = batched_makespans(diamond, np.empty((0, 4)))
         assert out.shape == (0,)
-        makespans, argmax = batch_makespans_with_details(
-            diamond.index(), np.empty((0, 4))
-        )
-        assert makespans.shape == (0,) and argmax.shape == (0,)
 
     def test_disconnected_tasks(self):
         g = TaskGraph()

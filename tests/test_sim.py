@@ -13,7 +13,6 @@ from repro.exec import partition_stream
 from repro.failures.models import ExponentialErrorModel, FixedProbabilityModel
 from repro.rv.empirical import RunningMoments
 from repro.sim.engine import MonteCarloEngine, simulate_expected_makespan
-from repro.sim.longest_path import batch_makespans_with_details, streaming_makespans
 from repro.sim.sampler import sample_failure_mask, sample_task_times
 from repro.sim.stats import ConvergenceTracker, relative_half_width, required_trials
 from repro.workflows.registry import build_dag
@@ -318,25 +317,6 @@ class TestZeroCopyPipeline:
         model = FixedProbabilityModel(0.1)
         with pytest.raises(EstimationError):
             MonteCarloEngine(diamond, model, trials=10, dtype="int8")
-
-
-class TestLongestPathHelpers:
-    def test_details_argmax_is_a_sink_heavy_task(self, diamond):
-        idx = diamond.index()
-        weights = idx.weights[None, :].repeat(3, axis=0)
-        makespans, argmax = batch_makespans_with_details(idx, weights)
-        assert np.allclose(makespans, critical_path_length(diamond))
-        assert all(idx.task_ids[i] == "t" for i in argmax)
-
-    def test_streaming(self, cholesky4, rng):
-        idx = cholesky4.index()
-        batches = [
-            idx.weights[None, :] * rng.uniform(1.0, 2.0, size=(4, idx.num_tasks))
-            for _ in range(3)
-        ]
-        outputs = list(streaming_makespans(idx, batches))
-        assert len(outputs) == 3
-        assert all(o.shape == (4,) for o in outputs)
 
 
 class TestStats:

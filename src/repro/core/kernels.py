@@ -85,17 +85,11 @@ The building blocks are:
   recurrence: per level, gather the predecessor means/variances and reduce
   them with the batched Clark maximum, then add the task's own moments.
 
-Exactness contract: with ``reduce="fold"`` (the default) predecessors are
-combined left-to-right in CSR order — the *same operand order* as the
-sequential per-task fold, so results match the scalar implementation to
-ulp-level rounding (the paper's figures use Clark's formulas, which are
-**not associative**, so the fold order is part of the method definition).
-``reduce="tree"`` combines predecessors pairwise (⌈log₂ d⌉ batched steps
-instead of ``d - 1``); for the plain ``max`` of the longest-path kernels
-the two orders are bit-identical, but for Clark's formulas the tree order
-is a *different approximation* of the same intractable maximum — use it
-only where the caller documents that the fold order is not part of its
-contract.
+Exactness contract: predecessors are combined left-to-right in CSR order —
+the *same operand order* as the sequential per-task fold, so results match
+the scalar implementation to ulp-level rounding (the paper's figures use
+Clark's formulas, which are **not associative**, so the fold order is part
+of the method definition).
 """
 
 from __future__ import annotations
@@ -1098,35 +1092,15 @@ def _reduce_group_moments(
     preds: np.ndarray,
     mean_buf: np.ndarray,
     var_buf: np.ndarray,
-    reduce: str,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Combine one group's predecessor moments with the batched Clark max."""
-    if reduce == "fold":
-        mean = mean_buf[preds[:, 0]]
-        var = var_buf[preds[:, 0]]
-        for j in range(1, preds.shape[1]):
-            mean, var = _clark_max_moments(
-                mean, var, mean_buf[preds[:, j]], var_buf[preds[:, j]]
-            )
-        return mean, var
-    # Pairwise tree reduction: ⌈log₂ d⌉ batched Clark steps.  Bit-identical
-    # to the fold only for associative reducers; for Clark's formulas this
-    # is a *different* (documented) approximation of the same maximum.
-    means = [mean_buf[preds[:, j]] for j in range(preds.shape[1])]
-    vars_ = [var_buf[preds[:, j]] for j in range(preds.shape[1])]
-    while len(means) > 1:
-        next_means, next_vars = [], []
-        for k in range(0, len(means) - 1, 2):
-            m, v = _clark_max_moments(
-                means[k], vars_[k], means[k + 1], vars_[k + 1]
-            )
-            next_means.append(m)
-            next_vars.append(v)
-        if len(means) % 2:
-            next_means.append(means[-1])
-            next_vars.append(vars_[-1])
-        means, vars_ = next_means, next_vars
-    return means[0], vars_[0]
+    """Fold one group's predecessor moments with the batched Clark max."""
+    mean = mean_buf[preds[:, 0]]
+    var = var_buf[preds[:, 0]]
+    for j in range(1, preds.shape[1]):
+        mean, var = _clark_max_moments(
+            mean, var, mean_buf[preds[:, j]], var_buf[preds[:, j]]
+        )
+    return mean, var
 
 
 def propagate_moments(
@@ -1135,7 +1109,6 @@ def propagate_moments(
     task_var: np.ndarray,
     *,
     direction: str = "up",
-    reduce: str = "fold",
     kernel_backend: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Normal (Sculli) moment propagation over the compiled level schedule.
@@ -1147,19 +1120,15 @@ def propagate_moments(
     propagates along predecessor edges (completion times), ``"down"`` along
     successor edges (bottom-level style tail times).
 
-    Returns the per-task ``(mean, variance)`` arrays in task-index order.
-    ``reduce="fold"`` (default) matches the sequential per-task CSR fold to
-    floating-point rounding; ``reduce="tree"`` is the faster pairwise
-    approximation (see module docstring).
+    Returns the per-task ``(mean, variance)`` arrays in task-index order;
+    they match the sequential per-task CSR fold to floating-point rounding.
 
     ``kernel_backend`` selects a compiled fold (``"numba"``): the JIT
     fold mirrors the scalar Clark recurrence with ``math.erfc`` and
     agrees with the batched reference to ≤1e-9 (the two ``erfc``
-    implementations differ at ulp level).  It only applies to
-    ``reduce="fold"``; unavailable backends fall back to NumPy.
+    implementations differ at ulp level).  Unavailable backends fall back
+    to NumPy.
     """
-    if reduce not in ("fold", "tree"):
-        raise GraphError(f"unknown reduce mode {reduce!r}; choose 'fold' or 'tree'")
     schedule = schedule_for(graph, direction)
     n = schedule.num_tasks
     task_mean = np.asarray(task_mean, dtype=np.float64)
@@ -1175,7 +1144,7 @@ def propagate_moments(
     perm = schedule.perm
     mean_buf = task_mean[perm].copy()
     var_buf = task_var[perm].copy()
-    if reduce == "fold" and schedule.groups:
+    if schedule.groups:
         fn = get_kernel("moment_fold", kernel_backend)
         if fn is not None:
             try:
@@ -1189,7 +1158,7 @@ def propagate_moments(
     with np.errstate(over="ignore"):
         for group in schedule.groups:
             ready_mean, ready_var = _reduce_group_moments(
-                group.preds, mean_buf, var_buf, reduce
+                group.preds, mean_buf, var_buf
             )
             mean_buf[group.start : group.stop] += ready_mean
             var_buf[group.start : group.stop] += ready_var

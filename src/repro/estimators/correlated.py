@@ -50,7 +50,9 @@ Every backend runs the same partition function, :func:`_fold_partition`,
 against a slot holding the schedule, the store and the sweep arrays; the
 backend only decides where those arrays live — local arrays in-process,
 zero-copy segment views (the schedule from the registry, the sweep state
-from a per-estimate segment) in ``processes`` workers.
+from a per-estimate segment) in ``processes`` workers.  Each estimate opens
+its own service in a ``with`` block, so its worker pools end with the
+estimate.
 
 Correlation storage backends
 ----------------------------
@@ -426,7 +428,6 @@ class CorrelatedNormalEstimator(MakespanEstimator):
         exec_timeout: Optional[float] = None,
         exec_on_failure: Optional[str] = None,
         kernel_backend: Optional[str] = None,
-        service_pool=None,
         validate: bool = True,
     ) -> None:
         super().__init__(validate=validate)
@@ -461,36 +462,6 @@ class CorrelatedNormalEstimator(MakespanEstimator):
         self.exec_retries = exec_retries
         self.exec_timeout = exec_timeout
         self.exec_on_failure = exec_on_failure
-        #: Optional :class:`~repro.service.cache.ServicePool` (duck-typed:
-        #: ``lease``/``restore``).  When set, the per-estimate
-        #: ParallelService is leased with warm worker pools instead of
-        #: constructed, and restored instead of closed — the seam the
-        #: estimation server uses to amortise pool spin-up across
-        #: requests.  Purely an allocation concern: results are identical.
-        self.service_pool = service_pool
-
-    def _acquire_service(self) -> ParallelService:
-        if self.service_pool is not None:
-            return self.service_pool.lease(
-                workers=self.workers,
-                backend=self.exec_backend,
-                retries=self.exec_retries,
-                timeout=self.exec_timeout,
-                on_failure=self.exec_on_failure,
-            )
-        return ParallelService(
-            workers=self.workers,
-            backend=self.exec_backend,
-            retries=self.exec_retries,
-            timeout=self.exec_timeout,
-            on_failure=self.exec_on_failure,
-        )
-
-    def _release_service(self, service: ParallelService) -> None:
-        if self.service_pool is not None:
-            self.service_pool.restore(service)
-        else:
-            service.close()
 
     def _publish_shared_state(self, index, store, arrays):
         """Move the sweep state into shared memory for the processes fold.
@@ -561,98 +532,111 @@ class CorrelatedNormalEstimator(MakespanEstimator):
             "task_var": task_var_p,
             **_level_buffers(schedule, store),
         }
-        service = self._acquire_service()
-        shared = service.backend == "processes"
-        if shared:
-            state, static_key, spec = self._publish_shared_state(index, store, arrays)
-            arrays = state.arrays
-            slot_kwargs = {"slot_factory": spec}
-        else:
-            # Partitions write disjoint slices, so every worker shares one slot.
-            slot = _CorrelatedFoldSlot(schedule, store, arrays)
-            slot_kwargs = {"slots": [slot] * service.workers}
-        mean, var = arrays["mean"], arrays["var"]
-
-        try:
-            for level in range(1, schedule.num_levels):
-                t_lo, t_hi = int(level_indptr[level]), int(level_indptr[level + 1])
-                # The per-level fold partitions: whole groups on one worker
-                # (the historical evaluation order), row chunks of the
-                # degree groups when the service spreads a level over
-                # several workers.
-                if self.workers == 1:
-                    parts = tuple(
-                        (group, 0, group.stop - group.start)
-                        for group in schedule.level_groups(level)
-                    )
-                else:
-                    parts = schedule.level_partitions(level, _FOLD_PARTITION_ROWS)
-                w_lo = store.window_start(level)
-                m_level = t_hi - t_lo
-                base = int(schedule.group_indptr[level])
-                ordinal = {
-                    id(group): base + i
-                    for i, group in enumerate(schedule.level_groups(level))
-                }
-
-                # Pass 1: fold against the pre-level store; correct for
-                # every entry except the pairs inside this level.  The
-                # operand correlations of each fold step are recorded per
-                # partition for pass 2.
-                records = service.run(
-                    _fold_partition,
-                    [
-                        (ordinal[id(group)], lo, hi, w_lo, t_lo, t_hi, None)
-                        for group, lo, hi in parts
-                    ],
-                    **slot_kwargs,
+        with ParallelService(
+            workers=self.workers,
+            backend=self.exec_backend,
+            retries=self.exec_retries,
+            timeout=self.exec_timeout,
+            on_failure=self.exec_on_failure,
+        ) as service:
+            shared = service.backend == "processes"
+            if shared:
+                state, static_key, spec = self._publish_shared_state(
+                    index, store, arrays
                 )
-                mean[t_lo:t_hi] = arrays["level_mean"][:m_level]
-                var[t_lo:t_hi] = arrays["level_var"][:m_level]
-                store.write_level(level, w_lo, arrays["rows"][:m_level, : t_hi - w_lo])
+                arrays = state.arrays
+                slot_kwargs = {"slot_factory": spec}
+            else:
+                # Partitions write disjoint slices, so every worker shares one slot.
+                slot = _CorrelatedFoldSlot(schedule, store, arrays)
+                slot_kwargs = {"slots": [slot] * service.workers}
+            mean, var = arrays["mean"], arrays["var"]
 
-                if m_level > 1:
-                    # Pass 2: re-fold now that the level's columns are
-                    # written, restricted to those columns (the only
-                    # entries pass 1 got wrong); the recorded rho12
-                    # sequences stand in for the full-window gathers.
-                    # Clark's third-variable update is independent per
-                    # column, so the re-fold recovers, for every
-                    # within-level pair, the entry the *later* task (in
-                    # topological order) computes from the earlier task's
-                    # fresh row — exactly the value the sequential
-                    # recurrence leaves in the matrix.
-                    service.run(
+            try:
+                for level in range(1, schedule.num_levels):
+                    t_lo = int(level_indptr[level])
+                    t_hi = int(level_indptr[level + 1])
+                    # The per-level fold partitions: whole groups on one worker
+                    # (the historical evaluation order), row chunks of the
+                    # degree groups when the service spreads a level over
+                    # several workers.
+                    if self.workers == 1:
+                        parts = tuple(
+                            (group, 0, group.stop - group.start)
+                            for group in schedule.level_groups(level)
+                        )
+                    else:
+                        parts = schedule.level_partitions(
+                            level, _FOLD_PARTITION_ROWS
+                        )
+                    w_lo = store.window_start(level)
+                    m_level = t_hi - t_lo
+                    base = int(schedule.group_indptr[level])
+                    ordinal = {
+                        id(group): base + i
+                        for i, group in enumerate(schedule.level_groups(level))
+                    }
+
+                    # Pass 1: fold against the pre-level store; correct for
+                    # every entry except the pairs inside this level.  The
+                    # operand correlations of each fold step are recorded per
+                    # partition for pass 2.
+                    records = service.run(
                         _fold_partition,
                         [
-                            (ordinal[id(group)], lo, hi, t_lo, t_lo, t_hi, records[i])
-                            for i, (group, lo, hi) in enumerate(parts)
+                            (ordinal[id(group)], lo, hi, w_lo, t_lo, t_hi, None)
+                            for group, lo, hi in parts
                         ],
                         **slot_kwargs,
                     )
-                    block = arrays["rows"][:m_level, :m_level]
-                    order = topo_rank[perm[t_lo:t_hi]]
-                    later = order[:, None] > order[None, :]
-                    final_block = np.where(later, block, block.T)
-                    np.fill_diagonal(final_block, 1.0)
-                    store.write_block(level, final_block)
+                    mean[t_lo:t_hi] = arrays["level_mean"][:m_level]
+                    var[t_lo:t_hi] = arrays["level_var"][:m_level]
+                    store.write_level(
+                        level, w_lo, arrays["rows"][:m_level, : t_hi - w_lo]
+                    )
 
-            final = _fold_sinks_correlated(
-                mean[sink_rows], var[sink_rows], store.pair_matrix(sink_rows)
-            )
-        finally:
-            self._release_service(service)
-            if shared:
-                # Order matters for hygiene: drop this process's cached
-                # attachments (built by degradation slots, if any) before
-                # destroying the state segment, then drop the registry
-                # reference on the schedule segment (kept warm for the
-                # next estimate over the same DAG unless the registry's
-                # budget evicts it).
-                detach_segment(state.name)
-                detach_segment(spec.static[0])
-                state.destroy()
-                REGISTRY.release(static_key)
+                    if m_level > 1:
+                        # Pass 2: re-fold now that the level's columns are
+                        # written, restricted to those columns (the only
+                        # entries pass 1 got wrong); the recorded rho12
+                        # sequences stand in for the full-window gathers.
+                        # Clark's third-variable update is independent per
+                        # column, so the re-fold recovers, for every
+                        # within-level pair, the entry the *later* task (in
+                        # topological order) computes from the earlier task's
+                        # fresh row — exactly the value the sequential
+                        # recurrence leaves in the matrix.
+                        service.run(
+                            _fold_partition,
+                            [
+                                (ordinal[id(group)], lo, hi, t_lo, t_lo, t_hi,
+                                 records[i])
+                                for i, (group, lo, hi) in enumerate(parts)
+                            ],
+                            **slot_kwargs,
+                        )
+                        block = arrays["rows"][:m_level, :m_level]
+                        order = topo_rank[perm[t_lo:t_hi]]
+                        later = order[:, None] > order[None, :]
+                        final_block = np.where(later, block, block.T)
+                        np.fill_diagonal(final_block, 1.0)
+                        store.write_block(level, final_block)
+
+                final = _fold_sinks_correlated(
+                    mean[sink_rows], var[sink_rows], store.pair_matrix(sink_rows)
+                )
+            finally:
+                if shared:
+                    # Order matters for hygiene: drop this process's cached
+                    # attachments (built by degradation slots, if any) before
+                    # destroying the state segment, then drop the registry
+                    # reference on the schedule segment (kept warm for the
+                    # next estimate over the same DAG unless the registry's
+                    # budget evicts it).
+                    detach_segment(state.name)
+                    detach_segment(spec.static[0])
+                    state.destroy()
+                    REGISTRY.release(static_key)
 
         details = {
             "makespan_variance": final.variance,

@@ -82,7 +82,8 @@ operations are additionally split into row-chunk partitions executed on
 the shared :class:`~repro.exec.ParallelService`: each chunk's rows are
 computed independently (the batched operations are row-wise; padding
 differences only append exact zeros), so the chunking is a throughput
-knob inside the same differential envelope.
+knob inside the same differential envelope.  Each estimate opens its own
+service in a ``with`` block, so its thread pool ends with the estimate.
 """
 
 from __future__ import annotations
@@ -269,7 +270,6 @@ class DodinEstimator(MakespanEstimator):
         exec_retries: Optional[int] = None,
         exec_timeout: Optional[float] = None,
         exec_on_failure: Optional[str] = None,
-        service_pool=None,
         validate: bool = True,
     ) -> None:
         super().__init__(validate=validate)
@@ -285,31 +285,6 @@ class DodinEstimator(MakespanEstimator):
         self.exec_retries = exec_retries
         self.exec_timeout = exec_timeout
         self.exec_on_failure = exec_on_failure
-        #: Optional lease/restore pool of ParallelService instances (the
-        #: estimation server's warm-pool seam); ``None`` keeps the
-        #: construct-per-estimate behaviour.  Results are identical.
-        self.service_pool = service_pool
-
-    def _acquire_service(self) -> ParallelService:
-        if self.service_pool is not None:
-            return self.service_pool.lease(
-                workers=self.workers,
-                retries=self.exec_retries,
-                timeout=self.exec_timeout,
-                on_failure=self.exec_on_failure,
-            )
-        return ParallelService(
-            workers=self.workers,
-            retries=self.exec_retries,
-            timeout=self.exec_timeout,
-            on_failure=self.exec_on_failure,
-        )
-
-    def _release_service(self, service: ParallelService) -> None:
-        if self.service_pool is not None:
-            self.service_pool.restore(service)
-        else:
-            service.close()
 
     # ------------------------------------------------------------------
     def _build_network(
@@ -564,12 +539,15 @@ class DodinEstimator(MakespanEstimator):
         cap = self.max_duplications
         if cap is None:
             cap = 50 * (graph.num_tasks + graph.num_edges + 10)
-        service = self._acquire_service()
-
         duplications = 0
         rounds = 0
         join_rounds = 0
-        try:
+        with ParallelService(
+            workers=self.workers,
+            retries=self.exec_retries,
+            timeout=self.exec_timeout,
+            on_failure=self.exec_on_failure,
+        ) as service:
             while True:
                 # Exhaust series reductions in rounds of independent arc
                 # groups (the induced parallel merges happen at the end of
@@ -597,8 +575,6 @@ class DodinEstimator(MakespanEstimator):
                         "another estimator"
                     )
                 join_rounds += 1
-        finally:
-            self._release_service(service)
 
         final_law = network.succ[source].get(sink)
         if final_law is None:

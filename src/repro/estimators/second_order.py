@@ -58,7 +58,9 @@ bit-identical at **any** worker count and backend.  Every backend runs the
 same chunk function, :func:`_sweep_pair_chunk`; the backend only decides
 where a slot's inputs live — local arrays in-process, zero-copy segment
 views (the schedules from the registry; the row list, ``L({i})``, ``r``
-and the weights from a fresh segment) in ``processes`` workers.
+and the weights from a fresh segment) in ``processes`` workers.  Each
+estimate opens its own service in a ``with`` block, so its worker pools
+end with the estimate.
 """
 
 from __future__ import annotations
@@ -283,7 +285,6 @@ class SecondOrderEstimator(MakespanEstimator):
         exec_retries: Optional[int] = None,
         exec_timeout: Optional[float] = None,
         exec_on_failure: Optional[str] = None,
-        service_pool=None,
         validate: bool = True,
     ) -> None:
         super().__init__(validate=validate)
@@ -300,33 +301,6 @@ class SecondOrderEstimator(MakespanEstimator):
         self.exec_retries = exec_retries
         self.exec_timeout = exec_timeout
         self.exec_on_failure = exec_on_failure
-        #: Optional lease/restore pool of ParallelService instances (the
-        #: estimation server's warm-pool seam); ``None`` keeps the
-        #: construct-per-estimate behaviour.  Results are identical.
-        self.service_pool = service_pool
-
-    def _acquire_service(self) -> ParallelService:
-        if self.service_pool is not None:
-            return self.service_pool.lease(
-                workers=self.workers,
-                backend=self.exec_backend,
-                retries=self.exec_retries,
-                timeout=self.exec_timeout,
-                on_failure=self.exec_on_failure,
-            )
-        return ParallelService(
-            workers=self.workers,
-            backend=self.exec_backend,
-            retries=self.exec_retries,
-            timeout=self.exec_timeout,
-            on_failure=self.exec_on_failure,
-        )
-
-    def _release_service(self, service: ParallelService) -> None:
-        if self.service_pool is not None:
-            self.service_pool.restore(service)
-        else:
-            service.close()
 
     def _sweep_rows(self, index, vectors: Dict[str, np.ndarray]):
         """Run the chunks of ``vectors["rows"]`` on the service: the
@@ -336,20 +310,15 @@ class SecondOrderEstimator(MakespanEstimator):
             (start, min(start + _PAIR_CHUNK, rows.size))
             for start in range(0, rows.size, _PAIR_CHUNK)
         ]
-        service = self._acquire_service()
-        shared = service.backend == "processes"
-        if shared:
-            up_key, up_seg = publish_schedule(index, "up")
-            down_key, down_seg = publish_schedule(index, "down")
-            vec_seg = SharedSegment.create(vectors)
-            slot_kwargs = {
-                "slot_factory": _PairSweepSpec(
-                    up=up_seg.handle, down=down_seg.handle, vectors=vec_seg.handle
-                )
-            }
-        else:
-            slot_kwargs = {
-                "slots": [
+        with ParallelService(
+            workers=self.workers,
+            backend=self.exec_backend,
+            retries=self.exec_retries,
+            timeout=self.exec_timeout,
+            on_failure=self.exec_on_failure,
+        ) as service:
+            if service.backend != "processes":
+                slots = [
                     _PairChunkSlot(
                         WavefrontKernel(index, direction="up", dtype=np.float64),
                         WavefrontKernel(index, direction="down", dtype=np.float64),
@@ -357,18 +326,23 @@ class SecondOrderEstimator(MakespanEstimator):
                     )
                     for _ in range(min(self.workers, len(chunks)))
                 ]
-            }
-        try:
-            partials = service.run(_sweep_pair_chunk, chunks, **slot_kwargs)
-        finally:
-            self._release_service(service)
-            if shared:
+                partials = service.run(_sweep_pair_chunk, chunks, slots=slots)
+                return partials, service.report.as_dict()
+            up_key, up_seg = publish_schedule(index, "up")
+            down_key, down_seg = publish_schedule(index, "down")
+            vec_seg = SharedSegment.create(vectors)
+            spec = _PairSweepSpec(
+                up=up_seg.handle, down=down_seg.handle, vectors=vec_seg.handle
+            )
+            try:
+                partials = service.run(_sweep_pair_chunk, chunks, slot_factory=spec)
+            finally:
                 for name in (vec_seg.name, up_seg.name, down_seg.name):
                     detach_segment(name)
                 vec_seg.destroy()
                 REGISTRY.release(up_key)
                 REGISTRY.release(down_key)
-        return partials, service.report.as_dict()
+            return partials, service.report.as_dict()
 
     def _estimate(self, graph: TaskGraph, model: ErrorModel) -> EstimateResult:
         index = graph.index()

@@ -437,6 +437,10 @@ class _Outcome:
 class ParallelService:
     """Executes index-ordered work partitions on a pluggable backend.
 
+    Clients run one service per estimate or Monte Carlo run as a context
+    manager: leaving the ``with`` block closes its worker pools, whether
+    the block returns or raises.
+
     Parameters
     ----------
     workers:
@@ -480,15 +484,15 @@ class ParallelService:
         #: Lazily created, reused across run() calls: clients like the
         #: correlated level sweep call run() twice per level, and spawning
         #: and joining a fresh pool each time is pure overhead on the hot
-        #: path.  Threads idle between calls; the pool dies with the
-        #: service (executor finalizer).
+        #: path.  Threads idle between calls until :meth:`close`.
         self._thread_pool: Optional[ThreadPoolExecutor] = None
         #: The process pool is cached the same way, keyed by the slot
         #: factory that initialised its workers: the shared-memory clients
         #: call run() hundreds of times per estimate against one factory,
         #: and worker slots (attached segments, kernels) survive between
         #: calls.  Rebuilt on worker loss / preemption, dropped by
-        #: :meth:`close` and by a finalizer when the service is collected.
+        #: :meth:`close`, and by a finalizer as a safety net when an
+        #: unclosed service is collected.
         self._process_pool: Optional[ProcessPoolExecutor] = None
         self._process_pool_factory: Optional[Callable[[], object]] = None
         self._process_pool_workers = 0
@@ -545,13 +549,18 @@ class ParallelService:
     def close(self) -> None:
         """Release the cached worker pools (idempotent).
 
-        Estimators call this when an estimate finishes; a service is
-        usable again afterwards (pools are rebuilt on demand).
+        A service is usable again afterwards (pools are rebuilt on demand).
         """
         self._discard_process_pool()
         if self._thread_pool is not None:
             self._thread_pool.shutdown(wait=False, cancel_futures=True)
             self._thread_pool = None
+
+    def __enter__(self) -> "ParallelService":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     def run(

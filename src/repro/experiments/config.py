@@ -37,7 +37,6 @@ __all__ = [
     "execution_timeout",
     "execution_on_failure",
     "execution_backend",
-    "execution_options",
     "service_cache_bytes",
     "service_workers",
     "EXEC_ON_FAILURE",
@@ -113,23 +112,6 @@ service_workers = _environment_first("SERVICE_WORKERS")
 def _set_options(values: Iterable[Tuple[Knob, object]]) -> Dict[str, object]:
     """Constructor kwargs of the resolved settings that are set."""
     return {knob.kwarg: value for knob, value in values if value is not None}
-
-
-def execution_options(
-    retries: Optional[int] = None,
-    timeout: Optional[float] = None,
-    on_failure: Optional[str] = None,
-) -> Dict[str, object]:
-    """Estimator kwargs of the set execution settings (environment wins).
-
-    Unset settings are left out, so estimators keep their own defaults —
-    and the service's ``REPRO_EXEC_*`` resolution — for them.
-    """
-    names = ("EXEC_RETRIES", "EXEC_TIMEOUT", "EXEC_ON_FAILURE")
-    values = (retries, timeout, on_failure)
-    return _set_options(
-        (KNOBS[name], resolve(name, fallback=value)) for name, value in zip(names, values)
-    )
 
 
 def _setting(name: str) -> property:

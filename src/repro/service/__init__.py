@@ -4,7 +4,8 @@ One process answers many estimation requests (DAG + estimator + knobs)
 over a JSON-lines socket protocol, amortising everything per-DAG behind a
 content-addressed :class:`~repro.service.cache.ScheduleCache`: graph
 construction, level-schedule compilation, shared-memory segment
-publication and warm :class:`~repro.exec.ParallelService` worker pools.
+publication.  Worker pools are not amortised: each estimate runs on its
+own :class:`~repro.exec.ParallelService` and closes it when it returns.
 Responses are bit-identical to single-shot
 :func:`repro.estimate_expected_makespan` runs.
 
@@ -15,7 +16,7 @@ Responses are bit-identical to single-shot
 ...                                 methods=["first-order"])
 """
 
-from .cache import CacheEntry, ScheduleCache, ServicePool, build_entry, request_key
+from .cache import CacheEntry, ScheduleCache, build_entry, request_key
 from .protocol import (
     DEFAULT_HOST,
     DEFAULT_PORT,
@@ -34,7 +35,6 @@ __all__ = [
     "EstimationServer",
     "ScheduleCache",
     "ServiceClient",
-    "ServicePool",
     "build_entry",
     "decode_message",
     "encode_message",

@@ -1,4 +1,4 @@
-"""Content-addressed schedule cache and pooled execution services.
+"""Content-addressed schedule cache of the estimation server.
 
 The estimation server answers many requests over few distinct DAGs, so
 everything per-DAG and expensive is cached behind one content hash of the
@@ -11,10 +11,10 @@ graph (CSR structure + weights, :func:`request_key`):
   content-addressed :data:`~repro.exec.shm.REGISTRY` through
   :func:`~repro.exec.shm.publish_schedule`, as the Monte Carlo processes
   backend and the correlated / second-order estimators publish it — their
-  publications become registry hits against the cache's warm segment;
-* a :class:`ServicePool` of reusable
-  :class:`~repro.exec.ParallelService` instances, so repeated requests
-  re-use warm worker pools instead of spawning fresh ones.
+  publications become registry hits against the cache's warm segment.
+
+Worker pools are not cached: every estimate runs on its own
+:class:`~repro.exec.ParallelService` and closes it when it returns.
 
 :class:`ScheduleCache` is a :class:`~repro.exec.shm.PinnedLRU`, the
 protocol the segment registry uses too: concurrent requests for the same
@@ -27,14 +27,11 @@ pinned and never evicted).
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from ..core.graph import TaskGraph
 from ..core.kernels import LevelSchedule, schedule_for
-from ..exec.report import ExecutionReport
-from ..exec.service import ParallelService
 from ..exec.shm import (
     REGISTRY,
     PinnedLRU,
@@ -46,7 +43,6 @@ from ..exec.shm import (
 __all__ = [
     "CacheEntry",
     "ScheduleCache",
-    "ServicePool",
     "build_entry",
     "request_key",
 ]
@@ -72,77 +68,6 @@ def request_key(graph: TaskGraph) -> str:
     )
 
 
-class ServicePool:
-    """Reusable :class:`ParallelService` instances, keyed by their knobs.
-
-    ``lease`` hands out an idle service with the requested knob tuple
-    (building one on first use); ``restore`` returns it with its worker
-    pools still warm, so the next estimate over the same DAG skips pool
-    spin-up.  A leased service gets a fresh
-    :class:`~repro.exec.report.ExecutionReport` so per-estimate telemetry
-    keeps its meaning (reports otherwise accumulate over the service
-    lifetime).
-    """
-
-    def __init__(self) -> None:
-        self._idle: Dict[tuple, List[ParallelService]] = {}
-        self._keys: Dict[int, tuple] = {}
-        self._lock = threading.Lock()
-        self.created = 0
-        self.leases = 0
-
-    def lease(
-        self,
-        *,
-        workers: int = 1,
-        backend: Optional[str] = None,
-        retries: Optional[int] = None,
-        timeout: Optional[float] = None,
-        on_failure: Optional[str] = None,
-    ) -> ParallelService:
-        key = (workers, backend, retries, timeout, on_failure)
-        with self._lock:
-            self.leases += 1
-            stack = self._idle.get(key)
-            service = stack.pop() if stack else None
-            if service is None:
-                self.created += 1
-        if service is None:
-            service = ParallelService(
-                workers=workers,
-                backend=backend,
-                retries=retries,
-                timeout=timeout,
-                on_failure=on_failure,
-            )
-        with self._lock:
-            self._keys[id(service)] = key
-        service.report = ExecutionReport(
-            backend=service.backend, workers=service.workers
-        )
-        return service
-
-    def restore(self, service: ParallelService) -> None:
-        """Return a leased service to the pool, worker pools kept warm."""
-        with self._lock:
-            key = self._keys.pop(id(service), None)
-            if key is not None:
-                self._idle.setdefault(key, []).append(service)
-        if key is None:
-            # Not one of ours (or the pool was cleared meanwhile): the
-            # caller's close() semantics apply.
-            service.close()
-
-    def close_all(self) -> None:
-        """Close every idle pooled service (leased ones close on restore)."""
-        with self._lock:
-            services = [s for stack in self._idle.values() for s in stack]
-            self._idle.clear()
-            self._keys.clear()
-        for service in services:
-            service.close()
-
-
 @dataclass
 class CacheEntry:
     """Everything the server caches per distinct DAG."""
@@ -152,11 +77,9 @@ class CacheEntry:
     schedule: LevelSchedule
     segment_key: str
     nbytes: int
-    pool: ServicePool = field(default_factory=ServicePool)
 
     def dispose(self, registry: SegmentRegistry) -> None:
-        """Tear the entry down: pooled services and the warm segment."""
-        self.pool.close_all()
+        """Tear the entry down: release and evict its warm segment."""
         registry.release(self.segment_key)
         # Our reference is gone; unless a concurrent estimator still holds
         # one, the segment is unlinked now instead of idling warm.

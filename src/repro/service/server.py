@@ -4,13 +4,14 @@
 :mod:`repro.service.protocol`), keys each DAG by content hash, and serves
 repeated or concurrent requests for one DAG from a shared
 :class:`~repro.service.cache.ScheduleCache` entry: the graph is built
-once, its level schedule compiled once, its shared-memory segment
-published once, and its :class:`~repro.exec.ParallelService` pool kept
-warm.  A payload memo maps repeated graph payloads (the same decoded
-values in the same key order) straight to their cache key, so exact
-repeats skip graph reconstruction too.  Estimates themselves run on a bounded thread pool
-(``REPRO_SERVICE_WORKERS``) so slow requests never stall the event loop
-accepting new connections.
+once, its level schedule compiled once and its shared-memory segment
+published once.  Parallel estimators open and close their own
+:class:`~repro.exec.ParallelService` per estimate, so no worker process
+outlives its response.  A payload memo maps repeated graph payloads (the
+same decoded values in the same key order) straight to their cache key,
+so exact repeats skip graph reconstruction too.  Estimates themselves run
+on a bounded thread pool (``REPRO_SERVICE_WORKERS``) so slow requests
+never stall the event loop accepting new connections.
 
 **Determinism contract.**  The server never changes what an estimator
 computes — it only re-uses read-only compiled state the estimator would
@@ -38,13 +39,8 @@ from typing import Any, Dict, Optional, Set
 
 from ..core.serialize import graph_from_dict
 from ..exceptions import ReproError, ServiceError
-from ..estimators.registry import canonical_name
 from ..exec.shm import REGISTRY, SegmentRegistry
-from ..experiments.config import (
-    PARALLEL_ESTIMATORS,
-    service_cache_bytes,
-    service_workers,
-)
+from ..experiments.config import service_cache_bytes, service_workers
 from ..failures.models import ExponentialErrorModel
 from .cache import CacheEntry, ScheduleCache, build_entry, request_key
 from .protocol import (
@@ -303,11 +299,9 @@ class EstimationServer:
             model = ExponentialErrorModel.for_graph(entry.graph, request.pfail)
             estimates = []
             for method in request.methods:
-                kwargs = dict(request.options.get(method, {}))
-                if canonical_name(method) in PARALLEL_ESTIMATORS:
-                    kwargs.setdefault("service_pool", entry.pool)
+                options = request.options.get(method, {})
                 result = estimate_expected_makespan(
-                    entry.graph, model, method=method, **kwargs
+                    entry.graph, model, method=method, **options
                 )
                 estimates.append(
                     {

@@ -18,7 +18,6 @@ from .engine import (
 from .executors import BACKENDS
 from .stats import (
     ConvergenceTracker,
-    P2Quantile,
     QuantileSketch,
     ReservoirSample,
     StreamingSummary,
@@ -39,7 +38,6 @@ __all__ = [
     "default_batch_size",
     "BACKENDS",
     "ConvergenceTracker",
-    "P2Quantile",
     "QuantileSketch",
     "ReservoirSample",
     "StreamingSummary",

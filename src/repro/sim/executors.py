@@ -95,15 +95,14 @@ def run_batches(engine: "MonteCarloEngine", consume: Consumer) -> None:
     """
     plan = engine._batch_plan()
     workers = engine.workers if engine.backend == "processes" else len(engine._slots)
-    service = ParallelService(
+    with ParallelService(
         workers=workers,
         backend=engine.backend,
         retries=engine.exec_retries,
         timeout=engine.exec_timeout,
         on_failure=engine.exec_on_failure,
-    )
-    engine.last_execution_report = service.report
-    try:
+    ) as service:
+        engine.last_execution_report = service.report
         if engine.backend == "processes":
             _run_processes(engine, plan, service, consume)
         else:
@@ -114,8 +113,6 @@ def run_batches(engine: "MonteCarloEngine", consume: Consumer) -> None:
                 entropy=engine.seed_entropy,
                 consume=lambda index, makespans: consume(makespans),
             )
-    finally:
-        service.close()
 
 
 def _evaluate(batch: int, slot, rng: np.random.Generator) -> np.ndarray:

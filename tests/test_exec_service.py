@@ -16,6 +16,7 @@ client partition set,
   rounds) inherit those properties end to end.
 """
 
+import contextlib
 import gc
 import multiprocessing
 import sys
@@ -338,6 +339,36 @@ class TestProcessesDeterminism:
             gc.unfreeze()
         # Workers collect again, and could fork pools of their own.
         assert states == [(True, False), (True, False)]
+
+
+class TestServiceLifecycle:
+    """``with ParallelService(...)`` closes its pools however the block ends."""
+
+    @pytest.mark.parametrize("backend", [
+        "threads",
+        pytest.param("processes", marks=pytest.mark.skipif(
+            not HAS_PROCESSES, reason="no process pools on this platform"
+        )),
+    ])
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_leaving_the_block_closes_the_pools(self, backend, raises):
+        workers = []
+        with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+            with ParallelService(workers=2, backend=backend) as service:
+                assert service.run(_transform, [1, 2, 3], entropy=0)
+                pool = service._thread_pool or service._process_pool
+                assert pool is not None
+                workers = list(getattr(pool, "_processes", {}).values())
+                if raises:
+                    raise RuntimeError("inside the block")
+        assert service._thread_pool is None
+        assert service._process_pool is None
+        assert bool(workers) == (backend == "processes")
+        # The executor's own thread may be reaping them: poll, don't join.
+        deadline = time.monotonic() + 5.0
+        while any(w.is_alive() for w in workers) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(w.is_alive() for w in workers)
 
 
 class TestServiceClients:

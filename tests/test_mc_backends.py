@@ -22,11 +22,11 @@ from repro.sim.engine import MonteCarloEngine
 from repro.sim.executors import BACKENDS, run_batches
 from repro.sim.sampler import DEFAULT_MAX_EXECUTIONS, task_failure_probabilities
 from repro.sim.stats import (
-    P2Quantile,
     QuantileSketch,
     ReservoirSample,
     StreamingSummary,
 )
+from oracles.p2_quantile import P2Quantile
 from repro.rv.empirical import RunningMoments
 from repro.workflows.registry import build_dag
 

@@ -1,23 +1,24 @@
 """Tests of the estimation service (``repro.service``).
 
-Four layers, mirroring the package:
+Three layers, mirroring the package:
 
 * **protocol** — JSON-lines framing round-trips exactly (floats included)
   and malformed requests fail with :class:`ServiceError`, not crashes;
 * **cache** — concurrent identical requests coalesce onto one entry build
   (exactly one schedule compilation), LRU eviction honours the byte
   budget, and pinned entries are never torn down mid-request;
-* **pool** — ParallelService instances are leased warm and restored, one
-  fresh report per lease;
 * **server** — end-to-end over a real socket: answers are bit-identical
   to single-shot :func:`repro.estimate_expected_makespan` runs for every
   estimator family, one compile per DAG across N concurrent clients, the
-  cache budget bounds resident segment bytes over a fresh-DAG sweep, and
+  cache budget bounds resident segment bytes over a fresh-DAG sweep,
+  parallel estimates leave no worker process behind their response, and
   request errors never kill the connection.
 """
 
 import json
+import multiprocessing
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from repro.service import (
     EstimationServer,
     ScheduleCache,
     ServiceClient,
-    ServicePool,
     build_entry,
     decode_message,
     encode_message,
@@ -143,44 +143,6 @@ class TestServiceKnobs:
         monkeypatch.setenv("REPRO_SERVICE_WORKERS", "0")
         with pytest.raises(ExperimentError, match=">= 1"):
             service_workers()
-
-
-# ----------------------------------------------------------------------
-# ServicePool
-# ----------------------------------------------------------------------
-class TestServicePool:
-    def test_lease_restore_reuses_the_instance(self):
-        pool = ServicePool()
-        try:
-            first = pool.lease(workers=2)
-            report = first.report
-            pool.restore(first)
-            again = pool.lease(workers=2)
-            assert again is first
-            assert again.report is not report  # fresh per-estimate report
-            assert pool.created == 1 and pool.leases == 2
-        finally:
-            pool.close_all()
-
-    def test_distinct_knobs_get_distinct_services(self):
-        pool = ServicePool()
-        try:
-            a = pool.lease(workers=1)
-            b = pool.lease(workers=2)
-            assert a is not b
-            pool.restore(a)
-            pool.restore(b)
-            assert pool.lease(workers=2) is b
-        finally:
-            pool.close_all()
-
-    def test_restore_after_close_all_closes_the_stray(self):
-        pool = ServicePool()
-        service = pool.lease(workers=1)
-        pool.close_all()
-        pool.restore(service)  # unknown to the pool now: closed, not enqueued
-        assert pool.lease(workers=1) is not service
-        pool.close_all()
 
 
 # ----------------------------------------------------------------------
@@ -418,26 +380,23 @@ class TestEstimationServer:
             response = decode_message(server.handle_line(b"this is not json\n"))
         assert response["ok"] is False and "malformed" in response["error"]
 
-    def test_pooled_services_are_reused_across_requests(self):
-        graph = build_dag("cholesky", 4)
+    @pytest.mark.parametrize("method", ["second-order", "normal-correlated"])
+    def test_parallel_estimates_leave_no_worker_process(self, method):
+        graph = build_dag("cholesky", 6)
+        options = {method: {"workers": 2, "exec_backend": "processes"}}
+        before = set(multiprocessing.active_children())
         with EstimationServer() as server:
             with ServiceClient(port=server.port) as client:
-                for _ in range(3):
-                    client.estimate(
-                        graph,
-                        methods=["dodin"],
-                        options={"dodin": {"workers": 2}},
-                    )
-                key = request_key(graph)
-                assert server.cache.contains(key)
-                entry, _ = server.cache.get_or_build(
-                    key, lambda: pytest.fail("expected a cache hit")
-                )
-                try:
-                    assert entry.pool.created == 1
-                    assert entry.pool.leases == 3
-                finally:
-                    server.cache.release(entry.key)
+                response = client.estimate(graph, methods=[method], options=options)
+                assert response["ok"]
+                # Still serving: only the estimate may have owned workers.
+                deadline = time.monotonic() + 5.0
+                while (
+                    set(multiprocessing.active_children()) - before
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.02)
+                assert set(multiprocessing.active_children()) - before == set()
 
     def test_stop_is_idempotent_and_releases_the_port(self):
         server = EstimationServer()

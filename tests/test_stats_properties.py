@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.rv.empirical import RunningMoments
-from repro.sim.stats import P2Quantile, QuantileSketch, ReservoirSample, StreamingSummary
+from repro.sim.stats import QuantileSketch, ReservoirSample, StreamingSummary
+from oracles.p2_quantile import P2Quantile
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False

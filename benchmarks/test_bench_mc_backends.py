@@ -14,6 +14,11 @@ Regression guard (asserted on DAGs with >= 2,600 tasks, i.e. k = 24):
   speedup is physically impossible otherwise; the entry records the CPU
   count so the rate report can tell the cases apart).
 
+At k = 24 one more ``processes-x2`` row times the end-to-end benchmark's
+Monte Carlo shape — 10,000 trials, the default batch, 2 workers, the
+speedup taken over serial at that same shape — where pool and worker
+start-up weigh most.  It is tracked only (``guard_min`` is ``null``).
+
 The measurements are archived (appended) to
 ``benchmarks/results/kernel_rates.json`` with ``benchmark = "mc_backends"``
 and an explicit ``guard_min`` per entry (``null`` when the guard did not
@@ -44,6 +49,10 @@ THREAD_WORKERS = 4
 PROCESS_WORKERS = 8
 BATCH_SIZE = 2_048
 PFAIL = 1e-2
+#: The end-to-end benchmark's Monte Carlo shape (default batch size).
+E2E_K = 24
+E2E_TRIALS = 10_000
+E2E_WORKERS = 2
 
 
 def mc_trials() -> int:
@@ -67,6 +76,28 @@ def _entry(method, k, n, trials, serial_time, time, workers, cpus, guard_min, **
     }
     record.update(extra)
     return record
+
+
+def _e2e_processes_entry(graph, model, cpus):
+    """The unguarded ``processes-x2`` row at the end-to-end shape."""
+
+    def run(**kwargs):
+        MonteCarloEngine(graph, model, trials=E2E_TRIALS, seed=1, **kwargs).run()
+
+    serial_time = best_time(lambda: run(backend="serial"), repeats=3)
+    process_time = best_time(
+        lambda: run(backend="processes", workers=E2E_WORKERS), repeats=3
+    )
+    print(
+        f"  processes x{E2E_WORKERS} k={E2E_K:3d} ({graph.num_tasks:5d} tasks, "
+        f"{E2E_TRIALS} trials): {process_time * 1e3:8.1f} ms  "
+        f"({E2E_TRIALS / process_time:9.0f} trials/s, "
+        f"{serial_time / process_time:5.2f}x vs serial)"
+    )
+    return _entry(
+        f"processes-x{E2E_WORKERS}", E2E_K, graph.num_tasks, E2E_TRIALS,
+        serial_time, process_time, E2E_WORKERS, cpus, None,
+    )
 
 
 def test_mc_backend_throughput():
@@ -135,6 +166,9 @@ def test_mc_backend_throughput():
             f"{process_time * 1e3:8.1f} ms  ({serial_time / process_time:5.2f}x, "
             f"{cpus} cpus)"
         )
+
+        if k == E2E_K:
+            entries.append(_e2e_processes_entry(graph, model, cpus))
 
         # Determinism spot-check: the parallel backends must agree exactly.
         thread_mean = engine(backend="threads", workers=2).run().mean

@@ -127,7 +127,6 @@ __all__ = [
     "schedule_from_arrays",
     "schedule_compilations",
     "sweep_lengths",
-    "seed_schedule_cache",
     "clark_max_moments_batched",
     "propagate_moments",
 ]
@@ -415,19 +414,6 @@ def _schedule_for(index: GraphIndex, direction: str) -> LevelSchedule:
             )
         cache[key] = schedule
     return schedule
-
-
-def seed_schedule_cache(
-    graph: Union[TaskGraph, GraphIndex], direction: str, schedule: LevelSchedule
-) -> None:
-    """Pre-seed a graph index's schedule cache with an existing schedule.
-
-    Worker processes that attached a shared schedule segment use this to
-    make every subsequent :class:`WavefrontKernel` / :func:`schedule_for`
-    call hit the cache instead of recompiling from the CSR arrays.
-    """
-    _check_direction(direction)
-    _index_cache(_as_index(graph))[("schedule", direction)] = schedule
 
 
 def schedule_flat_groups(

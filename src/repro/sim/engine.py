@@ -77,6 +77,7 @@ import numpy as np
 from ..core.backends import get_kernel, resolve_kernel_backend
 from ..core.graph import GraphIndex, TaskGraph
 from ..core.kernels import (
+    LevelSchedule,
     WavefrontKernel,
     normalize_dtype,
     schedule_for,
@@ -208,10 +209,14 @@ class _SamplingPlan:
 
     Slots hold this instead of the engine itself, so no slot points back
     at its engine and a dropped engine (with its kernel buffers) is freed
-    by reference counting, without waiting for the cyclic collector.
+    by reference counting, without waiting for the cyclic collector.  It
+    holds no graph and no error model: the processes backend ships it
+    to its workers with ``schedule=None`` and the schedule segment's
+    handle alongside (see :mod:`repro.sim.executors`).
     """
 
-    index: GraphIndex
+    #: The compiled "up" schedule the slot's kernel sweeps.
+    schedule: Optional[LevelSchedule]
     mode: str
     dtype: np.dtype
     kernel_backend: str
@@ -219,8 +224,6 @@ class _SamplingPlan:
     capacity: int
     #: Per-task failure probabilities (task order).
     q: np.ndarray
-    #: Task index -> kernel buffer row.
-    rank: np.ndarray
     #: Kernel buffer rows of the sinks (a slice when contiguous).
     sinks: Union[slice, np.ndarray]
     #: Two-state mode: stored weight of a succeeded / re-executed task.
@@ -237,19 +240,20 @@ class _BatchWorker:
     The engine owns one instance per in-process worker; each instance is
     only ever used by a single thread at a time, which satisfies the
     wavefront kernel's non-reentrancy contract while the compiled schedule
-    stays shared through the index cache.  The slot owns no RNG state:
+    stays shared.  Worker processes build theirs the same way, over a
+    schedule attached from shared memory.  The slot owns no RNG state:
     every :meth:`evaluate` call receives its batch's stream.
     """
 
     def __init__(self, plan: _SamplingPlan) -> None:
         self.plan = plan
-        self.kernel = WavefrontKernel(
-            plan.index,
+        self.kernel = WavefrontKernel.from_schedule(
+            plan.schedule,
             direction="up",
             dtype=plan.dtype,
             kernel_backend=plan.kernel_backend,
         )
-        n = plan.index.num_tasks
+        n = plan.schedule.num_tasks
         #: Compiled per-tile two-state fill (``None`` = the NumPy scatter).
         self._fill = None
         #: Trial-major uniform variates of one tile (two-state mode).
@@ -266,7 +270,7 @@ class _BatchWorker:
     def evaluate(self, batch: int, rng: np.random.Generator) -> np.ndarray:
         """Sample one batch from ``rng`` in place and return its makespans."""
         plan = self.plan
-        n = plan.index.num_tasks
+        n = plan.schedule.num_tasks
         if n == 0:
             return np.zeros(batch, dtype=np.float64)
         kernel = self.kernel
@@ -319,7 +323,7 @@ class _BatchWorker:
                 self._fill = None
                 view[:, t0:] = plan.ok[:, None]
         trial, task = np.divmod(np.flatnonzero(uniform < plan.q), uniform.shape[1])
-        rows = plan.rank[task]
+        rows = self.kernel.rank[task]
         view[rows, t0 + trial] = plan.fail[rows]
 
 
@@ -491,8 +495,6 @@ class MonteCarloEngine:
         weights = self.index.weights
         # Per-task failure probabilities, computed and validated once.
         q = task_failure_probabilities(model, weights)
-        capacity = min(self.batch_size, self.trials)
-        self._capacity = capacity
         # Per-task data in the kernel's (permuted) row order.
         schedule = schedule_for(self.index, "up")
         perm = schedule.perm
@@ -521,14 +523,14 @@ class MonteCarloEngine:
                     "some task never succeeds; geometric sampling diverges"
                 )
             per_mode = dict(w_rows=w[:, None], success=success)
-        plan = _SamplingPlan(
-            index=self.index,
+        #: What every evaluation slot, in-process or in a worker, samples from.
+        self._plan = _SamplingPlan(
+            schedule=schedule,
             mode=mode,
             dtype=self.dtype,
             kernel_backend=self.kernel_backend,
-            capacity=capacity,
+            capacity=min(self.batch_size, self.trials),
             q=q,
-            rank=schedule.rank,
             sinks=sink_rows,
             **per_mode,
         )
@@ -543,7 +545,7 @@ class MonteCarloEngine:
         slots = 0 if self.backend == "processes" else min(
             self.workers, len(self._batch_plan())
         )
-        self._slots = [_BatchWorker(plan) for _ in range(slots)]
+        self._slots = [_BatchWorker(self._plan) for _ in range(slots)]
 
     @property
     def _kernel(self) -> Optional[WavefrontKernel]:

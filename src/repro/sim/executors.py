@@ -24,12 +24,13 @@ backends:
 
 ``processes``
     The service's process pool, sidestepping the GIL entirely: every
-    worker process builds its kernel once (from a compact, cache-free
-    graph payload plus the parent's level schedule, attached from the
-    :data:`~repro.exec.shm.REGISTRY`) and writes batch makespans straight
+    worker process builds one evaluation slot from the engine's sampling
+    plan (the per-task vectors the parent already computed) over the
+    parent's level schedule, attached from the
+    :data:`~repro.exec.shm.REGISTRY`, and writes batch makespans straight
     into a :class:`~repro.exec.shm.SharedSegment` result buffer — no
-    pickling of sample arrays on the hot path.  The error model must be
-    picklable.
+    pickling of sample arrays on the hot path.  Neither the graph nor the
+    error model crosses to the workers.
 
 Determinism contract
 --------------------
@@ -55,7 +56,7 @@ contract to slot in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, TYPE_CHECKING
 
 import numpy as np
@@ -72,7 +73,7 @@ from ..exec.shm import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from .engine import MonteCarloEngine
+    from .engine import MonteCarloEngine, _SamplingPlan
 
 __all__ = ["BACKENDS", "run_batches"]
 
@@ -125,28 +126,21 @@ def _evaluate(batch: int, slot, rng: np.random.Generator) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ProcessSpec:
-    """Everything a worker process needs to rebuild the evaluation state.
+    """Everything a worker process needs to build its evaluation slot.
 
-    The graph travels as its compact :func:`repro.core.serialize.graph_to_dict`
-    payload (plain dicts — no index caches, no kernel buffers), the error
-    model is pickled directly, and the two shared-memory segments — the
-    parent's compiled level schedule and the result buffer — by handle.
+    The engine's sampling plan with its schedule left out (mode, dtype,
+    batch capacity, the parent's *resolved* kernel backend — so a fleet
+    of processes runs the same fused or reference kernels whatever their
+    environments — and the small per-task vectors), plus the handles of
+    the two shared-memory segments: the parent's compiled level schedule
+    and the result buffer.  No graph and no error model travel.
     """
 
-    graph_payload: dict
-    model: object
-    mode: str
-    reexecution_factor: float
-    dtype: str
-    capacity: int
+    plan: "_SamplingPlan"
     schedule: SegmentHandle
     out: SegmentHandle
-    #: Compiled-kernel backend the workers must resolve — the parent's
-    #: resolved choice, so a fleet of processes runs the same fused (or
-    #: reference) kernels regardless of per-process environments.
-    kernel_backend: str = "numpy"
 
     def __call__(self) -> "_ProcessWorkerState":
         """Build one worker process's slot (the service's slot factory)."""
@@ -154,48 +148,32 @@ class _ProcessSpec:
 
 
 class _ProcessWorkerState:
-    """Per-process slot: a single-slot engine plus the shared result buffer.
+    """Per-process slot: one evaluation slot plus the shared result buffer.
 
-    Both are set up once per worker (pool initializer): the engine's kernel
-    is built from the attached schedule, and the result buffer is attached
-    and mapped once — batch evaluations then write into the cached view
-    with no per-batch attach syscalls.  The mapping lives until the worker
-    process exits.
+    Both are set up once per worker (pool initializer): the slot's kernel
+    sweeps the attached schedule, so nothing is rebuilt or recompiled, and
+    the result buffer is attached and mapped once — batch evaluations then
+    write into the cached view with no per-batch attach syscalls.  The
+    mappings live until the worker process exits.
     """
 
     def __init__(self, spec: _ProcessSpec) -> None:
-        from ..core.kernels import seed_schedule_cache
-        from ..core.serialize import graph_from_dict
-        from .engine import MonteCarloEngine
+        from .engine import _BatchWorker
 
-        graph = graph_from_dict(spec.graph_payload)
-        # Pre-seed the index cache with the attached schedule, so the engine
-        # below builds its wavefront kernel without recompiling it from the
-        # CSR arrays (the expensive part of worker start-up).
-        seed_schedule_cache(graph.index(), "up", attach_schedule(spec.schedule))
-        # A one-slot serial engine: the kernel buffer (full batch capacity)
-        # and the sampling tile are allocated once.
-        self.engine = MonteCarloEngine(
-            graph,
-            spec.model,
-            trials=spec.capacity,
-            batch_size=spec.capacity,
-            mode=spec.mode,
-            reexecution_factor=spec.reexecution_factor,
-            dtype=spec.dtype,
-            backend="serial",
-            kernel_backend=spec.kernel_backend,
+        self.slot = _BatchWorker(
+            replace(spec.plan, schedule=attach_schedule(spec.schedule))
         )
-        self._out_name = spec.out[0]
+        self._attached = (spec.schedule[0], spec.out[0])
         self.out = attach_segment(*spec.out).arrays["makespans"]
 
     def close(self) -> None:
-        """Release the result-buffer mapping (never unlinks: the parent owns
-        the segment).  Called by the service for parent-side slots it built
-        through the factory (the degradation path); worker-process slots
-        release their mapping when the process exits."""
-        self.out = None
-        detach_segment(self._out_name)
+        """Release the schedule and result-buffer mappings (never unlinks:
+        the parent owns the segments).  Called by the service for
+        parent-side slots it built through the factory (the degradation
+        path); worker-process slots release theirs when the process exits."""
+        self.slot = self.out = None
+        for name in self._attached:
+            detach_segment(name)
 
 
 def _process_eval_batch(item, state: _ProcessWorkerState, rng) -> int:
@@ -205,7 +183,7 @@ def _process_eval_batch(item, state: _ProcessWorkerState, rng) -> int:
     batch index — the same stream the in-process backends hand their slots.
     """
     batch, offset = item
-    makespans = state.engine._slots[0].evaluate(batch, rng)
+    makespans = state.slot.evaluate(batch, rng)
     state.out[offset : offset + batch] = makespans
     return offset
 
@@ -218,15 +196,13 @@ def _run_processes(
 ) -> None:
     """Process pool with a shared-memory result buffer.
 
-    Every worker process builds its wavefront kernel once (in the pool
-    initializer) from the published schedule segment and then evaluates
+    Every worker process builds its evaluation slot once (in the pool
+    initializer) over the published schedule segment and then evaluates
     batches of the plan, writing the resulting makespans directly into one
     shared ``float64`` buffer sized for the whole run (8 bytes/trial — 8 MB
     for a million trials).  The service folds finished batches into the
     statistics in batch-index order as they land.
     """
-    from ..core.serialize import graph_to_dict
-
     offsets: List[int] = [0]
     for batch in plan:
         offsets.append(offsets[-1] + batch)
@@ -234,21 +210,15 @@ def _run_processes(
 
     # Repeated runs over the same DAG re-use one warm schedule segment,
     # and worker start-up attaches it instead of recompiling.
-    schedule_key, schedule_segment = publish_schedule(engine.graph.index(), "up")
+    schedule_key, schedule_segment = publish_schedule(engine.index, "up")
     out = None
     try:
         out = SharedSegment.create({"makespans": np.zeros(total)})
         view = out.arrays["makespans"]
         spec = _ProcessSpec(
-            graph_payload=graph_to_dict(engine.graph),
-            model=engine.model,
-            mode=engine.mode,
-            reexecution_factor=engine.reexecution_factor,
-            dtype=engine.dtype.name,
-            capacity=engine._capacity,
+            plan=replace(engine._plan, schedule=None),
             schedule=schedule_segment.handle,
             out=out.handle,
-            kernel_backend=engine.kernel_backend,
         )
         service.run(
             _process_eval_batch,

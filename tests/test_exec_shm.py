@@ -16,25 +16,30 @@ Three layers, mirroring the module's contract:
 
 import multiprocessing
 import os
+import pickle
 import threading
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core.graph import GraphIndex, TaskGraph
 from repro.core.kernels import (
     WavefrontKernel,
     schedule_arrays,
     schedule_compilations,
     schedule_for,
     schedule_from_arrays,
-    seed_schedule_cache,
 )
 from repro.estimators.correlated import CorrelatedNormalEstimator
 from repro.estimators.second_order import SecondOrderEstimator
+from repro.exec import partition_stream
 from repro.exec.shm import (
+    _ATTACH_CACHE,
     REGISTRY,
     AttachedSegment,
     SegmentRegistry,
@@ -42,8 +47,9 @@ from repro.exec.shm import (
     attach_segment,
     content_key,
     detach_segment,
+    publish_schedule,
 )
-from repro.failures.models import ExponentialErrorModel
+from repro.failures.models import ErrorModel, ExponentialErrorModel
 from repro.service.cache import ScheduleCache, build_entry
 from repro.workflows.registry import build_dag
 
@@ -659,17 +665,12 @@ class TestScheduleSegments:
             assert (ours.start, ours.stop) == (theirs.start, theirs.stop)
             np.testing.assert_array_equal(ours.preds, theirs.preds)
 
-    def test_rebuild_and_seed_never_recompile(self):
+    def test_rebuild_never_recompiles(self):
         index = build_dag("cholesky", 5).index()
         arrays = schedule_arrays(schedule_for(index, "up"))
         before = schedule_compilations()
         rebuilt = schedule_from_arrays(arrays)
-        # A fresh index (same DAG, empty cache) seeded with the rebuilt
-        # schedule serves every downstream consumer without compiling.
-        fresh = build_dag("cholesky", 5).index()
-        seed_schedule_cache(fresh, "up", rebuilt)
-        assert schedule_for(fresh, "up") is rebuilt
-        kernel = WavefrontKernel(fresh)
+        kernel = WavefrontKernel.from_schedule(rebuilt, direction="up")
         assert kernel.schedule is rebuilt
         assert schedule_compilations() == before
 
@@ -699,40 +700,124 @@ class TestScheduleSegments:
 # ----------------------------------------------------------------------
 # MC processes backend: warm segments, zero worker rebuilds
 # ----------------------------------------------------------------------
+@contextmanager
+def _mc_worker_spec(engine):
+    """The slot spec the MC processes backend ships for ``engine``.
+
+    Built like the backend builds it (the engine's plan without its
+    schedule, the registry's schedule segment, a fresh result buffer), so
+    tests can construct worker slots in this process.  Both segments are
+    released on exit.
+    """
+    from repro.sim.executors import _ProcessSpec
+
+    key, schedule = publish_schedule(engine.index, "up")
+    out = SharedSegment.create({"makespans": np.zeros(engine.batch_size)})
+    try:
+        yield _ProcessSpec(
+            plan=replace(engine._plan, schedule=None),
+            schedule=schedule.handle,
+            out=out.handle,
+        )
+    finally:
+        detach_segment(out.name)
+        out.destroy()
+        detach_segment(schedule.name)
+        REGISTRY.release(key)
+
+
+def _mc_engine(mode="two-state", dtype="float64", **kwargs):
+    from repro.sim.engine import MonteCarloEngine
+
+    graph = build_dag("cholesky", 5)
+    model = ExponentialErrorModel.for_graph(graph, 5e-2)
+    return MonteCarloEngine(
+        graph, model, trials=600, batch_size=256, seed=9, mode=mode,
+        dtype=dtype, **kwargs,
+    )
+
+
 class TestMonteCarloWarmSegment:
     def test_worker_state_skips_schedule_compilation(self):
-        # Build the worker-process slot *in this process* from the exact
-        # spec the backend ships, and watch the compile counter: a spec
+        # Build the worker-process slot *in this process* from the spec
+        # the backend ships, and watch the compile counter: a spec
         # carrying a schedule segment must not recompile.
-        from repro.core.serialize import graph_to_dict
-        from repro.sim.executors import _ProcessSpec, _ProcessWorkerState
+        from repro.sim.executors import _ProcessWorkerState
 
-        graph = build_dag("cholesky", 4)
-        model = ExponentialErrorModel.for_graph(graph, 1e-2)
-        schedule_segment = SharedSegment.create(
-            schedule_arrays(schedule_for(graph.index(), "up"))
-        )
-        out = SharedSegment.create({"makespans": np.zeros(256)})
-        try:
+        with _mc_worker_spec(_mc_engine()) as spec:
             before = schedule_compilations()
-            warm = _ProcessWorkerState(
-                _ProcessSpec(
-                    graph_payload=graph_to_dict(graph),
-                    model=model,
-                    mode="two-state",
-                    reexecution_factor=2.0,
-                    dtype="float64",
-                    capacity=256,
-                    schedule=schedule_segment.handle,
-                    out=out.handle,
-                )
-            )
+            warm = _ProcessWorkerState(spec)
             warm.close()
             assert schedule_compilations() == before  # zero rebuilds
-        finally:
-            detach_segment(schedule_segment.name)
-            schedule_segment.destroy()
-            out.destroy()
+
+    def test_worker_state_builds_no_graph(self, monkeypatch):
+        from repro.core import serialize
+        from repro.sim.executors import _ProcessWorkerState
+
+        engine = _mc_engine()
+        with _mc_worker_spec(engine) as spec:
+
+            def boom(*args, **kwargs):
+                raise AssertionError("a worker slot rebuilt the graph")
+
+            monkeypatch.setattr(serialize, "graph_from_dict", boom)
+            monkeypatch.setattr(GraphIndex, "__init__", boom)
+            _ProcessWorkerState(spec).close()
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("mode", ["two-state", "geometric"])
+    def test_worker_slot_matches_the_serial_slot(self, mode, dtype):
+        from repro.sim.executors import _ProcessWorkerState, _process_eval_batch
+
+        engine = _mc_engine(mode, dtype)
+        with _mc_worker_spec(engine) as spec:
+            state = _ProcessWorkerState(spec)
+            try:
+                for batch, size in enumerate((256, 88)):
+                    rng = partition_stream(engine.seed_entropy, batch)
+                    expected = engine._slots[0].evaluate(size, rng)
+                    rng = partition_stream(engine.seed_entropy, batch)
+                    _process_eval_batch((size, 0), state, rng)
+                    assert np.array_equal(state.out[:size], expected)
+            finally:
+                state.close()
+
+    def test_spec_pickles_without_graph_or_model(self):
+        import io
+
+        from repro.core.kernels import LevelSchedule
+        from repro.sim.executors import _ProcessWorkerState
+
+        found = []
+
+        class Spy(pickle.Pickler):
+            def persistent_id(self, obj):
+                if isinstance(obj, (TaskGraph, GraphIndex, ErrorModel, LevelSchedule)):
+                    found.append(type(obj).__name__)
+                return None
+
+        engine = _mc_engine()
+        with _mc_worker_spec(engine) as spec:
+            Spy(io.BytesIO()).dump(spec)
+            assert found == []
+            state = _ProcessWorkerState(pickle.loads(pickle.dumps(spec)))
+            try:
+                rng = partition_stream(engine.seed_entropy, 0)
+                expected = engine._slots[0].evaluate(256, rng)
+                rng = partition_stream(engine.seed_entropy, 0)
+                assert np.array_equal(state.slot.evaluate(256, rng), expected)
+            finally:
+                state.close()
+
+    def test_close_detaches_both_segments(self):
+        from repro.sim.executors import _ProcessWorkerState
+
+        with _mc_worker_spec(_mc_engine()) as spec:
+            state = _ProcessWorkerState(spec)
+            names = {spec.schedule[0], spec.out[0]}
+            assert names <= set(_ATTACH_CACHE)
+            state.close()
+            assert not names & set(_ATTACH_CACHE)
 
     @needs_processes
     def test_repeated_runs_reuse_one_warm_segment(self):
@@ -986,7 +1071,15 @@ class TestKernelBackendProcessParity:
         # The spec pins the parent's resolution; a worker-side environment
         # variable must not change it.
         from repro.estimators.correlated import _CorrelatedFoldSpec
-        from repro.sim.executors import _ProcessSpec
+        from repro.sim.executors import _ProcessWorkerState
 
         assert _CorrelatedFoldSpec.__dataclass_fields__["kernel_backend"]
-        assert _ProcessSpec.__dataclass_fields__["kernel_backend"]
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+        with _mc_worker_spec(_mc_engine()) as spec:
+            assert spec.plan.kernel_backend == "numpy"
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
+            state = _ProcessWorkerState(spec)
+            try:
+                assert state.slot.kernel.kernel_backend == "numpy"
+            finally:
+                state.close()

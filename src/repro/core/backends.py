@@ -1,8 +1,8 @@
 """Pluggable compiled-kernel backends for the hot loops.
 
-Every performance-critical inner loop of the reproduction — the Monte
-Carlo two-state weight fill and the level recurrence
-(:mod:`repro.core.kernels` / :mod:`repro.sim.engine`), the banded
+Every performance-critical inner loop of the reproduction — the
+wavefront kernel's level recurrence (:mod:`repro.core.kernels`, the hot
+loop of :mod:`repro.sim.engine`), the banded
 correlation store's masked symmetric gathers
 (:mod:`repro.estimators.correlation`) and the Clark moment-propagation
 fold (:func:`repro.core.kernels.propagate_moments`) — bottoms out in
@@ -18,13 +18,12 @@ instead, without changing any caller-visible semantics:
 
 ``numba``
     JIT-compiled fused loops (lazy ``@njit``, compiled on first use).
-    The fused gather, the MC weight fill and the level recurrence
-    perform *exactly* the same floating-point operations in the same
-    order as the NumPy reference, so they are bit-identical.  The JIT
-    Clark fold uses ``math.erfc`` where the batched reference uses
-    ``scipy.special.erfc`` and therefore matches to ulp-level rounding
-    (≤ 1e-9 in the differential tests), exactly like the scalar
-    reference it mirrors.
+    The fused gather and the level recurrence perform *exactly* the same
+    floating-point operations in the same order as the NumPy reference,
+    so they are bit-identical.  The JIT Clark fold uses ``math.erfc``
+    where the batched reference uses ``scipy.special.erfc`` and therefore
+    matches to ulp-level rounding (≤ 1e-9 in the differential tests),
+    exactly like the scalar reference it mirrors.
 
 Selection precedence (the rule of every setting, see :mod:`repro.options`)::
 
@@ -70,7 +69,7 @@ KERNEL_BACKENDS = KNOBS["KERNEL_BACKEND"].choices
 DEFAULT_KERNEL_BACKEND = "numpy"
 
 #: Operations a backend may serve (callers fall back per function).
-KERNEL_OPS = ("band_gather", "propagate", "mc_two_state", "moment_fold")
+KERNEL_OPS = ("band_gather", "propagate", "moment_fold")
 
 #: ``(backend, op)`` pairs already warned about falling back to NumPy.
 _WARNED_FALLBACKS: set = set()
@@ -213,15 +212,11 @@ def get_kernel(op: str, backend: Optional[str] = None) -> Optional[Callable]:
 #
 # * ``band_gather`` is pure data movement and therefore bit-identical to
 #   the chunked NumPy gather by construction.
-# * ``mc_two_state`` fills one tile of trials ``t0:t0 + len(uniform)``
-#   of the kernel buffer from the tile's trial-major uniforms.  It makes
-#   the same ``uniform < q`` comparison as the NumPy scatter and stores
-#   one of the engine's two precomputed per-row values (nominal or
-#   re-executed weight, already rounded to the buffer dtype), so it is
-#   pure selection and bit-identical by construction.  The recurrence
-#   that follows is the ``propagate`` op.
 # * ``propagate`` runs max/add in the buffer dtype, exactly like the
-#   NumPy fold's row gathers, ``np.maximum`` and ``np.add``.
+#   NumPy fold's row gathers, ``np.maximum`` and ``np.add``.  The Monte
+#   Carlo batch it sweeps is sampled by the one NumPy sampler of
+#   :mod:`repro.sim.engine` on every backend, so seeded estimates are
+#   bit-identical across kernel backends.
 # * ``moment_fold`` mirrors the scalar Clark fold; ``math.erfc`` and
 #   ``scipy.special.erfc`` agree to ulp-level rounding, hence the ≤1e-9
 #   (not bit-exact) contract for this op.
@@ -297,17 +292,6 @@ def _build_numba_ops() -> Dict[str, Callable]:
                     buffer[r, t] = buffer[r, t] + scratch[t]
 
     @njit
-    def mc_two_state(buffer, t0, uniform, perm, q, ok, fail):
-        trials = uniform.shape[0]
-        for r in range(buffer.shape[0]):
-            p = perm[r]
-            q_p = q[p]
-            lo = ok[r]
-            hi = fail[r]
-            for t in range(trials):
-                buffer[r, t0 + t] = hi if uniform[t, p] < q_p else lo
-
-    @njit
     def clark_max(mean1, var1, mean2, var2):
         a = math.sqrt(max(var1 + var2, 0.0))
         if a == 0.0:
@@ -357,6 +341,5 @@ def _build_numba_ops() -> Dict[str, Callable]:
     return {
         "band_gather": band_gather,
         "propagate": propagate,
-        "mc_two_state": mc_two_state,
         "moment_fold": moment_fold,
     }

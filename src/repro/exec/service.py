@@ -900,22 +900,26 @@ class _ServiceRun:
         Results land out of order; the parent folds them strictly in
         partition-index order as soon as the next expected partition is
         done, so the merged outcome (including the early-stop point) is
-        identical to the ``threads`` backend at any worker count.  At most
-        ``workers`` partitions are in flight (so a submit timestamp
-        approximates the start of execution), failed partitions re-enter
-        the dispatch queue until their budget is spent, worker loss
-        rebuilds the pool, and overdue partitions are preempted by
-        killing the pool when a deadline is configured.
+        identical to the ``threads`` backend at any worker count.  The
+        pool has ``workers`` processes whatever the partition count, so
+        one pool serves every run() of an estimate.  Up to ``2 * workers``
+        partitions are in flight, so each worker finds its next partition
+        queued instead of idling through the parent's result, fold and
+        submit; with a deadline configured only ``workers`` are, so that a
+        submit timestamp approximates the start of execution.  Failed
+        partitions re-enter the dispatch queue until their budget is
+        spent, worker loss rebuilds the pool, and overdue partitions are
+        preempted by killing the pool when a deadline is configured.
         """
-        remaining = len(self.items) - self.position
-        k = min(self.service.workers, remaining)
+        timeout = self.policy.timeout
+        k = self.service.workers
+        window = min(2 * k if timeout is None else k, len(self.items) - self.position)
         pool = self._make_process_pool(k)
         rebuilds = 0
         queue = deque(range(self.position, len(self.items)))
         inflight: Dict = {}  # future -> (index, attempt, submitted_at)
         finished: Dict[int, object] = {}
         errors: Dict[int, ExecutionError] = {}
-        timeout = self.policy.timeout
 
         def dispatch(index: int) -> None:
             attempt = self._charge_attempt(index)
@@ -1026,7 +1030,7 @@ class _ServiceRun:
                         return
                 if self.position >= len(self.items) or self.stopped:
                     return
-                while queue and len(inflight) < k:
+                while queue and len(inflight) < window:
                     index = queue.popleft()
                     try:
                         dispatch(index)

@@ -10,26 +10,25 @@ The engine is a *zero-copy pipeline* around the level-wavefront kernel of
 
 * the per-task failure probabilities are computed (and validated) once per
   engine, not once per batch;
-* the working buffers — the kernel's task-major ``(tasks, batch)``
-  completion buffer with its per-level gather rows, and one trial-major
-  ``(tile, tasks)`` tile of uniform variates (:data:`TILE_BYTES`, sized to
-  stay in a core's L2 cache) — are allocated once per *evaluation slot*
-  and reused by every batch;
+* the kernel's task-major ``(tasks, batch)`` completion buffer, with its
+  per-level gather rows, is allocated once per *evaluation slot* and
+  reused by every batch;
 * the default batch is sized from the task count so that the completion
   buffer stays near :data:`BATCH_BUFFER_BYTES` (see
   :func:`default_batch_size`): a batch of a few hundred trials on a
   2,600-task DAG keeps the per-level working set in cache, where a fixed
   8,192-trial batch streams a 170 MB buffer through memory every level;
-* a batch is sampled tile by tile straight into the kernel buffer.  In
-  two-state mode the batch is set to the nominal weights ``w`` once, and
-  each tile's ``(trial, task)`` failures, found with one contiguous
-  ``uniform < q`` and ``np.flatnonzero``, receive the re-executed weight
-  ``w + (f - 1) w`` by scatter: at the paper's rates a trial fails a few
-  tasks, so no ``(trials, tasks)`` mask or weight matrix is built (the
-  compiled backend's ``mc_two_state`` fills a whole tile instead).  Both
-  values are precomputed with the rounding of the dense
-  ``mask * (f - 1) w`` then ``+= w`` form, so every stored bit and the
-  batch's RNG stream are those of drawing the whole batch at once;
+* a batch is sampled straight into the kernel buffer.  In two-state mode
+  the batch is set to the nominal weights ``w`` and only its failed
+  ``(trial, task)`` cells are drawn, by geometric skips with thinning
+  over the trial-major cell grid (see :meth:`_BatchWorker._scatter_failures`):
+  at the paper's rates about one cell in a thousand fails, so the batch
+  costs a few draws per failure instead of one uniform per cell, and no
+  ``(trials, tasks)`` mask or weight matrix is built.  The failed cells
+  receive the re-executed weight ``w + (f - 1) w`` by scatter; both values
+  are precomputed with the rounding of the dense ``mask * (f - 1) w`` then
+  ``+= w`` form.  Sampling draws at most :data:`CHUNK_BYTES` of variates
+  at a time, whatever the failure rates;
 * the longest-path recurrence then runs in place on that same buffer, and
   the makespan is the maximum over the sink rows only: weights are
   non-negative, so every task completes no later than some sink below it.
@@ -68,13 +67,14 @@ mean/std/CI *and* quantiles in O(batch) additional memory with
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.backends import get_kernel, resolve_kernel_backend
+from ..core.backends import resolve_kernel_backend
 from ..core.graph import GraphIndex, TaskGraph
 from ..core.kernels import (
     LevelSchedule,
@@ -115,10 +115,11 @@ DEFAULT_BATCH = 8_192
 #: Smallest default batch, however many tasks the DAG has.
 MIN_DEFAULT_BATCH = 128
 
-#: Bytes of trial-major uniform variates sampled per tile (see
-#: :func:`_tile_trials`): small enough to stay in a core's L2 cache between
-#: the draw, the comparison and the scatter.
-TILE_BYTES = 1 << 20
+#: Bytes of variates drawn at a time while sampling a batch: the two-state
+#: sampler's candidate cells (16 bytes each) and geometric mode's
+#: trial-major execution counts, so a batch's sampling memory is bounded
+#: whatever the failure rates.
+CHUNK_BYTES = 1 << 20
 #: Target size of the kernel's ``(tasks, batch)`` completion buffer at the
 #: default batch size, counted at 8 bytes per value whatever the dtype.
 BATCH_BUFFER_BYTES = 8 << 20
@@ -198,11 +199,6 @@ def default_batch_size(trials: int, num_tasks: int) -> int:
     return min(trials, DEFAULT_BATCH, max(MIN_DEFAULT_BATCH, fit))
 
 
-def _tile_trials(capacity: int, num_tasks: int) -> int:
-    """Trials per sampling tile: :data:`TILE_BYTES` of float64 uniforms."""
-    return max(1, min(capacity, TILE_BYTES // (8 * num_tasks)))
-
-
 @dataclass(frozen=True, eq=False)
 class _SamplingPlan:
     """What an evaluation slot needs of its engine: the per-task data.
@@ -222,10 +218,13 @@ class _SamplingPlan:
     kernel_backend: str
     #: Trials of the largest batch (the kernel buffer's width).
     capacity: int
-    #: Per-task failure probabilities (task order).
-    q: np.ndarray
     #: Kernel buffer rows of the sinks (a slice when contiguous).
     sinks: Union[slice, np.ndarray]
+    #: Two-state mode: the largest failure probability ``q_max`` and, per
+    #: task (task order), the thinning ratio ``q / q_max`` that accepts a
+    #: candidate cell (exactly 1 where ``q = q_max``).
+    q_max: float = 0.0
+    accept: Optional[np.ndarray] = None
     #: Two-state mode: stored weight of a succeeded / re-executed task.
     ok: Optional[np.ndarray] = None
     fail: Optional[np.ndarray] = None
@@ -253,19 +252,9 @@ class _BatchWorker:
             dtype=plan.dtype,
             kernel_backend=plan.kernel_backend,
         )
-        n = plan.schedule.num_tasks
-        #: Compiled per-tile two-state fill (``None`` = the NumPy scatter).
-        self._fill = None
-        #: Trial-major uniform variates of one tile (two-state mode).
-        self.tile = None
-        if n:
+        if plan.schedule.num_tasks:
             # Grow the kernel's buffers to their final size now.
             self.kernel.reserve(plan.capacity)
-            if plan.mode == "two-state":
-                self._fill = get_kernel("mc_two_state", plan.kernel_backend)
-                self.tile = np.empty(
-                    (_tile_trials(plan.capacity, n), n), dtype=np.float64
-                )
 
     def evaluate(self, batch: int, rng: np.random.Generator) -> np.ndarray:
         """Sample one batch from ``rng`` in place and return its makespans."""
@@ -277,54 +266,72 @@ class _BatchWorker:
         # batch <= capacity by construction; slicing the full-capacity view
         # keeps the buffer at its one-time allocation.
         view = kernel.weight_view(plan.capacity)[:, :batch]
-        if plan.mode == "two-state" and self._fill is None:
+        if plan.mode == "two-state":
             view[...] = plan.ok[:, None]
-        step = _tile_trials(plan.capacity, n)
-        # Consecutive tile draws consume the stream exactly like one
-        # trial-major (batch, tasks) draw.
-        for t0 in range(0, batch, step):
-            t1 = min(t0 + step, batch)
-            if plan.mode == "two-state":
-                uniform = self.tile[: t1 - t0]
-                rng.random(out=uniform)
-                self._fill_two_state(view, t0, uniform)
-            else:
-                # Executions until success, capped.
+            self._scatter_failures(view, batch, rng)
+        else:
+            # Executions until success, capped.  Consecutive chunk draws
+            # consume the stream exactly like one trial-major
+            # (batch, tasks) draw.
+            step = max(1, CHUNK_BYTES // (8 * n))
+            for t0 in range(0, batch, step):
+                t1 = min(t0 + step, batch)
                 draws = rng.geometric(plan.success, size=(t1 - t0, n))
                 np.minimum(draws, DEFAULT_MAX_EXECUTIONS, out=draws)
                 np.multiply(draws.T[kernel.perm], plan.w_rows, out=view[:, t0:t1])
         kernel.propagate(batch)
         return view[plan.sinks].max(axis=0)
 
-    def _fill_two_state(self, view: np.ndarray, t0: int, uniform: np.ndarray) -> None:
-        """Give the failed tasks of the tile's trials their re-executed weight.
+    def _scatter_failures(
+        self, view: np.ndarray, batch: int, rng: np.random.Generator
+    ) -> None:
+        """Give the batch's failed cells their re-executed weight.
 
-        The NumPy path scatters into a batch pre-filled with the nominal
-        weights; the compiled fill writes every entry of the tile.
+        The cells are the trial-major ``(batch, tasks)`` grid, tasks in
+        index order, flattened.  A *candidate* cell consumes two uniforms
+        ``(skip, accept)`` of the stream: it lies
+        ``1 + floor(log1p(-skip) / log1p(-q_max))`` cells — a
+        ``Geometric(q_max)`` gap — past the previous candidate (the first
+        one past cell ``-1``), and it fails when ``accept < q / q_max`` of
+        its task.  So every cell fails independently with probability
+        ``q`` of its task, exactly as with one uniform per cell, while only
+        about ``q_max`` of the cells cost a draw.  Candidates are drawn
+        :data:`CHUNK_BYTES` at a time (fewer when fewer are expected); as
+        each consumes exactly two uniforms, the failures do not depend on
+        the chunking, and draws past the grid are never read.
         """
         plan = self.plan
-        if self._fill is not None:
-            try:
-                self._fill(
-                    self.kernel._buffer,
-                    t0,
-                    uniform,
-                    self.kernel.perm,
-                    plan.q,
-                    plan.ok,
-                    plan.fail,
-                )
+        if plan.q_max <= 0.0:
+            return
+        log_keep = np.log1p(-plan.q_max) if plan.q_max < 1.0 else -np.inf
+        n = plan.schedule.num_tasks
+        cells = batch * n
+        last = -1.0  # the previous candidate's cell (exact in float64)
+        while last < cells - 1:
+            left = cells - 1 - last
+            expected = left * plan.q_max
+            size = int(
+                min(CHUNK_BYTES // 16, left, expected + 6.0 * math.sqrt(expected) + 16)
+            )
+            uniform = rng.random((size, 2))
+            cell = np.negative(uniform[:, 0])
+            np.log1p(cell, out=cell)
+            cell /= log_keep
+            np.floor(cell, out=cell)
+            # Clipped so that a huge gap stays an exact integer.
+            np.minimum(cell, cells, out=cell)
+            cell += 1.0
+            np.cumsum(cell, out=cell)
+            cell += last
+            inside = int(np.searchsorted(cell, cells))
+            index = cell[:inside].astype(np.intp)
+            task = index % n
+            failed = uniform[:inside, 1] < plan.accept[task]
+            rows = self.kernel.rank[task[failed]]
+            view[rows, index[failed] // n] = plan.fail[rows]
+            if inside < size:
                 return
-            except Exception:
-                # Graceful per-function fallback: disable the compiled
-                # fill for this slot and scatter this very tile (no
-                # variate is redrawn) into the rest of the batch, set to
-                # the nominal weights the NumPy scatter starts from.
-                self._fill = None
-                view[:, t0:] = plan.ok[:, None]
-        trial, task = np.divmod(np.flatnonzero(uniform < plan.q), uniform.shape[1])
-        rows = self.kernel.rank[task]
-        view[rows, t0 + trial] = plan.fail[rows]
+            last = cell[-1]
 
 
 class MonteCarloEngine:
@@ -340,8 +347,8 @@ class MonteCarloEngine:
         Total number of trials.
     batch_size:
         Trials evaluated per vectorised batch (memory ~ ``batch_size x
-        num_tasks`` values of the chosen dtype, plus one
-        :data:`TILE_BYTES` sampling tile, per worker).  ``None`` (default)
+        num_tasks`` values of the chosen dtype per worker, plus at most
+        :data:`CHUNK_BYTES` of variates while sampling).  ``None`` (default)
         sizes it from the task count with :func:`default_batch_size`, so
         the buffer stays near :data:`BATCH_BUFFER_BYTES` (256 trials,
         ~5 MB, on a 2,600-task DAG); an explicit size is used as given.
@@ -399,11 +406,11 @@ class MonteCarloEngine:
         batch's RNG stream, so results stay bit-identical under faults.
     kernel_backend:
         Compiled-kernel backend of the hot loops: ``"numpy"`` (the
-        reference) or ``"numba"`` (JIT two-state fill and recurrence,
-        bit-identical to the reference).  ``None`` (default) resolves
-        ``REPRO_KERNEL_BACKEND`` and falls back to ``"numpy"``; an
-        unavailable compiler degrades per function to the NumPy pipeline (see
-        :mod:`repro.core.backends`).
+        reference) or ``"numba"`` (JIT level recurrence, bit-identical to
+        the reference; every backend samples with the same NumPy code).
+        ``None`` (default) resolves ``REPRO_KERNEL_BACKEND`` and falls back
+        to ``"numpy"``; an unavailable compiler degrades per function to
+        the NumPy pipeline (see :mod:`repro.core.backends`).
     """
 
     def __init__(
@@ -515,7 +522,9 @@ class MonteCarloEngine:
             np.multiply(True, extra, out=fail)
             ok += w
             fail += w
-            per_mode = dict(ok=ok, fail=fail)
+            q_max = float(q.max(initial=0.0))
+            accept = q / q_max if q_max > 0.0 else np.zeros_like(q)
+            per_mode = dict(q_max=q_max, accept=accept, ok=ok, fail=fail)
         else:
             success = 1.0 - q
             if np.any(success <= 0.0):
@@ -530,7 +539,6 @@ class MonteCarloEngine:
             dtype=self.dtype,
             kernel_backend=self.kernel_backend,
             capacity=min(self.batch_size, self.trials),
-            q=q,
             sinks=sink_rows,
             **per_mode,
         )

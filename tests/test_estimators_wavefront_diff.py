@@ -20,6 +20,7 @@ from oracles.estimators import (
     sequential_pair_up_down,
     sequential_sweep_estimate,
 )
+from oracles.two_state_sampling import failure_mask
 from repro.core.kernels import WavefrontKernel, propagate_moments
 from repro.estimators.correlated import CorrelatedNormalEstimator
 from repro.estimators.sculli import SculliEstimator
@@ -224,10 +225,8 @@ class TestThreadedMonteCarloDeterminism:
         remaining = trials
         while remaining > 0:
             batch = min(batch_size, remaining)
-            uniform = partition_stream(entropy, len(out)).random(
-                (batch, index.num_tasks)
-            )
-            mask = uniform.T < q[:, None]
+            rng = partition_stream(entropy, len(out))
+            mask = failure_mask(rng, q, batch).T
             view = kernel.weight_view(batch)[:, :batch]
             np.multiply(mask[perm], extra_rows, out=view)
             view += w_rows

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.estimators.correlated import CorrelatedNormalEstimator
 from repro.exceptions import EstimationError
 from repro.exec import service as exec_service
 from repro.exec import (
@@ -286,6 +287,25 @@ class TestProcessesDeterminism:
             return folded
 
         assert run("processes") == run("threads")
+
+    def test_one_pool_per_estimate(self, monkeypatch):
+        # Level 1 of cholesky has one partition, fewer than the workers:
+        # sizing the pool from the partitions would fork a 1-worker pool,
+        # then replace it with a 2-worker one at the first wider level.
+        sizes = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(exec_service, "ProcessPoolExecutor", CountingPool)
+        graph = build_dag("cholesky", 6)
+        model = ExponentialErrorModel.for_graph(graph, 1e-2)
+        CorrelatedNormalEstimator(exec_backend="processes", workers=2).estimate(
+            graph, model
+        )
+        assert sizes == [2]
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

@@ -26,7 +26,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.backends as backends
-import repro.sim.engine as engine_module
 from repro.core.backends import (
     DEFAULT_KERNEL_BACKEND,
     KERNEL_BACKENDS,
@@ -290,54 +289,6 @@ class TestStubJitDifferential:
         )
         assert np.array_equal(m_ref, m_jit)
         assert np.array_equal(v_ref, v_jit)
-
-    def test_compiled_fill_failure_mid_run_reuses_the_drawn_tile(
-        self, stub_numba, monkeypatch
-    ):
-        build = backends._build_numba_ops
-        tiles = []
-
-        def flaky_ops():
-            ops = build()
-            fill = ops["mc_two_state"]
-
-            def flaky_fill(buffer, t0, *rest):
-                tiles.append(t0)
-                if len(tiles) == 2:
-                    raise RuntimeError("unsupported tile")
-                return fill(buffer, t0, *rest)
-
-            ops["mc_two_state"] = flaky_fill
-            return ops
-
-        monkeypatch.setattr(backends, "_build_numba_ops", flaky_ops)
-        # 2 kB of uniforms: 17-trial tiles on 14 tasks.
-        monkeypatch.setattr(engine_module, "TILE_BYTES", 2_000)
-        graph, model = _case(pfail=0.2)
-        kwargs = dict(trials=150, batch_size=64, seed=42, keep_samples=True)
-        ref = MonteCarloEngine(graph, model, kernel_backend="numpy", **kwargs)
-        jit = MonteCarloEngine(graph, model, kernel_backend="numba", **kwargs)
-        # Keep every batch's stream to see where each one stops.
-        streams = {ref: [], jit: []}
-        for engine, seen in streams.items():
-            slot = engine._slots[0]
-
-            def recording(batch, rng, evaluate=slot.evaluate, seen=seen):
-                seen.append(rng)
-                return evaluate(batch, rng)
-
-            slot.evaluate = recording
-        ref_result, jit_result = ref.run(), jit.run()
-        # The second tile raised; NumPy sampled it and everything after.
-        assert tiles == [0, 17]
-        assert np.array_equal(
-            ref_result.samples.samples(), jit_result.samples.samples()
-        )
-        assert ref_result.mean == jit_result.mean
-        # No variate was drawn twice: every batch's stream stops at the
-        # same place on both engines.
-        assert len(streams[jit]) == len(streams[ref]) == 3
-        assert [r.random() for r in streams[jit]] == [r.random() for r in streams[ref]]
 
     @settings(
         max_examples=12,

@@ -27,6 +27,7 @@ from repro.sim.stats import (
     StreamingSummary,
 )
 from oracles.p2_quantile import P2Quantile
+from oracles.two_state_sampling import failure_mask
 from repro.rv.empirical import RunningMoments
 from repro.workflows.registry import build_dag
 
@@ -156,10 +157,12 @@ def _dense_reference(
     graph, model, *, trials, batch_size, seed, dtype="float64",
     mode="two-state", reexecution_factor=2.0,
 ):
-    """The dense sampling pipeline the tiled sampler replaced (test oracle).
+    """The dense sampling pipeline the chunked sampler replaced (test oracle).
 
     Batch ``b`` is drawn from ``partition_stream(seed entropy, b)`` as one
-    trial-major ``(batch, tasks)`` matrix; the kernel buffer is filled from
+    trial-major ``(batch, tasks)`` failure mask (two-state, see
+    :func:`oracles.two_state_sampling.failure_mask`) or matrix of
+    executions (geometric); the kernel buffer is filled from
     its transposed failure mask as ``mask * (f - 1) w`` then ``+= w``
     (geometric: capped draws times ``w``), folded, and reduced by a
     maximum over *all* rows.  Returns the makespans in trial order.
@@ -178,7 +181,7 @@ def _dense_reference(
         rng = partition_stream(entropy, b)
         view = kernel.weight_view(batch)
         if mode == "two-state":
-            mask = rng.random((batch, n)) < q
+            mask = failure_mask(rng, q, batch)
             np.multiply(mask.T[perm], extra_rows, out=view)
             view += w_rows
         else:
@@ -204,16 +207,17 @@ class _CertainFailure(FixedProbabilityModel):
 
 
 class TestDenseReferenceIdentity:
-    """The tiled, sparse sampler stores the dense pipeline's bits."""
+    """The chunked, sparse sampler stores the dense pipeline's bits."""
 
     #: A partial last batch: 1,024 + 1,024 + 452 trials.
     KW = dict(trials=2_500, batch_size=1_024, seed=2016)
 
     @pytest.fixture(autouse=True)
-    def small_tiles(self, monkeypatch):
-        # 100 kB of uniforms is 223 trials on cholesky k=6 (56 tasks):
-        # every batch spans several tiles and ends on a ragged one.
-        monkeypatch.setattr(engine_module, "TILE_BYTES", 100_000)
+    def small_chunks(self, monkeypatch):
+        # 2 kB of variates is 125 candidate cells (4 geometric trials on
+        # cholesky k=6, 56 tasks): every batch spans several chunks and
+        # ends on a ragged one.
+        monkeypatch.setattr(engine_module, "CHUNK_BYTES", 2_000)
 
     def _assert_identical(self, graph, model, backend, workers, **kw):
         engine = MonteCarloEngine(

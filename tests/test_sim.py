@@ -16,6 +16,7 @@ from repro.sim.engine import MonteCarloEngine, simulate_expected_makespan
 from repro.sim.sampler import sample_failure_mask, sample_task_times
 from repro.sim.stats import ConvergenceTracker, relative_half_width, required_trials
 from repro.workflows.registry import build_dag
+from oracles.two_state_sampling import failure_mask
 
 
 class TestSampler:
@@ -164,7 +165,7 @@ class TestZeroCopyPipeline:
         while remaining > 0:
             b = min(batch_size, remaining)
             rng = partition_stream(entropy, len(out))
-            failures = rng.random((b, idx.num_tasks)) < q[None, :]
+            failures = failure_mask(rng, q, b)
             times = idx.weights[None, :] + failures * ((factor - 1.0) * idx.weights[None, :])
             completion = np.zeros((b, idx.num_tasks))
             indptr, indices = idx.pred_indptr, idx.pred_indices
@@ -204,53 +205,41 @@ class TestZeroCopyPipeline:
         engine.run()
         assert CountingModel.calls == 1  # ... and never again per batch
 
-    @pytest.mark.parametrize("compiled", [False, True], ids=["numpy", "stub-numba"])
     @pytest.mark.parametrize("batch_size", [1_024, 32_768])
-    def test_buffers_allocated_once(self, request, monkeypatch, batch_size, compiled):
-        # 8 kB tiles: 29 trials of cholesky k=5 (35 tasks), many per batch.
-        monkeypatch.setattr(engine_module, "TILE_BYTES", 8_192)
-        kernel_backend = "numba" if compiled else "numpy"
-        if compiled:
-            request.getfixturevalue("stub_numba")
+    def test_buffers_allocated_once(self, monkeypatch, batch_size):
+        # 8 kB chunks: 512 candidate cells, many per batch at q = 0.2.
+        monkeypatch.setattr(engine_module, "CHUNK_BYTES", 8_192)
         graph = build_dag("cholesky", 5)
         n = graph.num_tasks
         model = FixedProbabilityModel(0.2)
         engine = MonteCarloEngine(
-            graph, model, trials=2 * batch_size + 100, seed=1,
-            batch_size=batch_size, kernel_backend=kernel_backend,
+            graph, model, trials=2 * batch_size + 100, seed=1, batch_size=batch_size,
         )
         slot = engine._slots[0]
-        # The compiled fill is under test; the stub's pure-Python fold
-        # would only slow the test down.
-        slot.kernel._propagate_fn = None
         kernel_buffer = engine._kernel._buffer
-        tile = slot.tile
         assert kernel_buffer is not None  # allocated by the constructor
-        sampling = [v for v in vars(slot).values() if isinstance(v, np.ndarray)]
-        assert sum(a.nbytes for a in sampling) <= engine_module.TILE_BYTES + 8 * n
+        # The slot keeps no sampling array: candidates are drawn per chunk.
+        assert not [v for v in vars(slot).values() if isinstance(v, np.ndarray)]
         engine.run()  # 3 batches later ...
         assert engine._kernel._buffer is kernel_buffer
-        assert slot.tile is tile
-        assert (slot._fill is not None) == compiled  # no fallback happened
         # Nothing of the kernel buffer's size besides it: no array holds a
-        # (batch, tasks) block, and sampling a batch allocates less than
-        # its boolean failure mask would take (the fold's per-level
-        # gathers are the kernel's own and are left out; a partial batch
-        # keeps the traced pure-Python fill quick).
+        # (batch, tasks) block.
         for owner in (engine, slot, slot.kernel):
             for value in vars(owner).values():
                 if isinstance(value, np.ndarray) and value is not kernel_buffer:
                     assert value.size < batch_size * n
+        # Sampling a batch allocates a few chunks' worth whatever the batch
+        # (the fold's per-level gathers are the kernel's own and are left
+        # out; the returned makespans are one float64 per trial).
         monkeypatch.setattr(slot.kernel, "propagate", lambda trials: None)
-        batch = min(batch_size, 4_096)
         rng = partition_stream(engine.seed_entropy, 0)
         tracemalloc.start()
         try:
-            slot.evaluate(batch, rng)
+            slot.evaluate(batch_size, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < batch * n
+        assert peak < 5 * engine_module.CHUNK_BYTES + 8 * batch_size
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("shape", ["edge-free", "mapreduce", "zero-weight-sinks"])

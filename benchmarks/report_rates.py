@@ -21,24 +21,16 @@ violates a regression guard:
   ``speedup`` is the baseline/armed time ratio and the guard bounds the
   zero-fault overhead of the policy machinery) and estimation-service
   entries (``benchmark = "service"``, where ``speedup`` is the
-  warm-hit/cold-miss request-rate ratio) and compiled-kernel backend
-  entries (``benchmark = "kernel_backends"``, where ``speedup`` is the
-  NumPy-reference/backend time ratio and the guard self-arms only when
-  the accelerator was importable at measurement time) and fresh-graph
+  warm-hit/cold-miss request-rate ratio) and fresh-graph
   compile entries (``benchmark = "graph_compile"``, methods
   ``fresh-compile`` and ``fresh-path-metrics``, where ``speedup`` is the
   median reference/package time ratio of paired runs): the archived
   ``guard_min`` per entry (``null`` when the guard did not apply at
   measurement time — small graph, too few CPUs for the parallel
-  comparisons, or no accelerator installed).  Dtype error-floor entries
+  comparisons).  Dtype error-floor entries
   (``benchmark = "dtype_error_floor"``) and single-scenario kernel
   entries (``benchmark = "kernel_lengths"``) are characterisation-only
   and never gate.
-
-For ``kernel_backends`` entries the report additionally prints the
-backend families side by side: per op/workflow/k group, the throughput
-of each backend next to its NumPy reference, taken from the most recent
-record in which that group appears.
 
 The archive is kept short by :func:`compact_history`, which the
 benchmarks' ``archive_rates`` applies on every append.
@@ -80,13 +72,6 @@ def _entry_key(entry: dict) -> tuple:
         return ("service", entry["method"], entry["workflow"], entry["k"])
     if entry.get("benchmark") == "graph_compile":
         return ("graph-compile", entry["method"], entry["workflow"], entry["k"])
-    if entry.get("benchmark") == "kernel_backends":
-        return (
-            "kernel-backends",
-            f"{entry['op']}/{entry['kernel_backend']}",
-            entry["workflow"],
-            entry["k"],
-        )
     if entry.get("benchmark") == "dtype_error_floor":
         return (
             "dtype-floor",
@@ -125,7 +110,7 @@ def _entry_guard(entry: dict):
     if entry.get("benchmark") in (
         "estimator_wavefront", "mc_backends", "correlated_parallel",
         "correlated_processes", "exec_faults", "service",
-        "kernel_backends", "dtype_error_floor", "kernel_lengths",
+        "dtype_error_floor", "kernel_lengths",
         "graph_compile",
     ):
         return entry.get("guard_min")
@@ -152,8 +137,6 @@ def _label(key: tuple) -> str:
         return f"exec-faults/{a:<19s} {b} k={k}"
     if kind == "service":
         return f"service/{a:<12s} {b} k={k}"
-    if kind == "kernel-backends":
-        return f"kernel-backends/{a:<20s} {b} k={k}"
     if kind == "graph-compile":
         return f"graph-compile/{a:<13s} {b} k={k}"
     if kind == "dtype-floor":
@@ -197,37 +180,6 @@ def main(argv=None) -> int:
         )
         print(f"  {_label(key)}: {line}")
     print()
-
-    # Side-by-side backend families: each archive_rates call appends its
-    # own record, so every (op, workflow, k) group is taken from the most
-    # recent record in which it appears.
-    families: dict = {}
-    for record in reversed(history):
-        record_groups: dict = {}
-        for entry in record.get("entries", []):
-            if entry.get("benchmark") != "kernel_backends":
-                continue
-            group = (entry.get("op"), entry.get("workflow"), entry.get("k"))
-            record_groups.setdefault(group, []).append(entry)
-        for group, members in record_groups.items():
-            families.setdefault(group, members)
-    if families:
-        print("compiled-kernel backends, side by side (latest records):")
-        for (op, workflow, k), members in sorted(families.items()):
-            print(f"  {op} {workflow} k={k}:")
-            for entry in members:
-                rate = entry.get(
-                    "task_trials_per_second", entry.get("tasks_per_second")
-                )
-                accel = entry.get("accelerated")
-                note = "" if accel in (None, True) else " (numpy fallback)"
-                print(
-                    f"    {entry.get('kernel_backend', '?'):<6s} "
-                    f"{entry.get('seconds', float('nan')):10.4f} s  "
-                    f"{rate:14,.0f} /s  "
-                    f"{entry.get('speedup', float('nan')):6.2f}x{note}"
-                )
-        print()
 
     # Guards: the latest entry of every configuration is gated (earlier
     # entries are history).  Each benchmark family archives its own record,

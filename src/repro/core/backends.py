@@ -1,14 +1,14 @@
 """Pluggable compiled-kernel backends for the hot loops.
 
-Every performance-critical inner loop of the reproduction — the
-wavefront kernel's level recurrence (:mod:`repro.core.kernels`, the hot
-loop of :mod:`repro.sim.engine`), the banded
-correlation store's masked symmetric gathers
-(:mod:`repro.estimators.correlation`) and the Clark moment-propagation
-fold (:func:`repro.core.kernels.propagate_moments`) — bottoms out in
-NumPy dispatch over many small per-level or per-window arrays.  This
-module is the seam that lets those loops run as *fused compiled kernels*
-instead, without changing any caller-visible semantics:
+Two hot inner loops of the reproduction — the wavefront kernel's level
+recurrence (:mod:`repro.core.kernels`, the hot loop of
+:mod:`repro.sim.engine`) and the Clark moment-propagation fold
+(:func:`repro.core.kernels.propagate_moments`) — bottom out in NumPy
+dispatch over many small per-level arrays.  This module is the seam that
+lets those loops run as *fused compiled kernels* instead, without
+changing any caller-visible semantics.  (The banded correlation store's
+gathers are level-block copies, see :mod:`repro.estimators.correlation`;
+no compiled op serves them.)
 
 ``numpy``
     The reference implementation that lives at each call site.  Always
@@ -18,9 +18,9 @@ instead, without changing any caller-visible semantics:
 
 ``numba``
     JIT-compiled fused loops (lazy ``@njit``, compiled on first use).
-    The fused gather and the level recurrence perform *exactly* the same
-    floating-point operations in the same order as the NumPy reference,
-    so they are bit-identical.  The JIT Clark fold uses ``math.erfc``
+    The level recurrence performs *exactly* the same floating-point
+    operations in the same order as the NumPy reference, so it is
+    bit-identical.  The JIT Clark fold uses ``math.erfc``
     where the batched reference uses ``scipy.special.erfc`` and therefore
     matches to ulp-level rounding (≤ 1e-9 in the differential tests),
     exactly like the scalar reference it mirrors.
@@ -69,7 +69,7 @@ KERNEL_BACKENDS = KNOBS["KERNEL_BACKEND"].choices
 DEFAULT_KERNEL_BACKEND = "numpy"
 
 #: Operations a backend may serve (callers fall back per function).
-KERNEL_OPS = ("band_gather", "propagate", "moment_fold")
+KERNEL_OPS = ("propagate", "moment_fold")
 
 #: ``(backend, op)`` pairs already warned about falling back to NumPy.
 _WARNED_FALLBACKS: set = set()
@@ -210,8 +210,6 @@ def get_kernel(op: str, backend: Optional[str] = None) -> Optional[Callable]:
 #
 # Bit-identity notes (load-bearing — the differential tests pin these):
 #
-# * ``band_gather`` is pure data movement and therefore bit-identical to
-#   the chunked NumPy gather by construction.
 # * ``propagate`` runs max/add in the buffer dtype, exactly like the
 #   NumPy fold's row gathers, ``np.maximum`` and ``np.add``.  The Monte
 #   Carlo batch it sweeps is sampled by the one NumPy sampler of
@@ -229,36 +227,6 @@ def _build_numba_ops() -> Dict[str, Callable]:
 
     sqrt2 = _SQRT2
     inv_sqrt_2pi = _INV_SQRT_2PI
-
-    @njit
-    def band_gather(
-        out,
-        data,
-        rows,
-        cols,
-        col_off,
-        col_wid,
-        col_ptr,
-        row_off,
-        row_wid,
-        row_ptr,
-    ):
-        m, w = out.shape
-        for i in range(m):
-            r = rows[i]
-            off_r = row_off[r]
-            wid_r = row_wid[r]
-            ptr_r = row_ptr[r]
-            for j in range(w):
-                rel_r = cols[j] - off_r
-                if 0 <= rel_r < wid_r:
-                    out[i, j] = data[ptr_r + rel_r]
-                else:
-                    rel_c = r - col_off[j]
-                    if 0 <= rel_c < col_wid[j]:
-                        out[i, j] = data[col_ptr[j] + rel_c]
-                    else:
-                        out[i, j] = 0.0
 
     @njit
     def propagate(
@@ -338,8 +306,4 @@ def _build_numba_ops() -> Dict[str, Callable]:
                 mean_buf[r] = mean_buf[r] + mean
                 var_buf[r] = var_buf[r] + var
 
-    return {
-        "band_gather": band_gather,
-        "propagate": propagate,
-        "moment_fold": moment_fold,
-    }
+    return {"propagate": propagate, "moment_fold": moment_fold}

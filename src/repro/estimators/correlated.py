@@ -195,9 +195,9 @@ class _CorrelatedFoldSpec:
     state: SegmentHandle
     backend: str
     bandwidth: int
-    #: Compiled-kernel backend of the store's fused gathers; workers
-    #: resolve the same backend as the parent (with the same graceful
-    #: per-function fallback when the accelerator is absent there).
+    #: The parent's resolved kernel backend, carried so that a worker
+    #: never re-resolves it from its own environment.  No compiled op
+    #: serves the correlated fold, so the workers do not read it.
     kernel_backend: str = "numpy"
 
     def __call__(self) -> "_CorrelatedFoldSlot":
@@ -207,7 +207,6 @@ class _CorrelatedFoldSpec:
             schedule,
             self.backend,
             bandwidth=self.bandwidth,
-            kernel_backend=self.kernel_backend,
             arrays=_store_views(arrays),
         )
         return _CorrelatedFoldSlot(
@@ -405,12 +404,12 @@ class CorrelatedNormalEstimator(MakespanEstimator):
         segment).  Bit-identical to the threads backend at any worker
         count for every store.
     kernel_backend:
-        Compiled-kernel backend of the banded store's fused masked
-        symmetric gathers: ``"numpy"`` (reference) or ``"numba"``
-        (bit-identical fused JIT gather).  ``None`` (default) resolves
-        ``REPRO_KERNEL_BACKEND`` and falls back to ``"numpy"``; shm
-        ``processes`` workers resolve the same backend as the parent
-        (see :mod:`repro.core.backends`).
+        Accepted and validated like every estimator's kernel knob
+        (``None`` resolves ``REPRO_KERNEL_BACKEND``, then ``"numpy"``) and
+        echoed in ``details``, but no compiled op serves this estimator:
+        both correlation stores read through NumPy block copies, which
+        are already bit-identical data movement (see
+        :mod:`repro.estimators.correlation`).
     """
 
     name = "normal-correlated"
@@ -509,7 +508,6 @@ class CorrelatedNormalEstimator(MakespanEstimator):
             bandwidth=self.bandwidth,
             sink_rows=sink_rows,
             max_bytes=self.max_matrix_bytes,
-            kernel_backend=self.kernel_backend,
         )
 
         # Permuted-space state: row r describes task perm[r].

@@ -27,6 +27,23 @@ two interchangeable backends keyed off the compiled
     (Clark's third-variable update is column-independent, so restricting
     the tracked columns never perturbs the retained ones).
 
+    Every row of a level stores the same column range, so the level's rows
+    lie back to back as one ``(size(L), width(L))`` *level block*: entry
+    ``(r, c)`` is
+
+    * in row ``r``'s own block row when ``level(c) <= level(r)`` (and
+      ``c`` lies inside that row's band);
+    * column ``r - level_start(level(c) - bandwidth)`` of ``level(c)``'s
+      block, transposed, when ``level(r) < level(c) <= level(r) +
+      bandwidth``;
+    * zero otherwise.
+
+    A gather therefore zeroes its output and makes one row-indexed slice
+    copy per distinct row level plus one transposed copy per later column
+    level inside the band — pure data movement, no per-entry index or
+    mask arrays.  :meth:`~BandedCorrelationStore.pair_matrix` gathers one
+    column level at a time.
+
 All stores work in the schedule's *permuted* row space, where levels are
 contiguous: a level's band window is one contiguous column range, so
 gathers and scatters stay vectorised.
@@ -38,9 +55,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.backends import get_kernel, resolve_kernel_backend
 from ..core.kernels import LevelSchedule
-from ..exceptions import EstimationError, GraphError
+from ..exceptions import EstimationError
 from ..options import KNOBS
 
 __all__ = [
@@ -57,12 +73,6 @@ __all__ = [
 
 #: The correlation-storage backends of the correlated estimator.
 CORRELATION_BACKENDS = KNOBS["CORR_BACKEND"].choices
-
-#: Row-chunk budget of the masked band gathers (elements per chunk): keeps
-#: the integer index temporaries of one gather below ~256 MiB even on
-#: paper-scale levels.
-_GATHER_CHUNK_ELEMENTS = 1 << 24
-
 
 def normalize_correlation_backend(name: str) -> str:
     """Validate a correlation-backend name."""
@@ -254,64 +264,47 @@ class BandedCorrelationStore(CorrelationStore):
     ``[level_start(max(0, L - bandwidth)), level_stop(L))``; an entry with
     the *higher*-level task is stored in that task's row and read through
     symmetry.  Entries outside both rows' bands read as zero.
+
+    The segment geometry is uniform within a level, so the rows of level
+    ``L`` lie back to back as one ``(size(L), width(L))`` *level block*
+    (see the module docstring for how reads are served from the blocks).
     """
 
     backend = "banded"
 
-    def __init__(
-        self,
-        schedule: LevelSchedule,
-        bandwidth: int,
-        *,
-        kernel_backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, schedule: LevelSchedule, bandwidth: int) -> None:
         super().__init__(schedule)
-        self._init_band_geometry(bandwidth, kernel_backend=kernel_backend)
-        self._data = np.zeros(int(self._ptr[-1]), dtype=np.float64)
-        rows = np.arange(schedule.num_tasks, dtype=np.int64)
-        self._data[self._ptr[rows] + rows - self._off] = 1.0
+        self._init_band_geometry(bandwidth)
+        self.bind_shared(
+            {"band_data": np.zeros(self._level_ptr[-1], dtype=np.float64)}
+        )
+        for level, block in enumerate(self._blocks):
+            t_lo, t_hi = self._level_range(level)
+            base = t_lo - self._level_off[level]
+            diagonal = np.arange(t_hi - t_lo)
+            block[diagonal, base + diagonal] = 1.0
 
-    def _init_band_geometry(
-        self, bandwidth: int, *, kernel_backend: Optional[str] = None
-    ) -> None:
-        """Band CSR geometry — cheap vectorised O(n), shared by attach()."""
+    def _init_band_geometry(self, bandwidth: int) -> None:
+        """Level-block geometry — ``O(levels)``, shared by attach()."""
         if bandwidth < 0:
             raise EstimationError("correlation bandwidth must be >= 0")
-        try:
-            self.kernel_backend = resolve_kernel_backend(kernel_backend)
-        except GraphError as exc:
-            raise EstimationError(str(exc)) from None
-        #: Fused masked-symmetric gather of the compiled backend
-        #: (``None`` = run the chunked NumPy reference).
-        self._gather_fn = get_kernel("band_gather", self.kernel_backend)
         schedule = self.schedule
         self.bandwidth = int(bandwidth)
-        indptr = schedule.level_indptr
-        num_levels = schedule.num_levels
-        level = schedule.row_level
-        # Per-row band geometry (uniform within a level).
-        lo_level = np.maximum(np.arange(num_levels) - self.bandwidth, 0)
-        self._level_off = indptr[lo_level]
-        self._level_wid = indptr[1 : num_levels + 1] - self._level_off
-        self._off = self._level_off[level]
-        self._wid = self._level_wid[level]
-        self._ptr = np.concatenate(
-            ([0], np.cumsum(self._wid, dtype=np.int64))
+        indptr = schedule.level_indptr[: schedule.num_levels + 1]
+        lo_level = np.maximum(np.arange(schedule.num_levels) - self.bandwidth, 0)
+        level_off = indptr[lo_level]
+        level_wid = indptr[1:] - level_off
+        level_ptr = np.concatenate(
+            ([0], np.cumsum(np.diff(indptr) * level_wid, dtype=np.int64))
         )
+        # Plain ints: every gather walks these per level, not per entry.
+        self._level_starts = indptr.tolist()
+        self._level_off = level_off.tolist()
+        self._level_wid = level_wid.tolist()
+        self._level_ptr = level_ptr.tolist()
         self._window_span = max(
             self.bandwidth, int(schedule.max_edge_level_span)
         )
-        # Per-window gather plans, cached *on the schedule* keyed by
-        # bandwidth: every store over the same (schedule, bandwidth) pair —
-        # including worker-side attached stores — shares one plan dict, so
-        # the column-side index arrays of the level sweep's masked
-        # symmetric gathers are materialised once per window instead of
-        # once per partition (ROADMAP 3a).
-        plans = schedule.__dict__.get("_band_gather_plans")
-        if plans is None:
-            plans = {}
-            object.__setattr__(schedule, "_band_gather_plans", plans)
-        self._gather_plans = plans.setdefault(self.bandwidth, {})
 
     @classmethod
     def attach(
@@ -319,19 +312,17 @@ class BandedCorrelationStore(CorrelationStore):
         schedule: LevelSchedule,
         bandwidth: int,
         arrays: Dict[str, np.ndarray],
-        *,
-        kernel_backend: Optional[str] = None,
     ) -> "BandedCorrelationStore":
         """A store over an existing (attached) band-data view.
 
-        Recomputes the cheap geometry arrays locally and binds the heavy
+        Recomputes the cheap geometry locally and binds the heavy
         ``band_data`` payload zero-copy; no identity initialisation runs
         (the creating process already did it).
         """
         store = cls.__new__(cls)
         CorrelationStore.__init__(store, schedule)
-        store._init_band_geometry(bandwidth, kernel_backend=kernel_backend)
-        store._data = arrays["band_data"]
+        store._init_band_geometry(bandwidth)
+        store.bind_shared(arrays)
         return store
 
     def shared_arrays(self) -> Dict[str, np.ndarray]:
@@ -339,118 +330,85 @@ class BandedCorrelationStore(CorrelationStore):
 
     def bind_shared(self, arrays: Dict[str, np.ndarray]) -> None:
         self._data = arrays["band_data"]
+        #: One ``(size, width)`` view per level over its stored rows.
+        self._blocks = [
+            self._data[self._level_ptr[level] : self._level_ptr[level + 1]]
+            .reshape(-1, self._level_wid[level])
+            for level in range(len(self._level_wid))
+        ]
 
     def window_start(self, level: int) -> int:
         # Wide enough to contain every predecessor of the level (the fold
         # reads operand correlations at predecessor columns) and the band.
-        return int(self._indptr[max(0, level - self._window_span)])
-
-    def _window_plan(self, w_lo: int, w_hi: int):
-        """The cached column-side gather indices of one window.
-
-        The column arrays of :meth:`_gather_with` depend only on the
-        column range — not on the gathered rows — and every partition of a
-        level gathers the same window, so they are computed once per
-        ``(bandwidth, w_lo, w_hi)`` and shared through the schedule.
-        """
-        plan = self._gather_plans.get((w_lo, w_hi))
-        if plan is None:
-            cols = np.arange(w_lo, w_hi, dtype=np.int64)
-            plan = (
-                cols,
-                self._off[w_lo:w_hi][None, :],
-                self._wid[w_lo:w_hi][None, :],
-                self._ptr[w_lo:w_hi][None, :],
-            )
-            self._gather_plans[(w_lo, w_hi)] = plan
-        return plan
-
-    def _gather_with(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        col_off: np.ndarray,
-        col_wid: np.ndarray,
-        col_ptr: np.ndarray,
-    ) -> np.ndarray:
-        """Masked symmetric gather with precomputed column-side indices."""
-        m, w = rows.shape[0], cols.shape[0]
-        fn = self._gather_fn
-        if fn is not None and m and w:
-            # One fused pass over the output: no per-window index/mask
-            # temporaries, no chunking (the compiled loop allocates only
-            # the result).  Bit-identical to the chunked reference: pure
-            # data movement.
-            out = np.empty((m, w), dtype=np.float64)
-            try:
-                fn(
-                    out,
-                    self._data,
-                    rows,
-                    cols,
-                    np.ravel(col_off),
-                    np.ravel(col_wid),
-                    np.ravel(col_ptr),
-                    self._off,
-                    self._wid,
-                    self._ptr,
-                )
-            except Exception:
-                # Graceful per-function fallback for unsupported
-                # dtypes/shapes: disable the fused path for this store.
-                self._gather_fn = None
-            else:
-                return out
-        out = np.empty((m, w), dtype=np.float64)
-        chunk = max(1, _GATHER_CHUNK_ELEMENTS // max(w, 1))
-        ptr, off, wid = self._ptr, self._off, self._wid
-        for a in range(0, m, chunk):
-            b = min(a + chunk, m)
-            sub = rows[a:b]
-            rel_r = cols[None, :] - off[sub][:, None]
-            in_r = (rel_r >= 0) & (rel_r < wid[sub][:, None])
-            rel_c = sub[:, None] - col_off
-            in_c = (rel_c >= 0) & (rel_c < col_wid) & ~in_r
-            idx = np.where(in_r, ptr[sub][:, None] + rel_r, 0)
-            idx = np.where(in_c, col_ptr + rel_c, idx)
-            val = self._data[idx]
-            val[~(in_r | in_c)] = 0.0
-            out[a:b] = val
-        return out
-
-    def _gather_cols(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Masked symmetric gather of arbitrary rows × columns."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        return self._gather_with(
-            rows,
-            cols,
-            self._off[cols][None, :],
-            self._wid[cols][None, :],
-            self._ptr[cols][None, :],
-        )
+        return self._level_starts[max(0, level - self._window_span)]
 
     def gather(self, rows: np.ndarray, w_lo: int, w_hi: int) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
-        return self._gather_with(rows, *self._window_plan(int(w_lo), int(w_hi)))
+        w_lo, w_hi = int(w_lo), int(w_hi)
+        out = np.zeros((rows.shape[0], w_hi - w_lo), dtype=np.float64)
+        if not rows.size or w_hi <= w_lo:
+            return out
+        row_level = self.schedule.row_level
+        levels = row_level[rows]
+        lev_lo, lev_hi = int(levels.min()), int(levels.max())
+        # The row positions grouped by level: rows of levels ``[a, b]`` are
+        # ``order[cum[a - lev_lo] : cum[b + 1 - lev_lo]]``.
+        if lev_lo == lev_hi:
+            # One row level, the fold's usual case: plain slices select.
+            order, cum = None, [0, rows.shape[0]]
+        else:
+            order = np.argsort(levels, kind="stable")
+            cum = [0] + np.cumsum(np.bincount(levels - lev_lo)).tolist()
+        starts, off = self._level_starts, self._level_off
+        # Own segments: one row-indexed slice copy per row level.
+        for level in range(lev_lo, lev_hi + 1):
+            a, b = cum[level - lev_lo], cum[level + 1 - lev_lo]
+            c_lo, c_hi = max(w_lo, off[level]), min(w_hi, starts[level + 1])
+            if a == b or c_lo >= c_hi:
+                continue
+            sel = slice(a, b) if order is None else order[a:b]
+            out[sel, c_lo - w_lo : c_hi - w_lo] = self._blocks[level][
+                rows[sel] - starts[level], c_lo - off[level] : c_hi - off[level]
+            ]
+        # Symmetric reads: one transposed copy per later column level, for
+        # the rows of the ``bandwidth`` levels below it.
+        col_lo = max(int(row_level[w_lo]), lev_lo + 1)
+        col_hi = min(int(row_level[w_hi - 1]), lev_hi + self.bandwidth)
+        for level in range(col_lo, col_hi + 1):
+            a = cum[max(level - self.bandwidth - lev_lo, 0)]
+            b = cum[min(level, lev_hi + 1) - lev_lo]
+            if a == b:
+                continue
+            sel = slice(a, b) if order is None else order[a:b]
+            c_lo, c_hi = max(w_lo, starts[level]), min(w_hi, starts[level + 1])
+            out[sel, c_lo - w_lo : c_hi - w_lo] = self._blocks[level][
+                c_lo - starts[level] : c_hi - starts[level],
+                rows[sel] - off[level],
+            ].T
+        return out
 
     def write_level(self, level: int, w_lo: int, rows_block: np.ndarray) -> None:
-        t_lo, t_hi = self._level_range(level)
-        off = int(self._level_off[level])
-        wid = int(self._level_wid[level])
-        seg = rows_block[:, off - w_lo : off - w_lo + wid]
-        self._data[self._ptr[t_lo] : self._ptr[t_hi]] = seg.ravel()
+        off = self._level_off[level]
+        self._blocks[level][:] = rows_block[
+            :, off - w_lo : off - w_lo + self._level_wid[level]
+        ]
 
     def write_block(self, level: int, block: np.ndarray) -> None:
         t_lo, t_hi = self._level_range(level)
-        m = t_hi - t_lo
-        wid = int(self._level_wid[level])
-        base = t_lo - int(self._level_off[level])
-        view = self._data[self._ptr[t_lo] : self._ptr[t_hi]].reshape(m, wid)
-        view[:, base : base + m] = block
+        base = t_lo - self._level_off[level]
+        self._blocks[level][:, base : base + t_hi - t_lo] = block
 
     def pair_matrix(self, rows: np.ndarray) -> np.ndarray:
-        return self._gather_cols(rows, rows)
+        # One window gather per column level keeps the temporaries at
+        # ``len(rows)`` x one level's width.
+        rows = np.asarray(rows, dtype=np.int64)
+        out = np.empty((rows.shape[0], rows.shape[0]), dtype=np.float64)
+        levels = self.schedule.row_level[rows]
+        for level in np.unique(levels).tolist():
+            cols = np.flatnonzero(levels == level)
+            t_lo, t_hi = self._level_range(level)
+            out[:, cols] = self.gather(rows, t_lo, t_hi)[:, rows[cols] - t_lo]
+        return out
 
     @property
     def nbytes(self) -> int:
@@ -464,7 +422,6 @@ def make_correlation_store(
     bandwidth: Optional[int],
     sink_rows: np.ndarray,
     max_bytes: int,
-    kernel_backend: Optional[str] = None,
 ) -> CorrelationStore:
     """Build a store, refusing — with a clear error — when it cannot fit.
 
@@ -504,7 +461,7 @@ def make_correlation_store(
         )
     if backend == "dense":
         return DenseCorrelationStore(schedule)
-    return BandedCorrelationStore(schedule, resolved_bw, kernel_backend=kernel_backend)
+    return BandedCorrelationStore(schedule, resolved_bw)
 
 
 def attach_correlation_store(
@@ -513,7 +470,6 @@ def attach_correlation_store(
     *,
     bandwidth: int,
     arrays: Dict[str, np.ndarray],
-    kernel_backend: Optional[str] = None,
 ) -> CorrelationStore:
     """A store bound to another process's :meth:`shared_arrays` payload.
 
@@ -526,6 +482,4 @@ def attach_correlation_store(
     backend = normalize_correlation_backend(backend)
     if backend == "dense":
         return DenseCorrelationStore.attach(schedule, arrays)
-    return BandedCorrelationStore.attach(
-        schedule, int(bandwidth), arrays, kernel_backend=kernel_backend
-    )
+    return BandedCorrelationStore.attach(schedule, int(bandwidth), arrays)

@@ -166,7 +166,7 @@ class TestResolution:
         monkeypatch.setattr(backends, "_probe", lambda name: True)
         monkeypatch.setattr(backends, "_build_numba_ops", dict)
         with pytest.warns(RuntimeWarning, match="operation not ported"):
-            assert get_kernel("band_gather", "numba") is None
+            assert get_kernel("propagate", "numba") is None
 
     def test_broken_builder_warns_and_falls_back(self, clean_state, monkeypatch):
         monkeypatch.setattr(backends, "_probe", lambda name: True)
@@ -218,21 +218,6 @@ class TestStubJitDifferential:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_wavefront_down_bit_identical(self, stub_numba, dtype):
         _assert_down_sweep_bit_identical(build_dag("cholesky", 4), dtype, 48)
-
-    @pytest.mark.parametrize("backend,options", [
-        ("banded", {}),
-        ("banded", {"bandwidth": 1}),
-    ])
-    def test_correlated_gather_bit_identical(self, stub_numba, backend, options):
-        graph, model = _case(n=16, p=0.3)
-        ref = CorrelatedNormalEstimator(
-            correlation_backend=backend, kernel_backend="numpy", **options
-        ).estimate(graph, model)
-        jit = CorrelatedNormalEstimator(
-            correlation_backend=backend, kernel_backend="numba", **options
-        ).estimate(graph, model)
-        assert jit.expected_makespan == ref.expected_makespan
-        assert jit.details["kernel_backend"] == "numba"
 
     def test_moment_fold_close(self, stub_numba):
         graph, model = _case(n=18, p=0.4)
@@ -299,10 +284,9 @@ class TestStubJitDifferential:
         n=st.integers(min_value=2, max_value=18),
         p=st.floats(min_value=0.05, max_value=0.9),
         dtype=st.sampled_from(["float64", "float32"]),
-        bandwidth=st.integers(min_value=0, max_value=4),
         seed=st.integers(min_value=0, max_value=2**20),
     )
-    def test_hypothesis_differential(self, stub_numba, n, p, dtype, bandwidth, seed):
+    def test_hypothesis_differential(self, stub_numba, n, p, dtype, seed):
         graph = erdos_renyi_dag(n, p, rng=np.random.default_rng(seed))
         model = ExponentialErrorModel.for_graph(graph, 1e-3)
         kwargs = dict(trials=128, batch_size=64, seed=seed, dtype=dtype,
@@ -310,15 +294,6 @@ class TestStubJitDifferential:
         ref = MonteCarloEngine(graph, model, kernel_backend="numpy", **kwargs).run()
         jit = MonteCarloEngine(graph, model, kernel_backend="numba", **kwargs).run()
         assert np.array_equal(ref.samples.samples(), jit.samples.samples())
-        ref = CorrelatedNormalEstimator(
-            correlation_backend="banded", bandwidth=bandwidth,
-            kernel_backend="numpy",
-        ).estimate(graph, model)
-        jit = CorrelatedNormalEstimator(
-            correlation_backend="banded", bandwidth=bandwidth,
-            kernel_backend="numba",
-        ).estimate(graph, model)
-        assert jit.expected_makespan == ref.expected_makespan
 
 
 # ----------------------------------------------------------------------
@@ -357,10 +332,9 @@ class TestRealJitDifferential:
         n=st.integers(min_value=2, max_value=24),
         p=st.floats(min_value=0.05, max_value=0.9),
         dtype=st.sampled_from(["float64", "float32"]),
-        bandwidth=st.integers(min_value=0, max_value=5),
         seed=st.integers(min_value=0, max_value=2**20),
     )
-    def test_hypothesis_differential(self, n, p, dtype, bandwidth, seed):
+    def test_hypothesis_differential(self, n, p, dtype, seed):
         graph = erdos_renyi_dag(n, p, rng=np.random.default_rng(seed))
         model = ExponentialErrorModel.for_graph(graph, 1e-3)
         kwargs = dict(trials=256, batch_size=128, seed=seed, dtype=dtype,
@@ -368,15 +342,6 @@ class TestRealJitDifferential:
         ref = MonteCarloEngine(graph, model, kernel_backend="numpy", **kwargs).run()
         jit = MonteCarloEngine(graph, model, kernel_backend="numba", **kwargs).run()
         assert np.array_equal(ref.samples.samples(), jit.samples.samples())
-        ref = CorrelatedNormalEstimator(
-            correlation_backend="banded", bandwidth=bandwidth,
-            kernel_backend="numpy",
-        ).estimate(graph, model)
-        jit = CorrelatedNormalEstimator(
-            correlation_backend="banded", bandwidth=bandwidth,
-            kernel_backend="numba",
-        ).estimate(graph, model)
-        assert jit.expected_makespan == ref.expected_makespan
 
     def test_moment_fold_close(self):
         graph = build_dag("qr", 5)

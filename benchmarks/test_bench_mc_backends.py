@@ -19,6 +19,12 @@ Monte Carlo shape — 10,000 trials, the default batch, 2 workers, the
 speedup taken over serial at that same shape — where pool and worker
 start-up weigh most.  It is tracked only (``guard_min`` is ``null``).
 
+Two more tracked rows, ``serial-pfail1e-3``, time serial runs at the
+paper's rate (pfail 1e-3, the default batch) on cholesky k = 10 (4,000
+trials) and k = 24 (10,000 trials): there most trials have no failed task
+(about 80% at k = 10, 7% at k = 24), and only the failed ones are swept.
+Their ``speedup`` is over the same shape at the dense rows' pfail 1e-2.
+
 The measurements are archived (appended) to
 ``benchmarks/results/kernel_rates.json`` with ``benchmark = "mc_backends"``
 and an explicit ``guard_min`` per entry (``null`` when the guard did not
@@ -53,6 +59,9 @@ PFAIL = 1e-2
 E2E_K = 24
 E2E_TRIALS = 10_000
 E2E_WORKERS = 2
+#: Tracked serial rows at the paper's rate: trials per tile count.
+SPARSE_PFAIL = 1e-3
+SPARSE_TRIALS = {10: 4_000, 24: 10_000}
 
 
 def mc_trials() -> int:
@@ -97,6 +106,32 @@ def _e2e_processes_entry(graph, model, cpus):
     return _entry(
         f"processes-x{E2E_WORKERS}", E2E_K, graph.num_tasks, E2E_TRIALS,
         serial_time, process_time, E2E_WORKERS, cpus, None,
+    )
+
+
+def _sparse_serial_entry(k, cpus):
+    """The unguarded ``serial-pfail1e-3`` row of one tile count."""
+    graph = build_dag("cholesky", k)
+    trials = SPARSE_TRIALS.get(k, 4_000)
+
+    def timed(pfail):
+        model = ExponentialErrorModel.for_graph(graph, pfail)
+        return best_time(
+            lambda: MonteCarloEngine(graph, model, trials=trials, seed=1).run(),
+            repeats=5,
+        )
+
+    dense_time = timed(PFAIL)
+    sparse_time = timed(SPARSE_PFAIL)
+    print(
+        f"  serial pfail={SPARSE_PFAIL:g} k={k:3d} ({graph.num_tasks:5d} tasks, "
+        f"{trials} trials): {sparse_time * 1e3:8.1f} ms  "
+        f"({trials / sparse_time:9.0f} trials/s, "
+        f"{dense_time / sparse_time:5.2f}x vs pfail={PFAIL:g})"
+    )
+    return _entry(
+        "serial-pfail1e-3", k, graph.num_tasks, trials,
+        dense_time, sparse_time, 1, cpus, None, pfail=SPARSE_PFAIL,
     )
 
 
@@ -177,6 +212,9 @@ def test_mc_backend_throughput():
             f"threads/processes diverged on cholesky k={k}: "
             f"{thread_mean} != {process_mean}"
         )
+
+    for k in throughput_bench_sizes(tuple(SPARSE_TRIALS)):
+        entries.append(_sparse_serial_entry(k, cpus))
 
     for entry in entries:
         if entry["guard_min"] is not None:

@@ -22,14 +22,16 @@ a task-major ``(tasks, trials)`` buffer:
   level, each column ``j >= 1`` gathers its suffix and merges it with an
   in-place ``np.maximum``, so a level with maximum in-degree ``D`` costs
   ``D`` row gathers however many distinct in-degrees it mixes;
-* the buffer is allocated once and reused across batches.  By default
-  gathers are fancy-indexing reads (``buffer[rows]``) into temporaries from
-  NumPy's allocator.  A pipeline that propagates batch after batch calls
-  :meth:`WavefrontKernel.reserve`, and the fold then gathers with
-  ``np.take(..., out=)`` into per-level rows the kernel keeps, so no batch
-  allocates (and page-faults in) fresh temporaries.  Those takes read the
-  full-capacity rows: ``take`` on the strided ``[:, :trials]`` view of a
-  partial batch would buffer its output and copy the whole buffer;
+* the buffer is allocated once and reused across batches.  A sweep of
+  ``trials`` columns works on a C-contiguous ``(tasks, trials)`` block
+  carved from the front of that allocation (:meth:`WavefrontKernel.weight_view`),
+  so a narrow sweep touches ``tasks * trials`` values, not full-capacity
+  rows.  By default gathers are fancy-indexing reads (``buffer[rows]``)
+  into temporaries from NumPy's allocator.  A pipeline that propagates
+  batch after batch calls :meth:`WavefrontKernel.reserve`, and the fold
+  then gathers with ``np.take(..., out=)`` into gather blocks the kernel
+  keeps, carved to ``(rows, trials)`` the same way, so no batch allocates
+  (and page-faults in) fresh temporaries;
 * a ``dtype`` knob selects ``float64`` (default, bit-identical to the
   reference per-task evaluation because ``max`` and one addition per task
   are order-independent at fixed precision) or ``float32``, which halves
@@ -666,13 +668,20 @@ def schedule_from_arrays(arrays: Dict[str, np.ndarray]) -> LevelSchedule:
     )
 
 
+def _carve(block: np.ndarray, rows: int, trials: int) -> np.ndarray:
+    """The C-contiguous ``(rows, trials)`` front of a contiguous block."""
+    return block.reshape(-1)[: rows * trials].reshape(rows, trials)
+
+
 class WavefrontKernel:
     """Reusable longest-path evaluator for one graph, direction and dtype.
 
     The kernel owns a task-major ``(tasks, capacity)`` buffer plus a
     ``(capacity,)`` scratch row for the compiled backends, grown on demand
     and reused across calls, and after :meth:`reserve` two
-    ``(widest level, capacity)`` gather blocks for the NumPy fold.  Typical
+    ``(widest level, capacity)`` gather blocks for the NumPy fold.  A call
+    of ``trials`` columns works on the contiguous front ``tasks * trials``
+    values of the buffer (:meth:`weight_view`).  Typical
     use::
 
         kernel = WavefrontKernel(graph)              # private buffer
@@ -776,10 +785,15 @@ class WavefrontKernel:
         return total
 
     def weight_view(self, trials: int) -> np.ndarray:
-        """A ``(tasks, trials)`` view of the buffer, growing it if needed.
+        """A C-contiguous ``(tasks, trials)`` view of the buffer, grown if needed.
 
-        Rows follow the kernel's permuted order (see class docstring); the
-        contents are whatever the previous call left behind.
+        The view is the first ``tasks * trials`` values of the one-time
+        allocation, so its layout depends on ``trials``: :meth:`propagate`,
+        :meth:`makespans` and :meth:`completion_matrix` of the same
+        ``trials`` read this view, and a view of another width sees the
+        same memory in another shape.  Rows follow the kernel's permuted
+        order (see class docstring); the contents are whatever the
+        previous call left behind.
         """
         if trials <= 0:
             raise GraphError("number of trials must be positive")
@@ -789,19 +803,23 @@ class WavefrontKernel:
             self._capacity = trials
             if self._gather is not None:
                 self._gather = self._gather_rows(trials)
-        return self._buffer[:, :trials]
+        return self._view(trials)
+
+    def _view(self, trials: int) -> np.ndarray:
+        return _carve(self._buffer, self.num_tasks, trials)
 
     def reserve(self, trials: int) -> None:
-        """Grow the buffer to ``trials`` and keep per-level gather rows.
+        """Grow the buffer to ``trials`` and keep per-level gather blocks.
 
         For pipelines that propagate batch after batch (the Monte Carlo
-        engine): the NumPy fold then gathers into two blocks of rows sized
-        to the widest level instead of allocating per-level temporaries,
-        which the allocator would hand back to the system and fault in
-        again on every batch.  A compiled ``propagate`` never reads those
-        rows, so none are kept while one is active; should it fall back at
-        run time, the fancy-indexing fold takes over.  Results are
-        bit-identical either way.
+        engine): the NumPy fold then gathers into two blocks sized to the
+        widest level instead of allocating per-level temporaries, which the
+        allocator would hand back to the system and fault in again on every
+        batch.  A sweep of fewer trials than reserved carves its
+        ``(rows, trials)`` gathers from the front of those blocks.  A
+        compiled ``propagate`` never reads them, so none are kept while one
+        is active; should it fall back at run time, the fancy-indexing fold
+        takes over.  Results are bit-identical either way.
         """
         self.weight_view(trials)
         if self._gather is None and self._propagate_fn is None:
@@ -864,11 +882,12 @@ class WavefrontKernel:
             raise GraphError("propagate() called beyond the loaded capacity")
         if not self.schedule.groups:
             return
+        buffer = self._view(trials)
         fn = self._propagate_fn
         if fn is not None:
             try:
                 fn(
-                    self._buffer,
+                    buffer,
                     trials,
                     *schedule_flat_groups(self.schedule),
                     self._scratch,
@@ -880,9 +899,8 @@ class WavefrontKernel:
                 # and the NumPy reference takes over.
                 self._propagate_fn = None
         if self._gather is not None:
-            self._propagate_reserved(trials)
+            self._propagate_reserved(buffer)
             return
-        buffer = self._buffer[:, :trials]
         for lo, hi, first, columns in self._steps():
             # Every row of a folded level has a predecessor: column 0 spans
             # the level, later columns a suffix of it.
@@ -893,40 +911,42 @@ class WavefrontKernel:
             segment = buffer[lo:hi]
             np.add(segment, ready, out=segment)
 
-    def _propagate_reserved(self, trials: int) -> None:
-        """The NumPy fold of :meth:`propagate`, gathering into reserved rows.
+    def _propagate_reserved(self, buffer: np.ndarray) -> None:
+        """The NumPy fold of :meth:`propagate`, gathering into reserved blocks.
 
-        ``np.take`` copies whole (full-capacity, contiguous) rows straight
-        into the contiguous gather blocks, and the arithmetic then runs on
-        the first ``trials`` columns only.  ``mode="clip"`` because the
-        default ``"raise"`` gathers into a temporary and copies it to
-        ``out``; the rows are valid indices, so clipping never applies.
+        ``buffer`` is the contiguous ``(tasks, trials)`` sweep view, and
+        each gather is a contiguous ``(rows, trials)`` block carved from
+        the front of a reserved block, so ``np.take`` copies exactly the
+        rows the level needs, at the sweep's width, with no buffering (a
+        ``take`` on a strided source or into a strided ``out`` would go
+        through a temporary).  ``mode="clip"`` because the default
+        ``"raise"`` gathers into a temporary and copies it to ``out``; the
+        rows are valid indices, so clipping never applies.
         """
-        full = self._buffer
+        trials = buffer.shape[1]
         ready_rows, gathered = self._gather
         for lo, hi, first, columns in self._steps():
-            ready = ready_rows[: hi - lo]
-            np.take(full, first, axis=0, out=ready, mode="clip")
-            ready = ready[:, :trials]
+            ready = _carve(ready_rows, hi - lo, trials)
+            np.take(buffer, first, axis=0, out=ready, mode="clip")
             for offset, preds in columns:
                 tail = ready[offset:]
-                got = gathered[: preds.size]
-                np.take(full, preds, axis=0, out=got, mode="clip")
-                np.maximum(tail, got[:, :trials], out=tail)
-            segment = full[lo:hi, :trials]
+                got = _carve(gathered, preds.size, trials)
+                np.take(buffer, preds, axis=0, out=got, mode="clip")
+                np.maximum(tail, got, out=tail)
+            segment = buffer[lo:hi]
             np.add(segment, ready, out=segment)
 
     def makespans(self, trials: int) -> np.ndarray:
         """Column-wise maximum over all tasks (a fresh ``(trials,)`` array)."""
         if self.num_tasks == 0:
             return np.zeros(trials, dtype=self.dtype)
-        return self._buffer[:, :trials].max(axis=0)
+        return self._view(trials).max(axis=0)
 
     def completion_matrix(self, trials: int) -> np.ndarray:
         """Completion times as a fresh ``(tasks, trials)`` array in task order."""
         if self.num_tasks == 0:
             return np.zeros((0, trials), dtype=self.dtype)
-        return self._buffer[:, :trials][self.schedule.rank]
+        return self._view(trials)[self.schedule.rank]
 
     # ------------------------------------------------------------------
     # One-shot conveniences

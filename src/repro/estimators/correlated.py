@@ -195,10 +195,6 @@ class _CorrelatedFoldSpec:
     state: SegmentHandle
     backend: str
     bandwidth: int
-    #: The parent's resolved kernel backend, carried so that a worker
-    #: never re-resolves it from its own environment.  No compiled op
-    #: serves the correlated fold, so the workers do not read it.
-    kernel_backend: str = "numpy"
 
     def __call__(self) -> "_CorrelatedFoldSlot":
         schedule = attach_schedule(self.static)
@@ -484,7 +480,6 @@ class CorrelatedNormalEstimator(MakespanEstimator):
             state=state.handle,
             backend=store.backend,
             bandwidth=int(getattr(store, "bandwidth", 0)),
-            kernel_backend=self.kernel_backend,
         )
         return state, static_key, spec
 

@@ -1,6 +1,6 @@
 """Per-candidate reference of the two-state Monte Carlo failure draw.
 
-The engine (:meth:`repro.sim.engine._BatchWorker._scatter_failures`) finds
+The engine (:meth:`repro.sim.engine._BatchWorker._failed_cells`) finds
 a batch's failed ``(trial, task)`` cells by geometric skips with thinning,
 drawn in vectorised chunks.  This walks the same contract one candidate at
 a time and returns the dense failure mask, so the tests' dense pipelines

@@ -1068,12 +1068,10 @@ class TestKernelBackendProcessParity:
         assert requested.details["kernel_backend"] == "numba"
 
     def test_process_spec_carries_resolved_backend(self, monkeypatch):
-        # The spec pins the parent's resolution; a worker-side environment
-        # variable must not change it.
-        from repro.estimators.correlated import _CorrelatedFoldSpec
+        # The Monte Carlo spec pins the parent's resolution; a worker-side
+        # environment variable must not change it.
         from repro.sim.executors import _ProcessWorkerState
 
-        assert _CorrelatedFoldSpec.__dataclass_fields__["kernel_backend"]
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
         with _mc_worker_spec(_mc_engine()) as spec:
             assert spec.plan.kernel_backend == "numpy"

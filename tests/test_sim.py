@@ -259,7 +259,15 @@ class TestZeroCopyPipeline:
         engine = MonteCarloEngine(graph, model, trials=300, seed=4, dtype=dtype)
         slot = engine._slots[0]
         makespans = slot.evaluate(300, partition_stream(engine.seed_entropy, 0))
-        assert makespans.tobytes() == slot.kernel.makespans(300).tobytes()
+        # The same batch swept in full, each trial reduced over all rows.
+        plan, kernel = slot.plan, slot.kernel
+        q = model.failure_probabilities(graph.index().weights)
+        mask = failure_mask(partition_stream(engine.seed_entropy, 0), q, 300)
+        kernel.weight_view(300)[...] = np.where(
+            mask.T[kernel.perm], plan.fail[:, None], plan.ok[:, None]
+        )
+        kernel.propagate(300)
+        assert makespans.tobytes() == kernel.makespans(300).tobytes()
 
     def test_float32_close_to_float64(self, lu4):
         model = ExponentialErrorModel.for_graph(lu4, 0.01)

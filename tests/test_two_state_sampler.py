@@ -1,11 +1,10 @@
 """Statistical tests of the two-state Monte Carlo failure sampler.
 
 The engine draws a batch's failed ``(trial, task)`` cells by geometric
-skips with thinning (:meth:`repro.sim.engine._BatchWorker._scatter_failures`).
-These tests read the sampled cells back from the kernel buffer, with the
-longest-path sweep switched off, and check that every cell fails
-independently with the probability of its task, and that a batch draws
-far fewer variates than it has cells.
+skips with thinning (:meth:`repro.sim.engine._BatchWorker._failed_cells`).
+These tests read the sampled cells from that walk and check that every
+cell fails independently with the probability of its task, and that a
+batch draws far fewer variates than it has cells.
 """
 
 import numpy as np
@@ -36,6 +35,10 @@ class _SpyGenerator:
         self.rng = rng
         self.draws = []
 
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
     def random(self, size=None, **kwargs):
         out = kwargs.get("out")
         shape = out.shape if out is not None else size
@@ -46,17 +49,17 @@ class _SpyGenerator:
 def _failure_cells(engine, batches):
     """Per-task ``(tasks, trials)`` failures of ``batches`` sampled batches."""
     slot = engine._slots[0]
-    slot.kernel.propagate = lambda trials: None
-    plan, rank = slot.plan, slot.kernel.rank
-    view = slot.kernel.weight_view(plan.capacity)
+    batch, n = slot.plan.capacity, slot.plan.schedule.num_tasks
     out = []
     for b in range(batches):
-        slot.evaluate(plan.capacity, partition_stream(engine.seed_entropy, b))
-        out.append(view[rank] == plan.fail[rank][:, None])
+        failed = np.zeros((n, batch), dtype=bool)
+        rng = partition_stream(engine.seed_entropy, b)
+        for task, trials in slot._failed_cells(batch, rng):
+            failed[task, trials] = True
+        out.append(failed)
     return np.concatenate(out, axis=1)
 
 
-# Distinct weights keep every re-executed weight apart from the nominal one.
 Q_SPARSE = [0.0, 0.02, 1e-3, 0.05, 0.05, 0.3e-3, 0.0, 0.011]
 Q_CERTAIN = [0.0, 0.2, 1.0, 0.5, 1.0, 0.01]
 

@@ -19,6 +19,14 @@ Monte Carlo shape — 10,000 trials, the default batch, 2 workers, the
 speedup taken over serial at that same shape — where pool and worker
 start-up weigh most.  It is tracked only (``guard_min`` is ``null``).
 
+Two tracked rows time ``processes`` x2 against serial at small shapes of
+the paper's rate (pfail 1e-3, the default batch), where the pool's cost
+per run shows most: ``processes-x2-t4000`` on cholesky k = 10 (4,000
+trials, one batch) and ``processes-x2-t256`` on k = 24 (256 trials, one
+batch).  Every run leases the process's warm pool, so these rows time what
+a run costs once the pool exists: the lease, slot builds, the batches and
+the release.
+
 Two more tracked rows, ``serial-pfail1e-3``, time serial runs at the
 paper's rate (pfail 1e-3, the default batch) on cholesky k = 10 (4,000
 trials) and k = 24 (10,000 trials): there most trials have no failed task
@@ -62,6 +70,8 @@ E2E_WORKERS = 2
 #: Tracked serial rows at the paper's rate: trials per tile count.
 SPARSE_PFAIL = 1e-3
 SPARSE_TRIALS = {10: 4_000, 24: 10_000}
+#: Tracked ``processes`` x2 rows on the warm pool: trials per tile count.
+SMALL_PROCESSES_TRIALS = {10: 4_000, 24: 256}
 
 
 def mc_trials() -> int:
@@ -132,6 +142,31 @@ def _sparse_serial_entry(k, cpus):
     return _entry(
         "serial-pfail1e-3", k, graph.num_tasks, trials,
         dense_time, sparse_time, 1, cpus, None, pfail=SPARSE_PFAIL,
+    )
+
+
+def _small_processes_entry(k, cpus):
+    """The unguarded ``processes-x2-t<trials>`` row of one tile count."""
+    graph = build_dag("cholesky", k)
+    model = ExponentialErrorModel.for_graph(graph, SPARSE_PFAIL)
+    trials = SMALL_PROCESSES_TRIALS.get(k, 4_000)
+
+    def run(**kwargs):
+        MonteCarloEngine(graph, model, trials=trials, seed=1, **kwargs).run()
+
+    run(backend="processes", workers=E2E_WORKERS)  # warm the pool
+    serial_time = best_time(lambda: run(backend="serial"), repeats=7)
+    process_time = best_time(
+        lambda: run(backend="processes", workers=E2E_WORKERS), repeats=7
+    )
+    print(
+        f"  processes x{E2E_WORKERS} k={k:3d} ({graph.num_tasks:5d} tasks, "
+        f"{trials} trials, pfail={SPARSE_PFAIL:g}): {process_time * 1e3:8.1f} ms  "
+        f"({serial_time / process_time:5.2f}x vs serial, {serial_time * 1e3:.1f} ms)"
+    )
+    return _entry(
+        f"processes-x{E2E_WORKERS}-t{trials}", k, graph.num_tasks, trials,
+        serial_time, process_time, E2E_WORKERS, cpus, None, pfail=SPARSE_PFAIL,
     )
 
 
@@ -215,6 +250,9 @@ def test_mc_backend_throughput():
 
     for k in throughput_bench_sizes(tuple(SPARSE_TRIALS)):
         entries.append(_sparse_serial_entry(k, cpus))
+
+    for k in throughput_bench_sizes(tuple(SMALL_PROCESSES_TRIALS)):
+        entries.append(_small_processes_entry(k, cpus))
 
     for entry in entries:
         if entry["guard_min"] is not None:

@@ -51,8 +51,8 @@ against a slot holding the schedule, the store and the sweep arrays; the
 backend only decides where those arrays live — local arrays in-process,
 zero-copy segment views (the schedule from the registry, the sweep state
 from a per-estimate segment) in ``processes`` workers.  Each estimate opens
-its own service in a ``with`` block, so its worker pools end with the
-estimate.
+its own service in a ``with`` block, so its worker slots are released with
+the estimate.
 
 Correlation storage backends
 ----------------------------
@@ -182,13 +182,14 @@ class _CorrelatedFoldSpec:
     """Picklable worker-slot factory of the shared-memory level fold.
 
     Carries only segment handles and the store's resolved shape knobs; the
-    slot-factory protocol calls the spec once per worker process (pool
-    initializer) — and in the parent on backend degradation — to attach
-    the zero-copy views.  The *static* segment holds the flattened level
-    schedule (published through the content-addressed registry: re-runs
-    over the same DAG attach the warm segment, and the schedule is rebuilt
-    from views without recompiling); the *state* segment holds the
-    per-estimate sweep arrays and the correlation store's data arrays.
+    slot-factory protocol calls the spec once per worker process, on the
+    worker's first partition of the estimate — and in the parent on backend
+    degradation — to attach the zero-copy views.  The *static* segment
+    holds the flattened level schedule (published through the
+    content-addressed registry: re-runs over the same DAG attach the warm
+    segment, and the schedule is rebuilt from views without recompiling);
+    the *state* segment holds the per-estimate sweep arrays and the
+    correlation store's data arrays.
     """
 
     static: SegmentHandle
@@ -241,8 +242,8 @@ class _CorrelatedFoldSlot:
         self._attached = attached
 
     def close(self) -> None:
-        # Called for parent-built (degradation) slots only; pool workers
-        # keep their cached attachments for the life of the process.
+        # Called by pool workers when the estimate's service closes, and
+        # for parent-built (degradation) slots.
         for name in self._attached:
             detach_segment(name)
 

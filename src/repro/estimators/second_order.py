@@ -59,8 +59,8 @@ same chunk function, :func:`_sweep_pair_chunk`; the backend only decides
 where a slot's inputs live — local arrays in-process, zero-copy segment
 views (the schedules from the registry; the row list, ``L({i})``, ``r``
 and the weights from a fresh segment) in ``processes`` workers.  Each
-estimate opens its own service in a ``with`` block, so its worker pools
-end with the estimate.
+estimate opens its own service in a ``with`` block, so its worker slots
+are released with the estimate.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ class _PairChunkSlot:
         self._attached = attached
 
     def close(self) -> None:
-        # Parent-built (degradation) slots only; pool workers keep their
-        # cached attachments for the life of the process.
+        # Called by pool workers when the estimate's service closes, and
+        # for parent-built (degradation) slots.
         for name in self._attached:
             detach_segment(name)
 

@@ -27,8 +27,17 @@ Backends
 
 ``processes``
     A :class:`~concurrent.futures.ProcessPoolExecutor`.  The partition
-    function and partitions must be picklable; per-process slots are built
-    once by a picklable ``slot_factory`` in the pool initializer.
+    function and partitions must be picklable.  Each Python process keeps
+    one warm, fork-started pool and leases it to one service at a time; a
+    service that finds it leased forks a private pool and closes it with
+    itself.  The picklable ``slot_factory`` travels with every partition,
+    and a worker builds its slot from it the first time it sees the run's
+    token.  Closing the service releases the lease: every worker drops its
+    slot and detaches every segment, and the workers stay alive for the
+    next service.  :meth:`~repro.exec.shm.SegmentRegistry.clear` on the
+    process-global registry ends the warm pool, and so does a
+    ``multiprocessing`` child's exit.  A forked child never uses the pool
+    it inherited; it builds its own.
 
 Determinism contract
 --------------------
@@ -106,6 +115,7 @@ faults through the same dispatch seam the real failures take.
 from __future__ import annotations
 
 import gc
+import itertools
 import multiprocessing
 import os
 import threading
@@ -121,6 +131,7 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass
 from multiprocessing import context as mp_context
+from multiprocessing import util as mp_util
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -129,6 +140,7 @@ from ..exceptions import EstimationError, ExecutionError, ExecutionTimeoutError
 from ..options import KNOBS, resolve
 from .faults import FaultPlan
 from .report import ExecutionReport
+from .shm import detach_all_segments
 
 __all__ = [
     "EXEC_BACKENDS",
@@ -300,16 +312,46 @@ class ExecutionPolicy:
 # Process-pool worker plumbing (module level: must be picklable)
 # ----------------------------------------------------------------------
 
+#: This worker's slot and the token of the run whose factory built it.
 _PROCESS_SLOT: Optional[object] = None
+_SLOT_TOKEN: Optional[int] = None
+
+#: The barrier all workers of this worker's pool meet at on a release.
+_RELEASE_BARRIER = None
 
 
-def _process_pool_init(slot_factory: Optional[Callable[[], object]]) -> None:
-    global _PROCESS_SLOT
+def _process_pool_init(barrier) -> None:
+    global _RELEASE_BARRIER
     # A forked worker starts with its collector paused (see
     # _FrozenHeapForkProcess): freeze the inherited heap before resuming.
     gc.freeze()
     gc.enable()
-    _PROCESS_SLOT = slot_factory() if slot_factory is not None else None
+    _RELEASE_BARRIER = barrier
+
+
+def _drop_worker_slot() -> None:
+    global _PROCESS_SLOT, _SLOT_TOKEN
+    slot, _PROCESS_SLOT, _SLOT_TOKEN = _PROCESS_SLOT, None, None
+    close = getattr(slot, "close", None)
+    if callable(close):
+        close()
+
+
+def _worker_slot(token: Optional[int], slot_factory):
+    """This worker's slot of run ``token``, built the first time it is seen.
+
+    A slot is built inside a task, never at worker start, so it exists only
+    while its run does: the factory's segments are live, and the previous
+    run's slot is dropped first.
+    """
+    global _PROCESS_SLOT, _SLOT_TOKEN
+    if slot_factory is None:
+        return None
+    if token != _SLOT_TOKEN:
+        _drop_worker_slot()
+        _PROCESS_SLOT = slot_factory()
+        _SLOT_TOKEN = token
+    return _PROCESS_SLOT
 
 
 def _process_pool_call(
@@ -320,13 +362,28 @@ def _process_pool_call(
     attempt: int = 0,
     faults: Optional[FaultPlan] = None,
     backoff: float = 0.0,
+    token: Optional[int] = None,
+    slot_factory: Optional[Callable[[], object]] = None,
 ):
     if backoff > 0.0:
         time.sleep(backoff)
     if faults is not None:
         faults.apply(index, attempt, in_child=True)
+    slot = _worker_slot(token, slot_factory)
     rng = partition_stream(entropy, index) if entropy is not None else None
-    return fn(item, _PROCESS_SLOT, rng)
+    return fn(item, slot, rng)
+
+
+def _process_pool_release(timeout: float) -> None:
+    """Drop this worker's slot and every attachment, then meet the others.
+
+    A worker waiting at the barrier takes no other call, so a batch of one
+    call per worker reaches each worker exactly once.
+    """
+    _drop_worker_slot()
+    detach_all_segments()
+    gc.collect()
+    _RELEASE_BARRIER.wait(timeout)
 
 
 class _FrozenHeapForkProcess(mp_context.ForkProcess):
@@ -388,31 +445,208 @@ def _pool_context() -> Optional[mp_context.BaseContext]:
     return None
 
 
-def _shutdown_pool_quietly(pool: ProcessPoolExecutor) -> None:
-    """Finalizer for service-cached pools: release workers, never raise."""
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # pragma: no cover - interpreter-shutdown races
-        pass
+#: Seconds a worker waits at the release barrier for the others.
+_RELEASE_TIMEOUT = 10.0
+
+#: Run tokens: a worker rebuilds its slot when a task's token differs.
+_SLOT_TOKENS = itertools.count()
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Best-effort hard stop: cancel queued work and kill the workers.
+class _WorkerPool:
+    """A process pool plus the barrier its workers meet at on a release."""
 
-    ``ProcessPoolExecutor`` offers no per-worker preemption, so enforcing
-    a deadline means sacrificing the pool; the caller rebuilds it through
-    the slot-factory protocol.  ``_processes`` is a private attribute, but
-    it has been stable across every supported CPython and the fallback is
-    merely a slower (cooperative) shutdown.
+    def __init__(self, workers: int) -> None:
+        context = _pool_context()
+        self.workers = workers
+        barrier = (context or multiprocessing.get_context()).Barrier(workers)
+        self.executor = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=context,
+            initializer=_process_pool_init,
+            initargs=(barrier,),
+        )
+        self._release_lock = threading.Lock()
+
+    def release(self) -> bool:
+        """Have every worker drop its slot and segments.
+
+        Returns ``False`` when the pool cannot be trusted any more (a
+        worker died, the barrier broke, or the batch did not finish).
+        """
+        with self._release_lock:
+            try:
+                calls = [
+                    self.executor.submit(_process_pool_release, _RELEASE_TIMEOUT)
+                    for _ in range(self.workers)
+                ]
+            except RuntimeError:  # shut down, or broken by a lost worker
+                return False
+            done, pending = wait(calls, timeout=2 * _RELEASE_TIMEOUT)
+            return not pending and all(
+                not c.cancelled() and c.exception() is None for c in done
+            )
+
+    def terminate(self) -> None:
+        """Best-effort hard stop: cancel queued work and kill the workers.
+
+        ``ProcessPoolExecutor`` offers no per-worker preemption, so
+        enforcing a deadline means sacrificing the pool; the caller
+        rebuilds it, and the fresh workers build their slots from the run's
+        factory.  ``_processes`` is a private attribute, but it has been
+        stable across every supported CPython and the fallback is merely a
+        slower (cooperative) shutdown.
+        """
+        procs = getattr(self.executor, "_processes", None)
+        workers = list(procs.values()) if procs else []
+        self.executor.shutdown(wait=False, cancel_futures=True)
+        for worker in workers:
+            try:
+                worker.terminate()
+            except Exception:  # pragma: no cover - already-dead workers
+                pass
+
+    def shutdown(self) -> None:
+        """Stop the workers and join them."""
+        self.executor.shutdown(wait=True, cancel_futures=True)
+
+
+class _WarmPool:
+    """The one warm pool of this Python process, leased to one service at
+    a time.  Built on the lessee's first use, rebuilt when a lessee asks
+    for another width or discards it, ended by :func:`end_warm_pool`."""
+
+    def __init__(self) -> None:
+        # Re-entrant: an unclosed service's finalizer may run inside a
+        # collection triggered while this thread holds the lock.
+        self._lock = threading.RLock()
+        self._pool: Optional[_WorkerPool] = None
+        self._leased = False
+        self._ends_at_exit = False
+
+    def forget_inherited(self) -> None:
+        """Start empty in a forked child.  The inherited pool's threads and
+        workers are the parent's: it is parked, never used nor shut down."""
+        _INHERITED_POOLS.append(self._pool)
+        self.__init__()
+
+    def lease(self) -> bool:
+        with self._lock:
+            if self._leased:
+                return False
+            self._leased = True
+            return True
+
+    def unlease(self) -> None:
+        with self._lock:
+            self._leased = False
+
+    def take(self, workers: int) -> _WorkerPool:
+        """The lessee's pool, ``workers`` wide."""
+        with self._lock:
+            pool = self._pool
+            if pool is not None and pool.workers == workers:
+                return pool
+            self._pool = None
+        if pool is not None:
+            pool.shutdown()
+        pool = _WorkerPool(workers)
+        with self._lock:
+            self._pool = pool
+            if not self._ends_at_exit:
+                # A multiprocessing child exits through mp_util's exit
+                # function, which runs no atexit hook and joins every live
+                # child: the pool must end before that join, and before
+                # the pool's queues stop their feeder threads (priority 10).
+                mp_util.Finalize(None, self.end, exitpriority=20)
+                self._ends_at_exit = True
+        return pool
+
+    def forget(self, pool: _WorkerPool) -> None:
+        """Stop handing out ``pool`` (the lessee discards it)."""
+        with self._lock:
+            if self._pool is pool:
+                self._pool = None
+
+    def end(self) -> None:
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
+
+
+_WARM_POOL = _WarmPool()
+_INHERITED_POOLS: List[Optional[_WorkerPool]] = []
+os.register_at_fork(after_in_child=_WARM_POOL.forget_inherited)
+
+
+def end_warm_pool() -> None:
+    """Shut this process's warm pool down and join its workers.
+
+    :meth:`repro.exec.shm.REGISTRY.clear <repro.exec.shm.SegmentRegistry.clear>`
+    calls this before it unlinks anything; the next ``processes`` run forks
+    a new pool.
     """
-    procs = getattr(pool, "_processes", None)
-    workers = list(procs.values()) if procs else []
-    pool.shutdown(wait=False, cancel_futures=True)
-    for worker in workers:
-        try:
-            worker.terminate()
-        except Exception:  # pragma: no cover - already-dead workers
-            pass
+    _WARM_POOL.end()
+
+
+class _ProcessPools:
+    """A service's process pool: the warm one while the service holds the
+    lease, else a private one that closes with the service."""
+
+    def __init__(self) -> None:
+        self.pool: Optional[_WorkerPool] = None
+        self.leased = False
+
+    def acquire(self, workers: int) -> ProcessPoolExecutor:
+        if self.leased or (self.pool is None and _WARM_POOL.lease()):
+            self.leased = True
+            try:
+                self.pool = _WARM_POOL.take(workers)
+            except BaseException:
+                self.leased = False
+                _WARM_POOL.unlease()
+                raise
+        elif self.pool is None:
+            self.pool = _WorkerPool(workers)
+        return self.pool.executor
+
+    def discard(self) -> None:
+        """Kill the pool after worker loss or preemption; the next
+        :meth:`acquire` builds a fresh one."""
+        pool, self.pool = self.pool, None
+        if pool is None:
+            return
+        if self.leased:
+            _WARM_POOL.forget(pool)
+        pool.terminate()
+
+    def close(self, release: bool = True) -> None:
+        """Release the lease and every worker slot, or end a private pool
+        (idempotent).  The finalizer of an unclosed service passes
+        ``release=False``: it discards the warm pool rather than wait on
+        its workers from inside a collection."""
+        pool, self.pool = self.pool, None
+        leased, self.leased = self.leased, False
+        if pool is not None and not (leased and release and pool.release()):
+            if leased:
+                _WARM_POOL.forget(pool)
+            pool.terminate()
+        if leased:
+            _WARM_POOL.unlease()
+
+
+def _future_error(future) -> Optional[Exception]:
+    """A done future's exception, read without raising it.
+
+    Raising it would add the caller's frames, and so the run and its
+    service, to the traceback of an exception that the future keeps (a
+    lost pool shares one with every future it broke): a reference cycle.
+    A ``BaseException`` that is not an ``Exception`` still propagates.
+    """
+    error = future.exception()
+    if error is not None and not isinstance(error, Exception):
+        future.result()
+    return error
 
 
 class _BackendUnusable(Exception):
@@ -438,8 +672,8 @@ class ParallelService:
     """Executes index-ordered work partitions on a pluggable backend.
 
     Clients run one service per estimate or Monte Carlo run as a context
-    manager: leaving the ``with`` block closes its worker pools, whether
-    the block returns or raises.
+    manager: leaving the ``with`` block releases its worker pools, whether
+    the block returns or raises (see :meth:`close`).
 
     Parameters
     ----------
@@ -486,72 +720,46 @@ class ParallelService:
         #: and joining a fresh pool each time is pure overhead on the hot
         #: path.  Threads idle between calls until :meth:`close`.
         self._thread_pool: Optional[ThreadPoolExecutor] = None
-        #: The process pool is cached the same way, keyed by the slot
-        #: factory that initialised its workers: the shared-memory clients
-        #: call run() hundreds of times per estimate against one factory,
-        #: and worker slots (attached segments, kernels) survive between
-        #: calls.  Rebuilt on worker loss / preemption, dropped by
-        #: :meth:`close`, and by a finalizer as a safety net when an
-        #: unclosed service is collected.
-        self._process_pool: Optional[ProcessPoolExecutor] = None
-        self._process_pool_factory: Optional[Callable[[], object]] = None
-        self._process_pool_workers = 0
-        self._process_pool_finalizer = None
+        #: The process pool, held from the first ``processes`` run until
+        #: :meth:`close` (or, for an unclosed service, its finalizer):
+        #: the warm pool when the lease is free, else a private one.
+        self._processes = _ProcessPools()
+        self._process_finalizer = None
+        #: The run token of the last slot factory (see _worker_slot).
+        self._token_factory: Optional[Callable[[], object]] = None
+        self._token: Optional[int] = None
 
     def _pool(self) -> ThreadPoolExecutor:
         if self._thread_pool is None:
             self._thread_pool = ThreadPoolExecutor(max_workers=self.workers)
         return self._thread_pool
 
-    def _acquire_process_pool(
-        self, k: int, slot_factory: Optional[Callable[[], object]]
-    ) -> ProcessPoolExecutor:
-        """The cached worker pool for ``slot_factory``, built on demand.
+    def _acquire_process_pool(self) -> ProcessPoolExecutor:
+        """This service's process pool, ``workers`` wide."""
+        if self._process_finalizer is None:
+            self._process_finalizer = weakref.finalize(
+                self, self._processes.close, False
+            )
+        return self._processes.acquire(self.workers)
 
-        A cached pool is reused only when it was initialised by the *same*
-        factory object (worker slots are factory state) and is at least as
-        wide as requested; anything else is discarded and rebuilt.
-        """
-        if (
-            self._process_pool is not None
-            and self._process_pool_factory is slot_factory
-            and self._process_pool_workers >= k
-        ):
-            return self._process_pool
-        self._discard_process_pool()
-        pool = ProcessPoolExecutor(
-            max_workers=k,
-            mp_context=_pool_context(),
-            initializer=_process_pool_init,
-            initargs=(slot_factory,),
-        )
-        self._process_pool = pool
-        self._process_pool_factory = slot_factory
-        self._process_pool_workers = k
-        self._process_pool_finalizer = weakref.finalize(
-            self, _shutdown_pool_quietly, pool
-        )
-        return pool
-
-    def _discard_process_pool(self) -> None:
-        """Terminate and forget the cached process pool (if any)."""
-        pool = self._process_pool
-        if pool is None:
-            return
-        if self._process_pool_finalizer is not None:
-            self._process_pool_finalizer.detach()
-            self._process_pool_finalizer = None
-        self._process_pool = None
-        self._process_pool_factory = None
-        self._process_pool_workers = 0
-        _terminate_pool(pool)
+    def _slot_token(self, slot_factory) -> int:
+        """The token workers know ``slot_factory``'s slots by."""
+        if slot_factory is not self._token_factory or self._token is None:
+            self._token_factory = slot_factory
+            self._token = next(_SLOT_TOKENS)
+        return self._token
 
     def close(self) -> None:
-        """Release the cached worker pools (idempotent).
+        """Release the worker pools (idempotent).
 
-        A service is usable again afterwards (pools are rebuilt on demand).
+        The warm process pool's workers drop their slots and stay alive for
+        the next service; a private process pool and the thread pool end.
+        A service is usable again afterwards (pools are acquired on demand).
         """
-        self._discard_process_pool()
+        if self._process_finalizer is not None:
+            self._process_finalizer.detach()
+            self._process_finalizer = None
+        self._processes.close()
         if self._thread_pool is not None:
             self._thread_pool.shutdown(wait=False, cancel_futures=True)
             self._thread_pool = None
@@ -596,11 +804,13 @@ class ParallelService:
             backend uses ``slots[0]``.
         slot_factory:
             ``processes`` only: a picklable zero-argument callable building
-            one slot per worker process (pool initializer).  Also the
-            recovery seam — pool rebuilds re-run it in fresh workers, and
+            one slot per worker process.  It travels with every partition;
+            a worker calls it the first time it sees it in this service,
+            and ``close()``-s the slot (when it has that method) on the
+            next factory or when the service closes.  Also the recovery
+            seam — fresh workers after a pool rebuild call it again, and
             backend degradation calls it in the parent process.  Slots it
-            builds in the parent are ``close()``-d after the run when they
-            expose that method.
+            builds in the parent are ``close()``-d after the run.
         entropy:
             When not ``None``, partition ``i`` receives the deterministic
             stream :func:`partition_stream` ``(entropy, i)`` — on every
@@ -662,7 +872,7 @@ class _ServiceRun:
         self.position = 0
         self.stopped = False
         self.attempts_used = [0] * len(items)
-        self.causes: Dict[int, List] = {}
+        self.causes: Dict[int, List[str]] = {}
         self.failure_kinds: Dict[int, List[str]] = {}
         #: Parent-side slots built from the factory (degradation path).
         self._factory_slots: List = []
@@ -719,7 +929,11 @@ class _ServiceRun:
 
     def _record_failure(self, index, attempt, kind, cause) -> None:
         self.report.record_failure(index, attempt, kind, cause)
-        self.causes.setdefault(index, []).append(cause)
+        # Text, as ExecutionError keeps it: an exception's traceback
+        # frames reference this run and its service, and would keep an
+        # unclosed service (and its pool lease) alive until the cyclic
+        # collector runs.
+        self.causes.setdefault(index, []).append(str(cause))
         self.failure_kinds.setdefault(index, []).append(kind)
 
     def _rng(self, index: int):
@@ -888,9 +1102,9 @@ class _ServiceRun:
     # ------------------------------------------------------------------
     # Process backend: windowed dispatch, pool recovery, preemption
     # ------------------------------------------------------------------
-    def _make_process_pool(self, k: int) -> ProcessPoolExecutor:
+    def _make_process_pool(self) -> ProcessPoolExecutor:
         try:
-            return self.service._acquire_process_pool(k, self.slot_factory)
+            return self.service._acquire_process_pool()
         except Exception as exc:
             raise _BackendUnusable(f"process pool unavailable: {exc!r}", exc)
 
@@ -902,8 +1116,8 @@ class _ServiceRun:
         done, so the merged outcome (including the early-stop point) is
         identical to the ``threads`` backend at any worker count.  The
         pool has ``workers`` processes whatever the partition count, so
-        one pool serves every run() of an estimate.  Up to ``2 * workers``
-        partitions are in flight, so each worker finds its next partition
+        one pool serves every run() of an estimate, and the next estimate.
+        Up to ``2 * workers`` partitions are in flight, so each worker finds its next partition
         queued instead of idling through the parent's result, fold and
         submit; with a deadline configured only ``workers`` are, so that a
         submit timestamp approximates the start of execution.  Failed
@@ -914,7 +1128,8 @@ class _ServiceRun:
         timeout = self.policy.timeout
         k = self.service.workers
         window = min(2 * k if timeout is None else k, len(self.items) - self.position)
-        pool = self._make_process_pool(k)
+        token = self.service._slot_token(self.slot_factory)
+        pool = self._make_process_pool()
         rebuilds = 0
         queue = deque(range(self.position, len(self.items)))
         inflight: Dict = {}  # future -> (index, attempt, submitted_at)
@@ -933,6 +1148,8 @@ class _ServiceRun:
                 attempt,
                 self.faults,
                 delay,
+                token,
+                self.slot_factory,
             )
             inflight[future] = (index, attempt, time.perf_counter())
 
@@ -957,24 +1174,22 @@ class _ServiceRun:
             # dispatched) and re-dispatched if budget remains.
             for future, (index, attempt, submitted) in list(inflight.items()):
                 if future.done():
-                    try:
-                        value = future.result()
-                    except BrokenExecutor:
-                        pass  # a victim: falls through to worker-lost
-                    except Exception as exc:
-                        self._record_failure(index, attempt, "error", exc)
-                        requeue(index)
-                        continue
-                    else:
+                    error = _future_error(future)
+                    if error is None:
                         self.report.record_success(
                             time.perf_counter() - submitted
                         )
-                        finished[index] = value
+                        finished[index] = future.result()
                         continue
+                    if not isinstance(error, BrokenExecutor):
+                        self._record_failure(index, attempt, "error", error)
+                        requeue(index)
+                        continue
+                    # A victim: falls through to worker-lost.
                 self._record_failure(index, attempt, "worker-lost", cause)
                 requeue(index)
             inflight.clear()
-            self.service._discard_process_pool()
+            self.service._processes.discard()
             rebuilds += 1
             self.report.pool_rebuilds += 1
             if rebuilds > MAX_POOL_REBUILDS:
@@ -983,7 +1198,7 @@ class _ServiceRun:
                     f"(last cause: {cause!r})",
                     cause if isinstance(cause, BaseException) else None,
                 )
-            pool = self._make_process_pool(k)
+            pool = self._make_process_pool()
 
         def preempt(now: float) -> None:
             nonlocal pool
@@ -1009,11 +1224,11 @@ class _ServiceRun:
                 self._refund_attempt(index)
                 queue.appendleft(index)
             inflight.clear()
-            self.service._discard_process_pool()
+            self.service._processes.discard()
             # Preemption is deliberate: it does not consume the rebuild
             # budget (a hanging partition is bounded by its retry budget).
             self.report.pool_rebuilds += 1
-            pool = self._make_process_pool(k)
+            pool = self._make_process_pool()
 
         try:
             while not self.stopped and (queue or inflight or
@@ -1062,36 +1277,34 @@ class _ServiceRun:
                 broke = None
                 for future in done:
                     index, attempt, submitted = inflight.pop(future)
-                    try:
-                        value = future.result()
-                    except BrokenExecutor as exc:
+                    error = _future_error(future)
+                    if isinstance(error, BrokenExecutor):
                         # Put it back so handle_pool_break charges it with
                         # the rest of the in-flight set.
                         inflight[future] = (index, attempt, submitted)
-                        broke = exc
+                        broke = error
                         break
-                    except Exception as exc:
-                        self._record_failure(index, attempt, "error", exc)
+                    if error is not None:
+                        self._record_failure(index, attempt, "error", error)
                         requeue(index)
                     else:
                         elapsed = time.perf_counter() - submitted
                         if timeout is not None and elapsed > timeout:
                             self.report.deadline_misses += 1
                         self.report.record_success(elapsed)
-                        finished[index] = value
+                        finished[index] = future.result()
                 if broke is not None:
                     handle_pool_break(broke)
         finally:
-            # The pool stays warm on the service for the next run() —
-            # tearing down and re-initialising worker slots between the
-            # hundreds of calls of a level sweep is exactly the overhead
-            # the shared-memory plane removes.  It only needs to be
-            # quiescent: stragglers past an early stop are drained (their
-            # results are discarded), unless a deadline licenses killing
-            # them with the pool.
+            # The pool and its worker slots stay warm for the next run() —
+            # re-building slots between the hundreds of calls of a level
+            # sweep is exactly the overhead the shared-memory plane
+            # removes.  It only needs to be quiescent: stragglers past an
+            # early stop are drained (their results are discarded), unless
+            # a deadline licenses killing them with the pool.
             if inflight:
                 if timeout is not None:
-                    self.service._discard_process_pool()
+                    self.service._processes.discard()
                 else:
                     for future in inflight:
                         future.cancel()

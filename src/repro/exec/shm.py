@@ -24,7 +24,8 @@ private heap.  This module removes both costs:
     segment instead of republishing.  ``publish`` pins a segment until its
     ``release``; released segments stay warm until the budget evicts them
     (a budget of 0 unlinks on last release) or :meth:`clear` (registered
-    ``atexit``) does, so no ``/dev/shm`` entry outlives the parent process.
+    ``atexit``, and run at a ``multiprocessing`` child's exit) does, so no
+    ``/dev/shm`` entry outlives the process that made it.
 
 ``publish_schedule`` / ``attach_schedule``
     The one place that knows the registry key of a compiled
@@ -44,9 +45,12 @@ from __future__ import annotations
 
 import atexit
 import hashlib
+import mmap
+import os
 import threading
 from collections import OrderedDict
 from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import util as mp_util
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -70,6 +74,7 @@ __all__ = [
     "attach_segment",
     "attach_shared_memory",
     "content_key",
+    "detach_all_segments",
     "detach_segment",
     "publish_schedule",
     "schedule_key",
@@ -156,6 +161,18 @@ def attach_shared_memory(name: str) -> shared_memory.SharedMemory:
                 resource_tracker.register = original
 
 
+def _keep_from_forks(shm: shared_memory.SharedMemory) -> None:
+    """Leave this mapping out of every child forked from now on.
+
+    A forked pool worker would otherwise map each segment its parent held
+    at the fork, for its whole life, unlinked or not.  The child's objects
+    that describe such mappings are parked by :func:`_forget_inherited`.
+    """
+    mapping = getattr(shm, "_mmap", None)
+    if mapping is not None and hasattr(mmap, "MADV_DONTFORK"):
+        mapping.madvise(mmap.MADV_DONTFORK)
+
+
 class SharedSegment:
     """A parent-owned shared-memory block holding named array views.
 
@@ -169,6 +186,7 @@ class SharedSegment:
     def __init__(self, shm: shared_memory.SharedMemory, layout: SegmentLayout) -> None:
         self._shm = shm
         self.layout = layout
+        _keep_from_forks(shm)
         self.arrays = _map_views(shm.buf, layout)
         self._unlinked = False
 
@@ -224,6 +242,7 @@ class AttachedSegment:
 
     def __init__(self, name: str, layout: SegmentLayout) -> None:
         self._shm = attach_shared_memory(name)
+        _keep_from_forks(self._shm)
         self.name = name
         self.layout = layout
         self.arrays = _map_views(self._shm.buf, layout)
@@ -257,6 +276,15 @@ def detach_segment(name: str) -> None:
     with _ATTACH_LOCK:
         segment = _ATTACH_CACHE.pop(name, None)
     if segment is not None:
+        segment.close()
+
+
+def detach_all_segments() -> None:
+    """Drop every cached attachment of this process."""
+    with _ATTACH_LOCK:
+        segments = list(_ATTACH_CACHE.values())
+        _ATTACH_CACHE.clear()
+    for segment in segments:
         segment.close()
 
 
@@ -427,6 +455,17 @@ class PinnedLRU:
         with self._lock:
             return len(self._values)
 
+    def _forget(self) -> List[Any]:
+        """Start empty in a forked child: return the inherited values,
+        disposing none of them, and take a fresh lock."""
+        values = list(self._values.values())
+        self._values = OrderedDict()
+        self._pins = {}
+        self._pending = {}
+        self._bytes = 0
+        self._lock = threading.Lock()
+        return values
+
     def clear(self) -> None:
         """Dispose every value, pinned ones included (idempotent)."""
         with self._lock:
@@ -464,10 +503,61 @@ class SegmentRegistry(PinnedLRU):
         )[0]
 
 
+class _ProcessRegistry(SegmentRegistry):
+    """The process-global registry, whose :meth:`clear` first ends the
+    warm process pool: its workers may map the segments it unlinks."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._clears_at_exit = False
+
+    def get_or_build(self, key: str, builder: Callable[[], Any]) -> Tuple[Any, bool]:
+        if not self._clears_at_exit:
+            # A multiprocessing child exits through mp_util's exit
+            # function and runs no atexit hook.  Ahead of the warm pool's
+            # own finalizer (priority 20), since clear() ends the pool.
+            mp_util.Finalize(None, self.clear, exitpriority=21)
+            self._clears_at_exit = True
+        return super().get_or_build(key, builder)
+
+    def _forget(self) -> List[Any]:
+        # A multiprocessing child starts with no finalizer registered.
+        self._clears_at_exit = False
+        return super()._forget()
+
+    def clear(self) -> None:
+        from .service import end_warm_pool
+
+        end_warm_pool()
+        super().clear()
+
+
 #: The process-global registry used by the estimators and MC backends.
-REGISTRY = SegmentRegistry()
+REGISTRY = _ProcessRegistry()
 
 atexit.register(REGISTRY.clear)
+
+#: What a forked child inherited from this module: referenced forever.
+_INHERITED: List[Any] = []
+
+
+def _forget_inherited() -> None:
+    """Give a forked child an empty attach cache and registry.
+
+    The parent's mappings did not follow the fork (``MADV_DONTFORK``), so
+    the objects describing them are parked, never freed: freeing one would
+    ``munmap`` an address range that the child may have mapped anew.  The
+    module's locks may have been held by a parent thread at the fork.
+    """
+    global _ATTACH_LOCK, _TRACKER_LOCK
+    _ATTACH_LOCK = threading.Lock()
+    _TRACKER_LOCK = threading.Lock()
+    _INHERITED.append(list(_ATTACH_CACHE.values()))
+    _ATTACH_CACHE.clear()
+    _INHERITED.append(REGISTRY._forget())
+
+
+os.register_at_fork(after_in_child=_forget_inherited)
 
 
 def schedule_key(index: GraphIndex, direction: str) -> str:

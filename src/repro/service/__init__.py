@@ -4,8 +4,9 @@ One process answers many estimation requests (DAG + estimator + knobs)
 over a JSON-lines socket protocol, amortising everything per-DAG behind a
 content-addressed :class:`~repro.service.cache.ScheduleCache`: graph
 construction, level-schedule compilation, shared-memory segment
-publication.  Worker pools are not amortised: each estimate runs on its
-own :class:`~repro.exec.ParallelService` and closes it when it returns.
+publication.  Each estimate runs on its own
+:class:`~repro.exec.ParallelService` and closes it when it returns; the
+one warm process pool outlives it, but no worker slot does.
 Responses are bit-identical to single-shot
 :func:`repro.estimate_expected_makespan` runs.
 

@@ -13,7 +13,7 @@ graph (CSR structure + weights, :func:`request_key`):
   backend and the correlated / second-order estimators publish it — their
   publications become registry hits against the cache's warm segment.
 
-Worker pools are not cached: every estimate runs on its own
+Worker slots are not cached: every estimate runs on its own
 :class:`~repro.exec.ParallelService` and closes it when it returns.
 
 :class:`ScheduleCache` is a :class:`~repro.exec.shm.PinnedLRU`, the

@@ -6,10 +6,12 @@ repeated or concurrent requests for one DAG from a shared
 :class:`~repro.service.cache.ScheduleCache` entry: the graph is built
 once, its level schedule compiled once and its shared-memory segment
 published once.  Parallel estimators open and close their own
-:class:`~repro.exec.ParallelService` per estimate, so no worker process
-outlives its response.  A payload memo maps repeated graph payloads (the
-same decoded values in the same key order) straight to their cache key,
-so exact repeats skip graph reconstruction too.  Estimates themselves run
+:class:`~repro.exec.ParallelService` per estimate; a ``processes``
+estimate leases the process's warm worker pool and releases it with its
+response, so no worker keeps a segment of that estimate mapped.  A
+payload memo maps repeated graph payloads (the same decoded values in the
+same key order) straight to their cache key, so exact repeats skip graph
+reconstruction too.  Estimates themselves run
 on a bounded thread pool (``REPRO_SERVICE_WORKERS``) so slow requests
 never stall the event loop accepting new connections.
 

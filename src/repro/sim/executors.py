@@ -23,14 +23,15 @@ backends:
     and small-level updates serialise on the GIL.
 
 ``processes``
-    The service's process pool, sidestepping the GIL entirely: every
-    worker process builds one evaluation slot from the engine's sampling
-    plan (the per-task vectors the parent already computed) over the
-    parent's level schedule, attached from the
-    :data:`~repro.exec.shm.REGISTRY`, and writes batch makespans straight
-    into a :class:`~repro.exec.shm.SharedSegment` result buffer — no
-    pickling of sample arrays on the hot path.  Neither the graph nor the
-    error model crosses to the workers.
+    The service's process pool (the process's warm pool, see
+    :mod:`repro.exec.service`), sidestepping the GIL entirely: every worker
+    process builds one evaluation slot from the engine's sampling plan (the
+    per-task vectors the parent already computed) over the parent's level
+    schedule, attached from the :data:`~repro.exec.shm.REGISTRY`, on its
+    first batch of the run, and writes batch makespans straight into a
+    :class:`~repro.exec.shm.SharedSegment` result buffer — no pickling of
+    sample arrays on the hot path.  Neither the graph nor the error model
+    crosses to the workers.
 
 Determinism contract
 --------------------
@@ -150,11 +151,12 @@ class _ProcessSpec:
 class _ProcessWorkerState:
     """Per-process slot: one evaluation slot plus the shared result buffer.
 
-    Both are set up once per worker (pool initializer): the slot's kernel
-    sweeps the attached schedule, so nothing is rebuilt or recompiled, and
-    the result buffer is attached and mapped once — batch evaluations then
-    write into the cached view with no per-batch attach syscalls.  The
-    mappings live until the worker process exits.
+    Both are set up once per worker and run, on the worker's first batch:
+    the slot's kernel sweeps the attached schedule, so nothing is rebuilt
+    or recompiled, and the result buffer is attached and mapped once —
+    batch evaluations then write into the cached view with no per-batch
+    attach syscalls.  The worker closes the slot when the run's service
+    closes.
     """
 
     def __init__(self, spec: _ProcessSpec) -> None:
@@ -168,9 +170,9 @@ class _ProcessWorkerState:
 
     def close(self) -> None:
         """Release the schedule and result-buffer mappings (never unlinks:
-        the parent owns the segments).  Called by the service for
-        parent-side slots it built through the factory (the degradation
-        path); worker-process slots release theirs when the process exits."""
+        the parent owns the segments).  Called by the worker when the run's
+        service closes, and by the service for parent-side slots it built
+        through the factory (the degradation path)."""
         self.slot = self.out = None
         for name in self._attached:
             detach_segment(name)
@@ -196,8 +198,8 @@ def _run_processes(
 ) -> None:
     """Process pool with a shared-memory result buffer.
 
-    Every worker process builds its evaluation slot once (in the pool
-    initializer) over the published schedule segment and then evaluates
+    Every worker process builds its evaluation slot on its first batch of
+    the run, over the published schedule segment, and then evaluates
     batches of the plan, writing the resulting makespans directly into one
     shared ``float64`` buffer sized for the whole run (8 bytes/trial — 8 MB
     for a million trials).  The service folds finished batches into the

@@ -403,6 +403,8 @@ class TestDegradation:
     def test_processes_degrade_to_threads(self, monkeypatch):
         import repro.exec.service as service_module
 
+        # A warm pool left by an earlier test would bypass the patch.
+        service_module.end_warm_pool()
         monkeypatch.setattr(service_module, "ProcessPoolExecutor", _BrokenPool)
         clean = _service(workers=2, backend="threads").run(
             _transform, [1, 2, 3], entropy=4
@@ -417,6 +419,7 @@ class TestDegradation:
     def test_degradation_is_opt_in(self, monkeypatch):
         import repro.exec.service as service_module
 
+        service_module.end_warm_pool()
         monkeypatch.setattr(service_module, "ProcessPoolExecutor", _BrokenPool)
         service = _service(workers=2, backend="processes")  # on_failure="raise"
         with pytest.raises(ExecutionError) as excinfo:
@@ -619,6 +622,7 @@ class TestProcessChaos:
 
         threads = estimate(exec_backend="threads")
         before = _leaked_shm_segments()
+        service_module.end_warm_pool()
         monkeypatch.setattr(service_module, "ProcessPoolExecutor", _BrokenPool)
         degraded = estimate(
             exec_backend="processes", exec_on_failure="degrade"
@@ -675,6 +679,7 @@ class TestProcessChaos:
         threads = engine("threads").run()
         import repro.exec.service as service_module
 
+        service_module.end_warm_pool()
         monkeypatch.setattr(service_module, "ProcessPoolExecutor", _BrokenPool)
         degraded = engine("processes").run()
         assert degraded.mean == threads.mean

@@ -19,6 +19,7 @@ client partition set,
 import contextlib
 import gc
 import multiprocessing
+import os
 import sys
 import time
 import weakref
@@ -38,6 +39,7 @@ from repro.exec import (
     resolve_exec_backend,
     resolve_workers,
 )
+from repro.exec.shm import SharedSegment, attach_segment, detach_segment
 from repro.failures.models import ExponentialErrorModel
 from repro.workflows.registry import build_dag
 
@@ -288,10 +290,11 @@ class TestProcessesDeterminism:
 
         assert run("processes") == run("threads")
 
-    def test_one_pool_per_estimate(self, monkeypatch):
+    def test_one_pool_across_estimates(self, monkeypatch):
         # Level 1 of cholesky has one partition, fewer than the workers:
         # sizing the pool from the partitions would fork a 1-worker pool,
         # then replace it with a 2-worker one at the first wider level.
+        # The next estimate leases the same warm pool.
         sizes = []
 
         class CountingPool(ProcessPoolExecutor):
@@ -299,12 +302,15 @@ class TestProcessesDeterminism:
                 sizes.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
+        # Start from no warm pool, so that the first estimate builds it.
+        exec_service.end_warm_pool()
         monkeypatch.setattr(exec_service, "ProcessPoolExecutor", CountingPool)
         graph = build_dag("cholesky", 6)
         model = ExponentialErrorModel.for_graph(graph, 1e-2)
-        CorrelatedNormalEstimator(exec_backend="processes", workers=2).estimate(
-            graph, model
-        )
+        for _ in range(2):
+            CorrelatedNormalEstimator(exec_backend="processes", workers=2).estimate(
+                graph, model
+            )
         assert sizes == [2]
 
     @pytest.mark.skipif(
@@ -320,6 +326,8 @@ class TestProcessesDeterminism:
         class Node:
             pass
 
+        # Workers forked before the garbage existed would prove nothing.
+        exec_service.end_warm_pool()
         gc.disable()
         try:
             node = Node()
@@ -361,13 +369,46 @@ class TestProcessesDeterminism:
         assert states == [(True, False), (True, False)]
 
 
+class _AttachSlot:
+    """A slot factory that maps a segment, as the estimators' specs do."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __call__(self):
+        return _AttachedSlot(self.handle)
+
+
+class _AttachedSlot:
+    def __init__(self, handle):
+        self.name = handle[0]
+        self.values = attach_segment(*handle).arrays["values"]
+
+    def close(self):
+        self.values = None
+        detach_segment(self.name)
+
+
+def _read_slot(item, slot, rng):
+    return float(slot.values[int(item)])
+
+
+def _psm_mappings(pid):
+    """The ``psm_`` shared-memory mappings of process ``pid``."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return [line.split()[-1] for line in maps if "psm_" in line]
+
+
 class TestServiceLifecycle:
-    """``with ParallelService(...)`` closes its pools however the block ends."""
+    """``with ParallelService(...)`` releases its pools however the block
+    ends: thread pools close, the warm process pool's workers drop every
+    slot and segment."""
 
     @pytest.mark.parametrize("backend", [
         "threads",
         pytest.param("processes", marks=pytest.mark.skipif(
-            not HAS_PROCESSES, reason="no process pools on this platform"
+            not HAS_PROCESSES or not os.path.isdir("/proc/self"),
+            reason="no process pools, or no /proc to read mappings from",
         )),
     ])
     @pytest.mark.parametrize("raises", [False, True])
@@ -375,15 +416,35 @@ class TestServiceLifecycle:
         workers = []
         with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
             with ParallelService(workers=2, backend=backend) as service:
-                assert service.run(_transform, [1, 2, 3], entropy=0)
-                pool = service._thread_pool or service._process_pool
+                if backend == "threads":
+                    assert service.run(_transform, [1, 2, 3], entropy=0)
+                    pool = service._thread_pool
+                else:
+                    # As an estimate does: the slots map a segment that is
+                    # unlinked before the block ends.
+                    segment = SharedSegment.create({"values": np.arange(4.0)})
+                    try:
+                        assert service.run(
+                            _read_slot, [1, 2, 3],
+                            slot_factory=_AttachSlot(segment.handle),
+                        ) == [1.0, 2.0, 3.0]
+                    finally:
+                        segment.destroy()
+                    pool = service._processes.pool.executor
+                    assert service._processes.leased
                 assert pool is not None
                 workers = list(getattr(pool, "_processes", {}).values())
                 if raises:
                     raise RuntimeError("inside the block")
         assert service._thread_pool is None
-        assert service._process_pool is None
+        assert service._processes.pool is None
+        assert not service._processes.leased
         assert bool(workers) == (backend == "processes")
+        if backend == "processes":
+            # Warm for the next service, and mapping nothing of this one.
+            assert all(w.is_alive() for w in workers)
+            assert [_psm_mappings(w.pid) for w in workers] == [[], []]
+            return
         # The executor's own thread may be reaping them: poll, don't join.
         deadline = time.monotonic() + 5.0
         while any(w.is_alive() for w in workers) and time.monotonic() < deadline:

@@ -17,8 +17,8 @@ Three layers, mirroring the package:
 
 import json
 import multiprocessing
+import os
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -380,23 +380,30 @@ class TestEstimationServer:
             response = decode_message(server.handle_line(b"this is not json\n"))
         assert response["ok"] is False and "malformed" in response["error"]
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="no /proc to read mappings from"
+    )
     @pytest.mark.parametrize("method", ["second-order", "normal-correlated"])
-    def test_parallel_estimates_leave_no_worker_process(self, method):
+    def test_parallel_estimates_leave_no_worker_mapping(self, method):
+        # The warm worker pool outlives the estimate; what must not is any
+        # worker's mapping of a segment the estimate used.
         graph = build_dag("cholesky", 6)
         options = {method: {"workers": 2, "exec_backend": "processes"}}
-        before = set(multiprocessing.active_children())
         with EstimationServer() as server:
             with ServiceClient(port=server.port) as client:
                 response = client.estimate(graph, methods=[method], options=options)
                 assert response["ok"]
-                # Still serving: only the estimate may have owned workers.
-                deadline = time.monotonic() + 5.0
-                while (
-                    set(multiprocessing.active_children()) - before
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.02)
-                assert set(multiprocessing.active_children()) - before == set()
+                # Still serving: no worker maps a segment any more.
+                mapped = {}
+                for child in multiprocessing.active_children():
+                    try:
+                        with open(f"/proc/{child.pid}/maps") as maps:
+                            lines = [line for line in maps if "psm_" in line]
+                    except FileNotFoundError:  # exited since listed
+                        continue
+                    if lines:
+                        mapped[child.pid] = lines
+                assert mapped == {}
 
     def test_stop_is_idempotent_and_releases_the_port(self):
         server = EstimationServer()

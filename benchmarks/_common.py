@@ -36,6 +36,7 @@ Knobs (environment variables):
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import statistics
@@ -112,23 +113,30 @@ def best_time(fn, repeats: int = 3) -> float:
 
 
 def paired_median_ratio(fn_a, fn_b, pairs: int):
-    """Median over ``pairs`` of ``time(fn_a) / time(fn_b)``, run back to back.
+    """Median of ``time(fn_a) / time(fn_b)`` over ``pairs`` back-to-back pairs
+    (rounded up to an even count).
 
-    Every other pair runs ``fn_b`` first, so neither side always pays for
-    running second.  Returns the median time of each side and the median
-    of the per-pair ratios.
+    The pairs come in rounds of two, ``a, b`` then ``b, a``, and a round's
+    ratio is the geometric mean of its two pairs' ratios, so a cost that
+    lands on whichever call runs first (or second) cancels within the
+    round.  A median of the single pairs' ratios does not cancel it: on
+    cholesky k=24 the second serial Monte Carlo run of a pair took ~20%
+    longer than the first, the ratios fell into two clusters, one on each
+    side of the true ratio, and their median landed anywhere in the gap.
+    Returns the median time of each side and the median of the rounds'
+    ratios.
     """
-    order = [("a", fn_a), ("b", fn_b)]
     times_a, times_b, ratios = [], [], []
-    for pair in range(pairs):
-        timed = {}
-        for name, fn in order if pair % 2 == 0 else order[::-1]:
+    for _ in range(max(1, -(-pairs // 2))):
+        timed = {"a": [], "b": []}
+        for name, fn in (("a", fn_a), ("b", fn_b), ("b", fn_b), ("a", fn_a)):
             start = time.perf_counter()
             fn()
-            timed[name] = time.perf_counter() - start
-        times_a.append(timed["a"])
-        times_b.append(timed["b"])
-        ratios.append(timed["a"] / timed["b"])
+            timed[name].append(time.perf_counter() - start)
+        times_a += timed["a"]
+        times_b += timed["b"]
+        (a1, a2), (b1, b2) = timed["a"], timed["b"]
+        ratios.append(math.sqrt((a1 * a2) / (b1 * b2)))
     return (
         statistics.median(times_a),
         statistics.median(times_b),

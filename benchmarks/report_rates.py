@@ -14,8 +14,9 @@ violates a regression guard:
   the ``direction`` field existed are ``"up"`` entries; ``"down"``
   entries are timed but never gate);
 * estimator entries (``benchmark = "estimator_wavefront"``), Monte
-  Carlo backend entries (``benchmark = "mc_backends"``), parallel
-  correlated-sweep entries (``benchmark = "correlated_parallel"``),
+  Carlo backend entries (``benchmark = "mc_backends"``), thread-pool
+  correlated-sweep entries (``benchmark = "correlated_parallel"``, in
+  archived records only: the threads backend and its benchmark are gone),
   shared-memory process-sweep entries (``benchmark =
   "correlated_processes"``), fault-tolerance entries (``benchmark = "exec_faults"``, where
   ``speedup`` is the baseline/armed time ratio and the guard bounds the

@@ -14,9 +14,8 @@ Regression guard:
   >= :data:`GUARD_MIN_TASKS` tasks (k >= 40, where the levels are wide
   enough to split and the per-level fan-out amortises the pool round
   trips) *and* on machines with >= 4 CPUs (the entry records the CPU
-  count so the rate report can tell the cases apart).  The bar sits below
-  the threads guard (1.8x) because process workers pay pickling of the
-  partition descriptors and results that threads do not.
+  count so the rate report can tell the cases apart).  Process workers pay
+  pickling of the partition descriptors and results.
 
 The measurements are archived (appended) to
 ``benchmarks/results/kernel_rates.json`` with

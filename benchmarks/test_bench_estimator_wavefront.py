@@ -5,18 +5,12 @@ Measures, on the paper's Cholesky DAGs at several sizes:
 * the batched Clark moment propagation (Sculli/Normal) against the
   per-task sequential fold;
 * the level-batched discrete sweep against the per-task
-  :class:`DiscreteRV` chain;
-* the threaded Monte Carlo batch scheduler (4 workers) against the
-  single-worker pipeline.
+  :class:`DiscreteRV` chain.
 
-Regression guards (asserted on DAGs with >= 2,600 tasks, i.e. k = 24):
-
-* vectorised sculli and sweep must be at least 3x faster than the
-  sequential paths;
-* threaded Monte Carlo with 4 workers must be at least 2x faster than a
-  single worker — only enforced when the machine actually has >= 4 CPUs
-  (the speedup is physically impossible otherwise; the entry records the
-  CPU count so the rate report can tell the cases apart).
+Regression guard (asserted on DAGs with >= 2,600 tasks, i.e. k = 24):
+vectorised sculli and sweep must be at least 3x faster than the
+sequential paths.  The Monte Carlo backends are timed by
+``test_bench_mc_backends.py``.
 
 The measurements are archived (appended) to
 ``benchmarks/results/kernel_rates.json`` next to the longest-path kernel
@@ -25,14 +19,10 @@ rates, with ``benchmark = "estimator_wavefront"`` and an explicit
 ``benchmarks/report_rates.py`` can track the trend PR-over-PR.
 
 Knobs: ``REPRO_BENCH_SIZES`` restricts the tile counts (e.g. ``4,6`` for a
-CI smoke run — guards only apply at >= 2,600 tasks);
-``REPRO_ESTIMATOR_BENCH_TRIALS`` overrides the Monte Carlo trial count
-(default 8,192).
+CI smoke run — guards only apply at >= 2,600 tasks).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -42,7 +32,6 @@ from repro.core.kernels import propagate_moments, schedule_for
 from repro.estimators.sweep import DiscreteSweepEstimator
 from repro.failures.models import ExponentialErrorModel
 from repro.failures.twostate import two_state_moment_vectors
-from repro.sim.engine import MonteCarloEngine
 from repro.workflows.registry import build_dag
 
 from _common import archive_rates, best_time, throughput_bench_sizes
@@ -52,16 +41,10 @@ DEFAULT_SIZES = (8, 16, 24)
 GUARD_MIN_TASKS = 2_600
 GUARD_SCULLI = 3.0
 GUARD_SWEEP = 3.0
-GUARD_MC_WORKERS = 2.0
-MC_WORKERS = 4
 
 #: Support cap of the sweep benchmark (smaller than the estimator default
 #: so the sequential baseline stays manageable at k = 24).
 SWEEP_SUPPORT = 64
-
-
-def mc_trials() -> int:
-    return int(os.environ.get("REPRO_ESTIMATOR_BENCH_TRIALS", "8192"))
 
 
 def _entry(method, k, n, seq_time, vec_time, guard_min, **extra):
@@ -82,7 +65,6 @@ def _entry(method, k, n, seq_time, vec_time, guard_min, **extra):
 
 def test_estimator_wavefront_throughput():
     entries = []
-    cpus = os.cpu_count() or 1
     print()
     for k in throughput_bench_sizes(DEFAULT_SIZES):
         graph = build_dag("cholesky", k)
@@ -134,28 +116,6 @@ def test_estimator_wavefront_throughput():
         print(
             f"  sweep      k={k:3d} ({n:5d} tasks): seq={seq * 1e3:8.2f} ms  "
             f"vec={vec * 1e3:8.2f} ms  ({seq / vec:5.2f}x)"
-        )
-
-        # -- Threaded Monte Carlo batches -----------------------------
-        trials = mc_trials()
-        mc_guard = GUARD_MC_WORKERS if (guarded and cpus >= MC_WORKERS) else None
-        single = MonteCarloEngine(
-            graph, model, trials=trials, batch_size=2_048, seed=1, workers=1
-        )
-        threaded = MonteCarloEngine(
-            graph, model, trials=trials, batch_size=2_048, seed=1, workers=MC_WORKERS
-        )
-        seq = best_time(single.run, repeats=2)
-        vec = best_time(threaded.run, repeats=2)
-        entries.append(
-            _entry(
-                "mc-workers", k, n, seq, vec, mc_guard,
-                trials=trials, workers=MC_WORKERS, cpus=cpus,
-            )
-        )
-        print(
-            f"  mc x{MC_WORKERS}      k={k:3d} ({n:5d} tasks): 1w ={seq * 1e3:8.2f} ms  "
-            f"{MC_WORKERS}w ={vec * 1e3:8.2f} ms  ({seq / vec:5.2f}x, {cpus} cpus)"
         )
 
     for entry in entries:

@@ -11,9 +11,11 @@ paper's Cholesky Monte Carlo runs:
   Guarded on the serial backend (the lowest-noise path) on DAGs with
   >= 2,600 tasks, as ``speedup = baseline/armed >= 0.98``.  A 2% bound is
   below the host's run-to-run noise, so the ratio is the median over
-  ``IDLE_PAIRS`` back-to-back pairs of one-batch runs, each pair in
-  alternating order: drift hits both sides of a pair alike, and the median
-  ignores the pairs a background burst lands on.
+  ``IDLE_PAIRS`` back-to-back pairs of one-batch runs, in rounds of two
+  pairs in opposite order (``_common.paired_median_ratio``): drift hits
+  both sides of a round alike, the cost of running first or second in a
+  pair cancels within the round, and the median ignores the rounds a
+  background burst lands on.
 * **Recovery throughput** — with seeded random faults failing ~5% of the
   partitions (``random(p=0.05)`` via ``REPRO_EXEC_FAULTS``) the run must
   still complete *bit-identically* to the clean run; the archived entry
@@ -50,7 +52,7 @@ GUARD_MIN_TASKS = 2_600
 GUARD_IDLE_POLICY = 0.98
 #: Pairs of one-batch (``BATCH_SIZE``-trial) serial runs behind the guard.
 IDLE_PAIRS = 100
-THREAD_WORKERS = 4
+PROCESS_WORKERS = 2
 BATCH_SIZE = 2_048
 PFAIL = 1e-2
 #: Partition failure probability of the recovery-throughput measurement,
@@ -144,37 +146,37 @@ def test_exec_fault_tolerance_overhead():
             f"{IDLE_PAIRS} pairs)"
         )
 
-        # Zero-fault overhead, threads (informational: pool noise).
-        threads_time, armed_threads_time = interleaved_best(
-            engine(backend="threads", workers=THREAD_WORKERS).run,
-            engine(backend="threads", workers=THREAD_WORKERS, **armed).run,
+        # Zero-fault overhead, processes (informational: pool noise).
+        processes_time, armed_processes_time = interleaved_best(
+            engine(backend="processes", workers=PROCESS_WORKERS).run,
+            engine(backend="processes", workers=PROCESS_WORKERS, **armed).run,
         )
         entries.append(
             _entry(
-                "policy-idle-threads", k, n, trials, threads_time,
-                armed_threads_time, None,
-                baseline_seconds=round(threads_time, 6),
-                workers=THREAD_WORKERS,
+                "policy-idle-processes", k, n, trials, processes_time,
+                armed_processes_time, None,
+                baseline_seconds=round(processes_time, 6),
+                workers=PROCESS_WORKERS,
             )
         )
         print(
-            f"  policy idle   k={k:3d} ({n:5d} tasks): threads x{THREAD_WORKERS} "
-            f"{threads_time * 1e3:8.1f} -> {armed_threads_time * 1e3:8.1f} ms "
-            f"({(armed_threads_time / threads_time - 1.0) * 100:+5.2f}% overhead)"
+            f"  policy idle   k={k:3d} ({n:5d} tasks): processes x{PROCESS_WORKERS} "
+            f"{processes_time * 1e3:8.1f} -> {armed_processes_time * 1e3:8.1f} ms "
+            f"({(armed_processes_time / processes_time - 1.0) * 100:+5.2f}% overhead)"
         )
 
         # Recovery throughput at ~5% partition failures, on a finer batch
         # grid (64 partitions at the default trial count) so the random
         # plan actually bites.  The chaos result must stay bit-identical.
         clean_chaos_grid = engine(
-            batch=CHAOS_BATCH, backend="threads", workers=THREAD_WORKERS
+            batch=CHAOS_BATCH, backend="processes", workers=PROCESS_WORKERS
         )
         clean_grid_time = best_time(clean_chaos_grid.run, repeats=3)
         clean_result = clean_chaos_grid.run()
         os.environ["REPRO_EXEC_FAULTS"] = CHAOS_PLAN
         try:
             chaos_engine = engine(
-                batch=CHAOS_BATCH, backend="threads", workers=THREAD_WORKERS,
+                batch=CHAOS_BATCH, backend="processes", workers=PROCESS_WORKERS,
                 exec_retries=2,
             )
             chaos_time = best_time(chaos_engine.run, repeats=3)
@@ -188,9 +190,9 @@ def test_exec_fault_tolerance_overhead():
         execution = chaos_result.execution or {}
         entries.append(
             _entry(
-                "chaos-5pct-threads", k, n, trials, clean_grid_time, chaos_time,
+                "chaos-5pct-processes", k, n, trials, clean_grid_time, chaos_time,
                 None,
-                workers=THREAD_WORKERS,
+                workers=PROCESS_WORKERS,
                 batch_size=CHAOS_BATCH,
                 fault_rate=CHAOS_RATE,
                 faults_injected=execution.get("faults_injected"),
@@ -198,8 +200,8 @@ def test_exec_fault_tolerance_overhead():
             )
         )
         print(
-            f"  chaos {CHAOS_RATE:4.0%}    k={k:3d} ({n:5d} tasks): threads "
-            f"x{THREAD_WORKERS} {chaos_time * 1e3:8.1f} ms "
+            f"  chaos {CHAOS_RATE:4.0%}    k={k:3d} ({n:5d} tasks): processes "
+            f"x{PROCESS_WORKERS} {chaos_time * 1e3:8.1f} ms "
             f"({clean_grid_time / chaos_time:5.2f}x of clean, "
             f"{execution.get('faults_injected', 0)} faults, "
             f"{execution.get('retries', 0)} retries)"

@@ -1,11 +1,10 @@
-"""Monte Carlo executor-backend throughput: serial vs threads vs processes.
+"""Monte Carlo executor-backend throughput: serial vs processes.
 
 Measures, on the paper's Cholesky DAGs at several sizes, the sustained
-trial rate of the three execution backends (including pool start-up — the
+trial rate of the two execution backends (including pool start-up — the
 user-facing cost of one ``run()``), plus the serial streaming-mode rate
 (sketch-fold overhead tracking).  Cross-backend determinism is asserted on
-the way: threads and processes must produce *identical* means at any
-worker count.
+the way: processes must produce a mean *identical* to serial's.
 
 Regression guard (asserted on DAGs with >= 2,600 tasks, i.e. k = 24):
 
@@ -59,7 +58,6 @@ DEFAULT_SIZES = (8, 16, 24)
 
 GUARD_MIN_TASKS = 2_600
 GUARD_PROCESSES = 2.0
-THREAD_WORKERS = 4
 PROCESS_WORKERS = 8
 BATCH_SIZE = 2_048
 PFAIL = 1e-2
@@ -209,19 +207,6 @@ def test_mc_backend_throughput():
             f"({serial_time / streaming_time:5.2f}x vs serial)"
         )
 
-        threads = engine(backend="threads", workers=THREAD_WORKERS)
-        threads_time = best_time(threads.run, repeats=2)
-        entries.append(
-            _entry(
-                "threads", k, n, trials, serial_time, threads_time,
-                THREAD_WORKERS, cpus, None,
-            )
-        )
-        print(
-            f"  threads x{THREAD_WORKERS}    k={k:3d} ({n:5d} tasks): "
-            f"{threads_time * 1e3:8.1f} ms  ({serial_time / threads_time:5.2f}x)"
-        )
-
         processes = engine(backend="processes", workers=PROCESS_WORKERS)
         process_time = best_time(processes.run, repeats=2)
         process_guard = GUARD_PROCESSES if (guarded and cpus >= PROCESS_WORKERS) else None
@@ -240,12 +225,12 @@ def test_mc_backend_throughput():
         if k == E2E_K:
             entries.append(_e2e_processes_entry(graph, model, cpus))
 
-        # Determinism spot-check: the parallel backends must agree exactly.
-        thread_mean = engine(backend="threads", workers=2).run().mean
+        # Determinism spot-check: the backends must agree exactly.
+        serial_mean = engine(backend="serial").run().mean
         process_mean = engine(backend="processes", workers=2).run().mean
-        assert thread_mean == process_mean, (
-            f"threads/processes diverged on cholesky k={k}: "
-            f"{thread_mean} != {process_mean}"
+        assert serial_mean == process_mean, (
+            f"serial/processes diverged on cholesky k={k}: "
+            f"{serial_mean} != {process_mean}"
         )
 
     for k in throughput_bench_sizes(tuple(SPARSE_TRIALS)):

@@ -20,7 +20,7 @@ The package provides:
 * silent-error-aware list scheduling (:mod:`repro.scheduling`);
 * a shared parallel-execution service (:mod:`repro.exec`) carrying the
   Monte Carlo batches and the analytical estimators' level sweeps on
-  interchangeable serial/threads/processes backends;
+  interchangeable serial/processes backends;
 * the experiment drivers regenerating every figure and table of the paper
   (:mod:`repro.experiments`) and a command-line interface (:mod:`repro.cli`).
 

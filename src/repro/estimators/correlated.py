@@ -46,11 +46,11 @@ executes them on the shared :class:`~repro.exec.ParallelService`
 (``workers=`` / ``REPRO_EST_WORKERS``): results are **bit-identical** at
 any worker count, and ``workers=1`` runs the historical whole-group
 partitions on the serial backend — bit-identical to earlier releases.
-Every backend runs the same partition function, :func:`_fold_partition`,
+Both backends run the same partition function, :func:`_fold_partition`,
 against a slot holding the schedule, the store and the sweep arrays; the
-backend only decides where those arrays live — local arrays in-process,
-zero-copy segment views (the schedule from the registry, the sweep state
-from a per-estimate segment) in ``processes`` workers.  Each estimate opens
+backend only decides where those arrays live — local arrays on
+``serial``, zero-copy segment views (the schedule from the registry, the
+sweep state from a per-estimate segment) in ``processes`` workers.  Each estimate opens
 its own service in a ``with`` block, so its worker slots are released with
 the estimate.
 
@@ -217,10 +217,10 @@ class _CorrelatedFoldSlot:
     ``arrays`` holds the permuted-space moments (``mean``, ``var``,
     ``task_mean``, ``task_var``) and the per-level writeback buffers
     (``level_mean``, ``level_var``, ``rows``, sized for the widest level)
-    every partition writes its disjoint slice of.  In-process backends
-    build the slot from local arrays; ``processes`` workers build it from
-    attached segment views (:class:`_CorrelatedFoldSpec`) — every backend
-    runs the same :func:`_fold_partition`.
+    every partition writes its disjoint slice of.  The serial backend
+    builds the slot from local arrays; ``processes`` workers build it from
+    attached segment views (:class:`_CorrelatedFoldSpec`) — both run the
+    same :func:`_fold_partition`.
     """
 
     def __init__(
@@ -394,11 +394,11 @@ class CorrelatedNormalEstimator(MakespanEstimator):
     exec_backend:
         Execution backend of the level fold: ``None`` (after the
         ``REPRO_EXEC_BACKEND`` override) keeps the conventional mapping —
-        serial at ``workers=1``, threads otherwise; ``"processes"`` runs
-        the fold in worker processes attached zero-copy to the estimate's
-        shared-memory segments (schedule through the content-addressed
-        registry, moments/store/writeback through a per-estimate
-        segment).  Bit-identical to the threads backend at any worker
+        serial at ``workers=1``, processes otherwise.  ``"processes"``
+        runs the fold in worker processes attached zero-copy to the
+        estimate's shared-memory segments (schedule through the
+        content-addressed registry, moments/store/writeback through a
+        per-estimate segment).  Bit-identical to ``serial`` at any worker
         count for every store.
     kernel_backend:
         Accepted and validated like every estimator's kernel knob
@@ -541,9 +541,7 @@ class CorrelatedNormalEstimator(MakespanEstimator):
                 arrays = state.arrays
                 slot_kwargs = {"slot_factory": spec}
             else:
-                # Partitions write disjoint slices, so every worker shares one slot.
-                slot = _CorrelatedFoldSlot(schedule, store, arrays)
-                slot_kwargs = {"slots": [slot] * service.workers}
+                slot_kwargs = {"slot": _CorrelatedFoldSlot(schedule, store, arrays)}
             mean, var = arrays["mean"], arrays["var"]
 
             try:

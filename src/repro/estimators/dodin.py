@@ -77,13 +77,11 @@ pfail 1e-3 / 1e-2: <= 1.3e-13 on cholesky, LU and QR up to k=10 (the
 differential tests use k <= 6 and a 1e-9 tolerance); 1.4e-9 / 5.8e-14 on
 QR k=16; 1.3e-12 / 1.5e-4 on LU k=16; 1.2e-4 / 9.6e-4 on cholesky k=24.
 
-With ``workers > 1`` (or ``REPRO_EST_WORKERS``) a round's row-batched
-operations are additionally split into row-chunk partitions executed on
-the shared :class:`~repro.exec.ParallelService`: each chunk's rows are
-computed independently (the batched operations are row-wise; padding
-differences only append exact zeros), so the chunking is a throughput
-knob inside the same differential envelope.  Each estimate opens its own
-service in a ``with`` block, so its thread pool ends with the estimate.
+Each round's batched operation is one partition of a serial
+:class:`~repro.exec.ParallelService`, so retries, fault injection and the
+``details["execution"]`` report work as for the other estimators.  The
+rounds run on one worker: each depends on the network the previous one
+left.
 """
 
 from __future__ import annotations
@@ -93,8 +91,8 @@ from typing import Dict, List, Optional, Tuple
 from ..core.graph import TaskGraph
 from ..core.kernels import schedule_for
 from ..core.paths import critical_path_length
-from ..exceptions import EstimationError
-from ..exec import ParallelService, resolve_workers
+from ..exceptions import EstimationError, OptionError
+from ..exec import ParallelService
 from ..failures.models import ErrorModel
 from ..failures.twostate import TwoStateDistribution
 from ..rv.discrete import DiscreteRV
@@ -250,11 +248,9 @@ class DodinEstimator(MakespanEstimator):
         with scalar :class:`~repro.rv.discrete.DiscreteRV` arithmetic —
         the reference path of the differential tests.
     workers:
-        Worker count of the round-batched operations on the shared
-        :class:`~repro.exec.ParallelService` (``None`` consults
-        ``REPRO_EST_WORKERS`` and falls back to 1).  ``workers=1`` keeps
-        the historical single-batch rounds; more workers split each round
-        into row chunks evaluated concurrently.
+        Accepted for a uniform estimator signature: ``None`` or ``1``.
+        The reduction runs on one worker whatever ``REPRO_EST_WORKERS``
+        says; any other count raises :class:`~repro.exceptions.OptionError`.
     """
 
     name = "dodin"
@@ -281,7 +277,10 @@ class DodinEstimator(MakespanEstimator):
         self.max_duplications = max_duplications
         self.reexecution_factor = reexecution_factor
         self.batched = batched
-        self.workers = resolve_workers(workers)
+        if workers is not None and workers != 1:
+            raise OptionError(
+                f"dodin runs on one worker; got workers={workers!r}"
+            )
         self.exec_retries = exec_retries
         self.exec_timeout = exec_timeout
         self.exec_on_failure = exec_on_failure
@@ -345,29 +344,17 @@ class DodinEstimator(MakespanEstimator):
         rhs: List[DiscreteRV],
         op: str,
     ) -> List[DiscreteRV]:
-        """Row-batched ``add``/``maximum`` over aligned operand lists.
-
-        One :class:`DiscreteBatch` evaluation per service partition; with
-        one worker the whole round is a single partition (the historical
-        batch), with more workers the rows are chunked — each row's result
-        depends only on its own operands, so chunking stays inside the
-        scalar differential contract.
-        """
+        """Row-batched ``add``/``maximum`` over aligned operand lists: one
+        :class:`DiscreteBatch` evaluation, the service's one partition."""
         cap = self.max_support
-        rows = len(lhs)
-        chunk = rows if service.workers == 1 else -(-rows // service.workers)
-        chunk = max(chunk, _BATCH_MIN_ROWS)
-        bounds = [(lo, min(lo + chunk, rows)) for lo in range(0, rows, chunk)]
-        out: List[Optional[DiscreteRV]] = [None] * rows
 
-        def combine(part, slot, rng) -> None:
-            lo, hi = part
-            batch = getattr(DiscreteBatch.from_rvs(lhs[lo:hi]), op)(
-                DiscreteBatch.from_rvs(rhs[lo:hi]), cap
+        def combine(part, slot, rng) -> List[DiscreteRV]:
+            batch = getattr(DiscreteBatch.from_rvs(lhs), op)(
+                DiscreteBatch.from_rvs(rhs), cap
             )
-            out[lo:hi] = [batch.row(i) for i in range(hi - lo)]
+            return [batch.row(i) for i in range(len(lhs))]
 
-        service.run(combine, bounds)
+        (out,) = service.run(combine, [None])
         return out
 
     @staticmethod
@@ -543,7 +530,6 @@ class DodinEstimator(MakespanEstimator):
         rounds = 0
         join_rounds = 0
         with ParallelService(
-            workers=self.workers,
             retries=self.exec_retries,
             timeout=self.exec_timeout,
             on_failure=self.exec_on_failure,

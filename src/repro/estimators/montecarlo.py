@@ -44,7 +44,7 @@ class MonteCarloEstimator(MakespanEstimator):
         Number of parallel evaluation workers (default 1, the serial
         path); see :class:`repro.sim.MonteCarloEngine`.
     backend:
-        Execution backend: ``"serial"``, ``"threads"`` or ``"processes"``
+        Execution backend: ``"serial"`` or ``"processes"``
         (``None`` resolves from the worker count); see
         :mod:`repro.sim.executors`.  A seeded estimate is the same on every
         backend at any worker count.

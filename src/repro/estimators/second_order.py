@@ -54,9 +54,9 @@ of the row list and returns its own partial correction), so they run on
 the shared :class:`~repro.exec.ParallelService` (``workers=`` /
 ``REPRO_EST_WORKERS``): every worker slot holds a private up/down kernel
 pair, and the per-chunk partials fold in chunk-index order — results are
-bit-identical at **any** worker count and backend.  Every backend runs the
+bit-identical at **any** worker count and backend.  Both backends run the
 same chunk function, :func:`_sweep_pair_chunk`; the backend only decides
-where a slot's inputs live — local arrays in-process, zero-copy segment
+where a slot's inputs live — local arrays on ``serial``, zero-copy segment
 views (the schedules from the registry; the row list, ``L({i})``, ``r``
 and the weights from a fresh segment) in ``processes`` workers.  Each
 estimate opens its own service in a ``with`` block, so its worker slots
@@ -139,10 +139,10 @@ class _PairChunkSlot:
     ``d_single``, ``L({i})``; ``r``, ``q / (1 - q)``).
 
     The wavefront kernels are non-reentrant (they own their scenario
-    buffers), so every service slot holds its own pair.  In-process
-    backends build slots from local arrays; ``processes`` workers build
-    them from attached segment views (:class:`_PairSweepSpec`) — every
-    backend runs the same :func:`_sweep_pair_chunk`.
+    buffers), so every service slot holds its own pair.  The serial
+    backend builds its slot from local arrays; ``processes`` workers build
+    theirs from attached segment views (:class:`_PairSweepSpec`) — both
+    run the same :func:`_sweep_pair_chunk`.
     """
 
     def __init__(
@@ -267,11 +267,11 @@ class SecondOrderEstimator(MakespanEstimator):
     exec_backend:
         Execution backend of the chunked sweeps: ``None`` (after the
         ``REPRO_EXEC_BACKEND`` override) keeps the conventional mapping —
-        serial at ``workers=1``, threads otherwise; ``"processes"`` runs
-        the chunks in worker processes whose kernel pairs are rebuilt
-        zero-copy from the registry's shared schedule segments (no
-        per-worker recompilation).  Bit-identical to the threads backend
-        at any worker count.
+        serial at ``workers=1``, processes otherwise.  ``"processes"``
+        runs the chunks in worker processes whose kernel pairs are
+        rebuilt zero-copy from the registry's shared schedule segments
+        (no per-worker recompilation).  Bit-identical to ``serial`` at
+        any worker count.
     """
 
     name = "second-order"
@@ -318,15 +318,12 @@ class SecondOrderEstimator(MakespanEstimator):
             on_failure=self.exec_on_failure,
         ) as service:
             if service.backend != "processes":
-                slots = [
-                    _PairChunkSlot(
-                        WavefrontKernel(index, direction="up", dtype=np.float64),
-                        WavefrontKernel(index, direction="down", dtype=np.float64),
-                        vectors,
-                    )
-                    for _ in range(min(self.workers, len(chunks)))
-                ]
-                partials = service.run(_sweep_pair_chunk, chunks, slots=slots)
+                slot = _PairChunkSlot(
+                    WavefrontKernel(index, direction="up", dtype=np.float64),
+                    WavefrontKernel(index, direction="down", dtype=np.float64),
+                    vectors,
+                ) if chunks else None
+                partials = service.run(_sweep_pair_chunk, chunks, slot=slot)
                 return partials, service.report.as_dict()
             up_key, up_seg = publish_schedule(index, "up")
             down_key, down_seg = publish_schedule(index, "down")

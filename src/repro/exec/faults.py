@@ -4,13 +4,13 @@ Chaos testing the fault-tolerance layer requires faults that are (a)
 *declarative* — a plan names exactly which partition/attempt misbehaves,
 so a test can assert the recovery path it expects — and (b) *seeded* — a
 random plan decides per partition index from a ``SeedSequence`` keyed
-stream, so every backend (serial, threads, processes) injects the *same*
+stream, so both backends (serial, processes) inject the *same*
 faults and the bit-identity contract stays checkable under chaos.
 
 A :class:`FaultPlan` is installed through the service's partition-wrapper
 seam: the service consults the plan immediately before invoking the
-partition function — on the worker thread in-process, inside the worker
-process on the ``processes`` backend — so injected faults exercise the
+partition function — on the calling thread on ``serial``, inside the
+worker process on ``processes`` — so injected faults exercise the
 real dispatch, retry and pool-recovery machinery rather than a mock.
 
 Fault kinds

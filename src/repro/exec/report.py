@@ -45,7 +45,7 @@ class AttemptFailure:
 
 @dataclass(frozen=True)
 class Degradation:
-    """One backend fallback step (e.g. ``processes`` -> ``threads``)."""
+    """One backend fallback step (``processes`` -> ``serial``)."""
 
     from_backend: str
     to_backend: str

@@ -1,6 +1,6 @@
 """Backend-agnostic parallel execution of index-ordered work partitions.
 
-Every parallel hot path of the package — Monte Carlo batches, the
+Every partitioned hot path of the package — Monte Carlo batches, the
 correlated estimator's per-level fold, the second-order pair sweeps,
 Dodin's reduction rounds — boils down to the same shape of work: a client
 splits a computation into an *index-ordered list of partitions*, each
@@ -13,17 +13,10 @@ Backends
 --------
 
 ``serial``
-    Evaluates partitions one after the other on the calling thread.  The
-    reference backend: a client whose partition function is deterministic
-    gets bit-identical results from every other backend.
-
-``threads``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  With per-worker
-    ``slots`` (mutable evaluation state such as kernels and buffers) at
-    most one partition is in flight per slot, so a slot's buffers are
-    reused without synchronisation; without slots every partition is
-    submitted up front and the pool load-balances freely.
-    Suits NumPy-heavy partition functions, which release the GIL.
+    Evaluates partitions one after the other on the calling thread,
+    against the client's one in-process ``slot`` (mutable evaluation state
+    such as kernels and buffers).  The reference backend, and the one a
+    single worker resolves to.
 
 ``processes``
     A :class:`~concurrent.futures.ProcessPoolExecutor`.  The partition
@@ -53,10 +46,10 @@ the backend, the worker count, or the scheduling order:
 * results are consumed in partition-index order, and early stopping cuts
   the fold at the same partition regardless of scheduling.
 
-Consequently ``threads`` and ``processes`` produce *identical* outputs for
-a fixed partition list at **any** worker count — the worker count is
-purely a throughput knob — and both match ``serial`` whenever the client
-passes per-partition streams (or none at all).
+Consequently ``processes`` produces *identical* outputs for a fixed
+partition list at **any** worker count — the worker count is purely a
+throughput knob — and matches ``serial`` whenever the client passes
+per-partition streams (or none at all).
 
 Fault-tolerance contract
 ------------------------
@@ -80,7 +73,7 @@ Concretely (:class:`ExecutionPolicy`):
   The error surfaces at the partition's *fold position*: failures past an
   early-stop point cannot fail the run on any backend.
 * **Soft deadlines** (``timeout=`` / ``REPRO_EXEC_TIMEOUT``): per-partition
-  wall-clock deadlines.  In-process backends cannot preempt a running
+  wall-clock deadlines.  The serial backend cannot preempt a running
   partition, so a late attempt is *recorded* (``deadline_misses``) and its
   (deterministic) result still folds; the ``processes`` backend *enforces*
   the deadline — overdue workers are killed, the pool is rebuilt through
@@ -96,8 +89,8 @@ Concretely (:class:`ExecutionPolicy`):
 * **Degradation** (``on_failure="degrade"`` / ``REPRO_EXEC_ON_FAILURE``):
   opt-in last resort when a *backend* (not a partition) is unusable — the
   pool cannot be built, or the rebuild budget is spent.  The run falls
-  back ``processes`` → ``threads`` → ``serial``, resuming from the first
-  unfolded partition: already-folded results are kept, and per-partition
+  back ``processes`` → ``serial``, resuming from the first unfolded
+  partition: already-folded results are kept, and per-partition
   streams make the merged outcome bit-identical to a run that used the
   degraded backend from the start.  Requires the ``slot_factory`` (if
   any) to be callable in the parent process.  The default
@@ -126,7 +119,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import dataclass
@@ -157,7 +149,7 @@ __all__ = [
 EXEC_BACKENDS = KNOBS["EXEC_BACKEND"].choices
 
 #: Reactions to an unusable backend: wrap-and-raise, or fall back along
-#: the ``processes`` -> ``threads`` -> ``serial`` chain.
+#: the ``processes`` -> ``serial`` chain.
 ON_FAILURE_POLICIES = KNOBS["EXEC_ON_FAILURE"].choices
 
 #: Worker-pool rebuilds allowed per run before the backend counts as
@@ -166,7 +158,7 @@ ON_FAILURE_POLICIES = KNOBS["EXEC_ON_FAILURE"].choices
 MAX_POOL_REBUILDS = 3
 
 #: Next backend along the degradation chain.
-_DEGRADE_NEXT = {"processes": "threads", "threads": "serial"}
+_DEGRADE_NEXT = {"processes": "serial"}
 
 #: Spawn-key namespace of the deterministic backoff jitter streams (far
 #: outside the partition-stream key range and the fault-plan namespace).
@@ -194,7 +186,7 @@ def partition_stream(entropy, index: int) -> np.random.Generator:
 
     Equivalent to ``SeedSequence(entropy).spawn(B)[index]`` for any
     ``B > index``, but O(1): children of a spawn differ only by their
-    ``spawn_key``.  Every backend — in-process or not — derives partition
+    ``spawn_key``.  Both backends — in-process or not — derive partition
     ``i``'s stream this way, which is what makes randomised results
     independent of the worker count and of the backend choice — and what
     makes a *retried* partition replay the exact stream of its failed
@@ -208,15 +200,15 @@ def resolve_exec_backend(name: Optional[str], workers: int) -> str:
     """Resolve (and validate) an execution-backend name.
 
     ``None`` keeps the conventional behaviour: one worker means the serial
-    reference path, several workers mean the thread pool.
+    reference path, several workers mean the process pool.
     """
     if name is None:
-        return "serial" if workers == 1 else "threads"
+        return "serial" if workers == 1 else "processes"
     resolved = KNOBS["EXEC_BACKEND"].parse(name, "execution backend")
     if resolved == "serial" and workers != 1:
         raise EstimationError(
             "the serial backend evaluates on exactly one worker; "
-            "use backend='threads' or 'processes' for workers > 1"
+            "use backend='processes' for workers > 1"
         )
     return resolved
 
@@ -242,12 +234,12 @@ class ExecutionPolicy:
         (default 0: fail fast, the historical behaviour).
     timeout:
         Per-partition soft deadline in seconds (``None``: no deadline).
-        Advisory on in-process backends, enforced by worker preemption on
+        Advisory on ``serial``, enforced by worker preemption on
         ``processes``.
     on_failure:
         ``"raise"`` (wrap backend failures in
         :class:`~repro.exceptions.ExecutionError`) or ``"degrade"`` (fall
-        back ``processes`` -> ``threads`` -> ``serial``).
+        back ``processes`` -> ``serial``).
     backoff:
         Base delay in seconds of the exponential retry backoff; attempt
         ``a`` waits ``min(backoff * 2**(a-1), cap)`` scaled by a
@@ -658,16 +650,6 @@ class _BackendUnusable(Exception):
         self.cause = cause
 
 
-class _Outcome:
-    """Result of one attempt, evaluated without raising."""
-
-    __slots__ = ("ok", "value")
-
-    def __init__(self, ok: bool, value=None):
-        self.ok = ok
-        self.value = value
-
-
 class ParallelService:
     """Executes index-ordered work partitions on a pluggable backend.
 
@@ -681,8 +663,8 @@ class ParallelService:
         Number of parallel workers (a pure throughput knob: results are
         identical at any count).
     backend:
-        ``"serial"``, ``"threads"`` or ``"processes"``; ``None`` resolves
-        to ``"serial"`` for one worker and ``"threads"`` otherwise.
+        ``"serial"`` or ``"processes"``; ``None`` resolves to
+        ``"serial"`` for one worker and ``"processes"`` otherwise.
     retries, timeout, on_failure, backoff:
         Fault-tolerance knobs; ``None`` resolves from the ``REPRO_EXEC_*``
         environment (see :class:`ExecutionPolicy`).
@@ -715,11 +697,6 @@ class ParallelService:
         )
         #: Accumulated fault-tolerance telemetry over the service lifetime.
         self.report = ExecutionReport(backend=self.backend, workers=self.workers)
-        #: Lazily created, reused across run() calls: clients like the
-        #: correlated level sweep call run() twice per level, and spawning
-        #: and joining a fresh pool each time is pure overhead on the hot
-        #: path.  Threads idle between calls until :meth:`close`.
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
         #: The process pool, held from the first ``processes`` run until
         #: :meth:`close` (or, for an unclosed service, its finalizer):
         #: the warm pool when the lease is free, else a private one.
@@ -728,11 +705,6 @@ class ParallelService:
         #: The run token of the last slot factory (see _worker_slot).
         self._token_factory: Optional[Callable[[], object]] = None
         self._token: Optional[int] = None
-
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._thread_pool
 
     def _acquire_process_pool(self) -> ProcessPoolExecutor:
         """This service's process pool, ``workers`` wide."""
@@ -750,19 +722,16 @@ class ParallelService:
         return self._token
 
     def close(self) -> None:
-        """Release the worker pools (idempotent).
+        """Release the worker pool (idempotent).
 
         The warm process pool's workers drop their slots and stay alive for
-        the next service; a private process pool and the thread pool end.
-        A service is usable again afterwards (pools are acquired on demand).
+        the next service; a private process pool ends.  A service is usable
+        again afterwards (pools are acquired on demand).
         """
         if self._process_finalizer is not None:
             self._process_finalizer.detach()
             self._process_finalizer = None
         self._processes.close()
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=False, cancel_futures=True)
-            self._thread_pool = None
 
     def __enter__(self) -> "ParallelService":
         return self
@@ -776,7 +745,7 @@ class ParallelService:
         fn: Callable[[object, object, Optional[np.random.Generator]], object],
         items: Sequence,
         *,
-        slots: Optional[Sequence] = None,
+        slot=None,
         slot_factory: Optional[Callable[[], object]] = None,
         entropy=None,
         consume: Optional[Consumer] = None,
@@ -795,13 +764,9 @@ class ParallelService:
         items:
             The index-ordered partitions.  The partition list — not the
             backend or worker count — determines the result.
-        slots:
-            Per-worker mutable evaluation state (kernels, buffers).  The
-            ``threads`` backend then keeps at most one partition in flight
-            per slot, so a slot never serves two partitions concurrently
-            (state that partitions may share, such as disjoint writeback
-            buffers, may be listed once per worker); the ``serial``
-            backend uses ``slots[0]``.
+        slot:
+            ``serial`` only: the in-process mutable evaluation state
+            (kernels, buffers) every partition is evaluated against.
         slot_factory:
             ``processes`` only: a picklable zero-argument callable building
             one slot per worker process.  It travels with every partition;
@@ -809,8 +774,9 @@ class ParallelService:
             and ``close()``-s the slot (when it has that method) on the
             next factory or when the service closes.  Also the recovery
             seam — fresh workers after a pool rebuild call it again, and
-            backend degradation calls it in the parent process.  Slots it
-            builds in the parent are ``close()``-d after the run.
+            degradation to ``serial`` calls it in the parent process when
+            no ``slot`` is given.  A slot it builds in the parent is
+            ``close()``-d after the run.
         entropy:
             When not ``None``, partition ``i`` receives the deterministic
             stream :func:`partition_stream` ``(entropy, i)`` — on every
@@ -849,7 +815,7 @@ class ParallelService:
         if not items:
             return collected
         self.report.runs += 1
-        run = _ServiceRun(self, fn, items, slots, slot_factory, entropy, fold)
+        run = _ServiceRun(self, fn, items, slot, slot_factory, entropy, fold)
         run.execute()
         return collected
 
@@ -857,14 +823,14 @@ class ParallelService:
 class _ServiceRun:
     """One ``run()``: retry bookkeeping, degradation chain, fold cursor."""
 
-    def __init__(self, service, fn, items, slots, slot_factory, entropy, fold):
+    def __init__(self, service, fn, items, slot, slot_factory, entropy, fold):
         self.service = service
         self.policy: ExecutionPolicy = service.policy
         self.faults: Optional[FaultPlan] = service.faults
         self.report: ExecutionReport = service.report
         self.fn = fn
         self.items = items
-        self.slots = slots
+        self.slot = slot
         self.slot_factory = slot_factory
         self.entropy = entropy
         self.fold = fold
@@ -874,8 +840,8 @@ class _ServiceRun:
         self.attempts_used = [0] * len(items)
         self.causes: Dict[int, List[str]] = {}
         self.failure_kinds: Dict[int, List[str]] = {}
-        #: Parent-side slots built from the factory (degradation path).
-        self._factory_slots: List = []
+        #: The parent-side slot built from the factory (degradation path).
+        self._factory_slot = None
 
     # ------------------------------------------------------------------
     def execute(self) -> None:
@@ -885,8 +851,6 @@ class _ServiceRun:
                 try:
                     if backend == "serial":
                         self._run_serial()
-                    elif backend == "threads":
-                        self._run_threads()
                     else:
                         self._run_processes()
                     return
@@ -903,16 +867,15 @@ class _ServiceRun:
                     )
                     backend = next_backend
         finally:
-            for slot in self._factory_slots:
-                close = getattr(slot, "close", None)
-                if callable(close):
-                    try:
-                        close()
-                    except Exception:  # pragma: no cover - best effort
-                        pass
+            close = getattr(self._factory_slot, "close", None)
+            if callable(close):
+                try:
+                    close()
+                except Exception:  # pragma: no cover - best effort
+                    pass
 
     # ------------------------------------------------------------------
-    # Attempt machinery (shared by every backend)
+    # Attempt machinery (serial; the process backend charges the same budget)
     # ------------------------------------------------------------------
     def _charge_attempt(self, index: int) -> int:
         """Consume one attempt of ``index``; returns the attempt number."""
@@ -941,35 +904,29 @@ class _ServiceRun:
             return None
         return partition_stream(self.entropy, index)
 
-    def _evaluate(self, index: int, item, slot) -> _Outcome:
-        """One attempt on the calling thread; never raises."""
-        attempt = self._charge_attempt(index)
-        delay = self.policy.backoff_delay(self.entropy, index, attempt)
-        if delay > 0.0:
-            time.sleep(delay)
-        start = time.perf_counter()
-        try:
-            if self.faults is not None:
-                self.faults.apply(index, attempt, in_child=False)
-            value = self.fn(item, slot, self._rng(index))
-        except Exception as exc:
-            self._record_failure(index, attempt, "error", exc)
-            return _Outcome(False)
-        elapsed = time.perf_counter() - start
-        timeout = self.policy.timeout
-        if timeout is not None and elapsed > timeout:
-            # In-process backends cannot preempt: the soft deadline is
-            # advisory.  The late result is deterministic, so it folds.
-            self.report.deadline_misses += 1
-        self.report.record_success(elapsed)
-        return _Outcome(True, value)
-
-    def _resolve_inline(self, index: int, item, slot):
+    def _evaluate_serial(self, index: int, slot):
         """Drive ``index`` to success (or quarantine) on the calling thread."""
         while self.attempts_used[index] < self.policy.attempts:
-            outcome = self._evaluate(index, item, slot)
-            if outcome.ok:
-                return outcome.value
+            attempt = self._charge_attempt(index)
+            delay = self.policy.backoff_delay(self.entropy, index, attempt)
+            if delay > 0.0:
+                time.sleep(delay)
+            start = time.perf_counter()
+            try:
+                if self.faults is not None:
+                    self.faults.apply(index, attempt, in_child=False)
+                value = self.fn(self.items[index], slot, self._rng(index))
+            except Exception as exc:
+                self._record_failure(index, attempt, "error", exc)
+                continue
+            elapsed = time.perf_counter() - start
+            timeout = self.policy.timeout
+            if timeout is not None and elapsed > timeout:
+                # The serial backend cannot preempt: the soft deadline is
+                # advisory.  The late result is deterministic, so it folds.
+                self.report.deadline_misses += 1
+            self.report.record_success(elapsed)
+            return value
         raise self._exhausted(index)
 
     def _exhausted(self, index: int) -> ExecutionError:
@@ -993,111 +950,17 @@ class _ServiceRun:
             self.stopped = True
         return self.stopped
 
-    def _local_slots(self, count: int) -> Optional[List]:
-        """In-process slots: the client's, or parent-built factory slots."""
-        if self.slots:
-            return list(self.slots)
-        if self.slot_factory is None:
-            return None
-        while len(self._factory_slots) < count:
-            self._factory_slots.append(self.slot_factory())
-        return self._factory_slots[:count]
-
     # ------------------------------------------------------------------
     def _run_serial(self) -> None:
-        slots = self._local_slots(1)
-        slot = slots[0] if slots else None
+        """Partitions in index order against one in-process slot: the
+        client's, or (after degradation) one built from the factory."""
+        slot = self.slot
+        if slot is None and self.slot_factory is not None:
+            slot = self._factory_slot = self.slot_factory()
         while self.position < len(self.items) and not self.stopped:
             index = self.position
-            value = self._resolve_inline(index, self.items[index], slot)
-            if self._fold(index, value):
+            if self._fold(index, self._evaluate_serial(index, slot)):
                 return
-
-    # ------------------------------------------------------------------
-    def _run_threads(self) -> None:
-        slots = self._local_slots(
-            min(self.service.workers, len(self.items) - self.position)
-        )
-        try:
-            pool = self.service._pool()
-        except Exception as exc:
-            raise _BackendUnusable(f"thread pool unavailable: {exc!r}", exc)
-        if slots:
-            self._thread_window(pool, slots)
-        else:
-            self._thread_stream(pool)
-
-    def _submit(self, pool, *args):
-        try:
-            return pool.submit(*args)
-        except RuntimeError as exc:
-            raise _BackendUnusable(f"thread pool rejected work: {exc!r}", exc)
-
-    def _thread_window(self, pool, slots) -> None:
-        """A sliding window of one partition in flight per slot.
-
-        Partitions are dispatched in index order, each on a free slot.  The
-        window waits for its oldest partition, retries a failed attempt
-        inline on that partition's own (now idle) slot, folds the result
-        and hands the slot the next partition — so a slot never serves two
-        running partitions at once.
-        """
-        k = min(self.service.workers, len(slots), len(self.items) - self.position)
-        free = list(slots[:k])
-        window: deque = deque()  # (index, slot, future), oldest first
-        following = self.position
-        try:
-            while self.position < len(self.items) and not self.stopped:
-                while free and following < len(self.items):
-                    slot = free.pop(0)
-                    future = self._submit(
-                        pool, self._evaluate, following, self.items[following], slot
-                    )
-                    window.append((following, slot, future))
-                    following += 1
-                i, slot, future = window.popleft()
-                outcome = future.result()
-                if outcome.ok:
-                    value = outcome.value
-                else:
-                    value = self._resolve_inline(i, self.items[i], slot)
-                free.append(slot)
-                if self._fold(i, value):
-                    return
-        finally:
-            # Partitions past an early stop (or a failure) are discarded,
-            # exactly as a fault-free run would; drain them so every slot
-            # is quiescent before the caller proceeds.
-            for _, _, future in window:
-                future.cancel()
-            for _, _, future in window:
-                if not future.cancelled():
-                    future.result()
-
-    def _thread_stream(self, pool) -> None:
-        """Slot-free thread pool: all partitions in flight, free balancing."""
-        futures = {
-            i: self._submit(pool, self._evaluate, i, self.items[i], None)
-            for i in range(self.position, len(self.items))
-        }
-        try:
-            for i in sorted(futures):
-                outcome = futures[i].result()
-                if outcome.ok:
-                    value = outcome.value
-                else:
-                    value = self._resolve_inline(i, self.items[i], None)
-                if self._fold(i, value):
-                    return
-        finally:
-            for future in futures.values():
-                future.cancel()
-            # Drain anything already running so the pool is quiescent
-            # (and client state untouched) before the caller proceeds.
-            # _evaluate never raises, so result() is safe.
-            for future in futures.values():
-                if not future.cancelled():
-                    future.result()
 
     # ------------------------------------------------------------------
     # Process backend: windowed dispatch, pool recovery, preemption
@@ -1114,7 +977,7 @@ class _ServiceRun:
         Results land out of order; the parent folds them strictly in
         partition-index order as soon as the next expected partition is
         done, so the merged outcome (including the early-stop point) is
-        identical to the ``threads`` backend at any worker count.  The
+        identical to the ``serial`` backend at any worker count.  The
         pool has ``workers`` processes whatever the partition count, so
         one pool serves every run() of an estimate, and the next estimate.
         Up to ``2 * workers`` partitions are in flight, so each worker finds its next partition

@@ -37,7 +37,7 @@ private heap.  This module removes both costs:
 Determinism is unaffected by any of this: segments hold *read-only*
 inputs (schedules, moment vectors, band geometry) plus per-partition
 writeback slices that are disjoint by construction and folded by the
-parent strictly in partition-index order — the same contract the threads
+parent strictly in partition-index order — the same contract the serial
 backend honours.
 """
 

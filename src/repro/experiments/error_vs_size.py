@@ -118,7 +118,7 @@ def run_error_vs_size(
         config's value, itself overridable through ``REPRO_MC_WORKERS``).
     mc_backend:
         Override of the Monte Carlo execution backend (``"serial"`` /
-        ``"threads"`` / ``"processes"``; defaults to the config's value,
+        ``"processes"``; defaults to the config's value,
         itself overridable through ``REPRO_MC_BACKEND``).
     mc_streaming:
         Override of the Monte Carlo streaming-statistics switch (defaults

@@ -106,10 +106,9 @@ def run_everything(
     mc_dtype:
         Monte Carlo kernel precision (``"float64"`` / ``"float32"``).
     mc_workers:
-        Monte Carlo batch-worker count (1 = single-threaded).
+        Monte Carlo batch-worker count (1 = serial).
     mc_backend:
-        Monte Carlo execution backend (``"serial"`` / ``"threads"`` /
-        ``"processes"``).
+        Monte Carlo execution backend (``"serial"`` / ``"processes"``).
     mc_streaming:
         Monte Carlo streaming-statistics switch (O(batch) memory).
     kernel_backend:
@@ -117,8 +116,7 @@ def run_everything(
         ``"numba"``).
     est_workers:
         Analytical estimators' parallel worker count on the shared
-        execution service (correlated fold, second-order sweeps, Dodin
-        rounds).
+        execution service (correlated fold, second-order sweeps).
     table1_trials:
         Monte Carlo trials for Table I (defaults to ``mc_trials``).
     table1_size:

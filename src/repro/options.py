@@ -40,8 +40,9 @@ FALSY = ("0", "false", "no", "off")
 
 _MC = ("monte-carlo",)
 _CORRELATED = ("normal-correlated",)
-_PARALLEL = ("normal-correlated", "second-order", "dodin")
-_BACKENDS = ("serial", "threads", "processes")
+_PARALLEL = ("normal-correlated", "second-order")
+_SERVICE = _PARALLEL + ("dodin",)
+_BACKENDS = ("serial", "processes")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,7 +144,7 @@ KNOBS: Dict[str, Knob] = _table(
     Knob("MC_WORKERS", int, "Monte Carlo parallel evaluation workers", default=1,
          minimum=1, flag="--workers", kwarg="workers", applies_to=_MC),
     Knob("MC_BACKEND", str, "Monte Carlo execution backend (default: serial for "
-         "1 worker, threads otherwise; processes sidesteps the GIL)",
+         "1 worker, processes otherwise)",
          choices=_BACKENDS, flag="--backend", kwarg="backend", applies_to=_MC),
     Knob("MC_STREAMING", bool, "Monte Carlo streaming statistics: mean/std/CI/"
          "quantiles in O(batch) memory", default=False, flag="--streaming",
@@ -154,7 +155,7 @@ KNOBS: Dict[str, Knob] = _table(
          choices=("numpy", "numba"), lenient=True, flag="--kernel-backend",
          kwarg="kernel_backend", applies_to=_MC + ("normal", "normal-correlated")),
     Knob("EST_WORKERS", int, "parallel workers of the analytical estimators "
-         "(normal-correlated fold, second-order sweeps, dodin rounds; default 1)",
+         "(normal-correlated fold, second-order sweeps; default 1)",
          minimum=1, flag="--est-workers", kwarg="workers", applies_to=_PARALLEL),
     Knob("CORR_BACKEND", str, "correlation storage of the normal-correlated "
          "estimator (default dense; banded is bit-equal to dense at the auto "
@@ -167,18 +168,18 @@ KNOBS: Dict[str, Knob] = _table(
     Knob("EXEC_RETRIES", int, "re-dispatches allowed per work partition "
          "(default 0 = fail fast; retries replay the partition's RNG stream)",
          minimum=0, flag="--exec-retries", kwarg="exec_retries",
-         applies_to=_MC + _PARALLEL),
+         applies_to=_MC + _SERVICE),
     Knob("EXEC_TIMEOUT", float, "per-partition soft deadline in seconds "
          "(enforced by worker preemption on the processes backend)", above=0,
-         flag="--exec-timeout", kwarg="exec_timeout", applies_to=_MC + _PARALLEL),
+         flag="--exec-timeout", kwarg="exec_timeout", applies_to=_MC + _SERVICE),
     Knob("EXEC_ON_FAILURE", str, "unusable-backend policy: raise a structured "
-         "ExecutionError (default) or degrade processes->threads->serial",
+         "ExecutionError (default) or degrade processes->serial",
          choices=("raise", "degrade"), flag="--exec-on-failure",
-         kwarg="exec_on_failure", applies_to=_MC + _PARALLEL),
+         kwarg="exec_on_failure", applies_to=_MC + _SERVICE),
     Knob("EXEC_BACKEND", str, "execution backend of the correlated/second-order "
          "work partitions (processes attaches workers zero-copy to the "
          "shared-memory kernel plane)", choices=_BACKENDS, flag="--exec-backend",
-         kwarg="exec_backend", applies_to=("normal-correlated", "second-order")),
+         kwarg="exec_backend", applies_to=_PARALLEL),
     Knob("EXEC_BACKOFF", float, "base delay in seconds of the retry backoff",
          minimum=0),
     Knob("EXEC_FAULTS", str, "fault-injection plan of the execution service"),

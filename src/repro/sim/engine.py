@@ -47,15 +47,13 @@ Batch scheduling is delegated to :func:`repro.sim.executors.run_batches`:
 
 * ``"serial"`` (default for ``workers=1``) evaluates batches one after the
   other on a single evaluation slot;
-* ``"threads"`` (default for ``workers>1``) runs batches on a thread pool
-  of private evaluation slots;
-* ``"processes"`` runs batches on a process pool with per-process compiled
-  kernels and a ``multiprocessing.shared_memory`` result buffer, bypassing
-  the GIL entirely.
+* ``"processes"`` (default for ``workers>1``) runs batches on a process
+  pool with per-process compiled kernels and a
+  ``multiprocessing.shared_memory`` result buffer.
 
-Every backend draws batch ``b`` from its own stream,
-:func:`repro.exec.partition_stream` ``(seed entropy, b)``, and folds
-results in batch-index order, so all three produce identical merged
+Both backends draw batch ``b`` from its own stream,
+:func:`repro.exec.partition_stream` ``(seed entropy, b)``, and fold
+results in batch-index order, so they produce identical merged
 estimates for a fixed seed at any worker count (see the determinism
 contract in :mod:`repro.sim.executors`).
 
@@ -266,11 +264,10 @@ def _nominal_makespan(
 class _BatchWorker:
     """One slot's private evaluation state: kernel and buffers.
 
-    The engine owns one instance per in-process worker; each instance is
-    only ever used by a single thread at a time, which satisfies the
-    wavefront kernel's non-reentrancy contract while the compiled schedule
-    stays shared.  Worker processes build theirs the same way, over a
-    schedule attached from shared memory.  The slot owns no RNG state:
+    The engine owns one instance on the serial backend; worker processes
+    build theirs the same way, over a schedule attached from shared
+    memory.  Each instance evaluates one batch at a time, which satisfies
+    the wavefront kernel's non-reentrancy contract.  The slot owns no RNG state:
     every :meth:`evaluate` call receives its batch's stream.
     """
 
@@ -475,13 +472,13 @@ class MonteCarloEngine:
         ``"float32"`` (halves kernel memory traffic; the rounding error is
         orders of magnitude below Monte Carlo noise).
     workers:
-        Number of parallel evaluation workers for the ``threads`` and
-        ``processes`` backends.  ``1`` (default) selects the serial
-        reference backend unless ``backend`` says otherwise.
+        Number of parallel evaluation workers of the ``processes``
+        backend.  ``1`` (default) selects the serial reference backend
+        unless ``backend`` says otherwise.
     backend:
-        Execution backend: ``"serial"``, ``"threads"`` or ``"processes"``
-        (see :mod:`repro.sim.executors`).  ``None`` (default) resolves to
-        ``"serial"`` for one worker and ``"threads"`` otherwise.  Seeded
+        Execution backend: ``"serial"`` or ``"processes"`` (see
+        :mod:`repro.sim.executors`).  ``None`` (default) resolves to
+        ``"serial"`` for one worker and ``"processes"`` otherwise.  Seeded
         results are the same on every backend at any worker count.
     streaming:
         Fold every batch into a fixed-grid quantile sketch (and optional
@@ -652,18 +649,16 @@ class MonteCarloEngine:
         #: ``partition_stream(seed_entropy, b)`` on every backend.
         self.seed_entropy = np.random.SeedSequence(seed).entropy
 
-        # In-process evaluation slots: one per worker that can receive a
-        # batch (exactly one for serial); the process backend builds its
-        # slots inside the worker processes.
-        slots = 0 if self.backend == "processes" else min(
-            self.workers, len(self._batch_plan())
+        # The serial backend's evaluation slot; the process backend builds
+        # its slots inside the worker processes.
+        self._slot: Optional[_BatchWorker] = (
+            None if self.backend == "processes" else _BatchWorker(self._plan)
         )
-        self._slots = [_BatchWorker(self._plan) for _ in range(slots)]
 
     @property
     def _kernel(self) -> Optional[WavefrontKernel]:
-        """Slot 0's wavefront kernel (``None`` on the process backend)."""
-        return self._slots[0].kernel if self._slots else None
+        """The slot's wavefront kernel (``None`` on the process backend)."""
+        return self._slot.kernel if self._slot is not None else None
 
     # ------------------------------------------------------------------
     def _batch_plan(self) -> List[int]:

@@ -7,7 +7,7 @@ the backend-agnostic :class:`~repro.exec.ParallelService`.  The batch
 scheduler is one *client* of that service (the correlated fold, the
 second-order sweeps and Dodin's reduction rounds are others); what remains
 in this module is the mapping from batches to service partitions plus the
-process backend's shared-memory result plumbing.  Three interchangeable
+process backend's shared-memory result plumbing.  Two interchangeable
 backends:
 
 ``serial``
@@ -15,16 +15,9 @@ backends:
     evaluation slot: the no-pool path, and the last step of the service's
     degradation chain.
 
-``threads``
-    The service's slot-windowed thread pool over per-worker evaluation
-    slots (private kernel + buffers each, satisfying the wavefront
-    kernel's non-reentrancy contract).  The kernel spends its time in
-    GIL-releasing NumPy primitives, so threads scale until the sampling
-    and small-level updates serialise on the GIL.
-
 ``processes``
     The service's process pool (the process's warm pool, see
-    :mod:`repro.exec.service`), sidestepping the GIL entirely: every worker
+    :mod:`repro.exec.service`): every worker
     process builds one evaluation slot from the engine's sampling plan (the
     per-task vectors the parent already computed) over the parent's level
     schedule, attached from the :data:`~repro.exec.shm.REGISTRY`, on its
@@ -42,8 +35,8 @@ where ``root`` is the engine's seed entropy (the service's
 :func:`~repro.exec.partition_stream` with the batch index as partition
 index).  Results are folded into the statistics in batch-index order, and
 early stopping cuts the fold at the same batch regardless of scheduling.
-Consequently ``serial``, ``threads`` and ``processes`` produce *identical*
-merged estimates for a fixed seed at **any** worker count — the backend
+Consequently ``serial`` and ``processes`` produce *identical* merged
+estimates for a fixed seed at **any** worker count — the backend
 and the worker count are purely throughput knobs — and a retried batch
 replays its stream by construction.  The batch plan is part of that
 contract: a different ``batch_size`` gives different per-batch streams,
@@ -80,7 +73,7 @@ __all__ = ["BACKENDS", "run_batches"]
 
 #: The available executor backends, in documentation order (the engine's
 #: subset of :data:`repro.exec.EXEC_BACKENDS`).
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 
 #: ``consume(makespans) -> stop?`` — the per-batch folding callback.
 Consumer = Callable[[np.ndarray], bool]
@@ -96,9 +89,8 @@ def run_batches(engine: "MonteCarloEngine", consume: Consumer) -> None:
     what the execution layer had to do.
     """
     plan = engine._batch_plan()
-    workers = engine.workers if engine.backend == "processes" else len(engine._slots)
     with ParallelService(
-        workers=workers,
+        workers=engine.workers,
         backend=engine.backend,
         retries=engine.exec_retries,
         timeout=engine.exec_timeout,
@@ -111,7 +103,7 @@ def run_batches(engine: "MonteCarloEngine", consume: Consumer) -> None:
             service.run(
                 _evaluate,
                 plan,
-                slots=engine._slots,
+                slot=engine._slot,
                 entropy=engine.seed_entropy,
                 consume=lambda index, makespans: consume(makespans),
             )
@@ -182,7 +174,7 @@ def _process_eval_batch(item, state: _ProcessWorkerState, rng) -> int:
     """Evaluate one batch and write its makespans into the shared buffer.
 
     The service derives ``rng`` from the partition index, which *is* the
-    batch index — the same stream the in-process backends hand their slots.
+    batch index — the same stream the serial backend hands its slot.
     """
     batch, offset = item
     makespans = state.slot.evaluate(batch, rng)

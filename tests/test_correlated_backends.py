@@ -88,20 +88,18 @@ class TestBitEquality:
         assert result.details["makespan_variance"] == dense.details["makespan_variance"]
 
     @pytest.mark.parametrize("workflow,size,pfail", CASES)
-    @pytest.mark.parametrize("exec_backend", [
-        "threads",
-        pytest.param("processes", marks=pytest.mark.skipif(
-            not HAS_PROCESSES, reason="process pools unavailable"
-        )),
-    ])
+    @pytest.mark.skipif(not HAS_PROCESSES, reason="process pools unavailable")
+    @pytest.mark.parametrize("exec_backend", [None, "processes"])
     def test_parallel_banded_bit_equal_to_serial_dense(
         self, workflow, size, pfail, exec_backend, estimates
     ):
+        # Two workers with no backend named run on processes too.
         graph, model, dense = estimates[workflow]
         result = _run(
             graph, model, correlation_backend="banded",
             exec_backend=exec_backend, workers=2,
         )
+        assert result.details["execution"]["backend"] == "processes"
         assert result.expected_makespan == dense.expected_makespan
         assert result.details["makespan_variance"] == dense.details["makespan_variance"]
 

@@ -48,6 +48,10 @@ def _processes_available() -> bool:
 
 HAS_PROCESSES = _processes_available()
 
+#: Worker counts of the property tests: one is ``serial``, more resolve to
+#: ``processes``.
+worker_counts = st.integers(1, 3) if HAS_PROCESSES else st.just(1)
+
 
 def _transform(item, slot, rng):
     """A deterministic partition function exercising the rng stream."""
@@ -109,7 +113,7 @@ class TestFaultPlan:
         plan = FaultPlan.parse("raise@0; kill@1")
         with pytest.raises(InjectedFault):
             plan.apply(0, 0, in_child=False)
-        # In-process backends cannot kill the interpreter: kill -> raise.
+        # The serial backend cannot kill the interpreter: kill -> raise.
         with pytest.raises(InjectedFault):
             plan.apply(1, 0, in_child=False)
         plan.apply(2, 0, in_child=False)  # no fault scheduled: no-op
@@ -162,7 +166,7 @@ class TestRetryDeterminism:
     @settings(max_examples=25, deadline=None)
     @given(
         items=st.lists(st.integers(0, 1000), min_size=1, max_size=30),
-        workers=st.integers(1, 4),
+        workers=worker_counts,
         entropy=st.integers(0, 2**16),
         faulted=faulted_attempts,
     )
@@ -178,19 +182,16 @@ class TestRetryDeterminism:
         ]
         plan = FaultPlan(specs)
         retries = max(faulted.values(), default=0)
-        backend = "serial" if workers == 1 else "threads"
-        clean = _service(workers=workers, backend=backend).run(
+        clean = _service(workers=workers).run(_transform, items, entropy=entropy)
+        chaotic = _service(workers=workers, retries=retries, faults=plan).run(
             _transform, items, entropy=entropy
         )
-        chaotic = _service(
-            workers=workers, backend=backend, retries=retries, faults=plan
-        ).run(_transform, items, entropy=entropy)
         assert chaotic == clean
 
     @settings(max_examples=15, deadline=None)
     @given(
         items=st.lists(st.integers(0, 1000), min_size=1, max_size=30),
-        workers=st.integers(1, 4),
+        workers=worker_counts,
         threshold=st.integers(0, 1000),
         faulted=faulted_attempts,
     )
@@ -205,7 +206,6 @@ class TestRetryDeterminism:
             ]
         )
         retries = max(faulted.values(), default=0)
-        backend = "serial" if workers == 1 else "threads"
 
         def run(faults, budget):
             folded = []
@@ -214,9 +214,9 @@ class TestRetryDeterminism:
                 folded.append((index, result))
                 return items[index] >= threshold
 
-            _service(
-                workers=workers, backend=backend, retries=budget, faults=faults
-            ).run(_transform, items, entropy=11, consume=consume)
+            _service(workers=workers, retries=budget, faults=faults).run(
+                _transform, items, entropy=11, consume=consume
+            )
             return folded
 
         clean, chaotic = run(None, 0), run(plan, retries)
@@ -264,7 +264,7 @@ class TestRetryDeterminism:
         assert clean.execution["clean"]
 
     @pytest.mark.parametrize(
-        "backend,workers", [("serial", 1), ("threads", 2), ("processes", 2)]
+        "backend,workers", [("serial", 1), ("processes", 2)]
     )
     def test_mc_retries_replay_the_clean_serial_run(
         self, monkeypatch, backend, workers
@@ -297,9 +297,10 @@ class TestRetryDeterminism:
         assert chaotic.minimum == clean.minimum
         assert chaotic.maximum == clean.maximum
 
+    @pytest.mark.skipif(not HAS_PROCESSES, reason="process pools unavailable")
     def test_report_accounts_attempts_and_retries(self):
         service = _service(
-            workers=2, backend="threads", retries=1,
+            workers=2, backend="processes", retries=1,
             faults=FaultPlan.parse("raise@0; raise@2"),
         )
         assert service.run(_transform, [1, 2, 3, 4], entropy=5) is not None
@@ -333,8 +334,10 @@ class TestRetryDeterminism:
 # Structured errors
 # ----------------------------------------------------------------------
 class TestStructuredErrors:
-    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("threads", 3)])
+    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("processes", 3)])
     def test_exhausted_retries_raise_execution_error(self, backend, workers):
+        if backend == "processes" and not HAS_PROCESSES:
+            pytest.skip("process pools unavailable")
         plan = FaultPlan([FaultSpec("raise", 2, attempt=a) for a in range(3)])
         service = _service(
             workers=workers, backend=backend, retries=2, faults=plan
@@ -352,10 +355,9 @@ class TestStructuredErrors:
     def test_failure_past_early_stop_cannot_fail_the_run(self):
         # Partition 3 always fails, but the fold stops at partition 1.
         plan = FaultPlan([FaultSpec("raise", 3, attempt=a) for a in range(5)])
-        for workers in (1, 4):
-            backend = "serial" if workers == 1 else "threads"
+        for workers in (1, 3) if HAS_PROCESSES else (1,):
             folded = []
-            _service(workers=workers, backend=backend, faults=plan).run(
+            _service(workers=workers, faults=plan).run(
                 _transform,
                 [1, 2, 3, 4, 5],
                 entropy=3,
@@ -370,22 +372,17 @@ class TestStructuredErrors:
         def consume(index, result):
             raise Sentinel
 
-        for workers in (1, 3):
-            backend = "serial" if workers == 1 else "threads"
+        for workers in (1, 3) if HAS_PROCESSES else (1,):
             with pytest.raises(Sentinel):
-                _service(workers=workers, backend=backend, retries=5).run(
+                _service(workers=workers, retries=5).run(
                     _transform, [1, 2, 3], entropy=0, consume=consume
                 )
 
-    def test_in_process_soft_deadline_is_advisory(self):
-        # A hang past the deadline on threads is recorded, not discarded.
+    def test_serial_soft_deadline_is_advisory(self):
+        # A hang past the deadline on serial is recorded, not discarded.
         plan = FaultPlan.parse("hang@1:0.05")
-        service = _service(
-            workers=2, backend="threads", timeout=0.01, faults=plan
-        )
-        clean = _service(workers=2, backend="threads").run(
-            _transform, [7, 8, 9], entropy=1
-        )
+        service = _service(workers=1, timeout=0.01, faults=plan)
+        clean = _service(workers=1).run(_transform, [7, 8, 9], entropy=1)
         assert service.run(_transform, [7, 8, 9], entropy=1) == clean
         assert service.report.deadline_misses >= 1
         assert service.report.timeouts == 0
@@ -399,22 +396,66 @@ class _BrokenPool:
         raise OSError("injected: cannot fork")
 
 
+class _ClosingSlot:
+    """An evaluation slot that records its ``close()``."""
+
+    closed = False
+
+    def close(self):
+        self.closed = True
+
+
 class TestDegradation:
-    def test_processes_degrade_to_threads(self, monkeypatch):
+    def test_processes_degrade_to_serial(self, monkeypatch):
         import repro.exec.service as service_module
 
         # A warm pool left by an earlier test would bypass the patch.
         service_module.end_warm_pool()
         monkeypatch.setattr(service_module, "ProcessPoolExecutor", _BrokenPool)
-        clean = _service(workers=2, backend="threads").run(
-            _transform, [1, 2, 3], entropy=4
-        )
+        clean = _service(workers=1).run(_transform, [1, 2, 3], entropy=4)
         service = _service(workers=2, backend="processes", on_failure="degrade")
         assert service.run(_transform, [1, 2, 3], entropy=4) == clean
         report = service.report
-        assert [d.as_dict()["to"] for d in report.degradations] == ["threads"]
-        assert report.effective_backend == "threads"
+        assert [d.as_dict()["to"] for d in report.degradations] == ["serial"]
+        assert report.effective_backend == "serial"
         assert report.backend == "processes"
+
+    def test_degraded_run_builds_and_closes_one_parent_slot(self, monkeypatch):
+        import repro.exec.service as service_module
+
+        service_module.end_warm_pool()
+        monkeypatch.setattr(service_module, "ProcessPoolExecutor", _BrokenPool)
+        built = []
+
+        def factory():
+            built.append(_ClosingSlot())
+            return built[-1]
+
+        clean = _service(workers=1).run(_transform, [1, 2, 3], entropy=4)
+        service = _service(workers=2, backend="processes", on_failure="degrade")
+        assert service.run(
+            _transform, [1, 2, 3], slot_factory=factory, entropy=4
+        ) == clean
+        assert len(built) == 1 and built[0].closed
+
+    def test_second_order_degrades_to_serial_bit_identical(self, monkeypatch):
+        import repro.exec.service as service_module
+        from repro.estimators.second_order import SecondOrderEstimator
+        from repro.failures.models import ExponentialErrorModel
+        from repro.workflows.registry import build_dag
+
+        graph = build_dag("lu", 5)
+        model = ExponentialErrorModel.for_graph(graph, 1e-2)
+        serial = SecondOrderEstimator(workers=1).estimate(graph, model)
+        service_module.end_warm_pool()
+        monkeypatch.setattr(service_module, "ProcessPoolExecutor", _BrokenPool)
+        degraded = SecondOrderEstimator(
+            workers=2, exec_backend="processes", exec_on_failure="degrade"
+        ).estimate(graph, model)
+        assert degraded.expected_makespan == serial.expected_makespan
+        execution = degraded.details["execution"]
+        assert execution["effective_backend"] == "serial"
+        assert [d["to"] for d in execution["degradations"]] == ["serial"]
 
     def test_degradation_is_opt_in(self, monkeypatch):
         import repro.exec.service as service_module
@@ -426,16 +467,6 @@ class TestDegradation:
             service.run(_transform, [1, 2, 3], entropy=4)
         assert "unusable" in str(excinfo.value)
         assert excinfo.value.partition is None
-
-    def test_threads_degrade_to_serial(self, monkeypatch):
-        def broken_pool(self):
-            raise RuntimeError("injected: no threads")
-
-        monkeypatch.setattr(ParallelService, "_pool", broken_pool)
-        clean = _service(workers=1).run(_transform, [4, 5, 6], entropy=2)
-        service = _service(workers=3, backend="threads", on_failure="degrade")
-        assert service.run(_transform, [4, 5, 6], entropy=2) == clean
-        assert service.report.effective_backend == "serial"
 
 
 # ----------------------------------------------------------------------
@@ -476,17 +507,17 @@ class TestProcessChaos:
         assert service.report.pool_rebuilds >= 1
         assert any(f.kind == "worker-lost" for f in service.report.failures)
 
-    def test_random_plan_matches_threads(self):
+    def test_random_plan_matches_serial(self):
         items = [int(v) for v in np.random.default_rng(5).integers(0, 999, 16)]
         plan = FaultPlan.parse("random(p=0.3, seed=12)")
-        threads = _service(
-            workers=3, backend="threads", retries=1, faults=plan
-        ).run(_transform, items, entropy=5)
+        serial = _service(workers=1, retries=1, faults=plan).run(
+            _transform, items, entropy=5
+        )
         processes = _service(
             workers=3, backend="processes", retries=1, faults=plan
         ).run(_transform, items, entropy=5)
         clean = _service(workers=1).run(_transform, items, entropy=5)
-        assert processes == threads == clean
+        assert processes == serial == clean
 
     def test_hung_worker_preempted_and_retried(self):
         items = [1, 2, 3]
@@ -544,7 +575,7 @@ class TestProcessChaos:
         # Hypothesis property over the shared-memory kernel plane: the
         # correlated per-level fold on the ``processes`` backend — workers
         # attached zero-copy to the estimate's segments — replays faulted
-        # partitions bit-identically to the serial and threads references,
+        # partitions bit-identically to the serial reference,
         # at any worker count, for raise *and* kill (pool-rebuild) plans.
         from repro.estimators.correlated import CorrelatedNormalEstimator
         from repro.failures.models import ExponentialErrorModel
@@ -575,7 +606,8 @@ class TestProcessChaos:
                         os.environ[key] = value
 
         reference = estimate({}, workers=1)
-        assert estimate({}, workers=3, exec_backend="threads") == reference
+        # Several workers with no backend named run on processes.
+        assert estimate({}, workers=3) == reference
 
         @settings(max_examples=5, deadline=None)
         @given(
@@ -596,11 +628,11 @@ class TestProcessChaos:
 
         property_holds()
 
-    def test_shm_degrade_to_threads_bit_identical_and_leak_free(
+    def test_shm_degrade_to_serial_bit_identical_and_leak_free(
         self, monkeypatch
     ):
-        # A dead process backend degrades to threads *within the run*: the
-        # parent builds slots through the same spec (attaching its own
+        # A dead process backend degrades to serial *within the run*: the
+        # parent builds its slot through the same spec (attaching its own
         # segments by name), folds bit-identically, and the teardown path
         # still leaves /dev/shm clean.
         import repro.exec.service as service_module
@@ -612,22 +644,20 @@ class TestProcessChaos:
         model = ExponentialErrorModel.for_graph(graph, 1e-3)
 
         def estimate(**kwargs):
-            result = CorrelatedNormalEstimator(
-                workers=2, **kwargs
-            ).estimate(graph, model)
+            result = CorrelatedNormalEstimator(**kwargs).estimate(graph, model)
             return (
                 result.expected_makespan,
                 result.details["makespan_variance"],
             )
 
-        threads = estimate(exec_backend="threads")
+        serial = estimate(workers=1)
         before = _leaked_shm_segments()
         service_module.end_warm_pool()
         monkeypatch.setattr(service_module, "ProcessPoolExecutor", _BrokenPool)
         degraded = estimate(
-            exec_backend="processes", exec_on_failure="degrade"
+            workers=2, exec_backend="processes", exec_on_failure="degrade"
         )
-        assert degraded == threads
+        assert degraded == serial
         assert _leaked_shm_segments() <= before
 
     def test_shm_pool_rebuilds_leave_no_leak(self, monkeypatch):
@@ -660,9 +690,9 @@ class TestProcessChaos:
         ).estimate(graph, model)
         assert second.expected_makespan == clean.expected_makespan
 
-    def test_mc_degrades_processes_to_threads_bit_identical(self, monkeypatch):
+    def test_mc_degrades_processes_to_serial_bit_identical(self, monkeypatch):
         # End to end through the engine: a dead process backend falls back
-        # to threads, and per-batch streams keep the result bit-identical.
+        # to serial, and per-batch streams keep the result bit-identical.
         from repro.failures.models import ExponentialErrorModel
         from repro.sim.engine import MonteCarloEngine
         from repro.workflows.registry import build_dag
@@ -670,18 +700,18 @@ class TestProcessChaos:
         graph = build_dag("lu", 4)
         model = ExponentialErrorModel.for_graph(graph, 1e-3)
 
-        def engine(backend):
+        def engine(backend, workers):
             return MonteCarloEngine(
                 graph, model, trials=3_000, batch_size=512, seed=21,
-                workers=2, backend=backend, exec_on_failure="degrade",
+                workers=workers, backend=backend, exec_on_failure="degrade",
             )
 
-        threads = engine("threads").run()
+        serial = engine("serial", 1).run()
         import repro.exec.service as service_module
 
         service_module.end_warm_pool()
         monkeypatch.setattr(service_module, "ProcessPoolExecutor", _BrokenPool)
-        degraded = engine("processes").run()
-        assert degraded.mean == threads.mean
-        assert degraded.execution["effective_backend"] == "threads"
+        degraded = engine("processes", 2).run()
+        assert degraded.mean == serial.mean
+        assert degraded.execution["effective_backend"] == "serial"
         assert degraded.execution["degradations"]

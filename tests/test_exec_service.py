@@ -5,23 +5,19 @@ executor-backend properties of ``tests/test_executor_properties.py``): the
 outcome of a run is a pure function of the partition list — for *any*
 client partition set,
 
-* ``threads`` at any worker count produces results bit-identical to
+* ``processes`` at any worker count produces results bit-identical to
   ``serial`` (with or without per-partition RNG streams, with or without
-  worker slots);
-* ``processes`` matches ``threads`` exactly (where the platform can spawn
-  a pool);
+  worker slots), where the platform can spawn a pool;
 * early stopping folds the same partitions in the same order at any
   worker count;
-* the estimator clients riding the service (second-order sweeps, Dodin
-  rounds) inherit those properties end to end.
+* the estimator clients riding the service (correlated fold, second-order
+  sweeps) inherit those properties end to end.
 """
 
 import contextlib
 import gc
 import multiprocessing
 import os
-import sys
-import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 
@@ -30,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.estimators.correlated import CorrelatedNormalEstimator
-from repro.exceptions import EstimationError
+from repro.exceptions import EstimationError, OptionError
 from repro.exec import service as exec_service
 from repro.exec import (
     EXEC_BACKENDS,
@@ -77,8 +73,18 @@ def _slot_transform(item, slot, rng):
     return value
 
 
-def _make_slots(k):
-    return [{"scratch": np.empty(8, dtype=np.float64)} for _ in range(k)]
+def _make_slot():
+    return {"scratch": np.empty(8, dtype=np.float64)}
+
+
+def _run(workers, fn, items, *, slot=False, **kwargs):
+    """One run on ``serial`` (one worker) or ``processes`` (more); with
+    ``slot``, against a scratch slot built where the backend evaluates."""
+    if slot:
+        key = "slot" if workers == 1 else "slot_factory"
+        kwargs[key] = _make_slot() if workers == 1 else _make_slot
+    with ParallelService(workers=workers) as service:
+        return service.run(fn, items, **kwargs)
 
 
 #: A weak reference to parent-process garbage, read by forked workers.
@@ -102,7 +108,8 @@ partition_lists = st.lists(st.integers(0, 1000), min_size=0, max_size=40)
 class TestBackendResolution:
     def test_default_resolution(self):
         assert resolve_exec_backend(None, 1) == "serial"
-        assert resolve_exec_backend(None, 4) == "threads"
+        assert resolve_exec_backend(None, 4) == "processes"
+        assert ParallelService(workers=2).backend == "processes"
 
     def test_explicit_names(self):
         for name in EXEC_BACKENDS:
@@ -113,9 +120,22 @@ class TestBackendResolution:
         with pytest.raises(EstimationError):
             resolve_exec_backend("gpu", 1)
 
+    def test_threads_is_no_backend(self):
+        with pytest.raises(OptionError, match="threads"):
+            ParallelService(workers=2, backend="threads")
+        with pytest.raises(OptionError, match="threads"):
+            resolve_exec_backend("threads", 1)
+
     def test_serial_with_many_workers_rejected(self):
         with pytest.raises(EstimationError):
             ParallelService(workers=4, backend="serial")
+
+    def test_serial_rejection_points_to_processes(self):
+        with pytest.raises(EstimationError) as excinfo:
+            resolve_exec_backend("serial", 2)
+        message = str(excinfo.value)
+        assert "backend='processes'" in message
+        assert "threads" not in message
 
     def test_worker_count_validation(self):
         with pytest.raises(EstimationError):
@@ -128,6 +148,58 @@ class TestBackendResolution:
             a = np.random.default_rng(children[i]).random(8)
             b = partition_stream(7, i).random(8)
             assert np.array_equal(a, b)
+
+
+class _ScratchSlot(dict):
+    """``_make_slot``'s scratch, with a ``close()`` that records the call."""
+
+    def __init__(self):
+        super().__init__(_make_slot())
+        self.closed = False
+
+    def close(self):
+        self.closed = True
+
+
+class TestServiceSlots:
+    """``serial`` evaluates every partition against one in-process slot:
+    the client's, or one it builds from the factory and closes after."""
+
+    ITEMS = [3, 1, 4, 1, 5]
+
+    def test_serial_uses_the_given_slot_and_never_the_factory(self):
+        slot = _ScratchSlot()
+        seen = []
+
+        def record(item, scratch, rng):
+            seen.append(scratch)
+            return _slot_transform(item, scratch, rng)
+
+        def factory():
+            raise AssertionError("serial built a slot beside the given one")
+
+        with ParallelService(workers=1, faults=None) as service:
+            values = service.run(
+                record, self.ITEMS, slot=slot, slot_factory=factory, entropy=2
+            )
+        assert values == _run(1, _slot_transform, self.ITEMS, slot=True, entropy=2)
+        assert len(seen) == len(self.ITEMS) and all(s is slot for s in seen)
+        # The client's slot stays the client's to close.
+        assert not slot.closed
+
+    def test_serial_builds_and_closes_one_factory_slot(self):
+        built = []
+
+        def factory():
+            built.append(_ScratchSlot())
+            return built[-1]
+
+        with ParallelService(workers=1, faults=None) as service:
+            values = service.run(
+                _slot_transform, self.ITEMS, slot_factory=factory, entropy=2
+            )
+        assert values == _run(1, _slot_transform, self.ITEMS, slot=True, entropy=2)
+        assert len(built) == 1 and built[0].closed
 
 
 class TestWorkerResolution:
@@ -157,48 +229,42 @@ class TestWorkerResolution:
             resolve_workers(0)
 
 
-class TestThreadsDeterminism:
-    @settings(max_examples=20, deadline=None)
+@pytest.mark.skipif(not HAS_PROCESSES, reason="process pools unavailable")
+class TestProcessesDeterminism:
+    """Process pools are slow to spin up, so few examples at 1-3 workers."""
+
+    @settings(max_examples=10, deadline=None)
     @given(
         items=partition_lists,
-        workers=st.integers(1, 6),
+        workers=st.integers(2, 3),
         entropy=st.one_of(st.none(), st.integers(0, 2**16)),
     )
-    def test_threads_bit_identical_to_serial(self, items, workers, entropy):
-        serial = ParallelService(workers=1).run(_transform, items, entropy=entropy)
-        threads = ParallelService(workers=workers, backend="threads").run(
-            _transform, items, entropy=entropy
-        )
-        assert serial == threads
+    def test_processes_bit_identical_to_serial(self, items, workers, entropy):
+        serial = _run(1, _transform, items, entropy=entropy)
+        assert _run(workers, _transform, items, entropy=entropy) == serial
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=8, deadline=None)
     @given(
         items=partition_lists,
-        workers=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        workers=st.tuples(st.integers(2, 3), st.integers(2, 3)),
         entropy=st.integers(0, 2**16),
     )
-    def test_threads_identical_across_worker_counts_with_slots(
+    def test_processes_identical_across_worker_counts_with_slots(
         self, items, workers, entropy
     ):
-        a = ParallelService(workers=workers[0], backend="threads").run(
-            _slot_transform, items, slots=_make_slots(workers[0]), entropy=entropy
-        )
-        b = ParallelService(workers=workers[1], backend="threads").run(
-            _slot_transform, items, slots=_make_slots(workers[1]), entropy=entropy
-        )
-        serial = ParallelService(workers=1).run(
-            _slot_transform, items, slots=_make_slots(1), entropy=entropy
-        )
+        a = _run(workers[0], _slot_transform, items, slot=True, entropy=entropy)
+        b = _run(workers[1], _slot_transform, items, slot=True, entropy=entropy)
+        serial = _run(1, _slot_transform, items, slot=True, entropy=entropy)
         assert a == b == serial
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=8, deadline=None)
     @given(
         items=st.lists(st.integers(0, 1000), min_size=1, max_size=40),
-        workers=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        workers=st.tuples(st.integers(1, 3), st.integers(1, 3)),
         threshold=st.integers(0, 1000),
-        use_slots=st.booleans(),
+        use_slot=st.booleans(),
     )
-    def test_early_stop_folds_same_prefix(self, items, workers, threshold, use_slots):
+    def test_early_stop_folds_same_prefix(self, items, workers, threshold, use_slot):
         def run(k):
             folded = []
 
@@ -206,13 +272,7 @@ class TestThreadsDeterminism:
                 folded.append((index, result))
                 return items[index] >= threshold
 
-            ParallelService(workers=k, backend="threads").run(
-                _transform,
-                items,
-                slots=_make_slots(k) if use_slots else None,
-                entropy=11,
-                consume=consume,
-            )
+            _run(k, _transform, items, slot=use_slot, entropy=11, consume=consume)
             return folded
 
         a, b = run(workers[0]), run(workers[1])
@@ -226,69 +286,30 @@ class TestThreadsDeterminism:
         else:
             assert len(indices) == len(items)
 
-
-    def test_a_slot_never_serves_two_partitions_at_once(self):
-        # More workers than slots and cores, a short switch interval and
-        # uneven partitions: a window that handed a still-busy slot another
-        # partition would find the slot's busy flag set.
-        slots = [{"busy": False} for _ in range(3)]
-        overlaps = []
-
-        def occupy(item, slot, rng):
-            if slot["busy"]:
-                overlaps.append(item)
-            slot["busy"] = True
-            time.sleep(0.0002 * (item % 4))
-            slot["busy"] = False
-            return item
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            result = ParallelService(workers=8, backend="threads").run(
-                occupy, range(300), slots=slots
-            )
-        finally:
-            sys.setswitchinterval(interval)
-        assert result == list(range(300))
-        assert not overlaps
-
-
-@pytest.mark.skipif(not HAS_PROCESSES, reason="process pools unavailable")
-class TestProcessesDeterminism:
-    """Process pools are slow to spin up, so a small fixed case set."""
-
     @pytest.mark.parametrize("seed,count,workers", [
         (3, 9, 2),
         (17, 25, 3),
     ])
-    def test_processes_match_threads_exactly(self, seed, count, workers):
+    def test_processes_match_serial_exactly(self, seed, count, workers):
         rng = np.random.default_rng(seed)
         items = [int(v) for v in rng.integers(0, 1000, size=count)]
-        threads = ParallelService(workers=workers, backend="threads").run(
-            _transform, items, entropy=seed
-        )
-        processes = ParallelService(workers=workers, backend="processes").run(
-            _transform, items, entropy=seed
-        )
-        assert processes == threads
+        serial = _run(1, _transform, items, entropy=seed)
+        assert _run(workers, _transform, items, entropy=seed) == serial
 
-    def test_processes_early_stop_matches_threads(self):
+    def test_processes_early_stop_matches_serial(self):
         items = [5, 900, 3, 950, 1]
 
-        def run(backend):
+        def run(workers):
             folded = []
 
             def consume(index, result):
                 folded.append((index, result))
                 return items[index] >= 900
 
-            ParallelService(workers=2, backend=backend).run(
-                _transform, items, entropy=0, consume=consume
-            )
+            _run(workers, _transform, items, entropy=0, consume=consume)
             return folded
 
-        assert run("processes") == run("threads")
+        assert run(2) == run(1)
 
     def test_one_pool_across_estimates(self, monkeypatch):
         # Level 1 of cholesky has one partition, fewer than the workers:
@@ -399,57 +420,38 @@ def _psm_mappings(pid):
         return [line.split()[-1] for line in maps if "psm_" in line]
 
 
+@pytest.mark.skipif(
+    not HAS_PROCESSES or not os.path.isdir("/proc/self"),
+    reason="no process pools, or no /proc to read mappings from",
+)
 class TestServiceLifecycle:
-    """``with ParallelService(...)`` releases its pools however the block
-    ends: thread pools close, the warm process pool's workers drop every
-    slot and segment."""
+    """``with ParallelService(...)`` releases its pool however the block
+    ends: the warm process pool's workers drop every slot and segment."""
 
-    @pytest.mark.parametrize("backend", [
-        "threads",
-        pytest.param("processes", marks=pytest.mark.skipif(
-            not HAS_PROCESSES or not os.path.isdir("/proc/self"),
-            reason="no process pools, or no /proc to read mappings from",
-        )),
-    ])
     @pytest.mark.parametrize("raises", [False, True])
-    def test_leaving_the_block_closes_the_pools(self, backend, raises):
+    def test_leaving_the_block_closes_the_pools(self, raises):
         workers = []
         with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
-            with ParallelService(workers=2, backend=backend) as service:
-                if backend == "threads":
-                    assert service.run(_transform, [1, 2, 3], entropy=0)
-                    pool = service._thread_pool
-                else:
-                    # As an estimate does: the slots map a segment that is
-                    # unlinked before the block ends.
-                    segment = SharedSegment.create({"values": np.arange(4.0)})
-                    try:
-                        assert service.run(
-                            _read_slot, [1, 2, 3],
-                            slot_factory=_AttachSlot(segment.handle),
-                        ) == [1.0, 2.0, 3.0]
-                    finally:
-                        segment.destroy()
-                    pool = service._processes.pool.executor
-                    assert service._processes.leased
-                assert pool is not None
-                workers = list(getattr(pool, "_processes", {}).values())
+            with ParallelService(workers=2, backend="processes") as service:
+                # As an estimate does: the slots map a segment that is
+                # unlinked before the block ends.
+                segment = SharedSegment.create({"values": np.arange(4.0)})
+                try:
+                    assert service.run(
+                        _read_slot, [1, 2, 3],
+                        slot_factory=_AttachSlot(segment.handle),
+                    ) == [1.0, 2.0, 3.0]
+                finally:
+                    segment.destroy()
+                assert service._processes.leased
+                workers = list(service._processes.pool.executor._processes.values())
                 if raises:
                     raise RuntimeError("inside the block")
-        assert service._thread_pool is None
         assert service._processes.pool is None
         assert not service._processes.leased
-        assert bool(workers) == (backend == "processes")
-        if backend == "processes":
-            # Warm for the next service, and mapping nothing of this one.
-            assert all(w.is_alive() for w in workers)
-            assert [_psm_mappings(w.pid) for w in workers] == [[], []]
-            return
-        # The executor's own thread may be reaping them: poll, don't join.
-        deadline = time.monotonic() + 5.0
-        while any(w.is_alive() for w in workers) and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert not any(w.is_alive() for w in workers)
+        # Warm for the next service, and mapping nothing of this one.
+        assert len(workers) == 2 and all(w.is_alive() for w in workers)
+        assert [_psm_mappings(w.pid) for w in workers] == [[], []]
 
 
 class TestServiceClients:
@@ -471,15 +473,38 @@ class TestServiceClients:
         }
         assert len(values) == 1
 
-    def test_dodin_differential_holds_at_any_worker_count(self, case):
+    def test_dodin_runs_on_one_worker(self, case, monkeypatch):
         from oracles.estimators import sequential_dodin_estimate
         from repro.estimators.dodin import DodinEstimator
 
         graph, model = case
         reference = sequential_dodin_estimate(graph, model)
-        for k in (1, 3):
-            value = DodinEstimator(workers=k).estimate(graph, model).expected_makespan
-            assert value == pytest.approx(reference, rel=1e-9)
+        value = DodinEstimator(workers=1).estimate(graph, model).expected_makespan
+        assert value == pytest.approx(reference, rel=1e-9)
+        for workers in (0, 2, 3):
+            with pytest.raises(OptionError, match="workers"):
+                DodinEstimator(workers=workers)
+        # The analytic worker knob does not reach Dodin.
+        monkeypatch.setenv("REPRO_EST_WORKERS", "2")
+        result = DodinEstimator().estimate(graph, model)
+        assert result.expected_makespan == value
+        assert result.details["execution"]["workers"] == 1
+
+    def test_dodin_retries_replay_the_clean_run(self, case, monkeypatch):
+        # Dodin keeps its serial service for retries and fault injection.
+        from repro.estimators.dodin import DodinEstimator
+
+        graph, model = case
+        monkeypatch.delenv("REPRO_EXEC_FAULTS", raising=False)
+        clean = DodinEstimator().estimate(graph, model)
+        monkeypatch.setenv("REPRO_EXEC_FAULTS", "raise@0")
+        monkeypatch.setenv("REPRO_EXEC_BACKOFF", "0")
+        faulty = DodinEstimator(exec_retries=1).estimate(graph, model)
+        assert faulty.expected_makespan == clean.expected_makespan
+        execution = faulty.details["execution"]
+        assert execution["backend"] == execution["effective_backend"] == "serial"
+        assert execution["faults_injected"] >= 1
+        assert execution["retries"] == execution["faults_injected"]
 
     def test_correlated_bit_identical_across_workers(self, case):
         from repro.estimators.correlated import CorrelatedNormalEstimator
@@ -506,10 +531,8 @@ class TestServiceClients:
 
     def test_env_knob_feeds_estimators(self, case, monkeypatch):
         from repro.estimators.correlated import CorrelatedNormalEstimator
-        from repro.estimators.dodin import DodinEstimator
 
         monkeypatch.setenv("REPRO_EST_WORKERS", "3")
         assert CorrelatedNormalEstimator().workers == 3
-        assert DodinEstimator().workers == 3
         # An explicit argument wins over the environment.
         assert CorrelatedNormalEstimator(workers=1).workers == 1

@@ -9,7 +9,7 @@ Three layers, mirroring the module's contract:
   pinned; a budget picks warm-vs-eager unlinking, and ``clear()`` always
   empties ``/dev/shm``;
 * **estimators** — correlated and second-order folds on the ``processes``
-  backend are bit-identical to serial/threads at any worker count, the MC
+  backend are bit-identical to serial at any worker count, the MC
   backend's workers build kernels from the warm segment without ever
   recompiling the schedule, and no run leaks a segment.
 """
@@ -775,7 +775,7 @@ class TestMonteCarloWarmSegment:
             try:
                 for batch, size in enumerate((256, 88)):
                     rng = partition_stream(engine.seed_entropy, batch)
-                    expected = engine._slots[0].evaluate(size, rng)
+                    expected = engine._slot.evaluate(size, rng)
                     rng = partition_stream(engine.seed_entropy, batch)
                     _process_eval_batch((size, 0), state, rng)
                     assert np.array_equal(state.out[:size], expected)
@@ -803,7 +803,7 @@ class TestMonteCarloWarmSegment:
             state = _ProcessWorkerState(pickle.loads(pickle.dumps(spec)))
             try:
                 rng = partition_stream(engine.seed_entropy, 0)
-                expected = engine._slots[0].evaluate(256, rng)
+                expected = engine._slot.evaluate(256, rng)
                 rng = partition_stream(engine.seed_entropy, 0)
                 assert np.array_equal(state.slot.evaluate(256, rng), expected)
             finally:
@@ -880,8 +880,7 @@ def test_every_publisher_hits_the_service_cache_segment(monkeypatch):
     assert found_warm == [True, True, True]
 
 
-@pytest.mark.parametrize("backend,workers", [("serial", 1), ("threads", 2)])
-def test_in_process_backends_touch_no_shared_memory(backend, workers):
+def test_serial_backend_touches_no_shared_memory():
     from repro.sim.engine import MonteCarloEngine
 
     graph = build_dag("lu", 4)
@@ -889,16 +888,11 @@ def test_in_process_backends_touch_no_shared_memory(backend, workers):
     before = (REGISTRY.hits, REGISTRY.misses, _shm_entries())
     for correlation_backend in ("dense", "banded"):
         CorrelatedNormalEstimator(
-            correlation_backend=correlation_backend,
-            workers=workers,
-            exec_backend=backend,
+            correlation_backend=correlation_backend, exec_backend="serial"
         ).estimate(graph, model)
-    SecondOrderEstimator(workers=workers, exec_backend=backend).estimate(
-        graph, model
-    )
+    SecondOrderEstimator(exec_backend="serial").estimate(graph, model)
     MonteCarloEngine(
-        graph, model, trials=1_000, batch_size=250, seed=1,
-        workers=workers, backend=backend,
+        graph, model, trials=1_000, batch_size=250, seed=1, backend="serial"
     ).run()
     assert (REGISTRY.hits, REGISTRY.misses, _shm_entries()) == before
 
@@ -923,7 +917,6 @@ class TestEstimatorProcessParity:
             )
 
         reference = estimate(workers=1)
-        assert estimate(workers=2, exec_backend="threads") == reference
         for workers in (1, 2, 3):
             assert (
                 estimate(workers=workers, exec_backend="processes")
@@ -940,7 +933,6 @@ class TestEstimatorProcessParity:
             ).expected_makespan
 
         reference = estimate(workers=1)
-        assert estimate(workers=3, exec_backend="threads") == reference
         for workers in (1, 2, 3):
             assert (
                 estimate(workers=workers, exec_backend="processes")
@@ -993,8 +985,8 @@ class TestKernelBackendProcessParity:
     The specs shipped to worker processes carry the backend name
     explicitly, so a per-process environment difference can never make a
     worker disagree with the parent — and because every ported kernel is
-    bit-identical to the NumPy reference, results match serial/threads
-    at any worker count for every backend (including an unavailable one,
+    bit-identical to the NumPy reference, results match serial at any
+    worker count for every backend (including an unavailable one,
     which degrades to NumPy on both sides).
     """
 
@@ -1016,7 +1008,6 @@ class TestKernelBackendProcessParity:
             )
 
         reference = estimate(workers=1)
-        assert estimate(workers=2, exec_backend="threads") == reference
         for workers in (1, 2, 3):
             assert (
                 estimate(workers=workers, exec_backend="processes")
@@ -1041,10 +1032,9 @@ class TestKernelBackendProcessParity:
                 **kwargs,
             ).run().mean
 
-        # threads/processes share the per-batch RNG stream derivation, so
-        # they agree with each other at any worker count (serial uses the
-        # historical sequential stream and is compared elsewhere).
-        reference = mean(workers=2, backend="threads")
+        # Both backends derive one RNG stream per batch, so processes
+        # agree with serial at any worker count.
+        reference = mean(workers=1, backend="serial")
         for workers in (1, 2, 3):
             assert mean(workers=workers, backend="processes") == reference
 

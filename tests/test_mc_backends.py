@@ -4,7 +4,7 @@ The executor-backend contract (see :mod:`repro.sim.executors`):
 
 * every backend derives one RNG stream per *batch* and folds in
   batch-index order, so a fixed seed yields identical merged estimates on
-  ``serial``, ``threads`` and ``processes`` at any worker count;
+  ``serial`` and ``processes`` at any worker count;
 * streaming mode serves mean/std/CI from the same fold (exact agreement)
   and quantiles from the fixed-grid sketch (one-bin accuracy).
 """
@@ -15,7 +15,7 @@ import pytest
 import repro.sim.engine as engine_module
 from repro.core.generators import erdos_renyi_dag
 from repro.core.kernels import WavefrontKernel
-from repro.exceptions import EstimationError, ReproError
+from repro.exceptions import EstimationError, OptionError, ReproError
 from repro.exec import partition_stream, resolve_exec_backend
 from repro.failures.models import ExponentialErrorModel, FixedProbabilityModel
 from repro.sim.engine import MonteCarloEngine
@@ -45,7 +45,7 @@ KW = dict(trials=6_000, batch_size=1_024, seed=123, keep_samples=True)
 class TestBackendResolution:
     def test_default_resolution(self):
         assert resolve_exec_backend(None, 1) == "serial"
-        assert resolve_exec_backend(None, 4) == "threads"
+        assert resolve_exec_backend(None, 4) == "processes"
 
     def test_explicit_names(self):
         for name in BACKENDS:
@@ -60,6 +60,30 @@ class TestBackendResolution:
         graph, model = case
         with pytest.raises(EstimationError):
             MonteCarloEngine(graph, model, backend="serial", workers=4)
+
+    def test_threads_is_no_backend(self, case):
+        graph, model = case
+        assert BACKENDS == ("serial", "processes")
+        with pytest.raises(OptionError, match="threads"):
+            MonteCarloEngine(graph, model, backend="threads", workers=2)
+
+    def test_several_workers_default_to_processes(self, case):
+        graph, model = case
+        serial = MonteCarloEngine(graph, model, **KW).run()
+        engine = MonteCarloEngine(graph, model, workers=2, **KW)
+        assert engine.backend == "processes"
+        assert engine.run().mean == serial.mean
+
+    def test_only_serial_holds_an_in_process_slot(self, case):
+        from repro.sim.engine import _BatchWorker
+
+        graph, model = case
+        serial = MonteCarloEngine(graph, model, **KW)
+        assert isinstance(serial._slot, _BatchWorker)
+        assert serial._kernel is serial._slot.kernel
+        # The process backend builds its slots in the workers only.
+        processes = MonteCarloEngine(graph, model, workers=2, **KW)
+        assert processes._slot is None and processes._kernel is None
 
     def test_batch_stream_matches_seedsequence_spawn(self):
         root = np.random.SeedSequence(99)
@@ -90,10 +114,9 @@ class TestCrossBackendDeterminism:
             ).run()
             for backend, workers in [
                 ("serial", 1),
-                ("threads", 1),
-                ("threads", 2),
-                ("threads", 4),
+                ("processes", 1),
                 ("processes", 2),
+                ("processes", 3),
             ]
         ]
         reference = results[0]
@@ -114,22 +137,23 @@ class TestCrossBackendDeterminism:
         b = MonteCarloEngine(graph, model, backend="processes", workers=2, **kw).run()
         assert np.array_equal(a.samples.samples(), b.samples.samples())
 
-    def test_processes_geometric_mode_matches_threads(self, case):
+    def test_processes_geometric_mode_matches_serial(self, case):
         graph, model = case
         kw = dict(trials=2_000, batch_size=512, seed=11, mode="geometric",
                   keep_samples=True)
-        t = MonteCarloEngine(graph, model, backend="threads", workers=2, **kw).run()
+        s = MonteCarloEngine(graph, model, backend="serial", **kw).run()
         p = MonteCarloEngine(graph, model, backend="processes", workers=2, **kw).run()
-        assert np.array_equal(p.samples.samples(), t.samples.samples())
+        assert np.array_equal(p.samples.samples(), s.samples.samples())
 
     def test_early_stopping_identical_across_worker_counts(self, case):
         graph, model = case
         kw = dict(trials=100_000, batch_size=1_024, seed=9,
                   target_relative_half_width=5e-3)
-        a = MonteCarloEngine(graph, model, backend="threads", workers=2, **kw).run()
-        b = MonteCarloEngine(graph, model, backend="threads", workers=4, **kw).run()
-        assert a.trials == b.trials < 100_000
-        assert a.mean == b.mean
+        a = MonteCarloEngine(graph, model, backend="processes", workers=2, **kw).run()
+        b = MonteCarloEngine(graph, model, backend="processes", workers=3, **kw).run()
+        s = MonteCarloEngine(graph, model, backend="serial", **kw).run()
+        assert a.trials == b.trials == s.trials < 100_000
+        assert a.mean == b.mean == s.mean
 
 
 def _folded_batches(engine):
@@ -193,7 +217,7 @@ def _dense_reference(
     return np.concatenate(out)
 
 
-BACKEND_CASES = [("serial", 1), ("threads", 2), ("processes", 2)]
+BACKEND_CASES = [("serial", 1), ("processes", 2)]
 
 
 class _CertainFailure(FixedProbabilityModel):
@@ -237,7 +261,7 @@ class TestDenseReferenceIdentity:
         model = ExponentialErrorModel.for_graph(graph, 5e-2)
         self._assert_identical(graph, model, backend, workers, mode=mode, dtype=dtype)
 
-    @pytest.mark.parametrize("backend,workers", BACKEND_CASES[:2])
+    @pytest.mark.parametrize("backend,workers", BACKEND_CASES)
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize(
         "model", [FixedProbabilityModel(0.0), _CertainFailure()], ids=["q0", "q1"]
@@ -304,7 +328,7 @@ class TestStreamingMode:
         graph, model = case
         s = MonteCarloEngine(
             graph, model, trials=4_000, batch_size=512, seed=3,
-            backend="threads", workers=2, streaming=True, reservoir=256,
+            backend="processes", workers=2, streaming=True, reservoir=256,
         ).run()
         assert s.samples is None and s.sketch is not None
         assert s.reservoir is not None and s.reservoir.shape == (256,)
@@ -438,7 +462,9 @@ class TestConfigResolution:
 
         monkeypatch.delenv("REPRO_MC_BACKEND", raising=False)
         assert monte_carlo_backend() is None
-        assert monte_carlo_backend("threads") == "threads"
+        assert monte_carlo_backend("processes") == "processes"
+        with pytest.raises(OptionError, match="backend"):
+            monte_carlo_backend("threads")
         monkeypatch.setenv("REPRO_MC_BACKEND", "processes")
         assert monte_carlo_backend() == "processes"
         assert monte_carlo_backend("serial") == "processes"  # environment wins
@@ -449,6 +475,9 @@ class TestConfigResolution:
 
         monkeypatch.setenv("REPRO_MC_BACKEND", "gpu")
         with pytest.raises(ExperimentError):
+            monte_carlo_backend()
+        monkeypatch.setenv("REPRO_MC_BACKEND", "threads")
+        with pytest.raises(OptionError, match="REPRO_MC_BACKEND"):
             monte_carlo_backend()
 
     def test_streaming_env_override(self, monkeypatch):
@@ -476,10 +505,11 @@ class TestConfigResolution:
         )
         assert fig.backend == "processes"
         assert fig.streaming is True
-        tab = ScalabilityConfig(mc_backend="threads")
-        assert tab.backend == "threads"
-        with pytest.raises(ExperimentError):
-            FigureConfig(figure="t", workflow="lu", pfail=1e-3, mc_backend="gpu")
+        tab = ScalabilityConfig(mc_backend="serial")
+        assert tab.backend == "serial"
+        for bad in ("gpu", "threads"):
+            with pytest.raises(ExperimentError):
+                FigureConfig(figure="t", workflow="lu", pfail=1e-3, mc_backend=bad)
 
 
 class TestCorrelatedMemoryGuard:
@@ -581,7 +611,7 @@ class TestDefaultBatchSize:
         expected = engine_module.default_batch_size(10_000, graph.num_tasks)
         for dtype in ("float64", "float32"):
             for backend, workers in [
-                ("serial", 1), ("threads", 1), ("threads", 2), ("processes", 2),
+                ("serial", 1), ("processes", 1), ("processes", 2),
             ]:
                 engine = MonteCarloEngine(
                     graph, model, trials=10_000, seed=1, dtype=dtype,
@@ -603,7 +633,7 @@ class TestDefaultBatchSize:
                 MonteCarloEngine(graph, model, backend=backend, workers=workers, **kw)
             )
             for backend, workers in [
-                ("serial", 1), ("threads", 1), ("threads", 2), ("processes", 2),
+                ("serial", 1), ("processes", 1), ("processes", 2),
             ]
         ]
         (reference, reference_trials), *others = results

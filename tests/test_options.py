@@ -32,7 +32,7 @@ SOURCE = Path(repro.__file__).resolve().parent
 
 WORKFLOWS = tuple(available_workflows())
 FIGURES = tuple(f"figure{n}" for n in (10, 11, 12, 4, 5, 6, 7, 8, 9))
-MC_BACKENDS = ("serial", "threads", "processes")
+MC_BACKENDS = ("serial", "processes")
 
 #: Option string, value kind and choices of every flag, per subcommand.
 CLI_SNAPSHOT = {
@@ -280,16 +280,42 @@ def test_config_routing_uses_canonical_names(monkeypatch):
         monkeypatch.delenv(KNOBS[name].env, raising=False)
     config = FigureConfig(
         "f", "lu", 0.01, est_workers=2, kernel_backend="numpy", exec_retries=1,
-        exec_backend="threads",
+        exec_backend="processes",
     )
-    expected = {"workers": 2, "exec_retries": 1, "exec_backend": "threads"}
+    expected = {"workers": 2, "exec_retries": 1, "exec_backend": "processes"}
     assert estimator_options_for(config, "second_order") == expected
     assert estimator_options_for(config, "second-order") == expected
     assert estimator_options_for(config, "sculli") == {"kernel_backend": "numpy"}
     # A driver argument wins over the environment and the field.
     monkeypatch.setenv("REPRO_EST_WORKERS", "3")
-    assert estimator_options_for(config, "dodin")["workers"] == 3
-    assert estimator_options_for(config, "dodin", est_workers=4)["workers"] == 4
+    assert estimator_options_for(config, "second-order")["workers"] == 3
+    assert estimator_options_for(config, "second-order", est_workers=4)["workers"] == 4
+    # Dodin runs on one worker: the analytic worker count never reaches it.
+    assert "workers" not in estimator_options_for(config, "dodin")
+    assert "workers" not in estimator_options_for(config, "dodin", est_workers=4)
+
+
+@pytest.mark.parametrize("name", ["MC_BACKEND", "EXEC_BACKEND"])
+def test_threads_is_no_backend(name, monkeypatch):
+    knob = KNOBS[name]
+    assert knob.choices == ("serial", "processes")
+    monkeypatch.setenv(knob.env, "threads")
+    with pytest.raises(OptionError, match=knob.env):
+        resolve(name)
+    monkeypatch.delenv(knob.env)
+    with pytest.raises(OptionError, match=knob.field):
+        FigureConfig("f", "lu", 0.01, **{knob.field: "threads"})
+
+
+@pytest.mark.parametrize("flag", ["--backend", "--exec-backend"])
+def test_cli_rejects_threads(flag, capsys):
+    # Choice flags are checked by argparse: a usage error, exit status 2.
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(
+            ["estimate", "--workflow", "lu", "--size", "4", flag, "threads"]
+        )
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'threads'" in capsys.readouterr().err
 
 
 def _estimate_json(capsys, method):

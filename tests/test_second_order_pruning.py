@@ -199,18 +199,8 @@ def test_pair_rows_reported():
     assert _interacting_rows(gap, index.weights, 0.0).size == 172
 
 
-@pytest.mark.parametrize(
-    "backend,workers",
-    [
-        ("threads", 2),
-        pytest.param(
-            "processes", 2,
-            marks=pytest.mark.skipif(
-                not HAS_PROCESSES, reason="process pools unavailable"
-            ),
-        ),
-    ],
-)
+@pytest.mark.skipif(not HAS_PROCESSES, reason="process pools unavailable")
+@pytest.mark.parametrize("backend,workers", [(None, 2), ("processes", 2)])
 def test_row_partitions_bit_identical(backend, workers):
     # cholesky k=20 sweeps 932 rows: 8 chunks, enough for a fault plan
     # that kills partition 5 to hit one.
@@ -220,6 +210,7 @@ def test_row_partitions_bit_identical(backend, workers):
     result = SecondOrderEstimator(
         workers=workers, exec_backend=backend
     ).estimate(graph, model)
+    assert result.details["execution"]["backend"] == "processes"
     assert result.expected_makespan == reference.expected_makespan
     assert result.details["pair_contribution"] == reference.details["pair_contribution"]
     assert result.details["execution"]["partitions"] == 8

@@ -215,7 +215,7 @@ class TestZeroCopyPipeline:
         engine = MonteCarloEngine(
             graph, model, trials=2 * batch_size + 100, seed=1, batch_size=batch_size,
         )
-        slot = engine._slots[0]
+        slot = engine._slot
         kernel_buffer = engine._kernel._buffer
         assert kernel_buffer is not None  # allocated by the constructor
         # The slot keeps no sampling array: candidates are drawn per chunk.
@@ -257,7 +257,7 @@ class TestZeroCopyPipeline:
                 graph.add_edge(parent, f"zero{i}")
         model = ExponentialErrorModel.for_graph(graph, 0.1)
         engine = MonteCarloEngine(graph, model, trials=300, seed=4, dtype=dtype)
-        slot = engine._slots[0]
+        slot = engine._slot
         makespans = slot.evaluate(300, partition_stream(engine.seed_entropy, 0))
         # The same batch swept in full, each trial reduced over all rows.
         plan, kernel = slot.plan, slot.kernel

@@ -48,7 +48,7 @@ class _SpyGenerator:
 
 def _failure_cells(engine, batches):
     """Per-task ``(tasks, trials)`` failures of ``batches`` sampled batches."""
-    slot = engine._slots[0]
+    slot = engine._slot
     batch, n = slot.plan.capacity, slot.plan.schedule.num_tasks
     out = []
     for b in range(batches):
@@ -103,7 +103,7 @@ def test_a_batch_draws_far_fewer_variates_than_cells():
     graph = build_dag("cholesky", 10)
     model = ExponentialErrorModel.for_graph(graph, 1e-3)
     engine = MonteCarloEngine(graph, model, trials=4_096, seed=2)
-    slot = engine._slots[0]
+    slot = engine._slot
     batch, n = slot.plan.capacity, graph.num_tasks
     for b in range(4):
         spy = _SpyGenerator(partition_stream(engine.seed_entropy, b))
@@ -119,6 +119,6 @@ def test_no_failure_probability_draws_nothing():
     graph = build_dag("cholesky", 4)
     engine = MonteCarloEngine(graph, FixedProbabilityModel(0.0), trials=64, seed=0)
     spy = _SpyGenerator(partition_stream(engine.seed_entropy, 0))
-    makespans = engine._slots[0].evaluate(64, spy)
+    makespans = engine._slot.evaluate(64, spy)
     assert spy.draws == []
     assert np.all(makespans == makespans[0])

@@ -138,14 +138,14 @@ class TestLifetime:
     @pytest.mark.parametrize("backend, faults", [
         ("processes", "raise@1;raise@2"),
         ("processes", "kill@1"),
-        ("threads", "raise@1;raise@2"),
+        ("serial", "raise@1;raise@2"),
     ])
     def test_unclosed_service_that_saw_failures_is_freed(self, backend, faults):
         # A recorded failure must not hold the service in a reference
         # cycle: reference counting, not the cyclic collector, frees it,
         # and its finalizer frees the lease.
         service = ParallelService(
-            workers=2,
+            workers=1 if backend == "serial" else 2,
             backend=backend,
             retries=2,
             backoff=0.0,
@@ -280,19 +280,19 @@ class TestDeterminism:
         assert exec_service._WARM_POOL.lease()
         exec_service._WARM_POOL.unlease()
 
-    def test_processes_run_while_a_thread_pool_is_busy(self, case):
+    def test_processes_run_while_another_thread_runs_a_service(self, case):
         graph, model = case
         serial = _mc(graph, model, "serial", 1).mean
-        end_warm_pool()  # the run below forks while the threads work
-        started, release = threading.Barrier(3), threading.Event()
+        end_warm_pool()  # the run below forks while the other thread works
+        started, release = threading.Barrier(2), threading.Event()
 
         def busy(item, slot, rng):
             started.wait(30)
             release.wait(30)
             return item
 
-        with ParallelService(workers=2, backend="threads") as threads:
-            runner = threading.Thread(target=threads.run, args=(busy, [0, 1]))
+        with ParallelService(workers=1) as other:
+            runner = threading.Thread(target=other.run, args=(busy, [0]))
             runner.start()
             try:
                 started.wait(30)
